@@ -22,7 +22,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    DegenerateShape,
+    DimensionMismatch,
     EmptySystem,
+    InvalidBracket,
     SolverBudgetExceeded,
     StrictFeasibilityViolated,
 )
@@ -40,12 +43,14 @@ from .oracles import MaxAffineFunction
 from .solver import CutMode, MetastepConfig, MetastepResult, run_metasteps
 
 # Exit codes.  Argparse's default of 2 would collide with a verdict
-# code, so usage failures are remapped.
+# code, so usage failures are remapped; internal errors get their own
+# code so a traceback can never read as "infeasible" (Python's 1).
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_STRICT_ONLY = 2
 EXIT_UNDECIDED = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 _DECIDE_EXIT = {
     FeasibilityVerdict.FEASIBLE: EXIT_OK,
@@ -442,6 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"epicut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DegenerateShape, InvalidBracket, DimensionMismatch) as exc:
+        print(f"epicut: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

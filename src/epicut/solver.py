@@ -8,6 +8,20 @@ the query answers.  A witness strictly inside the lifted ball certifies
 the global minimum; a boundary witness triggers another metastep around
 it when budget remains.
 
+Within a metastep, each level query warm-starts from the final
+ellipsoid of the most recent query that returned a witness (feasible,
+epsilon-feasible, or a pattern-probe hit); the first query starts from
+the full lifted ball.  This is sound because every cut made at level
+alpha keeps all of S(alpha') for alpha' <= alpha: level, epigraph, ball
+and side-constraint cuts trivially, objective cuts because they are
+clamped at max(incumbent, alpha).  Bisection only ever queries below the
+last witness level, and an infeasible query's ellipsoid is never reused.
+The log volume ratio carries over with the ellipsoid, so the volume
+floor d*log(eps/R) is still measured against the metastep's ball.
+
+A query that runs out of iterations proves nothing: the bracket is left
+as it is and the metastep ends with BudgetExhausted.
+
 Cut construction comes in three flavors: plain central cuts, deep cuts
 that use the known slack of the violated constraint, and deep cuts with
 a pattern-search loop that lowers the running incumbent so level and
@@ -44,6 +58,7 @@ class LevelVerdict(Enum):
     FEASIBLE_WITNESS = "FeasibleWitness"
     EPSILON_FEASIBLE = "EpsilonFeasible"
     INFEASIBLE = "Infeasible"
+    BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
 @dataclass
@@ -54,7 +69,7 @@ class TraceRecord:
     value: float        # f at the x part of the center
     cut: str            # "level" | "epigraph" | "objective" | "ball" | "constraint"
     depth: float        # raw slack passed to the cut
-    log_volume: float   # log volume ratio after the cut
+    log_volume: float   # log volume ratio after the cut, against the metastep's ball
 
 
 @dataclass(frozen=True)
@@ -185,6 +200,9 @@ class _LevelSearch:
         self.trace: List[TraceRecord] = []
         self.query_iterations: List[int] = []
         self.query_index = query_start
+        # Final ellipsoid of the last query that returned a witness; it
+        # contains S(alpha) for every level bisection asks about next.
+        self.warm: Optional[Ellipsoid] = None
         self._note(x0, f0)
 
     def extra_ok(self, x) -> bool:
@@ -252,7 +270,7 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
     deep = cfg.cut_mode is not CutMode.CENTRAL
     pattern = cfg.cut_mode is CutMode.DEEP_PATTERN
 
-    e = Ellipsoid.ball(state.lifted_start, radius)
+    e = state.warm if state.warm is not None else Ellipsoid.ball(state.lifted_start, radius)
     state.query_index += 1
     query = state.query_index
     iters = 0
@@ -270,6 +288,7 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
                 if state.early_stop is not None:
                     return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
                 if found is not None:
+                    state.warm = e
                     return LevelFeasibility(
                         LevelVerdict.FEASIBLE_WITNESS, found[0], found[1], iters
                     )
@@ -285,12 +304,15 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
             extra_ok = extra_viol <= cfg.constraint_tolerance
 
             if ball_ok and epi_ok and extra_ok:
-                if y <= alpha:
-                    w = EpigraphPoint(x.copy(), y)
-                    return LevelFeasibility(LevelVerdict.FEASIBLE_WITNESS, w, fx, iters)
                 if y - alpha <= eps:
+                    state.warm = e
                     w = EpigraphPoint(x.copy(), y)
-                    return LevelFeasibility(LevelVerdict.EPSILON_FEASIBLE, w, fx, iters)
+                    verdict = (
+                        LevelVerdict.FEASIBLE_WITNESS
+                        if y <= alpha
+                        else LevelVerdict.EPSILON_FEASIBLE
+                    )
+                    return LevelFeasibility(verdict, w, fx, iters)
                 plane = Halfspace(level_normal, _level_anchor(n, alpha))
                 if not intersects_halfspace(e, plane):
                     return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
@@ -315,7 +337,7 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
             )
             if e.log_volume_ratio < volume_floor:
                 return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
-        return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
+        return LevelFeasibility(LevelVerdict.BUDGET_EXHAUSTED, None, None, iters)
     finally:
         state.query_iterations.append(iters)
 
@@ -430,6 +452,7 @@ def bisect_level(
 
     queries = 0
     query_cap = cfg.query_budget()
+    out_of_budget = False
     while (
         state.early_stop is None
         and hi - lo > eps
@@ -441,6 +464,10 @@ def bisect_level(
         outcome = _run_level_query(state, mid)
         queries += 1
         if state.early_stop is not None:
+            break
+        if outcome.verdict is LevelVerdict.BUDGET_EXHAUSTED:
+            # Running out of iterations proves nothing about S(mid).
+            out_of_budget = True
             break
         if outcome.verdict is LevelVerdict.INFEASIBLE:
             lo = mid
@@ -469,10 +496,10 @@ def bisect_level(
             early_stopped=True,
             config=cfg,
         )
-    if witness is None:
+    if witness is None or out_of_budget:
         return MetastepResult(
-            best_point=None,
-            best_value=math.inf,
+            best_point=None if witness is None else witness.x,
+            best_value=witness_value,
             status=SolveStatus.BUDGET_EXHAUSTED,
             iterations=total_iters,
             level_queries=queries,

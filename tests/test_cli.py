@@ -241,3 +241,19 @@ class TestGrammar:
             )
         )
         assert decide_keys == point_keys == minimize_keys
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", ["DegenerateShape", "InvalidBracket",
+                                       "DimensionMismatch"])
+    def test_internal_error_exit_70(self, unit_box, monkeypatch, capsys, error):
+        from epicut import cli, errors
+
+        def boom(*args, **kwargs):
+            raise getattr(errors, error)("synthetic failure")
+
+        monkeypatch.setattr(cli, "decide_feasibility", boom)
+        assert cli.main(["decide", unit_box]) == cli.EXIT_INTERNAL == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epicut: internal error: {error}: synthetic failure\n"

@@ -17,6 +17,7 @@ from epicut import (
     level_set_feasible,
     pattern_probe,
     run_metasteps,
+    solver,
 )
 
 
@@ -181,6 +182,20 @@ class TestBisectLevel:
         assert res.best_value <= -0.5
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
 
+    def test_budget_exhaustion_is_not_a_proof(self):
+        # max(|x1 - 1/2|, |x2 - 1/2|) has minimum 0; a one-iteration budget
+        # proves nothing, so the bracket must not rise and nothing is certified.
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        f = MaxAffineFunction(rows, np.array([-0.5, 0.5, -0.5, 0.5]))
+        cfg = MetastepConfig(radius=2.0, max_ellipsoid_iters=1)
+        res = bisect_level(f, np.zeros(2), cfg)
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.alpha_bracket[0] == 0.5 - 2.0
+        assert res.level_queries == 1
+        assert res.best_value == 0.5
+        np.testing.assert_array_equal(res.best_point, np.zeros(2))
+        assert run_metasteps(f, np.zeros(2), cfg).status is SolveStatus.BUDGET_EXHAUSTED
+
     def test_trace_volume_non_increasing_within_query(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5)
         res = bisect_level(abs_minus_one(), np.array([0.6]), cfg)
@@ -239,3 +254,109 @@ class TestRunMetasteps:
         res = run_metasteps(f, np.array([0.9, -0.7]), cfg)
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         assert res.best_value == pytest.approx(-1.0, abs=1e-4)
+
+
+def planted_minimum(rng):
+    """Criterion 06's construction on R^2: three pieces whose gradients
+    positively span the plane, plus two pieces lying below them."""
+    minimizer = rng.uniform(-2, 2, 2)
+    true_min = float(rng.uniform(-3, 1))
+    base = rng.uniform(0, 2 * math.pi)
+    rows, offsets = [], []
+    for k in range(3):
+        angle = base + k * (2 * math.pi / 3) + rng.uniform(-0.4, 0.4)
+        g = rng.uniform(0.5, 2.0) * np.array([math.cos(angle), math.sin(angle)])
+        rows.append(g)
+        offsets.append(true_min - float(g @ minimizer))
+    for _ in range(2):
+        g = rng.uniform(-2, 2, 2)
+        rows.append(g)
+        offsets.append(true_min - float(g @ minimizer) - rng.uniform(0.3, 2.0))
+    return MaxAffineFunction(np.array(rows), np.array(offsets)), minimizer
+
+
+def level_set_samples(state, alpha, per_axis=81, lifts=5):
+    """Grid points (x, y) of S(alpha): inside the lifted ball, on or above
+    the graph of f, at most alpha, and within the side constraints."""
+    radius = state.cfg.radius
+    axes = [np.linspace(c - radius, c + radius, per_axis) for c in state.x0]
+    xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
+    fx = state.f.eval_many(xs)
+    keep = fx <= alpha
+    if state.extra is not None:
+        keep &= np.array([state.extra_ok(x) for x in xs])
+    xs, fx = xs[keep], fx[keep]
+    points = []
+    for t in np.linspace(0.0, 1.0, lifts):
+        lifted = np.column_stack([xs, fx + t * (alpha - fx)])
+        inside = np.linalg.norm(lifted - state.lifted_start, axis=1) <= radius
+        points.append(lifted[inside])
+    return np.vstack(points)
+
+
+class TestWarmStart:
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        """Record every level query's state, level and starting ellipsoid."""
+        log = []
+        original = solver._run_level_query
+
+        def recording(state, alpha):
+            log.append((state, alpha, state.warm))
+            return original(state, alpha)
+
+        monkeypatch.setattr(solver, "_run_level_query", recording)
+        return log
+
+    def check(self, log):
+        seen = set()
+        shrunk = checked = 0
+        for state, alpha, start in log:
+            if id(state) not in seen:
+                # The first query of every metastep starts from the full ball.
+                seen.add(id(state))
+                assert start is None
+                continue
+            if start is None:
+                continue
+            shrunk += start.log_volume_ratio < 0.0
+            samples = level_set_samples(state, alpha)
+            assert start.contains_many(samples).all()
+            checked += samples.shape[0]
+        # Levels near the minimum have level sets too small for the grid;
+        # the higher ones must still have been sampled.
+        assert shrunk >= 1 and checked >= 100
+        return len(seen)
+
+    @pytest.mark.parametrize("mode", list(CutMode))
+    def test_minima_start_inside_level_set(self, queries, mode):
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            f, minimizer = planted_minimum(rng)
+            cfg = MetastepConfig(
+                radius=2.0, level_tolerance=2e-5, cut_mode=mode, max_metasteps=16
+            )
+            for offset in (np.array([0.3, -0.4]), np.array([2.5, 2.5])):
+                res = run_metasteps(f, minimizer + offset, cfg)
+                assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        metasteps = self.check(queries)
+        # The far starts recentre, so several metasteps began cold.
+        assert metasteps > 6
+
+    def test_constrained_quadratic_start_inside_level_set(self, queries):
+        # min x^T Q x subject to x1 + x2 >= 1: 0.875 at (1/4, 3/4)
+        f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5, max_metasteps=8)
+        for x0 in ([1.5, 1.0], [-1.0, 2.0]):
+            res = run_metasteps(f, np.array(x0), cfg, extra=extra)
+            assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+            assert float(res.best_point.sum()) >= 1.0 - 1e-8
+            assert res.best_value == pytest.approx(0.875, abs=1e-4)
+        self.check(queries)
+
+    def test_single_query_starts_cold(self, queries):
+        out = level_set_feasible(abs_minus_one(), np.array([0.6]),
+                                 MetastepConfig(radius=2.0), -0.8)
+        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
+        assert [start for _, _, start in queries] == [None]
