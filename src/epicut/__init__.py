@@ -65,7 +65,6 @@ from .solver import (
     bisect_level,
     choose_cut_depth,
     level_set_feasible,
-    pattern_probe,
     run_metasteps,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "intersects_halfspace",
     "level_set_feasible",
     "normalize",
-    "pattern_probe",
     "run_metasteps",
     "sample_subgradient_norms",
     "simplex_grid_min",

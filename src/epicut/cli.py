@@ -362,7 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"epicut: skipping {path}: {exc}", file=sys.stderr)
             continue
         label = name or os.path.splitext(os.path.basename(path))[0]
-        for mode in (CutMode.CENTRAL, CutMode.DEEP, CutMode.DEEP_PATTERN):
+        for mode in CutMode:
             started = time.perf_counter()
             queries = iters = 0
             try:
@@ -404,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--metasteps", type=int, default=16,
                         help="metastep budget (default 16)")
     common.add_argument("--cut", choices=[m.value for m in CutMode],
-                        default=CutMode.DEEP_PATTERN.value,
-                        help="cut strategy (default deep+ps)")
+                        default=CutMode.DEEP.value,
+                        help="cut strategy (default deep)")
     common.add_argument("--trace", metavar="FILE", default=None,
                         help="write per-iteration trace records to FILE as JSON lines")
     common.add_argument("--x0", metavar="CSV", default=None,

@@ -1,8 +1,10 @@
 """Ellipsoid geometry: membership, halfspace intersection, cut updates.
 
-An ellipsoid is stored as a center c and a symmetric positive-definite
-matrix P with E = { x : (x - c)^T P^{-1} (x - c) <= 1 }.  Membership is
-evaluated through a Cholesky solve, so P is never inverted explicitly.
+An ellipsoid is stored as a center c and a square-root factor J of its
+shape matrix P = J J^T, with E = { x : (x - c)^T P^{-1} (x - c) <= 1 }.
+A cut is one O(d^2) rank-one update of J; the shape is factored only
+once, when an ellipsoid is built from an explicit P.  Membership is
+evaluated through a solve with J, so P is never inverted explicitly.
 Volume is tracked in log space from the closed-form per-cut determinant
 ratio instead of recomputed determinants.
 """
@@ -25,14 +27,16 @@ _MEMBERSHIP_TOL = 1e-9
 
 
 class Ellipsoid:
-    """E = { x : (x - center)^T shape_inv^{-1} (x - center) <= 1 }.
+    """E = { x : (x - center)^T P^{-1} (x - center) <= 1 } with P = J J^T.
 
-    ``shape_inv`` is the matrix P above.  Instances are immutable in use:
-    every cut builds a fresh object, re-symmetrizes P exactly, and factors
-    it once so later membership tests are a pair of triangular solves.
+    ``factor`` is the square-root factor J; ``shape_inv`` derives P from
+    it.  Instances are immutable in use: every cut builds a fresh object
+    whose factor is a rank-one correction of the previous one, so the
+    shape stays positive semidefinite by construction and no cut ever
+    refactors it.
     """
 
-    __slots__ = ("dim", "center", "shape_inv", "log_volume_ratio", "_chol")
+    __slots__ = ("dim", "center", "factor", "log_volume_ratio")
 
     def __init__(self, center, shape_inv, log_volume_ratio: float = 0.0):
         center = np.asarray(center, dtype=float)
@@ -56,9 +60,19 @@ class Ellipsoid:
             )
         self.dim = d
         self.center = center
-        self.shape_inv = shape
+        self.factor = chol
         self.log_volume_ratio = float(log_volume_ratio)
-        self._chol = chol
+
+    @classmethod
+    def _from_factor(cls, center: np.ndarray, factor: np.ndarray,
+                     log_volume_ratio: float) -> "Ellipsoid":
+        """Wrap an already valid factor without re-checking it."""
+        e = cls.__new__(cls)
+        e.dim = center.shape[0]
+        e.center = center
+        e.factor = factor
+        e.log_volume_ratio = log_volume_ratio
+        return e
 
     @classmethod
     def ball(cls, center, radius: float) -> "Ellipsoid":
@@ -67,12 +81,17 @@ class Ellipsoid:
             raise ValueError("ball radius must be positive")
         return cls(center, (radius * radius) * np.eye(center.shape[0]))
 
+    @property
+    def shape_inv(self) -> np.ndarray:
+        """The shape matrix P = J J^T."""
+        return self.factor @ self.factor.T
+
     def quadratic_form(self, x) -> float:
-        """(x - c)^T P^{-1} (x - c), via the cached factor."""
+        """(x - c)^T P^{-1} (x - c) = ||J^{-1} (x - c)||^2."""
         x = np.asarray(x, dtype=float)
         if x.shape != self.center.shape:
             raise DimensionMismatch("point dimension does not match ellipsoid")
-        w = np.linalg.solve(self._chol, x - self.center)
+        w = np.linalg.solve(self.factor, x - self.center)
         return float(w @ w)
 
     def contains(self, x) -> bool:
@@ -83,7 +102,7 @@ class Ellipsoid:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatch("points must be a (k, dim) array")
-        w = np.linalg.solve(self._chol, (pts - self.center).T)
+        w = np.linalg.solve(self.factor, (pts - self.center).T)
         return (w * w).sum(axis=0) <= 1.0 + _MEMBERSHIP_TOL
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -134,17 +153,21 @@ def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
     """Minimum-volume ellipsoid containing E cut at depth ``slack``.
 
     The cut constraint is { x : h.normal^T (x - e.center) + slack <= 0 };
-    h.anchor plays no role here.  With alpha = slack / sqrt(H^T P H):
+    h.anchor plays no role here.  With alpha = slack / ||J^T H||:
     alpha >= 1 certifies an empty intersection, alpha <= -1/d means the
     plane lies beyond the far side and no update helps (NO_CUT).  A
     negative slack (shallow cut) is accepted; the solver only ever passes
     slack >= 0.
+
+    The update P' = sigma (P - tau u u^T), u = P H / ||J^T H||, is applied
+    to the factor: with v = J^T H / ||J^T H|| (so u = J v),
+    J' = sqrt(sigma) (J - (1 - sqrt(1 - tau)) u v^T) satisfies J' J'^T = P'.
     """
     if h.dim != e.dim:
         raise DimensionMismatch("halfspace dimension does not match ellipsoid")
     d = e.dim
-    ph = e.shape_inv @ h.normal
-    h2 = float(h.normal @ ph)
+    g = e.factor.T @ h.normal
+    h2 = float(g @ g)
     if not h2 > 0.0:
         raise DegenerateShape("cut direction has nonpositive ellipsoid norm")
     root = math.sqrt(h2)
@@ -153,50 +176,25 @@ def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
         return CutOutcome(CutKind.EMPTY_INTERSECTION, None, alpha)
     if alpha <= -1.0 / d:
         return CutOutcome(CutKind.NO_CUT, None, alpha)
+    v = g / root
+    u = e.factor @ v
     step = (1.0 + d * alpha) / (d + 1.0)
-    new_center = e.center - step * (ph / root)
+    new_center = e.center - step * u
     if d == 1:
         # The generic formulas divide by d^2 - 1; the 1-D interval update
         # is exact and trivial.
-        new_shape = e.shape_inv * ((1.0 - alpha) ** 2 / 4.0)
+        new_factor = e.factor * ((1.0 - alpha) / 2.0)
         dlog = math.log((1.0 - alpha) / 2.0)
     else:
         sigma = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
-        tau = 2.0 * step / (1.0 + alpha)
-        new_shape = sigma * (e.shape_inv - tau * np.outer(ph, ph) / h2)
-        # vol(E')/vol(E) = sqrt(sigma^d * (1 - tau)); 1 - tau simplifies to
-        # (d-1)(1-alpha) / ((d+1)(1+alpha)).
-        dlog = 0.5 * (
-            d * math.log(sigma)
-            + math.log((d - 1.0) * (1.0 - alpha))
-            - math.log((d + 1.0) * (1.0 + alpha))
+        keep = (d - 1.0) * (1.0 - alpha) / ((d + 1.0) * (1.0 + alpha))  # 1 - tau
+        new_factor = math.sqrt(sigma) * (
+            e.factor - (1.0 - math.sqrt(keep)) * np.outer(u, v)
         )
-    try:
-        updated = Ellipsoid(new_center, new_shape, e.log_volume_ratio + dlog)
-    except DegenerateShape:
-        # A rank-one downdate of an extremely thin shape matrix can round
-        # indefinite.  Flooring the bad eigenvalues yields a superset of
-        # the exact update (containment survives); the volume change is
-        # then recomputed exactly from the eigenvalues.
-        updated = _inflate_to_valid(new_center, new_shape, e)
+        # vol(E')/vol(E) = sqrt(sigma^d * (1 - tau)).
+        dlog = 0.5 * (d * math.log(sigma) + math.log(keep))
+    updated = Ellipsoid._from_factor(new_center, new_factor, e.log_volume_ratio + dlog)
     return CutOutcome(CutKind.UPDATED, updated, alpha)
-
-
-def _inflate_to_valid(center: np.ndarray, shape: np.ndarray, prev: Ellipsoid) -> Ellipsoid:
-    sym = 0.5 * (shape + shape.T)
-    w, vec = np.linalg.eigh(sym)
-    top = float(w[-1])
-    if not top > 0.0:
-        raise DegenerateShape("shape matrix collapsed in every direction")
-    w = np.maximum(w, top * 1e-15)
-    repaired = (vec * w) @ vec.T
-    # The previous shape passed Cholesky, but eigvalsh may still report a
-    # nonpositive value for it at this conditioning; measure both sides
-    # with the same relative floor.
-    prev_w = np.linalg.eigvalsh(prev.shape_inv)
-    prev_w = np.maximum(prev_w, float(prev_w[-1]) * 1e-15)
-    dlog = 0.5 * (float(np.sum(np.log(w))) - float(np.sum(np.log(prev_w))))
-    return Ellipsoid(center, repaired, prev.log_volume_ratio + dlog)
 
 
 def central_cut(e: Ellipsoid, h: Halfspace) -> CutOutcome:
@@ -227,5 +225,5 @@ def intersects_halfspace(e: Ellipsoid, h: Halfspace) -> bool:
     s = float(h.normal @ (e.center - h.anchor))
     if s <= 0.0:
         return True
-    h2 = float(h.normal @ (e.shape_inv @ h.normal))
-    return s * s < h2
+    g = e.factor.T @ h.normal
+    return s * s < float(g @ g)

@@ -10,7 +10,6 @@ rows.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,8 +32,6 @@ from .solver import (
     SolveStatus,
     run_metasteps,
 )
-
-logger = logging.getLogger(__name__)
 
 # Rows with coefficient norm below this are treated as constant rows.
 _ZERO_ROW = 1e-150
@@ -149,7 +146,7 @@ def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
     return MetastepConfig(
         radius=2.0,
         level_tolerance=1e-7,
-        cut_mode=CutMode.DEEP_PATTERN,
+        cut_mode=CutMode.DEEP,
         max_metasteps=2,
         value_floor=value_floor,
         constraint_tolerance=1e-8,
@@ -159,7 +156,7 @@ def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
 def decide_feasibility(
     system: LinearSystem,
     tol: float = 1e-7,
-    cut_mode: CutMode = CutMode.DEEP_PATTERN,
+    cut_mode: CutMode = CutMode.DEEP,
 ) -> FeasibilityDecision:
     """Farkas-based feasibility decision for a normalized system.
 
@@ -292,6 +289,17 @@ def validate_certificate(system: LinearSystem, q, tol: float = 1e-7) -> bool:
     return float(system.offsets @ q) > tol
 
 
+def _require_settled(res: MetastepResult, program: str) -> None:
+    """Raise unless the program's run proved its reported minimum.
+
+    A budget-exhausted run (which includes one with no witness at all)
+    leaves best_value only an upper bound, so nothing built on it as a
+    floor would be proven.
+    """
+    if res.status is SolveStatus.BUDGET_EXHAUSTED:
+        raise SolverBudgetExceeded(f"{program} ran out of budget")
+
+
 def subgradient_lower_bound_at(system: LinearSystem, x) -> float:
     """Norm floor for every subgradient of the row-max function at x.
 
@@ -313,8 +321,7 @@ def subgradient_lower_bound_at(system: LinearSystem, x) -> float:
         _lambda_config(value_floor=0.0),
         extra=LinearConstraintSet(rows, offsets),
     )
-    if res.best_point is None:
-        raise SolverBudgetExceeded("subgradient floor program returned no witness")
+    _require_settled(res, "subgradient floor program")
     return math.sqrt(max(float(res.best_value), 0.0))
 
 
@@ -346,8 +353,7 @@ def global_radius(
         gram, center, _lambda_config(value_floor=0.0),
         extra=LinearConstraintSet(srows, soffs),
     )
-    if c_res.best_point is None:
-        raise SolverBudgetExceeded("simplex floor program returned no witness")
+    _require_settled(c_res, "simplex floor program")
     c_low = max(float(c_res.best_value), 0.0)
     if c_low > tol:
         d_lower = math.sqrt(c_low)
@@ -371,8 +377,7 @@ def global_radius(
         _lambda_config(value_floor=-1.0 - 1e-9),
         extra=LinearConstraintSet(b_rows, b_offsets),
     )
-    if b_res.best_point is None:
-        raise SolverBudgetExceeded("offset maximum program returned no witness")
+    _require_settled(b_res, "offset maximum program")
     b_bar = -float(b_res.best_value)
     if b_bar >= -tol:
         raise StrictFeasibilityViolated(
@@ -380,34 +385,24 @@ def global_radius(
         )
     shift = eps_shift if eps_shift is not None else max(1e-3 * abs(b_bar), 1e-9)
 
-    # Diagnostic: pinned at the offset floor itself, the gram minimum
-    # should collapse; a nonzero value flags a surprising geometry.
-    diag_rows = np.vstack([srows, system.offsets[None, :]])
-    diag_offsets = np.concatenate([soffs, [abs(b_bar)]])
-    diag = run_metasteps(
-        gram, b_res.best_point, _lambda_config(value_floor=0.0),
-        extra=LinearConstraintSet(diag_rows, diag_offsets),
-    )
-    if diag.best_point is not None and diag.best_value > tol:
-        logger.warning(
-            "offset-floor diagnostic %.3e above tolerance %.1e", diag.best_value, tol
-        )
-
     a_rows = np.vstack([srows, -system.offsets[None, :]])
     a_offsets = np.concatenate([soffs, [shift - abs(b_bar)]])
     a_res = run_metasteps(
         gram, center, _lambda_config(value_floor=0.0),
         extra=LinearConstraintSet(a_rows, a_offsets),
     )
-    if a_res.best_point is not None:
-        d_lower = max(math.sqrt(max(float(a_res.best_value), 0.0)), 1e-9)
-    else:
-        # No multiplier clears the shifted offset bar (the constraint set
-        # can be genuinely empty, e.g. when B.L is constant over the
-        # simplex).  Then every multiplier active at an infeasible x obeys
-        # B.L <= b_bar < 0, so L.(A x + B) >= 0 forces
+    lo, hi = a_res.alpha_bracket
+    if a_res.best_point is None and hi - lo <= a_res.config.level_tolerance:
+        # No multiplier clears the shifted offset bar: bisection closed
+        # the bracket at the top of the ball with every level empty (the
+        # constraint set can be genuinely empty, e.g. when B.L is constant
+        # over the simplex).  Then every multiplier active at an infeasible
+        # x obeys B.L <= b_bar < 0, so L.(A x + B) >= 0 forces
         # ||A^T L|| >= |b_bar| / ||x||, making |b_bar| a unit-ball floor.
         d_lower = abs(b_bar)
+    else:
+        _require_settled(a_res, "shifted floor program")
+        d_lower = max(math.sqrt(max(float(a_res.best_value), 0.0)), 1e-9)
     return RadiusBound(
         d_lower, _radius_from_floor(m, d_lower), RadiusMethod.EPSILON_SHIFT, shift
     )
@@ -418,7 +413,7 @@ def find_feasible_point(
     bound: Union[RadiusBound, float, None] = None,
     feas_tol: float = 1e-7,
     level_tolerance: float = 1e-6,
-    cut_mode: CutMode = CutMode.DEEP_PATTERN,
+    cut_mode: CutMode = CutMode.DEEP,
     max_metasteps: int = 3,
     max_halvings: int = 40,
 ) -> PointSearchResult:

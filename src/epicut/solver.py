@@ -9,12 +9,12 @@ the global minimum; a boundary witness triggers another metastep around
 it when budget remains.
 
 Within a metastep, each level query warm-starts from the final
-ellipsoid of the most recent query that returned a witness (feasible,
-epsilon-feasible, or a pattern-probe hit); the first query starts from
-the full lifted ball.  This is sound because every cut made at level
-alpha keeps all of S(alpha') for alpha' <= alpha: level, epigraph, ball
-and side-constraint cuts trivially, objective cuts because they are
-clamped at max(incumbent, alpha).  Bisection only ever queries below the
+ellipsoid of the most recent query that returned a witness (feasible or
+epsilon-feasible); the first query starts from the full lifted ball.
+This is sound because every cut made at level alpha keeps all of
+S(alpha') for alpha' <= alpha: level, epigraph, ball and side-constraint
+cuts trivially, objective cuts because they are clamped at
+max(incumbent, alpha).  Bisection only ever queries below the
 last witness level, and an infeasible query's ellipsoid is never reused.
 The log volume ratio carries over with the ellipsoid, so the volume
 floor d*log(eps/R) is still measured against the metastep's ball.
@@ -22,10 +22,8 @@ floor d*log(eps/R) is still measured against the metastep's ball.
 A query that runs out of iterations proves nothing: the bracket is left
 as it is and the metastep ends with BudgetExhausted.
 
-Cut construction comes in three flavors: plain central cuts, deep cuts
-that use the known slack of the violated constraint, and deep cuts with
-a pattern-search loop that lowers the running incumbent so level and
-objective cuts can go deeper.
+Cut construction comes in two flavors: plain central cuts, and deep cuts
+that use the known slack of the violated constraint.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .oracles import ConvexOracle, EpigraphPoint, LinearConstraintSet
 class CutMode(Enum):
     CENTRAL = "central"
     DEEP = "deep"
-    DEEP_PATTERN = "deep+ps"
 
 
 class SolveStatus(Enum):
@@ -77,8 +74,7 @@ class MetastepConfig:
     radius: float
     level_tolerance: float = 1e-6
     max_ellipsoid_iters: Optional[int] = None
-    cut_mode: CutMode = CutMode.DEEP_PATTERN
-    pattern_beta: Optional[float] = None
+    cut_mode: CutMode = CutMode.DEEP
     max_metasteps: int = 16
     radius_growth: float = 1.0
     # Known lower bound on f; tightens the bisection bracket when given.
@@ -100,8 +96,6 @@ class MetastepConfig:
             raise ValueError("level_tolerance must lie in (0, radius)")
         if self.max_ellipsoid_iters is not None and self.max_ellipsoid_iters < 1:
             raise ValueError("max_ellipsoid_iters must be >= 1")
-        if self.pattern_beta is not None and not self.pattern_beta > 0.0:
-            raise ValueError("pattern_beta must be positive")
         if self.max_metasteps < 1:
             raise ValueError("max_metasteps must be >= 1")
         if self.radius_growth < 1.0:
@@ -151,31 +145,6 @@ def choose_cut_depth(center_value: float, best_value: float) -> float:
     return max(center_value - best_value, 0.0)
 
 
-def pattern_probe(
-    f: ConvexOracle, center, beta: float, f_best: float
-) -> Tuple[float, Optional[np.ndarray]]:
-    """Evaluate the 2n axis probes center +- beta e_i.
-
-    Returns (f_best, None) when nothing improves, otherwise the improved
-    value and the probe point that attained it.
-    """
-    if not beta > 0.0:
-        raise ValueError("probe step must be positive")
-    center = np.asarray(center, dtype=float)
-    points = _axis_probes(center, beta)
-    vals = f.eval_many(points)
-    k = int(np.argmin(vals))
-    if float(vals[k]) < f_best:
-        return float(vals[k]), points[k]
-    return f_best, None
-
-
-def _axis_probes(center: np.ndarray, beta: float) -> np.ndarray:
-    n = center.shape[0]
-    steps = np.vstack([beta * np.eye(n), -beta * np.eye(n)])
-    return center + steps
-
-
 class _LevelSearch:
     """Evaluation bookkeeping shared by the level queries of one metastep."""
 
@@ -194,7 +163,6 @@ class _LevelSearch:
         self.x0 = x0
         self.f0 = f0
         self.lifted_start = np.append(x0, f0)
-        self.beta = cfg.pattern_beta if cfg.pattern_beta is not None else cfg.radius / 4.0
         self.lowest_value = f0  # incumbent over every evaluated point
         self.early_stop: Optional[Tuple[np.ndarray, float]] = None
         self.trace: List[TraceRecord] = []
@@ -228,34 +196,6 @@ class _LevelSearch:
         self._note(x, value)
         return value
 
-    def probe_round(
-        self, x: np.ndarray, alpha: float, radius: float
-    ) -> Optional[Tuple[EpigraphPoint, float]]:
-        """One exploratory round around x.
-
-        Lowers the incumbent when a probe improves it (else halves beta,
-        floored at the level tolerance), and reports any probe that is
-        already a witness for the current level query.
-        """
-        points = _axis_probes(x, self.beta)
-        vals = self.f.eval_many(points)
-        improved = float(np.min(vals)) < self.lowest_value
-        for p, v in zip(points, vals):
-            self._note(p, float(v))
-        if not improved:
-            self.beta = max(self.beta / 2.0, self.cfg.level_tolerance)
-        witness = None
-        ok = np.nonzero(vals <= alpha)[0]
-        for k in ok:
-            p = points[k]
-            v = float(vals[k])
-            du = p - self.x0
-            lifted_sq = float(du @ du) + (v - self.f0) ** 2
-            if lifted_sq <= radius * radius and self.extra_ok(p):
-                if witness is None or v < witness[1]:
-                    witness = (EpigraphPoint(p.copy(), v), v)
-        return witness
-
 
 def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
     cfg = state.cfg
@@ -267,8 +207,7 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
     volume_floor = d * math.log(eps / radius)
     level_normal = np.zeros(d)
     level_normal[n] = 1.0
-    deep = cfg.cut_mode is not CutMode.CENTRAL
-    pattern = cfg.cut_mode is CutMode.DEEP_PATTERN
+    deep = cfg.cut_mode is CutMode.DEEP
 
     e = state.warm if state.warm is not None else Ellipsoid.ball(state.lifted_start, radius)
     state.query_index += 1
@@ -283,15 +222,6 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
             fx = state.evaluate(x)
             if state.early_stop is not None:
                 return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
-            if pattern:
-                found = state.probe_round(x, alpha, radius)
-                if state.early_stop is not None:
-                    return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
-                if found is not None:
-                    state.warm = e
-                    return LevelFeasibility(
-                        LevelVerdict.FEASIBLE_WITNESS, found[0], found[1], iters
-                    )
 
             du = center - state.lifted_start
             dist = math.sqrt(float(du @ du))

@@ -210,10 +210,10 @@ class TestBenchCommand:
         proc = invoke("bench", str(bench_dir))
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
-        assert len(lines) == 1 + 9  # header + 3 instances x 3 modes
+        assert len(lines) == 1 + 6  # header + 3 instances x 2 modes
         assert "skipping" in proc.stderr
         modes = [line.split(",")[3] for line in lines[1:]]
-        assert modes == ["central", "deep", "deep+ps"] * 3
+        assert modes == ["central", "deep"] * 3
 
     def test_missing_dir_rejected(self):
         assert invoke("bench", "/nonexistent/dir").returncode == 64
@@ -228,6 +228,11 @@ class TestGrammar:
 
     def test_unknown_flag(self, unit_box):
         assert invoke("decide", unit_box, "--bogus").returncode == 64
+
+    def test_removed_cut_mode_rejected(self, unit_box):
+        proc = invoke("decide", unit_box, "--cut", "deep+ps")
+        assert proc.returncode == 64
+        assert "invalid choice" in proc.stderr
 
     def test_report_keys_stable_across_commands(self, unit_box, tmp_path):
         abs_path = write_problem(

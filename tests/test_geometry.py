@@ -223,3 +223,78 @@ class TestIntersectsHalfspace:
             analytic = lowest <= float(h.normal @ h.anchor)
             agree += analytic == intersects_halfspace(e, h)
         assert agree == 300
+
+
+def deep_cut_log_ratio(d: int, alpha: float) -> float:
+    """Closed-form volume ratio of one deep cut at normalized depth alpha."""
+    sigma = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
+    keep = (d - 1.0) * (1.0 - alpha) / ((d + 1.0) * (1.0 + alpha))
+    return 0.5 * (d * math.log(sigma) + math.log(keep))
+
+
+class TestFactorForm:
+    def test_thin_slab_cuts_stay_valid(self):
+        # Split equality rows make the solver cut a slab from both sides in
+        # turn once the ellipsoid is about as thin as the slab.  Each
+        # episode localizes K = {|w.(x - z)| <= 5e-10, |(x - z) across w| <=
+        # rho} from a ball: the violated slab face first, then random
+        # normals aimed past the center or the radial support of K, and rho
+        # halves (down to 1e-6) whenever no cut of positive depth keeps K.
+        rng = np.random.default_rng(13)
+        d, half = 4, 0.5e-9
+        cuts = flips = randoms = 0
+        while cuts < 500:
+            w = rng.normal(size=d)
+            w /= np.linalg.norm(w)
+            z = rng.uniform(-0.3, 0.3, d)
+            across = np.eye(d) - np.outer(w, w)
+
+            def slab_points(rho, k=200):
+                v = rng.normal(size=(k, d)) @ across
+                v *= (rho * rng.random(k) ** (1.0 / 3.0) / np.linalg.norm(v, axis=1))[:, None]
+                return z + v + np.outer(rng.uniform(-half, half, k), w)
+
+            rho = 0.3
+            pts = slab_points(rho)
+            e = Ellipsoid.ball(np.zeros(d), 2.0)
+            expected = 0.0
+            last = None
+            while True:
+                gap = e.center - z
+                off = float(w @ gap)
+                r = gap / np.linalg.norm(gap) + 0.3 * rng.normal(size=d)
+                r /= np.linalg.norm(r)
+                # max of r.x over K is r.z + half |r.w| + rho |r across w|
+                r_slack = (float(r @ gap) - half * abs(float(r @ w))
+                           - rho * float(np.linalg.norm(across @ r)))
+                radial = across @ gap
+                radial_norm = float(np.linalg.norm(radial))
+                if off > half:
+                    normal, slack, kind = w, off - half, "upper"
+                elif -off > half:
+                    normal, slack, kind = -w, -off - half, "lower"
+                elif r_slack > 0.0 and cuts % 3 == 0:
+                    normal, slack, kind = r, r_slack, "random"
+                elif radial_norm > rho:
+                    normal, slack, kind = radial / radial_norm, radial_norm - rho, "radial"
+                elif rho > 1e-6:
+                    rho /= 2.0
+                    pts = slab_points(rho)
+                    continue
+                else:
+                    break
+                out = deep_cut(e, Halfspace(normal, e.center.copy()), slack)
+                cuts += 1
+                # K is nonempty and every cut keeps it, so an empty
+                # intersection would be a false proof.
+                assert out.kind is CutKind.UPDATED
+                flips += {kind, last} == {"upper", "lower"}
+                randoms += kind == "random"
+                last = kind
+                e = out.ellipsoid
+                expected += deep_cut_log_ratio(d, out.depth_used)
+                assert e.log_volume_ratio == pytest.approx(expected, rel=1e-12)
+                eigs = np.linalg.eigvalsh(e.shape_inv)
+                assert eigs[0] >= -1e-13 * eigs[-1]
+                assert e.contains_many(pts).all()
+        assert flips >= 100 and randoms >= 50

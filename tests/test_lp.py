@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,8 @@ from epicut import (
     PointSearchOutcome,
     PreconditionViolated,
     RadiusMethod,
+    SolveStatus,
+    SolverBudgetExceeded,
     StrictFeasibilityViolated,
     decide_feasibility,
     find_feasible_point,
@@ -22,6 +25,7 @@ from epicut import (
     validate_certificate,
     vertex_enumerate_feasible,
 )
+from epicut import lp
 
 
 def system(rows, offsets):
@@ -32,6 +36,27 @@ CONTRADICTORY = system([[1.0], [-1.0]], [1.0, 1.0])  # x <= -1 and x >= 1
 UNIT_BOX = system(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, -1.0, -1.0]
 )
+
+
+def exhaust_program(monkeypatch, index, drop_witness=False):
+    """Make the index-th inner program of the next lp call report
+    BudgetExhausted; with drop_witness it also loses its witness and
+    leaves its bracket open, as a run that ran out before any witness."""
+    real = lp.run_metasteps
+    calls = []
+
+    def fake(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res)
+        if len(calls) - 1 == index:
+            res = replace(res, status=SolveStatus.BUDGET_EXHAUSTED)
+            if drop_witness:
+                lo = res.alpha_bracket[0]
+                res = replace(res, best_point=None, alpha_bracket=(lo, lo + 1.0))
+        return res
+
+    monkeypatch.setattr(lp, "run_metasteps", fake)
+    return calls
 
 
 class TestNormalize:
@@ -170,6 +195,13 @@ class TestSubgradientFloor:
             assert float(np.min(norms)) >= d - 1e-6
             done += 1
 
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        sys_n = normalize(system([[1.0]], [-1.0]))
+        calls = exhaust_program(monkeypatch, 0)
+        with pytest.raises(SolverBudgetExceeded):
+            subgradient_lower_bound_at(sys_n, np.array([2.0]))
+        assert len(calls) == 1
+
 
 class TestGlobalRadius:
     def test_single_row_closed_form(self):
@@ -187,6 +219,25 @@ class TestGlobalRadius:
         assert rb.d_lower > 0.0
         # the bound must cover the known feasible segment
         assert rb.radius >= 1.0
+
+    def test_empty_shifted_set_uses_offset_floor(self):
+        # -1 <= x <= 1: B.L is constant over the simplex, so no multiplier
+        # clears the shifted offset bar and |b_bar| is the floor.
+        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, -1.0]))
+        rb = global_radius(sys_n)
+        assert rb.method is RadiusMethod.EPSILON_SHIFT
+        assert rb.d_lower == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+        assert rb.radius >= 1.0
+
+    # Programs in order: simplex floor, offset maximum, shifted floor.
+    @pytest.mark.parametrize("index,drop_witness", [(0, False), (1, False), (2, False),
+                                                    (2, True)])
+    def test_budget_exhaustion_raises(self, monkeypatch, index, drop_witness):
+        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
+        calls = exhaust_program(monkeypatch, index, drop_witness)
+        with pytest.raises(SolverBudgetExceeded):
+            global_radius(sys_n)
+        assert len(calls) == index + 1
 
     def test_weakly_feasible_rejected(self):
         sys_n = normalize(system([[1.0], [-1.0]], [0.0, 0.0]))

@@ -15,7 +15,6 @@ from epicut import (
     bisect_level,
     choose_cut_depth,
     level_set_feasible,
-    pattern_probe,
     run_metasteps,
     solver,
 )
@@ -60,18 +59,6 @@ class TestChooseCutDepth:
         assert choose_cut_depth(3.0, 1.0) == 2.0
         # Never negative, even if the incumbent is somehow better.
         assert choose_cut_depth(0.5, 1.0) == 0.0
-
-
-class TestPatternProbe:
-    def test_improving_probe(self):
-        best, point = pattern_probe(abs_fn(), np.array([0.4]), 0.3, 0.4)
-        assert best == pytest.approx(0.1)
-        np.testing.assert_allclose(point, [0.1])
-
-    def test_no_improvement(self):
-        best, point = pattern_probe(abs_fn(), np.array([0.0]), 0.3, 0.0)
-        assert best == 0.0
-        assert point is None
 
 
 class TestLevelSetFeasible:
