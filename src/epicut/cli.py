@@ -244,7 +244,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_OK
     try:
-        decision = decide_feasibility(norm_sys, tol=args.tol, cut_mode=_cut_mode(args.cut))
+        decision = decide_feasibility(
+            norm_sys, tol=args.tol, cut_mode=_cut_mode(args.cut), trace=bool(args.trace)
+        )
     except SolverBudgetExceeded as exc:
         report["verdict"] = "Undecided"
         _finish_timing(report, args, started)
@@ -301,6 +303,7 @@ def cmd_find_point(args: argparse.Namespace) -> int:
         level_tolerance=args.eps,
         cut_mode=_cut_mode(args.cut),
         max_metasteps=args.metasteps,
+        trace=bool(args.trace),
     )
     if report["radius"] is None and result.radius_used is not None:
         report["radius"] = _num(result.radius_used)
@@ -335,7 +338,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     report = _report_skeleton("minimize", name, system.n, system.m, args)
     report["radius"] = args.radius
     started = time.perf_counter()
-    result = run_metasteps(objective, x0, cfg)
+    result = run_metasteps(objective, x0, cfg, trace=bool(args.trace))
     report["verdict"] = result.status.value
     report["point"] = _vec(result.best_point)
     report["value"] = _num(result.best_value)

@@ -2,9 +2,10 @@
 
 An ellipsoid is stored as a center c and a square-root factor J of its
 shape matrix P = J J^T, with E = { x : (x - c)^T P^{-1} (x - c) <= 1 }.
-A cut is one O(d^2) rank-one update of J; the shape is factored only
-once, when an ellipsoid is built from an explicit P.  Membership is
-evaluated through a solve with J, so P is never inverted explicitly.
+A cut is one O(d^2) rank-one update of J, applied in place by
+``cut_in_place``; the shape is factored only once, when an ellipsoid is
+built from an explicit P.  Membership is evaluated through a solve with
+J, so P is never inverted explicitly.
 Volume is tracked in log space from the closed-form per-cut determinant
 ratio instead of recomputed determinants.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,10 +31,10 @@ class Ellipsoid:
     """E = { x : (x - center)^T P^{-1} (x - center) <= 1 } with P = J J^T.
 
     ``factor`` is the square-root factor J; ``shape_inv`` derives P from
-    it.  Instances are immutable in use: every cut builds a fresh object
-    whose factor is a rank-one correction of the previous one, so the
-    shape stays positive semidefinite by construction and no cut ever
-    refactors it.
+    it.  ``cut_in_place`` replaces the factor with a rank-one correction
+    of itself, so the shape stays positive semidefinite by construction
+    and no cut ever refactors it.  Code that must keep an ellipsoid as it
+    is cuts a ``copy()``.
     """
 
     __slots__ = ("dim", "center", "factor", "log_volume_ratio")
@@ -63,15 +64,16 @@ class Ellipsoid:
         self.factor = chol
         self.log_volume_ratio = float(log_volume_ratio)
 
-    @classmethod
-    def _from_factor(cls, center: np.ndarray, factor: np.ndarray,
-                     log_volume_ratio: float) -> "Ellipsoid":
-        """Wrap an already valid factor without re-checking it."""
-        e = cls.__new__(cls)
-        e.dim = center.shape[0]
-        e.center = center
-        e.factor = factor
-        e.log_volume_ratio = log_volume_ratio
+    def copy(self) -> "Ellipsoid":
+        """An independent copy: cutting it leaves this ellipsoid unchanged.
+
+        The factor is already valid, so it is not re-checked.
+        """
+        e = Ellipsoid.__new__(Ellipsoid)
+        e.dim = self.dim
+        e.center = self.center.copy()
+        e.factor = self.factor.copy()
+        e.log_volume_ratio = self.log_volume_ratio
         return e
 
     @classmethod
@@ -149,52 +151,72 @@ class CutOutcome:
     depth_used: float               # normalized depth alpha
 
 
-def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
-    """Minimum-volume ellipsoid containing E cut at depth ``slack``.
+def cut_in_place(e: Ellipsoid, normal: np.ndarray, slack: float) -> Tuple[CutKind, float]:
+    """Cut E at depth ``slack`` along ``normal``, updating E in place.
 
-    The cut constraint is { x : h.normal^T (x - e.center) + slack <= 0 };
-    h.anchor plays no role here.  With alpha = slack / ||J^T H||:
-    alpha >= 1 certifies an empty intersection, alpha <= -1/d means the
-    plane lies beyond the far side and no update helps (NO_CUT).  A
-    negative slack (shallow cut) is accepted; the solver only ever passes
-    slack >= 0.
+    The cut constraint is { x : normal^T (x - e.center) + slack <= 0 }.
+    With alpha = slack / ||J^T normal||: alpha >= 1 certifies an empty
+    intersection, alpha <= -1/d means the plane lies beyond the far side
+    and no update helps (NO_CUT); E is left unchanged in both cases.
+    Otherwise E becomes the minimum-volume ellipsoid containing the cut:
+    the factor is overwritten, the center replaced by a new array (so a
+    caller's reference to the old center still reads the old center),
+    and the log volume ratio grows by the closed-form per-cut ratio.
+    Returns the kind of outcome and alpha.  A negative slack (shallow
+    cut) is accepted; the solver only ever passes slack >= 0.
 
-    The update P' = sigma (P - tau u u^T), u = P H / ||J^T H||, is applied
-    to the factor: with v = J^T H / ||J^T H|| (so u = J v),
+    With H = normal, the update P' = sigma (P - tau u u^T),
+    u = P H / ||J^T H||, is applied to the factor: with
+    v = J^T H / ||J^T H|| (so u = J v),
     J' = sqrt(sigma) (J - (1 - sqrt(1 - tau)) u v^T) satisfies J' J'^T = P'.
     """
-    if h.dim != e.dim:
-        raise DimensionMismatch("halfspace dimension does not match ellipsoid")
     d = e.dim
-    g = e.factor.T @ h.normal
+    factor = e.factor
+    g = factor.T @ normal
     h2 = float(g @ g)
     if not h2 > 0.0:
         raise DegenerateShape("cut direction has nonpositive ellipsoid norm")
     root = math.sqrt(h2)
     alpha = float(slack) / root
     if alpha >= 1.0:
-        return CutOutcome(CutKind.EMPTY_INTERSECTION, None, alpha)
+        return CutKind.EMPTY_INTERSECTION, alpha
     if alpha <= -1.0 / d:
-        return CutOutcome(CutKind.NO_CUT, None, alpha)
+        return CutKind.NO_CUT, alpha
     v = g / root
-    u = e.factor @ v
+    u = factor @ v
     step = (1.0 + d * alpha) / (d + 1.0)
-    new_center = e.center - step * u
+    e.center = e.center - step * u
     if d == 1:
         # The generic formulas divide by d^2 - 1; the 1-D interval update
         # is exact and trivial.
-        new_factor = e.factor * ((1.0 - alpha) / 2.0)
+        factor *= (1.0 - alpha) / 2.0
         dlog = math.log((1.0 - alpha) / 2.0)
     else:
         sigma = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
         keep = (d - 1.0) * (1.0 - alpha) / ((d + 1.0) * (1.0 + alpha))  # 1 - tau
-        new_factor = math.sqrt(sigma) * (
-            e.factor - (1.0 - math.sqrt(keep)) * np.outer(u, v)
-        )
+        correction = np.multiply.outer(u, v)
+        correction *= 1.0 - math.sqrt(keep)
+        factor -= correction
+        factor *= math.sqrt(sigma)
         # vol(E')/vol(E) = sqrt(sigma^d * (1 - tau)).
         dlog = 0.5 * (d * math.log(sigma) + math.log(keep))
-    updated = Ellipsoid._from_factor(new_center, new_factor, e.log_volume_ratio + dlog)
-    return CutOutcome(CutKind.UPDATED, updated, alpha)
+    e.log_volume_ratio += dlog
+    return CutKind.UPDATED, alpha
+
+
+def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
+    """Minimum-volume ellipsoid containing E cut at depth ``slack``.
+
+    The cut constraint is { x : h.normal^T (x - e.center) + slack <= 0 };
+    h.anchor plays no role here.  E itself is left unchanged: the update
+    is ``cut_in_place`` applied to a copy, whose docstring gives the
+    formulas and the meaning of the outcome kinds.
+    """
+    if h.dim != e.dim:
+        raise DimensionMismatch("halfspace dimension does not match ellipsoid")
+    updated = e.copy()
+    kind, alpha = cut_in_place(updated, h.normal, slack)
+    return CutOutcome(kind, updated if kind is CutKind.UPDATED else None, alpha)
 
 
 def central_cut(e: Ellipsoid, h: Halfspace) -> CutOutcome:

@@ -157,6 +157,8 @@ def decide_feasibility(
     system: LinearSystem,
     tol: float = 1e-7,
     cut_mode: CutMode = CutMode.DEEP,
+    *,
+    trace: bool = False,
 ) -> FeasibilityDecision:
     """Farkas-based feasibility decision for a normalized system.
 
@@ -165,7 +167,8 @@ def decide_feasibility(
     the system is feasible; a vanishing minimum yields a certificate that
     is polished and classified by the sign of B.q.  An empty QP
     constraint set (detected by a max-violation phase run) is itself a
-    feasibility proof.
+    feasibility proof.  ``trace`` records per-cut traces in both
+    programs' results (see solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -199,7 +202,7 @@ def decide_feasibility(
             stop_when_high_below=0.0,
             stop_when_low_above=tol,
         )
-        phase_one = run_metasteps(cons.as_max_affine(), np.zeros(m), pcfg)
+        phase_one = run_metasteps(cons.as_max_affine(), np.zeros(m), pcfg, trace=trace)
         set_nonempty = (
             phase_one.early_stopped
             or (phase_one.best_point is not None and phase_one.best_value <= tol)
@@ -224,7 +227,7 @@ def decide_feasibility(
         stop_when_high_below=0.5 * tol,
         stop_when_low_above=tol,
     )
-    res = run_metasteps(gram, np.zeros(m), mcfg, extra=cons)
+    res = run_metasteps(gram, np.zeros(m), mcfg, extra=cons, trace=trace)
     if res.alpha_bracket[0] > tol:
         d_star = res.best_value if res.best_point is not None else math.inf
         return FeasibilityDecision(
@@ -292,12 +295,14 @@ def validate_certificate(system: LinearSystem, q, tol: float = 1e-7) -> bool:
 def _require_settled(res: MetastepResult, program: str) -> None:
     """Raise unless the program's run proved its reported minimum.
 
-    A budget-exhausted run (which includes one with no witness at all)
-    leaves best_value only an upper bound, so nothing built on it as a
-    floor would be proven.
+    A budget-exhausted run leaves best_value only an upper bound, so
+    nothing built on it as a floor would be proven; a run whose level set
+    was proven empty has no minimum at all.
     """
     if res.status is SolveStatus.BUDGET_EXHAUSTED:
         raise SolverBudgetExceeded(f"{program} ran out of budget")
+    if res.status is SolveStatus.LEVEL_SET_EMPTY:
+        raise SolverBudgetExceeded(f"{program} has no feasible point in its search ball")
 
 
 def subgradient_lower_bound_at(system: LinearSystem, x) -> float:
@@ -391,8 +396,7 @@ def global_radius(
         gram, center, _lambda_config(value_floor=0.0),
         extra=LinearConstraintSet(a_rows, a_offsets),
     )
-    lo, hi = a_res.alpha_bracket
-    if a_res.best_point is None and hi - lo <= a_res.config.level_tolerance:
+    if a_res.status is SolveStatus.LEVEL_SET_EMPTY:
         # No multiplier clears the shifted offset bar: bisection closed
         # the bracket at the top of the ball with every level empty (the
         # constraint set can be genuinely empty, e.g. when B.L is constant
@@ -416,12 +420,15 @@ def find_feasible_point(
     cut_mode: CutMode = CutMode.DEEP,
     max_metasteps: int = 3,
     max_halvings: int = 40,
+    *,
+    trace: bool = False,
 ) -> PointSearchResult:
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
     With a radius bound the metastep solver runs once; without one the
     floor guess is halved (radius grows) until a point is found, the
     minimum is certified positive, or the halving budget runs out.
+    ``trace`` records a per-cut trace in the metastep report.
     """
     f = MaxAffineFunction(system.rows, system.offsets)
     x0 = np.zeros(system.n)
@@ -437,7 +444,7 @@ def find_feasible_point(
             max_metasteps=max_metasteps,
             early_stop_value=feas_tol,
         )
-        res = run_metasteps(f, x0, cfg)
+        res = run_metasteps(f, x0, cfg, trace=trace)
         if res.best_point is not None and res.best_value <= feas_tol:
             return res, PointSearchOutcome.FEASIBLE_POINT_FOUND
         if (

@@ -35,6 +35,10 @@ class ConvexOracle(ABC):
     def subgradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
+        """(eval(x), subgradient(x)); subclasses share the work of the two."""
+        return self.eval(x), self.subgradient(x)
+
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.array([self.eval(p) for p in pts])
@@ -66,18 +70,22 @@ class MaxAffineFunction(ConvexOracle):
         return self.rows @ x + self.offsets
 
     def eval(self, x) -> float:
-        return float(np.max(self._values(x)))
+        return float(self._values(x).max())
 
     def eval_with_index(self, x) -> Tuple[float, int]:
         """Value and the smallest index active within ACTIVE_TOL."""
         vals = self._values(x)
-        top = float(np.max(vals))
-        idx = int(np.argmax(vals >= top - ACTIVE_TOL))
+        top = float(vals.max())
+        idx = int((vals >= top - ACTIVE_TOL).argmax())
         return top, idx
 
     def subgradient(self, x) -> np.ndarray:
         _, idx = self.eval_with_index(x)
         return self.rows[idx].copy()
+
+    def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
+        top, idx = self.eval_with_index(x)
+        return top, self.rows[idx].copy()
 
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -104,10 +112,15 @@ class QuadraticForm(ConvexOracle):
 
     def eval(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(x @ self.gram @ x)
+        return float(x @ (self.gram @ x))
 
     def subgradient(self, x) -> np.ndarray:
         return 2.0 * (self.gram @ np.asarray(x, dtype=float))
+
+    def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        gx = self.gram @ x
+        return float(x @ gx), 2.0 * gx
 
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

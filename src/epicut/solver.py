@@ -15,12 +15,19 @@ This is sound because every cut made at level alpha keeps all of
 S(alpha') for alpha' <= alpha: level, epigraph, ball and side-constraint
 cuts trivially, objective cuts because they are clamped at
 max(incumbent, alpha).  Bisection only ever queries below the
-last witness level, and an infeasible query's ellipsoid is never reused.
+last witness level.  Each query cuts a private copy of its start
+ellipsoid in place (geometry.cut_in_place), so an infeasible query never
+changes the warm start; only a witness replaces it.
 The log volume ratio carries over with the ellipsoid, so the volume
 floor d*log(eps/R) is still measured against the metastep's ball.
 
 A query that runs out of iterations proves nothing: the bracket is left
-as it is and the metastep ends with BudgetExhausted.
+as it is and the metastep ends with BudgetExhausted.  A metastep with no
+witness whose bracket closed with every query infeasible ends with
+LevelSetEmpty: no point of the ball meets the side constraints below its
+top level.
+
+Per-cut TraceRecords are built only when a trace is requested.
 
 Cut construction comes in two flavors: plain central cuts, and deep cuts
 that use the known slack of the violated constraint.
@@ -36,7 +43,16 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateShape, InvalidBracket
-from .geometry import CutKind, Ellipsoid, Halfspace, deep_cut, intersects_halfspace
+# deep_cut is not called here; it stays importable as solver.deep_cut, a
+# name benchmark/tracing.py wraps.
+from .geometry import (
+    CutKind,
+    Ellipsoid,
+    Halfspace,
+    cut_in_place,
+    deep_cut,
+    intersects_halfspace,
+)
 from .oracles import ConvexOracle, EpigraphPoint, LinearConstraintSet
 
 
@@ -49,6 +65,9 @@ class SolveStatus(Enum):
     GLOBAL_OPTIMUM_CERTIFIED = "GlobalOptimumCertified"
     BOUNDARY_REACHED = "BoundaryReached"
     BUDGET_EXHAUSTED = "BudgetExhausted"
+    # No witness, and bisection closed its bracket with every query proven
+    # infeasible: the level set is empty at every level the ball reaches.
+    LEVEL_SET_EMPTY = "LevelSetEmpty"
 
 
 class LevelVerdict(Enum):
@@ -156,6 +175,7 @@ class _LevelSearch:
         cfg: MetastepConfig,
         extra: Optional[LinearConstraintSet],
         query_start: int = 0,
+        trace: bool = False,
     ):
         self.f = f
         self.cfg = cfg
@@ -165,11 +185,13 @@ class _LevelSearch:
         self.lifted_start = np.append(x0, f0)
         self.lowest_value = f0  # incumbent over every evaluated point
         self.early_stop: Optional[Tuple[np.ndarray, float]] = None
+        self.tracing = trace
         self.trace: List[TraceRecord] = []
         self.query_iterations: List[int] = []
         self.query_index = query_start
         # Final ellipsoid of the last query that returned a witness; it
         # contains S(alpha) for every level bisection asks about next.
+        # Queries cut a copy of it, never the ellipsoid itself.
         self.warm: Optional[Ellipsoid] = None
         self._note(x0, f0)
 
@@ -191,10 +213,11 @@ class _LevelSearch:
         ):
             self.early_stop = (np.array(x, dtype=float, copy=True), value)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        value = float(self.f.eval(x))
+    def evaluate(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        value, g = self.f.value_and_subgradient(x)
+        value = float(value)
         self._note(x, value)
-        return value
+        return value, g
 
 
 def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
@@ -203,35 +226,49 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
     d = n + 1
     radius = cfg.radius
     eps = cfg.level_tolerance
+    tolerance = cfg.constraint_tolerance
     budget = cfg.iteration_budget(d)
     volume_floor = d * math.log(eps / radius)
+    deep = cfg.cut_mode is CutMode.DEEP
+    extra = state.extra
+    lifted_start = state.lifted_start
     level_normal = np.zeros(d)
     level_normal[n] = 1.0
-    deep = cfg.cut_mode is CutMode.DEEP
+    plane = Halfspace(level_normal, _level_anchor(n, alpha))
+    # Lifted normals of epigraph, objective and constraint cuts are
+    # written here; the kernel reads a normal and keeps no reference.
+    normal_buf = np.empty(d)
 
-    e = state.warm if state.warm is not None else Ellipsoid.ball(state.lifted_start, radius)
+    # The query cuts a private copy, so state.warm changes only when the
+    # query returns a witness.
+    if state.warm is not None:
+        e = state.warm.copy()
+    else:
+        e = Ellipsoid.ball(lifted_start, radius)
     state.query_index += 1
     query = state.query_index
     iters = 0
     try:
         while iters < budget:
             iters += 1
+            # cut_in_place replaces e.center, so ``center`` (and the view
+            # ``x``) keep the pre-cut values for the trace.
             center = e.center
             x = center[:n]
             y = float(center[n])
-            fx = state.evaluate(x)
+            fx, g = state.evaluate(x)
             if state.early_stop is not None:
                 return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
 
-            du = center - state.lifted_start
+            du = center - lifted_start
             dist = math.sqrt(float(du @ du))
             ball_ok = dist <= radius
             epi_ok = fx <= y
-            if state.extra is None:
+            if extra is None:
                 extra_viol, extra_idx = -math.inf, -1
             else:
-                extra_viol, extra_idx = state.extra.normalized_max_violation(x)
-            extra_ok = extra_viol <= cfg.constraint_tolerance
+                extra_viol, extra_idx = extra.normalized_max_violation(x)
+            extra_ok = extra_viol <= tolerance
 
             if ball_ok and epi_ok and extra_ok:
                 if y - alpha <= eps:
@@ -243,7 +280,6 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
                         else LevelVerdict.EPSILON_FEASIBLE
                     )
                     return LevelFeasibility(verdict, w, fx, iters)
-                plane = Halfspace(level_normal, _level_anchor(n, alpha))
                 if not intersects_halfspace(e, plane):
                     return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
                 kind = "level"
@@ -251,20 +287,21 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
                 slack = (y - alpha) if deep else 0.0
             else:
                 kind, normal, slack = _pick_separator(
-                    state, x, y, fx, du, dist, extra_viol, extra_idx, alpha, deep
+                    state, x, y, fx, g, du, dist, extra_viol, extra_idx, alpha, deep,
+                    normal_buf,
                 )
 
-            outcome = deep_cut(e, Halfspace(normal, center), slack)
-            if outcome.kind is CutKind.EMPTY_INTERSECTION:
+            outcome = cut_in_place(e, normal, slack)[0]
+            if outcome is CutKind.EMPTY_INTERSECTION:
                 # The cut halfspace contains S(alpha) entirely, so an empty
                 # intersection certifies the level set is empty.
                 return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
-            if outcome.kind is not CutKind.UPDATED:
+            if outcome is not CutKind.UPDATED:
                 raise DegenerateShape("cut produced no update from nonnegative slack")
-            e = outcome.ellipsoid
-            state.trace.append(
-                TraceRecord(query, iters, center.copy(), fx, kind, slack, e.log_volume_ratio)
-            )
+            if state.tracing:
+                state.trace.append(
+                    TraceRecord(query, iters, center, fx, kind, slack, e.log_volume_ratio)
+                )
             if e.log_volume_ratio < volume_floor:
                 return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
         return LevelFeasibility(LevelVerdict.BUDGET_EXHAUSTED, None, None, iters)
@@ -283,55 +320,59 @@ def _pick_separator(
     x: np.ndarray,
     y: float,
     fx: float,
+    g: np.ndarray,
     du: np.ndarray,
     dist: float,
     extra_viol: float,
     extra_idx: int,
     alpha: float,
     deep: bool,
+    normal_buf: np.ndarray,
 ):
     """Most-violated separator among epigraph, ball, and side constraints.
 
     Violations are compared in Euclidean-distance units so the choice is
-    scale-free.  Returns (kind, lifted normal, raw slack).
+    scale-free.  ``g`` is a subgradient of f at x.  Returns (kind, lifted
+    normal, raw slack); epigraph, objective and constraint normals are
+    written into ``normal_buf``.
     """
     cfg = state.cfg
     n = x.shape[0]
-    best = None  # (normalized violation, kind, normal, slack)
+    best = -math.inf  # normalized violation of the chosen cut
+    kind = None
 
     if fx > y:
-        g = state.f.subgradient(x)
-        normal = np.append(g, -1.0)
-        raw = fx - y
-        cand = (raw / math.sqrt(float(g @ g) + 1.0), "epigraph", normal, raw)
+        gg = float(g @ g)
+        slack = fx - y
+        best, kind = slack / math.sqrt(gg + 1.0), "epigraph"
         if deep:
             # An objective-space cut at the incumbent (clamped by alpha so
             # no point of the level set is lost) may be deeper still.
-            gnorm = math.sqrt(float(g @ g))
+            gnorm = math.sqrt(gg)
             depth = choose_cut_depth(fx, max(state.lowest_value, alpha))
-            if gnorm > 0.0 and depth / gnorm > cand[0]:
-                cand = (depth / gnorm, "objective", np.append(g, 0.0), depth)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if dist > cfg.radius:
-        raw = dist * (dist - cfg.radius)
-        cand = (dist - cfg.radius, "ball", du.copy(), raw)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if extra_viol > cfg.constraint_tolerance:
-        row = state.extra.rows[extra_idx]
-        raw = float(row @ x + state.extra.offsets[extra_idx])
-        cand = (extra_viol, "constraint", np.append(row, 0.0), raw)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if best is None:
+            if gnorm > 0.0 and depth / gnorm > best:
+                best, kind, slack = depth / gnorm, "objective", depth
+    if dist > cfg.radius and (kind is None or dist - cfg.radius > best):
+        best, kind, slack = dist - cfg.radius, "ball", dist * (dist - cfg.radius)
+    if extra_viol > cfg.constraint_tolerance and (kind is None or extra_viol > best):
+        kind = "constraint"
+        slack = float(state.extra.rows[extra_idx] @ x + state.extra.offsets[extra_idx])
+
+    if kind is None:
         # Numerically on the boundary of everything; retreat to a central
         # ball cut, which is always sound.
-        return "ball", du.copy() if dist > 0 else _level_anchor(n, 1.0), 0.0
-    _, kind, normal, slack = best
-    if not deep:
-        slack = 0.0
-    return kind, normal, slack
+        return "ball", du if dist > 0 else _level_anchor(n, 1.0), 0.0
+    if kind == "ball":
+        normal = du
+    else:
+        normal = normal_buf
+        if kind == "constraint":
+            normal[:n] = state.extra.rows[extra_idx]
+            normal[n] = 0.0
+        else:
+            normal[:n] = g
+            normal[n] = -1.0 if kind == "epigraph" else 0.0
+    return kind, normal, slack if deep else 0.0
 
 
 def level_set_feasible(
@@ -357,14 +398,20 @@ def bisect_level(
     x0,
     cfg: MetastepConfig,
     extra: Optional[LinearConstraintSet] = None,
+    *,
+    trace: bool = False,
     _query_start: int = 0,
 ) -> MetastepResult:
-    """One metastep: bisect the level bracket around (x0, f(x0))."""
+    """One metastep: bisect the level bracket around (x0, f(x0)).
+
+    With ``trace`` the result carries one TraceRecord per cut; without
+    it ``trace`` is empty.  Tracing changes nothing else.
+    """
     x0 = np.array(x0, dtype=float, copy=True)
     f0 = float(f.eval(x0))
     radius = cfg.radius
     eps = cfg.level_tolerance
-    state = _LevelSearch(f, x0, f0, cfg, extra, query_start=_query_start)
+    state = _LevelSearch(f, x0, f0, cfg, extra, query_start=_query_start, trace=trace)
 
     lo = f0 - radius
     if cfg.value_floor is not None:
@@ -427,10 +474,15 @@ def bisect_level(
             config=cfg,
         )
     if witness is None or out_of_budget:
+        # Without a witness, a bracket that closed with no query out of
+        # budget proves S(alpha) empty for every level the ball reaches.
+        proven_empty = witness is None and not out_of_budget and hi - lo <= eps
         return MetastepResult(
             best_point=None if witness is None else witness.x,
             best_value=witness_value,
-            status=SolveStatus.BUDGET_EXHAUSTED,
+            status=(
+                SolveStatus.LEVEL_SET_EMPTY if proven_empty else SolveStatus.BUDGET_EXHAUSTED
+            ),
             iterations=total_iters,
             level_queries=queries,
             alpha_bracket=(lo, hi),
@@ -475,25 +527,29 @@ def run_metasteps(
     x0,
     cfg: MetastepConfig,
     extra: Optional[LinearConstraintSet] = None,
+    *,
+    trace: bool = False,
 ) -> MetastepResult:
     """Repeat metasteps, recentering at each boundary witness.
 
     Stops on a certificate, an early stop, a missing witness, or when a
     recentred metastep fails to strictly improve; the result carries the
     last metastep's outcome with counters and trace aggregated over all
-    of them.
+    of them.  ``trace`` is passed to each metastep (see bisect_level).
     """
     x = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
-    trace: List[TraceRecord] = []
+    records: List[TraceRecord] = []
     query_iterations: List[int] = []
     total_queries = 0
     previous: Optional[MetastepResult] = None
     result = None
     for _ in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
-        result = bisect_level(f, x, step_cfg, extra, _query_start=total_queries)
-        trace.extend(result.trace)
+        result = bisect_level(
+            f, x, step_cfg, extra, trace=trace, _query_start=total_queries
+        )
+        records.extend(result.trace)
         query_iterations.extend(result.query_iterations)
         total_queries += result.level_queries
         if (
@@ -511,6 +567,6 @@ def run_metasteps(
         result,
         iterations=sum(query_iterations),
         level_queries=total_queries,
-        trace=trace,
+        trace=records,
         query_iterations=query_iterations,
     )

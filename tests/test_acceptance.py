@@ -210,26 +210,25 @@ def test_criterion_05_iteration_budgets():
     queries_ok = True
     iters_ok = True
 
-    def check_result(res):
+    def check_result(res, d):
+        # d is the lifted dimension: the minimized function's plus one.
         nonlocal worst_iter_excess, iters_ok
-        if not res.trace:
-            return
-        d = len(res.trace[0].center)
         budget = res.config.iteration_budget(d) + 5
         for used in res.query_iterations:
             worst_iter_excess = max(worst_iter_excess, used - budget)
             if used > budget:
                 iters_ok = False
 
-    for _, _, cfg, full, single in runs:
-        check_result(full)
-        check_result(single)
+    for f, _, cfg, full, single in runs:
+        check_result(full, f.dim + 1)
+        check_result(single, f.dim + 1)
         if single.level_queries > cfg.query_budget():
             queries_ok = False
-    for _, decision, _ in corpus:
+    for sys_n, decision, _ in corpus:
         for res in (decision.phase_one, decision.report):
             if res is not None:
-                check_result(res)
+                # Both decision programs run over the m multipliers.
+                check_result(res, sys_n.m + 1)
                 if res.level_queries > res.config.max_metasteps * res.config.query_budget():
                     queries_ok = False
     ok = queries_ok and iters_ok

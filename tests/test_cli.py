@@ -187,6 +187,26 @@ class TestMinimizeCommand:
         }
 
 
+class TestTraceFlag:
+    @pytest.mark.parametrize("command,doc,flags", [
+        ("decide", {"A": [[1], [-1]], "b": [1, 1]}, []),
+        ("decide", {"A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [-1, -1, -1, -1]}, []),
+        ("find-point", {"A": [[-1], [1]], "b": [1, -3]}, []),
+        ("minimize", {"A": [[1], [-1]], "b": [-1, -1]}, ["--radius", "2", "--x0", "5"]),
+    ])
+    def test_trace_changes_only_the_echo(self, tmp_path, command, doc, flags):
+        path = write_problem(tmp_path / "problem.json", doc)
+        trace = tmp_path / "trace.jsonl"
+        plain = invoke(command, path, *flags)
+        traced = invoke(command, path, *flags, "--trace", str(trace))
+        assert traced.returncode == plain.returncode
+        expected = json.loads(plain.stdout)
+        expected["trace_file"] = str(trace)
+        expected["config"]["trace"] = str(trace)
+        assert json.loads(traced.stdout) == expected
+        assert trace.read_text().count("\n") > 0
+
+
 class TestBenchCommand:
     def test_empty_dir_header_only(self, tmp_path):
         empty = tmp_path / "empty"

@@ -15,6 +15,7 @@ from epicut import (
     deep_cut,
     intersects_halfspace,
 )
+from epicut.geometry import cut_in_place
 
 
 def central_volume_log_ratio(d: int) -> float:
@@ -199,6 +200,62 @@ class TestDeepCut:
             e = out.ellipsoid
             assert e.log_volume_ratio < log_prev
             log_prev = e.log_volume_ratio
+
+
+class TestCutInPlace:
+    @staticmethod
+    def cases():
+        """Random ellipsoids, normals and slacks of every outcome kind."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            d = int(rng.integers(1, 7))
+            basis = rng.normal(size=(d, d))
+            e = Ellipsoid(rng.normal(size=d), basis @ basis.T + 0.1 * np.eye(d))
+            for _ in range(3):
+                e = deep_cut(e, Halfspace(rng.normal(size=d), e.center), 0.0).ellipsoid
+            normal = rng.normal(size=d)
+            width = float(np.linalg.norm(e.factor.T @ normal))
+            for alpha in (-1.5 / d, -0.5 / d, 0.0, 0.3, 0.9, 1.2):
+                yield e, normal, alpha * width
+
+    def test_deep_cut_is_pure_and_equals_kernel(self):
+        kinds = set()
+        for e, normal, slack in self.cases():
+            before = (e.center.copy(), e.factor.copy(), e.log_volume_ratio)
+            out = deep_cut(e, Halfspace(normal, np.zeros_like(normal)), slack)
+            # The input is left bit for bit as it was.
+            npt.assert_array_equal(e.center, before[0])
+            npt.assert_array_equal(e.factor, before[1])
+            assert e.log_volume_ratio == before[2]
+            # The in-place kernel on a copy gives the same ellipsoid bit for bit.
+            work = e.copy()
+            kind, alpha = cut_in_place(work, normal, slack)
+            kinds.add(kind)
+            assert (kind, alpha) == (out.kind, out.depth_used)
+            if kind is CutKind.UPDATED:
+                npt.assert_array_equal(work.center, out.ellipsoid.center)
+                npt.assert_array_equal(work.factor, out.ellipsoid.factor)
+                assert work.log_volume_ratio == out.ellipsoid.log_volume_ratio
+            else:
+                # No update leaves the working ellipsoid untouched too.
+                assert out.ellipsoid is None
+                npt.assert_array_equal(work.center, before[0])
+                npt.assert_array_equal(work.factor, before[1])
+                assert work.log_volume_ratio == before[2]
+        assert kinds == set(CutKind)
+
+    def test_kernel_replaces_center_and_leaves_copies_alone(self):
+        e = Ellipsoid.ball(np.zeros(3), 2.0)
+        twin = e.copy()
+        old_center = e.center
+        kind, _ = cut_in_place(e, np.array([1.0, -2.0, 0.5]), 0.1)
+        assert kind is CutKind.UPDATED
+        # The old center array still reads the pre-cut center.
+        assert e.center is not old_center
+        npt.assert_array_equal(old_center, np.zeros(3))
+        npt.assert_array_equal(twin.center, np.zeros(3))
+        npt.assert_array_equal(twin.factor, 2.0 * np.eye(3))
+        assert twin.log_volume_ratio == 0.0 > e.log_volume_ratio
 
 
 class TestIntersectsHalfspace:

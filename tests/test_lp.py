@@ -38,10 +38,13 @@ UNIT_BOX = system(
 )
 
 
-def exhaust_program(monkeypatch, index, drop_witness=False):
+def exhaust_program(monkeypatch, index, drop_witness=False,
+                    status=SolveStatus.BUDGET_EXHAUSTED):
     """Make the index-th inner program of the next lp call report
-    BudgetExhausted; with drop_witness it also loses its witness and
-    leaves its bracket open, as a run that ran out before any witness."""
+    ``status`` (BudgetExhausted by default); with drop_witness it also
+    loses its witness and leaves its bracket open, as a run that ran out
+    before any witness.  With index None every program runs untouched.
+    Returns the list the programs' results are recorded in."""
     real = lp.run_metasteps
     calls = []
 
@@ -49,7 +52,7 @@ def exhaust_program(monkeypatch, index, drop_witness=False):
         res = real(*args, **kwargs)
         calls.append(res)
         if len(calls) - 1 == index:
-            res = replace(res, status=SolveStatus.BUDGET_EXHAUSTED)
+            res = replace(res, status=status)
             if drop_witness:
                 lo = res.alpha_bracket[0]
                 res = replace(res, best_point=None, alpha_bracket=(lo, lo + 1.0))
@@ -202,6 +205,12 @@ class TestSubgradientFloor:
             subgradient_lower_bound_at(sys_n, np.array([2.0]))
         assert len(calls) == 1
 
+    def test_level_set_empty_raises(self, monkeypatch):
+        sys_n = normalize(system([[1.0]], [-1.0]))
+        exhaust_program(monkeypatch, 0, status=SolveStatus.LEVEL_SET_EMPTY)
+        with pytest.raises(SolverBudgetExceeded):
+            subgradient_lower_bound_at(sys_n, np.array([2.0]))
+
 
 class TestGlobalRadius:
     def test_single_row_closed_form(self):
@@ -220,14 +229,27 @@ class TestGlobalRadius:
         # the bound must cover the known feasible segment
         assert rb.radius >= 1.0
 
-    def test_empty_shifted_set_uses_offset_floor(self):
+    def test_empty_shifted_set_uses_offset_floor(self, monkeypatch):
         # -1 <= x <= 1: B.L is constant over the simplex, so no multiplier
         # clears the shifted offset bar and |b_bar| is the floor.
         sys_n = normalize(system([[1.0], [-1.0]], [-1.0, -1.0]))
+        calls = exhaust_program(monkeypatch, None)
         rb = global_radius(sys_n)
         assert rb.method is RadiusMethod.EPSILON_SHIFT
         assert rb.d_lower == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
         assert rb.radius >= 1.0
+        # The shifted floor program proved its level set empty.
+        assert calls[-1].status is SolveStatus.LEVEL_SET_EMPTY
+        assert calls[-1].best_point is None
+
+    # An empty level set has no minimum to read a floor from.
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_level_set_empty_raises(self, monkeypatch, index):
+        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
+        calls = exhaust_program(monkeypatch, index, status=SolveStatus.LEVEL_SET_EMPTY)
+        with pytest.raises(SolverBudgetExceeded):
+            global_radius(sys_n)
+        assert len(calls) == index + 1
 
     # Programs in order: simplex floor, offset maximum, shifted floor.
     @pytest.mark.parametrize("index,drop_witness", [(0, False), (1, False), (2, False),

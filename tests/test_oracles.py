@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from epicut import (
+    ConvexOracle,
     DimensionMismatch,
     EpigraphPoint,
     Halfspace,
@@ -66,6 +67,51 @@ class TestMaxAffine:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             MaxAffineFunction(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+
+
+class TestValueAndSubgradient:
+    """One pass must give exactly what eval and subgradient give apart."""
+
+    @staticmethod
+    def check(f, points):
+        for x in points:
+            value, g = f.value_and_subgradient(x)
+            assert value == f.eval(x)
+            npt.assert_array_equal(g, f.subgradient(x))
+
+    def test_max_affine_including_ties(self):
+        rng = np.random.default_rng(12)
+        rows = rng.integers(-2, 3, size=(6, 3)).astype(float)
+        f = MaxAffineFunction(rows, rng.integers(-2, 3, size=6).astype(float))
+        # Integer points on integer pieces tie often; the smallest active
+        # index must win in both paths.
+        self.check(f, rng.integers(-3, 4, size=(200, 3)).astype(float))
+        self.check(f, rng.normal(size=(50, 3)))
+
+    def test_max_affine_returns_a_copy(self):
+        f = MaxAffineFunction(np.array([[1.0, 2.0]]), np.zeros(1))
+        _, g = f.value_and_subgradient(np.zeros(2))
+        g[0] = 7.0
+        npt.assert_array_equal(f.rows, [[1.0, 2.0]])
+
+    def test_quadratic_form(self):
+        rng = np.random.default_rng(14)
+        basis = rng.normal(size=(5, 5))
+        self.check(QuadraticForm(basis @ basis.T), rng.normal(size=(50, 5)))
+
+    def test_default_calls_eval_then_subgradient(self):
+        class Abs(ConvexOracle):
+            dim = 1
+
+            def eval(self, x):
+                return float(abs(x[0]))
+
+            def subgradient(self, x):
+                return np.sign(x)
+
+        value, g = Abs().value_and_subgradient(np.array([-2.0]))
+        assert value == 2.0
+        npt.assert_array_equal(g, [-1.0])
 
 
 class TestQuadraticForm:

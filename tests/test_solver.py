@@ -183,9 +183,35 @@ class TestBisectLevel:
         np.testing.assert_array_equal(res.best_point, np.zeros(2))
         assert run_metasteps(f, np.zeros(2), cfg).status is SolveStatus.BUDGET_EXHAUSTED
 
+    def test_closed_bracket_without_witness_is_level_set_empty(self):
+        # x >= 5 lies outside the ball around x0 = 0: every level is empty.
+        f = QuadraticForm(np.array([[1.0]]))
+        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([5.0]))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4)
+        res = bisect_level(f, np.zeros(1), cfg, extra)
+        assert res.status is SolveStatus.LEVEL_SET_EMPTY
+        assert res.best_point is None
+        lo, hi = res.alpha_bracket
+        assert hi - lo <= cfg.level_tolerance
+        assert run_metasteps(f, np.zeros(1), cfg, extra).status is SolveStatus.LEVEL_SET_EMPTY
+
+    def test_query_cap_without_witness_is_budget_exhausted(self):
+        class ThreeQueries(MetastepConfig):
+            def query_budget(self):
+                return 3
+
+        f = QuadraticForm(np.array([[1.0]]))
+        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([5.0]))
+        cfg = ThreeQueries(radius=2.0, level_tolerance=1e-4)
+        res = bisect_level(f, np.zeros(1), cfg, extra)
+        assert res.level_queries == 3
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        lo, hi = res.alpha_bracket
+        assert hi - lo > cfg.level_tolerance
+
     def test_trace_volume_non_increasing_within_query(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5)
-        res = bisect_level(abs_minus_one(), np.array([0.6]), cfg)
+        res = bisect_level(abs_minus_one(), np.array([0.6]), cfg, trace=True)
         assert res.trace
         by_query = {}
         for rec in res.trace:
@@ -225,7 +251,7 @@ class TestRunMetasteps:
 
     def test_monotone_descent_and_aggregation(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4, max_metasteps=12)
-        res = run_metasteps(abs_minus_one(), np.array([10.0]), cfg)
+        res = run_metasteps(abs_minus_one(), np.array([10.0]), cfg, trace=True)
         assert res.iterations == sum(res.query_iterations)
         assert res.level_queries == len(res.query_iterations)
         queries = [rec.query for rec in res.trace]
@@ -241,6 +267,54 @@ class TestRunMetasteps:
         res = run_metasteps(f, np.array([0.9, -0.7]), cfg)
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         assert res.best_value == pytest.approx(-1.0, abs=1e-4)
+
+
+class TestTraceOnlyObserves:
+    """Tracing records the run; it must not change it."""
+
+    @staticmethod
+    def runs():
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        box = MaxAffineFunction(rows, np.full(4, -1.0))
+        for mode in CutMode:
+            cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, cut_mode=mode,
+                                 max_metasteps=8)
+            yield box, np.array([0.9, -0.7]), cfg, None
+            yield box, np.array([6.0, 5.0]), cfg, None
+        # A side constraint brings in constraint cuts.
+        f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
+        yield f, np.array([-1.0, 2.0]), MetastepConfig(radius=2.0, level_tolerance=1e-5), extra
+
+    def test_same_result_with_and_without_trace(self, monkeypatch):
+        updates = []
+        kernel = solver.cut_in_place
+
+        def counting(e, normal, slack):
+            out = kernel(e, normal, slack)
+            updates.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "cut_in_place", counting)
+        kinds = set()
+        for f, x0, cfg, extra in self.runs():
+            plain = run_metasteps(f, x0, cfg, extra)
+            del updates[:]
+            traced = run_metasteps(f, x0, cfg, extra, trace=True)
+            assert plain.trace == []
+            assert traced.status is plain.status
+            assert traced.best_value == plain.best_value
+            np.testing.assert_array_equal(traced.best_point, plain.best_point)
+            assert traced.iterations == plain.iterations
+            assert traced.query_iterations == plain.query_iterations
+            # One record per ellipsoid update, numbered by query and iteration.
+            assert len(traced.trace) == updates.count(solver.CutKind.UPDATED)
+            for query, used in enumerate(traced.query_iterations, start=1):
+                iters = [r.iteration for r in traced.trace if r.query == query]
+                assert iters == list(range(1, len(iters) + 1))
+                assert used - 1 <= len(iters) <= used
+            kinds.update(r.cut for r in traced.trace)
+        assert kinds == {"level", "epigraph", "objective", "ball", "constraint"}
 
 
 def planted_minimum(rng):
