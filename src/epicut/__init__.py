@@ -55,7 +55,6 @@ from .oracles import (
     epigraph_separator,
 )
 from .solver import (
-    CutMode,
     LevelFeasibility,
     LevelVerdict,
     MetastepConfig,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CutKind",
-    "CutMode",
     "CutOutcome",
     "ConvexOracle",
     "DegenerateShape",

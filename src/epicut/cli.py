@@ -40,7 +40,7 @@ from .lp import (
     normalize,
 )
 from .oracles import MaxAffineFunction
-from .solver import CutMode, MetastepConfig, MetastepResult, run_metasteps
+from .solver import MetastepConfig, MetastepResult, run_metasteps
 
 # Exit codes.  Argparse's default of 2 would collide with a verdict
 # code, so usage failures are remapped; internal errors get their own
@@ -155,17 +155,12 @@ def _check_radius(radius: Optional[float]) -> None:
         raise UsageError("--radius must be positive")
 
 
-def _cut_mode(flag: str) -> CutMode:
-    return CutMode(flag)
-
-
 def _config_echo(args: argparse.Namespace) -> dict:
     return {
         "eps": args.eps,
         "tol": args.tol,
         "radius": args.radius,
         "metasteps": args.metasteps,
-        "cut": args.cut,
         "radius_growth": args.radius_growth,
         "x0": args.x0,
         "trace": args.trace,
@@ -244,9 +239,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_OK
     try:
-        decision = decide_feasibility(
-            norm_sys, tol=args.tol, cut_mode=_cut_mode(args.cut), trace=bool(args.trace)
-        )
+        decision = decide_feasibility(norm_sys, tol=args.tol, trace=bool(args.trace))
     except SolverBudgetExceeded as exc:
         report["verdict"] = "Undecided"
         _finish_timing(report, args, started)
@@ -301,7 +294,6 @@ def cmd_find_point(args: argparse.Namespace) -> int:
         bound=bound,
         feas_tol=args.tol,
         level_tolerance=args.eps,
-        cut_mode=_cut_mode(args.cut),
         max_metasteps=args.metasteps,
         trace=bool(args.trace),
     )
@@ -331,7 +323,6 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     cfg = MetastepConfig(
         radius=args.radius,
         level_tolerance=args.eps,
-        cut_mode=_cut_mode(args.cut),
         max_metasteps=args.metasteps,
         radius_growth=args.radius_growth,
     )
@@ -356,7 +347,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"{args.dir} is not a directory")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
-        ["name", "n", "m", "mode", "verdict", "level_queries", "ellipsoid_iters", "wall_ms"]
+        ["name", "n", "m", "verdict", "level_queries", "ellipsoid_iters", "wall_ms"]
     )
     for path in sorted(glob.glob(os.path.join(args.dir, "*.json"))):
         try:
@@ -365,23 +356,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"epicut: skipping {path}: {exc}", file=sys.stderr)
             continue
         label = name or os.path.splitext(os.path.basename(path))[0]
-        for mode in CutMode:
-            started = time.perf_counter()
-            queries = iters = 0
-            try:
-                norm_sys = normalize(system)
-                decision = decide_feasibility(norm_sys, tol=args.tol, cut_mode=mode)
-                verdict = decision.verdict.value
-                queries, iters = _gather_counts([decision.phase_one, decision.report])
-            except EmptySystem:
-                verdict = FeasibilityVerdict.FEASIBLE.value
-            except (SolverBudgetExceeded, StrictFeasibilityViolated):
-                verdict = "Undecided"
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            writer.writerow(
-                [label, system.n, system.m, mode.value, verdict, queries, iters,
-                 f"{wall_ms:.3f}"]
-            )
+        started = time.perf_counter()
+        queries = iters = 0
+        try:
+            norm_sys = normalize(system)
+            decision = decide_feasibility(norm_sys, tol=args.tol)
+            verdict = decision.verdict.value
+            queries, iters = _gather_counts([decision.phase_one, decision.report])
+        except EmptySystem:
+            verdict = FeasibilityVerdict.FEASIBLE.value
+        except (SolverBudgetExceeded, StrictFeasibilityViolated):
+            verdict = "Undecided"
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        writer.writerow(
+            [label, system.n, system.m, verdict, queries, iters, f"{wall_ms:.3f}"]
+        )
     return EXIT_OK
 
 
@@ -397,18 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    common = _Parser(add_help=False)
+    # bench reads only --tol, so it takes this parent alone.
+    tol_flag = _Parser(add_help=False)
+    tol_flag.add_argument("--tol", type=float, default=1e-7,
+                          help="certificate / feasibility tolerance (default 1e-7)")
+
+    common = _Parser(add_help=False, parents=[tol_flag])
     common.add_argument("--eps", type=float, default=1e-6,
                         help="level tolerance (default 1e-6)")
-    common.add_argument("--tol", type=float, default=1e-7,
-                        help="certificate / feasibility tolerance (default 1e-7)")
     common.add_argument("--radius", type=float, default=None,
                         help="search radius override")
     common.add_argument("--metasteps", type=int, default=16,
                         help="metastep budget (default 16)")
-    common.add_argument("--cut", choices=[m.value for m in CutMode],
-                        default=CutMode.DEEP.value,
-                        help="cut strategy (default deep)")
     common.add_argument("--trace", metavar="FILE", default=None,
                         help="write per-iteration trace records to FILE as JSON lines")
     common.add_argument("--x0", metavar="CSV", default=None,
@@ -435,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("path", help="max-affine function file (JSON)")
     p_min.set_defaults(handler=cmd_minimize)
 
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="run every problem in a directory under each cut mode")
+    p_bench = sub.add_parser("bench", parents=[tol_flag],
+                             help="decide every problem in a directory; print CSV")
     p_bench.add_argument("dir", help="directory of problem files")
     p_bench.set_defaults(handler=cmd_bench)
     return parser

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .oracles import LinearConstraintSet, MaxAffineFunction, QuadraticForm
 from .solver import (
-    CutMode,
     MetastepConfig,
     MetastepResult,
     SolveStatus,
@@ -146,7 +145,6 @@ def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
     return MetastepConfig(
         radius=2.0,
         level_tolerance=1e-7,
-        cut_mode=CutMode.DEEP,
         max_metasteps=2,
         value_floor=value_floor,
         constraint_tolerance=1e-8,
@@ -156,7 +154,6 @@ def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
 def decide_feasibility(
     system: LinearSystem,
     tol: float = 1e-7,
-    cut_mode: CutMode = CutMode.DEEP,
     *,
     trace: bool = False,
 ) -> FeasibilityDecision:
@@ -196,7 +193,6 @@ def decide_feasibility(
         pcfg = MetastepConfig(
             radius=radius,
             level_tolerance=eps,
-            cut_mode=cut_mode,
             max_metasteps=2,
             early_stop_value=0.0,
             stop_when_high_below=0.0,
@@ -220,7 +216,6 @@ def decide_feasibility(
     mcfg = MetastepConfig(
         radius=radius,
         level_tolerance=eps,
-        cut_mode=cut_mode,
         max_metasteps=2,
         value_floor=0.0,
         constraint_tolerance=1e-9,
@@ -417,7 +412,6 @@ def find_feasible_point(
     bound: Union[RadiusBound, float, None] = None,
     feas_tol: float = 1e-7,
     level_tolerance: float = 1e-6,
-    cut_mode: CutMode = CutMode.DEEP,
     max_metasteps: int = 3,
     max_halvings: int = 40,
     *,
@@ -440,7 +434,6 @@ def find_feasible_point(
         cfg = MetastepConfig(
             radius=radius,
             level_tolerance=min(level_tolerance, radius / 2.0),
-            cut_mode=cut_mode,
             max_metasteps=max_metasteps,
             early_stop_value=feas_tol,
         )

@@ -22,15 +22,16 @@ The log volume ratio carries over with the ellipsoid, so the volume
 floor d*log(eps/R) is still measured against the metastep's ball.
 
 A query that runs out of iterations proves nothing: the bracket is left
-as it is and the metastep ends with BudgetExhausted.  A metastep with no
-witness whose bracket closed with every query infeasible ends with
-LevelSetEmpty: no point of the ball meets the side constraints below its
-top level.
+as it is and the metastep ends with BudgetExhausted.  So does a metastep
+that a bracket short-circuit (stop_when_*) or the query cap stops with
+its bracket still open: its witness is the best point found, not a
+certified minimum.  A metastep with no witness whose bracket closed with
+every query infeasible ends with LevelSetEmpty: no point of the ball
+meets the side constraints below its top level.
 
 Per-cut TraceRecords are built only when a trace is requested.
 
-Cut construction comes in two flavors: plain central cuts, and deep cuts
-that use the known slack of the violated constraint.
+Every cut is a deep cut at the measured slack of the violated constraint.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ from .geometry import (
     intersects_halfspace,
 )
 from .oracles import ConvexOracle, EpigraphPoint, LinearConstraintSet
-
-
-class CutMode(Enum):
-    CENTRAL = "central"
-    DEEP = "deep"
 
 
 class SolveStatus(Enum):
@@ -92,8 +88,6 @@ class TraceRecord:
 class MetastepConfig:
     radius: float
     level_tolerance: float = 1e-6
-    max_ellipsoid_iters: Optional[int] = None
-    cut_mode: CutMode = CutMode.DEEP
     max_metasteps: int = 16
     radius_growth: float = 1.0
     # Known lower bound on f; tightens the bisection bracket when given.
@@ -113,17 +107,13 @@ class MetastepConfig:
             raise ValueError("radius must be positive")
         if not 0.0 < self.level_tolerance < self.radius:
             raise ValueError("level_tolerance must lie in (0, radius)")
-        if self.max_ellipsoid_iters is not None and self.max_ellipsoid_iters < 1:
-            raise ValueError("max_ellipsoid_iters must be >= 1")
         if self.max_metasteps < 1:
             raise ValueError("max_metasteps must be >= 1")
         if self.radius_growth < 1.0:
             raise ValueError("radius_growth must be >= 1")
 
     def iteration_budget(self, lifted_dim: int) -> int:
-        """Per-level-query ellipsoid iteration cap."""
-        if self.max_ellipsoid_iters is not None:
-            return self.max_ellipsoid_iters
+        """Per-level-query ellipsoid iteration cap, 2(d+1)(d+2) log(R/eps)."""
         d = lifted_dim
         return max(
             1,
@@ -229,7 +219,6 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
     tolerance = cfg.constraint_tolerance
     budget = cfg.iteration_budget(d)
     volume_floor = d * math.log(eps / radius)
-    deep = cfg.cut_mode is CutMode.DEEP
     extra = state.extra
     lifted_start = state.lifted_start
     level_normal = np.zeros(d)
@@ -284,11 +273,10 @@ def _run_level_query(state: _LevelSearch, alpha: float) -> LevelFeasibility:
                     return LevelFeasibility(LevelVerdict.INFEASIBLE, None, None, iters)
                 kind = "level"
                 normal = level_normal
-                slack = (y - alpha) if deep else 0.0
+                slack = y - alpha
             else:
                 kind, normal, slack = _pick_separator(
-                    state, x, y, fx, g, du, dist, extra_viol, extra_idx, alpha, deep,
-                    normal_buf,
+                    state, x, y, fx, g, du, dist, extra_viol, extra_idx, alpha, normal_buf
                 )
 
             outcome = cut_in_place(e, normal, slack)[0]
@@ -326,7 +314,6 @@ def _pick_separator(
     extra_viol: float,
     extra_idx: int,
     alpha: float,
-    deep: bool,
     normal_buf: np.ndarray,
 ):
     """Most-violated separator among epigraph, ball, and side constraints.
@@ -345,13 +332,12 @@ def _pick_separator(
         gg = float(g @ g)
         slack = fx - y
         best, kind = slack / math.sqrt(gg + 1.0), "epigraph"
-        if deep:
-            # An objective-space cut at the incumbent (clamped by alpha so
-            # no point of the level set is lost) may be deeper still.
-            gnorm = math.sqrt(gg)
-            depth = choose_cut_depth(fx, max(state.lowest_value, alpha))
-            if gnorm > 0.0 and depth / gnorm > best:
-                best, kind, slack = depth / gnorm, "objective", depth
+        # An objective-space cut at the incumbent (clamped by alpha so no
+        # point of the level set is lost) may be deeper still.
+        gnorm = math.sqrt(gg)
+        depth = choose_cut_depth(fx, max(state.lowest_value, alpha))
+        if gnorm > 0.0 and depth / gnorm > best:
+            best, kind, slack = depth / gnorm, "objective", depth
     if dist > cfg.radius and (kind is None or dist - cfg.radius > best):
         best, kind, slack = dist - cfg.radius, "ball", dist * (dist - cfg.radius)
     if extra_viol > cfg.constraint_tolerance and (kind is None or extra_viol > best):
@@ -372,7 +358,7 @@ def _pick_separator(
         else:
             normal[:n] = g
             normal[n] = -1.0 if kind == "epigraph" else 0.0
-    return kind, normal, slack if deep else 0.0
+    return kind, normal, slack
 
 
 def level_set_feasible(
@@ -458,61 +444,41 @@ def bisect_level(
         )
         hi = min(mid, max(witness_value, cap))
 
-    total_iters = sum(state.query_iterations)
+    # Only a closed bracket with no query out of budget proves anything:
+    # a bracket short-circuit or the query cap can stop with it open.
+    settled = not out_of_budget and hi - lo <= eps
+    point = None if witness is None else witness.x
+    value = witness_value
     if state.early_stop is not None:
         point, value = state.early_stop
-        return MetastepResult(
-            best_point=point,
-            best_value=value,
-            status=SolveStatus.BUDGET_EXHAUSTED,
-            iterations=total_iters,
-            level_queries=queries,
-            alpha_bracket=(lo, hi),
-            trace=state.trace,
-            query_iterations=state.query_iterations,
-            early_stopped=True,
-            config=cfg,
+        status = SolveStatus.BUDGET_EXHAUSTED
+    elif not settled:
+        status = SolveStatus.BUDGET_EXHAUSTED
+    elif witness is None:
+        status = SolveStatus.LEVEL_SET_EMPTY
+    else:
+        # Interior-minimum certificate: take the lowest ball-valid lift of
+        # the witness and ask whether it clears the sphere by the safety
+        # margin.
+        y_star = max(
+            witness_value,
+            f0 - math.sqrt(max(radius * radius - _sqdist(witness.x, x0), 0.0)),
         )
-    if witness is None or out_of_budget:
-        # Without a witness, a bracket that closed with no query out of
-        # budget proves S(alpha) empty for every level the ball reaches.
-        proven_empty = witness is None and not out_of_budget and hi - lo <= eps
-        return MetastepResult(
-            best_point=None if witness is None else witness.x,
-            best_value=witness_value,
-            status=(
-                SolveStatus.LEVEL_SET_EMPTY if proven_empty else SolveStatus.BUDGET_EXHAUSTED
-            ),
-            iterations=total_iters,
-            level_queries=queries,
-            alpha_bracket=(lo, hi),
-            trace=state.trace,
-            query_iterations=state.query_iterations,
-            early_stopped=False,
-            config=cfg,
+        gap = np.append(witness.x, y_star) - state.lifted_start
+        interior = math.sqrt(float(gap @ gap)) < radius - 10.0 * eps
+        status = (
+            SolveStatus.GLOBAL_OPTIMUM_CERTIFIED if interior else SolveStatus.BOUNDARY_REACHED
         )
-    # Interior-minimum certificate: take the lowest ball-valid lift of the
-    # witness and ask whether it clears the sphere by the safety margin.
-    y_star = max(
-        witness_value,
-        f0 - math.sqrt(max(radius * radius - _sqdist(witness.x, x0), 0.0)),
-    )
-    lifted = np.append(witness.x, y_star)
-    gap = lifted - state.lifted_start
-    interior = math.sqrt(float(gap @ gap)) < radius - 10.0 * eps
-    status = (
-        SolveStatus.GLOBAL_OPTIMUM_CERTIFIED if interior else SolveStatus.BOUNDARY_REACHED
-    )
     return MetastepResult(
-        best_point=witness.x,
-        best_value=witness_value,
+        best_point=point,
+        best_value=value,
         status=status,
-        iterations=total_iters,
+        iterations=sum(state.query_iterations),
         level_queries=queries,
         alpha_bracket=(lo, hi),
         trace=state.trace,
         query_iterations=state.query_iterations,
-        early_stopped=False,
+        early_stopped=state.early_stop is not None,
         config=cfg,
     )
 

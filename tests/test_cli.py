@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 RUN = [sys.executable, "-m", "epicut"]
+REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "run_report.schema.json"
 
 
 def invoke(*argv):
@@ -214,7 +216,7 @@ class TestBenchCommand:
         proc = invoke("bench", str(empty))
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == [
-            "name,n,m,mode,verdict,level_queries,ellipsoid_iters,wall_ms"
+            "name,n,m,verdict,level_queries,ellipsoid_iters,wall_ms"
         ]
 
     def test_rows_per_instance_and_mode(self, tmp_path):
@@ -230,13 +232,17 @@ class TestBenchCommand:
         proc = invoke("bench", str(bench_dir))
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
-        assert len(lines) == 1 + 6  # header + 3 instances x 2 modes
+        assert len(lines) == 1 + 3  # header + 3 instances
         assert "skipping" in proc.stderr
-        modes = [line.split(",")[3] for line in lines[1:]]
-        assert modes == ["central", "deep"] * 3
+        verdicts = [line.split(",")[3] for line in lines[1:]]
+        assert verdicts == ["InfeasibleNonStrict", "Feasible", "Feasible"]
 
     def test_missing_dir_rejected(self):
         assert invoke("bench", "/nonexistent/dir").returncode == 64
+
+    def test_flags_it_does_not_read_rejected(self, tmp_path):
+        assert invoke("bench", str(tmp_path), "--tol", "1e-6").returncode == 0
+        assert invoke("bench", str(tmp_path), "--eps", "1e-3").returncode == 64
 
 
 class TestGrammar:
@@ -250,22 +256,22 @@ class TestGrammar:
         assert invoke("decide", unit_box, "--bogus").returncode == 64
 
     def test_removed_cut_mode_rejected(self, unit_box):
-        proc = invoke("decide", unit_box, "--cut", "deep+ps")
-        assert proc.returncode == 64
-        assert "invalid choice" in proc.stderr
+        for mode in ("deep", "central"):
+            proc = invoke("decide", unit_box, "--cut", mode)
+            assert proc.returncode == 64
+            assert "unrecognized arguments: --cut" in proc.stderr
 
     def test_report_keys_stable_across_commands(self, unit_box, tmp_path):
         abs_path = write_problem(
             tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]}
         )
-        decide_keys = set(json.loads(invoke("decide", unit_box).stdout))
-        point_keys = set(json.loads(invoke("find-point", unit_box).stdout))
-        minimize_keys = set(
-            json.loads(
-                invoke("minimize", abs_path, "--radius", "2", "--x0", "0.6").stdout
-            )
-        )
-        assert decide_keys == point_keys == minimize_keys
+        schema = json.loads(REPORT_SCHEMA.read_text())
+        config_schema = schema["properties"]["config"]
+        for argv in (["decide", unit_box], ["find-point", unit_box],
+                     ["minimize", abs_path, "--radius", "2", "--x0", "0.6"]):
+            report = json.loads(invoke(*argv).stdout)
+            assert sorted(report) == sorted(schema["required"])
+            assert sorted(report["config"]) == sorted(config_schema["required"])
 
 
 class TestInternalErrors:

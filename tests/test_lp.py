@@ -117,6 +117,11 @@ class TestDecide:
     def test_unit_box_feasible(self):
         out = decide_feasibility(normalize(UNIT_BOX))
         assert out.verdict is FeasibilityVerdict.FEASIBLE
+        # Phase one stops on its bracket short-circuit with the bracket
+        # open: that settles the verdict but certifies no minimum.
+        lo, hi = out.phase_one.alpha_bracket
+        assert hi - lo > out.phase_one.config.level_tolerance
+        assert out.phase_one.status is SolveStatus.BUDGET_EXHAUSTED
 
     def test_weakly_feasible_point_only(self):
         # x <= 0 and x >= 0: only x = 0; strict version infeasible

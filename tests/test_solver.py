@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from epicut import (
-    CutMode,
     InvalidBracket,
     LevelVerdict,
     LinearConstraintSet,
@@ -47,10 +46,6 @@ class TestConfig:
         expected = math.ceil(2 * (d + 1) * (d + 2) * math.log(2.0 / 1e-6))
         assert cfg.iteration_budget(d) == expected
         assert cfg.query_budget() == math.ceil(math.log2(2 * 2.0 / 1e-6))
-
-    def test_explicit_budget_wins(self):
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_ellipsoid_iters=7)
-        assert cfg.iteration_budget(5) == 7
 
 
 class TestChooseCutDepth:
@@ -169,12 +164,32 @@ class TestBisectLevel:
         assert res.best_value <= -0.5
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
 
+    def test_open_bracket_short_circuit_is_not_a_proof(self):
+        # The free witness (x0, f0) is already below stop_when_high_below,
+        # so no query runs and the bracket stays open.
+        f = abs_minus_one()
+        x0 = np.array([0.6])
+        f0 = float(f.eval(x0))
+        cfg = MetastepConfig(radius=2.0, stop_when_high_below=f0 + 1.0)
+        res = bisect_level(f, x0, cfg)
+        assert res.level_queries == 0
+        lo, hi = res.alpha_bracket
+        assert hi - lo > cfg.level_tolerance
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.best_value == f0
+        np.testing.assert_array_equal(res.best_point, x0)
+
     def test_budget_exhaustion_is_not_a_proof(self):
         # max(|x1 - 1/2|, |x2 - 1/2|) has minimum 0; a one-iteration budget
         # proves nothing, so the bracket must not rise and nothing is certified.
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         f = MaxAffineFunction(rows, np.array([-0.5, 0.5, -0.5, 0.5]))
-        cfg = MetastepConfig(radius=2.0, max_ellipsoid_iters=1)
+
+        class OneIteration(MetastepConfig):
+            def iteration_budget(self, lifted_dim):
+                return 1
+
+        cfg = OneIteration(radius=2.0)
         res = bisect_level(f, np.zeros(2), cfg)
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.alpha_bracket[0] == 0.5 - 2.0
@@ -257,11 +272,8 @@ class TestRunMetasteps:
         queries = [rec.query for rec in res.trace]
         assert queries == sorted(queries)
 
-    @pytest.mark.parametrize("mode", list(CutMode))
-    def test_all_cut_modes_reach_minimum(self, mode):
-        cfg = MetastepConfig(
-            radius=3.0, level_tolerance=1e-5, cut_mode=mode, max_metasteps=8
-        )
+    def test_deep_cuts_reach_minimum(self):
+        cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, max_metasteps=8)
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         f = MaxAffineFunction(rows, np.full(4, -1.0))
         res = run_metasteps(f, np.array([0.9, -0.7]), cfg)
@@ -276,11 +288,9 @@ class TestTraceOnlyObserves:
     def runs():
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         box = MaxAffineFunction(rows, np.full(4, -1.0))
-        for mode in CutMode:
-            cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, cut_mode=mode,
-                                 max_metasteps=8)
-            yield box, np.array([0.9, -0.7]), cfg, None
-            yield box, np.array([6.0, 5.0]), cfg, None
+        cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, max_metasteps=8)
+        yield box, np.array([0.9, -0.7]), cfg, None
+        yield box, np.array([6.0, 5.0]), cfg, None
         # A side constraint brings in constraint cuts.
         f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
         extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
@@ -389,14 +399,11 @@ class TestWarmStart:
         assert shrunk >= 1 and checked >= 100
         return len(seen)
 
-    @pytest.mark.parametrize("mode", list(CutMode))
-    def test_minima_start_inside_level_set(self, queries, mode):
+    def test_minima_start_inside_level_set(self, queries):
         rng = np.random.default_rng(6)
         for _ in range(3):
             f, minimizer = planted_minimum(rng)
-            cfg = MetastepConfig(
-                radius=2.0, level_tolerance=2e-5, cut_mode=mode, max_metasteps=16
-            )
+            cfg = MetastepConfig(radius=2.0, level_tolerance=2e-5, max_metasteps=16)
             for offset in (np.array([0.3, -0.4]), np.array([2.5, 2.5])):
                 res = run_metasteps(f, minimizer + offset, cfg)
                 assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
