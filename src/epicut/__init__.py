@@ -1,7 +1,7 @@
 """Ellipsoid-based convex feasibility and nonsmooth minimization.
 
 Layers: an ellipsoid engine with central and deep cuts (geometry), convex
-function oracles (oracles), a lifted level-set metastep solver (solver),
+function oracles (oracles), a metastep minimizer with proven brackets (solver),
 linear-inequality feasibility with Farkas certificates (lp), brute-force
 reference oracles (bruteforce), and a CLI (cli).
 """
@@ -48,22 +48,16 @@ from .lp import (
 )
 from .oracles import (
     ConvexOracle,
-    EpigraphPoint,
     LinearConstraintSet,
     MaxAffineFunction,
     QuadraticForm,
-    epigraph_separator,
 )
 from .solver import (
-    LevelFeasibility,
-    LevelVerdict,
     MetastepConfig,
     MetastepResult,
     SolveStatus,
     TraceRecord,
     bisect_level,
-    choose_cut_depth,
-    level_set_feasible,
     run_metasteps,
 )
 
@@ -77,13 +71,10 @@ __all__ = [
     "DimensionMismatch",
     "Ellipsoid",
     "EmptySystem",
-    "EpigraphPoint",
     "FeasibilityDecision",
     "FeasibilityVerdict",
     "Halfspace",
     "InvalidBracket",
-    "LevelFeasibility",
-    "LevelVerdict",
     "LinearConstraintSet",
     "LinearSystem",
     "MaxAffineFunction",
@@ -103,14 +94,11 @@ __all__ = [
     "TraceRecord",
     "bisect_level",
     "central_cut",
-    "choose_cut_depth",
     "decide_feasibility",
     "deep_cut",
-    "epigraph_separator",
     "find_feasible_point",
     "global_radius",
     "intersects_halfspace",
-    "level_set_feasible",
     "normalize",
     "run_metasteps",
     "sample_subgradient_norms",

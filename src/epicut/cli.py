@@ -150,9 +150,27 @@ def _parse_x0(text: Optional[str], dim: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _check_radius(radius: Optional[float]) -> None:
-    if radius is not None and not radius > 0.0:
-        raise UsageError("--radius must be positive")
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject flag values no run can use; argparse checks only their types."""
+    if not _positive_finite(args.tol):
+        raise UsageError("--tol must be a positive finite number")
+    if args.command == "bench":
+        return
+    if args.metasteps < 1:
+        raise UsageError("--metasteps must be at least 1")
+    if not _positive_finite(args.eps):
+        raise UsageError("--eps must be a positive finite number")
+    if args.radius is not None:
+        if not _positive_finite(args.radius):
+            raise UsageError("--radius must be a positive finite number")
+        if not args.eps < args.radius:
+            raise UsageError("--eps must be smaller than --radius")
+    if not (math.isfinite(args.radius_growth) and args.radius_growth >= 1.0):
+        raise UsageError("--radius-growth must be a finite number of at least 1")
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -261,7 +279,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_find_point(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    _check_radius(args.radius)
     report = _report_skeleton("find-point", name, system.n, system.m, args)
     started = time.perf_counter()
     try:
@@ -317,7 +334,6 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
     if args.radius is None:
         raise UsageError("minimize requires --radius")
-    _check_radius(args.radius)
     objective = MaxAffineFunction(system.rows, system.offsets)
     x0 = _parse_x0(args.x0, system.n)
     cfg = MetastepConfig(
@@ -382,7 +398,7 @@ def _finish_timing(report: dict, args: argparse.Namespace, started: float) -> No
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epicut",
-        description="Convex feasibility and minimization via ellipsoid level cuts.",
+        description="Convex feasibility and minimization via ellipsoid cuts.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -393,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = _Parser(add_help=False, parents=[tol_flag])
     common.add_argument("--eps", type=float, default=1e-6,
-                        help="level tolerance (default 1e-6)")
+                        help="width of the proven bracket on the minimum (default 1e-6)")
     common.add_argument("--radius", type=float, default=None,
                         help="search radius override")
     common.add_argument("--metasteps", type=int, default=16,
@@ -435,6 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"epicut: error: {exc}", file=sys.stderr)

@@ -151,7 +151,9 @@ class CutOutcome:
     depth_used: float               # normalized depth alpha
 
 
-def cut_in_place(e: Ellipsoid, normal: np.ndarray, slack: float) -> Tuple[CutKind, float]:
+def cut_in_place(
+    e: Ellipsoid, normal: np.ndarray, slack: float
+) -> Tuple[CutKind, float, float]:
     """Cut E at depth ``slack`` along ``normal``, updating E in place.
 
     The cut constraint is { x : normal^T (x - e.center) + slack <= 0 }.
@@ -162,8 +164,10 @@ def cut_in_place(e: Ellipsoid, normal: np.ndarray, slack: float) -> Tuple[CutKin
     the factor is overwritten, the center replaced by a new array (so a
     caller's reference to the old center still reads the old center),
     and the log volume ratio grows by the closed-form per-cut ratio.
-    Returns the kind of outcome and alpha.  A negative slack (shallow
-    cut) is accepted; the solver only ever passes slack >= 0.
+    Returns the kind of outcome, alpha and the width ||J^T normal|| of E
+    before the cut: E spans normal^T (x - c) over [-width, width].  A
+    negative slack (shallow cut) is accepted; the solver only ever
+    passes slack >= 0.
 
     With H = normal, the update P' = sigma (P - tau u u^T),
     u = P H / ||J^T H||, is applied to the factor: with
@@ -179,9 +183,9 @@ def cut_in_place(e: Ellipsoid, normal: np.ndarray, slack: float) -> Tuple[CutKin
     root = math.sqrt(h2)
     alpha = float(slack) / root
     if alpha >= 1.0:
-        return CutKind.EMPTY_INTERSECTION, alpha
+        return CutKind.EMPTY_INTERSECTION, alpha, root
     if alpha <= -1.0 / d:
-        return CutKind.NO_CUT, alpha
+        return CutKind.NO_CUT, alpha, root
     v = g / root
     u = factor @ v
     step = (1.0 + d * alpha) / (d + 1.0)
@@ -201,7 +205,7 @@ def cut_in_place(e: Ellipsoid, normal: np.ndarray, slack: float) -> Tuple[CutKin
         # vol(E')/vol(E) = sqrt(sigma^d * (1 - tau)).
         dlog = 0.5 * (d * math.log(sigma) + math.log(keep))
     e.log_volume_ratio += dlog
-    return CutKind.UPDATED, alpha
+    return CutKind.UPDATED, alpha, root
 
 
 def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
@@ -215,7 +219,7 @@ def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:
     if h.dim != e.dim:
         raise DimensionMismatch("halfspace dimension does not match ellipsoid")
     updated = e.copy()
-    kind, alpha = cut_in_place(updated, h.normal, slack)
+    kind, alpha, _ = cut_in_place(updated, h.normal, slack)
     return CutOutcome(kind, updated if kind is CutKind.UPDATED else None, alpha)
 
 

@@ -140,8 +140,8 @@ def _simplex_constraint_parts(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
-    # The multiplier programs all live inside the unit simplex; a lifted
-    # ball of radius 2 around the simplex center covers them with slack.
+    # The multiplier programs all live inside the unit simplex; a ball of
+    # radius 2 around the simplex center covers them with slack.
     return MetastepConfig(
         radius=2.0,
         level_tolerance=1e-7,
@@ -392,12 +392,12 @@ def global_radius(
         extra=LinearConstraintSet(a_rows, a_offsets),
     )
     if a_res.status is SolveStatus.LEVEL_SET_EMPTY:
-        # No multiplier clears the shifted offset bar: bisection closed
-        # the bracket at the top of the ball with every level empty (the
-        # constraint set can be genuinely empty, e.g. when B.L is constant
-        # over the simplex).  Then every multiplier active at an infeasible
-        # x obeys B.L <= b_bar < 0, so L.(A x + B) >= 0 forces
-        # ||A^T L|| >= |b_bar| / ||x||, making |b_bar| a unit-ball floor.
+        # No multiplier clears the shifted offset bar: a cut proved the
+        # constraint set empty inside the ball (it can be genuinely empty,
+        # e.g. when B.L is constant over the simplex).  Then every
+        # multiplier active at an infeasible x obeys B.L <= b_bar < 0, so
+        # L.(A x + B) >= 0 forces ||A^T L|| >= |b_bar| / ||x||, making
+        # |b_bar| a unit-ball floor.
         d_lower = abs(b_bar)
     else:
         _require_settled(a_res, "shifted floor program")

@@ -8,12 +8,11 @@ solver runs are reproducible.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import NamedTuple, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Halfspace
 
 # Absolute gap below the max that still counts as an active piece.
 ACTIVE_TOL = 1e-12
@@ -127,13 +126,6 @@ class QuadraticForm(ConvexOracle):
         return np.einsum("ij,jk,ik->i", pts, self.gram, pts)
 
 
-class EpigraphPoint(NamedTuple):
-    """A lifted point (x, y); it lies in epi(f) when f(x) <= y."""
-
-    x: np.ndarray
-    y: float
-
-
 class LinearConstraintSet:
     """{ z : rows z + offsets <= 0 componentwise }."""
 
@@ -173,20 +165,3 @@ class LinearConstraintSet:
         """The violation function max_k (rows[k] z + offsets[k]) as an oracle."""
         return MaxAffineFunction(self.rows, self.offsets)
 
-
-def epigraph_separator(f: ConvexOracle, point: EpigraphPoint) -> Optional[Halfspace]:
-    """Halfspace containing epi(f) and excluding ``point``; None if inside.
-
-    The returned normal is (g, -1) with g a subgradient at point.x,
-    anchored at (point.x, f(point.x)).
-    """
-    x = np.asarray(point.x, dtype=float)
-    if x.shape != (f.dim,):
-        raise DimensionMismatch("point dimension does not match oracle")
-    value = float(f.eval(x))
-    if value <= point.y:
-        return None
-    g = f.subgradient(x)
-    normal = np.append(g, -1.0)
-    anchor = np.append(x, value)
-    return Halfspace(normal, anchor)

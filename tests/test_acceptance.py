@@ -211,31 +211,32 @@ def test_criterion_05_iteration_budgets():
     iters_ok = True
 
     def check_result(res, d):
-        # d is the lifted dimension: the minimized function's plus one.
-        nonlocal worst_iter_excess, iters_ok
+        # d is the dimension the ellipsoid runs in: the minimized
+        # function's own.  Each metastep is one query.
+        nonlocal worst_iter_excess, iters_ok, queries_ok
         budget = res.config.iteration_budget(d) + 5
         for used in res.query_iterations:
             worst_iter_excess = max(worst_iter_excess, used - budget)
             if used > budget:
                 iters_ok = False
+        if not res.level_queries == len(res.query_iterations) <= res.config.max_metasteps:
+            queries_ok = False
 
     for f, _, cfg, full, single in runs:
-        check_result(full, f.dim + 1)
-        check_result(single, f.dim + 1)
-        if single.level_queries > cfg.query_budget():
+        check_result(full, f.dim)
+        check_result(single, f.dim)
+        if single.level_queries != 1:
             queries_ok = False
     for sys_n, decision, _ in corpus:
         for res in (decision.phase_one, decision.report):
             if res is not None:
                 # Both decision programs run over the m multipliers.
-                check_result(res, sys_n.m + 1)
-                if res.level_queries > res.config.max_metasteps * res.config.query_budget():
-                    queries_ok = False
+                check_result(res, sys_n.m)
     ok = queries_ok and iters_ok
     report(
         5,
-        "ellipsoid iterations within 2(d+1)(d+2)ln(R/eps)+5 and bisection "
-        f"within log2(2R/eps) queries (worst slack {worst_iter_excess:+.0f})",
+        "ellipsoid iterations within 2(d+1)(d+2)ln(R/eps)+5 per metastep and "
+        f"one query per metastep (worst slack {worst_iter_excess:+.0f})",
         ok,
     )
 

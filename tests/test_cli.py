@@ -274,6 +274,37 @@ class TestGrammar:
             assert sorted(report["config"]) == sorted(config_schema["required"])
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["minimize", "{abs}", "--radius", "2", "--metasteps", "0"],
+                     id="metasteps-0"),
+        pytest.param(["minimize", "{abs}", "--radius", "2", "--eps", "0"], id="eps-0"),
+        pytest.param(["minimize", "{abs}", "--radius", "2", "--eps", "2"],
+                     id="eps-equal-to-radius"),
+        pytest.param(["find-point", "{abs}", "--radius", "2", "--eps", "3"],
+                     id="eps-above-radius"),
+        pytest.param(["minimize", "{abs}", "--radius", "2", "--radius-growth", "0.5"],
+                     id="radius-growth-0.5"),
+        pytest.param(["decide", "{abs}", "--tol", "0"], id="decide-tol-0"),
+        pytest.param(["bench", "{dir}", "--tol", "0"], id="bench-tol-0"),
+        pytest.param(["decide", "{abs}", "--tol", "nan"], id="decide-tol-nan"),
+        pytest.param(["find-point", "{abs}", "--tol", "nan"], id="find-point-tol-nan"),
+        pytest.param(["minimize", "{abs}", "--radius", "inf"], id="minimize-radius-inf"),
+    ])
+    def test_invalid_value_exit_64(self, tmp_path, capsys, argv):
+        from epicut import cli
+
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        abs_path = write_problem(suite / "abs.json", {"A": [[1], [-1]], "b": [1, 1]})
+        argv = [a.format(abs=abs_path, dir=suite) for a in argv]
+        assert cli.main(argv) == cli.EXIT_USAGE == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("epicut: error: --")
+        assert captured.err.count("\n") == 1
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("error", ["DegenerateShape", "InvalidBracket",
                                        "DimensionMismatch"])

@@ -229,9 +229,12 @@ class TestCutInPlace:
             assert e.log_volume_ratio == before[2]
             # The in-place kernel on a copy gives the same ellipsoid bit for bit.
             work = e.copy()
-            kind, alpha = cut_in_place(work, normal, slack)
+            kind, alpha, width = cut_in_place(work, normal, slack)
             kinds.add(kind)
             assert (kind, alpha) == (out.kind, out.depth_used)
+            # The width is that of the ellipsoid before the cut.
+            assert width == float(np.linalg.norm(before[1].T @ normal))
+            assert alpha == slack / width
             if kind is CutKind.UPDATED:
                 npt.assert_array_equal(work.center, out.ellipsoid.center)
                 npt.assert_array_equal(work.factor, out.ellipsoid.factor)
@@ -248,7 +251,7 @@ class TestCutInPlace:
         e = Ellipsoid.ball(np.zeros(3), 2.0)
         twin = e.copy()
         old_center = e.center
-        kind, _ = cut_in_place(e, np.array([1.0, -2.0, 0.5]), 0.1)
+        kind, _, _ = cut_in_place(e, np.array([1.0, -2.0, 0.5]), 0.1)
         assert kind is CutKind.UPDATED
         # The old center array still reads the pre-cut center.
         assert e.center is not old_center

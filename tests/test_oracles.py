@@ -5,12 +5,9 @@ import pytest
 from epicut import (
     ConvexOracle,
     DimensionMismatch,
-    EpigraphPoint,
-    Halfspace,
     LinearConstraintSet,
     MaxAffineFunction,
     QuadraticForm,
-    epigraph_separator,
 )
 
 
@@ -171,21 +168,3 @@ class TestLinearConstraintSet:
             z = rng.uniform(-2, 2, size=2)
             assert f.eval(z) == pytest.approx(self.cons.max_violation(z))
 
-
-class TestEpigraphSeparator:
-    def test_none_inside_epigraph(self):
-        f = MaxAffineFunction(np.array([[1.0], [-1.0]]), np.zeros(2))  # |x|
-        assert epigraph_separator(f, EpigraphPoint(np.array([0.5]), 0.7)) is None
-
-    def test_separates_outside_points(self):
-        f = MaxAffineFunction(np.array([[1.0], [-1.0]]), np.zeros(2))
-        h = epigraph_separator(f, EpigraphPoint(np.array([0.5]), 0.2))
-        assert isinstance(h, Halfspace)
-        npt.assert_allclose(h.normal, [1.0, -1.0])  # (subgradient, -1)
-        npt.assert_allclose(h.anchor, [0.5, 0.5])  # (x, f(x))
-        # Every epigraph point satisfies the halfspace.
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            x = rng.uniform(-2, 2)
-            y = abs(x) + rng.uniform(0, 2)
-            assert h.violation(np.array([x, y])) <= 1e-12

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from epicut import (
-    InvalidBracket,
-    LevelVerdict,
     LinearConstraintSet,
     MaxAffineFunction,
     MetastepConfig,
     QuadraticForm,
     SolveStatus,
     bisect_level,
-    choose_cut_depth,
-    level_set_feasible,
     run_metasteps,
     solver,
 )
@@ -45,68 +41,6 @@ class TestConfig:
         d = 2
         expected = math.ceil(2 * (d + 1) * (d + 2) * math.log(2.0 / 1e-6))
         assert cfg.iteration_budget(d) == expected
-        assert cfg.query_budget() == math.ceil(math.log2(2 * 2.0 / 1e-6))
-
-
-class TestChooseCutDepth:
-    def test_values(self):
-        assert choose_cut_depth(1.0, 1.0) == 0.0
-        assert choose_cut_depth(3.0, 1.0) == 2.0
-        # Never negative, even if the incumbent is somehow better.
-        assert choose_cut_depth(0.5, 1.0) == 0.0
-
-
-class TestLevelSetFeasible:
-    def setup_method(self):
-        self.cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
-
-    def test_top_of_bracket_immediately_feasible(self):
-        f = abs_minus_one()
-        out = level_set_feasible(f, np.array([0.6]), self.cfg, -0.4 + 2.0)
-        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
-        assert out.iterations == 1
-
-    def test_bottom_of_bracket_infeasible(self):
-        f = abs_minus_one()
-        out = level_set_feasible(f, np.array([0.6]), self.cfg, -0.4 - 2.0)
-        assert out.verdict is LevelVerdict.INFEASIBLE
-
-    def test_near_minimum_level(self):
-        f = abs_minus_one()
-        out = level_set_feasible(f, np.array([0.6]), self.cfg, -1.0 + 1e-3)
-        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
-        assert abs(float(out.witness.x[0])) <= 1e-3 + 1e-9
-        assert out.witness_value <= -1.0 + 1e-3 + 1e-9
-
-    def test_witness_validity(self):
-        f = abs_minus_one()
-        x0 = np.array([0.6])
-        f0 = f.eval(x0)
-        alpha = -0.8
-        out = level_set_feasible(f, x0, self.cfg, alpha)
-        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
-        w = out.witness
-        assert f.eval(w.x) <= alpha + 1e-9
-        lifted = math.hypot(float(w.x[0] - x0[0]), w.y - f0)
-        assert lifted <= 2.0 + 1e-9
-
-    def test_bracket_enforced(self):
-        f = abs_minus_one()
-        with pytest.raises(InvalidBracket):
-            level_set_feasible(f, np.array([0.6]), self.cfg, 5.0)
-        with pytest.raises(InvalidBracket):
-            level_set_feasible(f, np.array([0.6]), self.cfg, -5.0)
-
-    def test_extra_constraints_respected(self):
-        # minimize x^2 with x >= 0.5: level 0.3 feasible, level 0.2 not
-        f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([0.5]))
-        x0 = np.array([1.0])
-        out = level_set_feasible(f, x0, self.cfg, 0.3, extra=extra)
-        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
-        assert float(out.witness.x[0]) >= 0.5 - 1e-8
-        out = level_set_feasible(f, x0, self.cfg, 0.2, extra=extra)
-        assert out.verdict in (LevelVerdict.INFEASIBLE, LevelVerdict.EPSILON_FEASIBLE)
 
 
 class TestBisectLevel:
@@ -117,12 +51,14 @@ class TestBisectLevel:
         assert -1.0 - 1e-4 <= res.best_value <= -1.0 + 1e-4
 
     def test_boundary_case(self):
-        # |x| from x0 = 5 with R = 1: the lifted ball around (5, 5) only
-        # reaches y = 5 - 1/sqrt(2) on the epigraph.
+        # |x| from x0 = 5 with R = 1: the minimum over the ball [4, 6] is
+        # 4, on its sphere.
         cfg = MetastepConfig(radius=1.0, level_tolerance=1e-4)
         res = bisect_level(abs_fn(), np.array([5.0]), cfg)
         assert res.status is SolveStatus.BOUNDARY_REACHED
-        assert res.best_value == pytest.approx(5.0 - 1.0 / math.sqrt(2.0), abs=1e-3)
+        lo, hi = res.alpha_bracket
+        assert lo <= 4.0 <= res.best_value == hi <= lo + cfg.level_tolerance
+        assert float(res.best_point[0]) >= 4.0
 
     def test_bracket_invariant(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5)
@@ -132,30 +68,30 @@ class TestBisectLevel:
         assert hi - lo <= cfg.level_tolerance
 
     def test_query_budget(self):
+        # A metastep is one query: a single ellipsoid run.
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
         res = bisect_level(abs_minus_one(), np.array([0.6]), cfg)
-        assert res.level_queries <= cfg.query_budget()
+        assert res.level_queries == 1
+        assert res.query_iterations == [res.iterations]
 
     def test_iteration_budget_per_query(self):
+        # The run is in R^1, the function's own dimension.
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
         res = bisect_level(abs_minus_one(), np.array([0.6]), cfg)
-        budget = cfg.iteration_budget(2)
+        budget = cfg.iteration_budget(1)
         assert res.query_iterations
-        assert max(res.query_iterations) <= budget + 5
+        assert max(res.query_iterations) <= budget
 
     def test_bracket_endpoints_consistent(self):
+        # The top is the value of the reported point, the bottom lies
+        # under the true minimum -1, and the two are eps apart.
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4)
         f = abs_minus_one()
         res = bisect_level(f, np.array([0.6]), cfg)
         lo, hi = res.alpha_bracket
-        probe = MetastepConfig(radius=2.0, level_tolerance=1e-6)
-        high_check = level_set_feasible(f, np.array([0.6]), probe, hi + 1e-3)
-        assert high_check.verdict is LevelVerdict.FEASIBLE_WITNESS
-        low_check = level_set_feasible(f, np.array([0.6]), probe, lo - 1e-3)
-        assert low_check.verdict in (
-            LevelVerdict.INFEASIBLE,
-            LevelVerdict.EPSILON_FEASIBLE,
-        )
+        assert hi == res.best_value == f.eval(res.best_point)
+        assert abs(float(res.best_point[0]) - 0.6) <= 2.0
+        assert lo <= -1.0 <= hi <= lo + cfg.level_tolerance
 
     def test_early_stop_value(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, early_stop_value=-0.5)
@@ -165,14 +101,14 @@ class TestBisectLevel:
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
 
     def test_open_bracket_short_circuit_is_not_a_proof(self):
-        # The free witness (x0, f0) is already below stop_when_high_below,
-        # so no query runs and the bracket stays open.
+        # The first center x0 is already below stop_when_high_below, so the
+        # run stops after one iteration with its bracket open.
         f = abs_minus_one()
         x0 = np.array([0.6])
         f0 = float(f.eval(x0))
         cfg = MetastepConfig(radius=2.0, stop_when_high_below=f0 + 1.0)
         res = bisect_level(f, x0, cfg)
-        assert res.level_queries == 0
+        assert res.iterations == 1
         lo, hi = res.alpha_bracket
         assert hi - lo > cfg.level_tolerance
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
@@ -181,7 +117,7 @@ class TestBisectLevel:
 
     def test_budget_exhaustion_is_not_a_proof(self):
         # max(|x1 - 1/2|, |x2 - 1/2|) has minimum 0; a one-iteration budget
-        # proves nothing, so the bracket must not rise and nothing is certified.
+        # proves only f(0) - R ||g|| = -1.5, and nothing is certified.
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         f = MaxAffineFunction(rows, np.array([-0.5, 0.5, -0.5, 0.5]))
 
@@ -199,30 +135,32 @@ class TestBisectLevel:
         assert run_metasteps(f, np.zeros(2), cfg).status is SolveStatus.BUDGET_EXHAUSTED
 
     def test_closed_bracket_without_witness_is_level_set_empty(self):
-        # x >= 5 lies outside the ball around x0 = 0: every level is empty.
+        # x >= 5 lies outside the ball around x0 = 0: the first constraint
+        # cut misses the ball, so the minimum over the empty set is +inf.
         f = QuadraticForm(np.array([[1.0]]))
         extra = LinearConstraintSet(np.array([[-1.0]]), np.array([5.0]))
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4)
         res = bisect_level(f, np.zeros(1), cfg, extra)
         assert res.status is SolveStatus.LEVEL_SET_EMPTY
         assert res.best_point is None
-        lo, hi = res.alpha_bracket
-        assert hi - lo <= cfg.level_tolerance
+        assert res.alpha_bracket == (math.inf, math.inf)
         assert run_metasteps(f, np.zeros(1), cfg, extra).status is SolveStatus.LEVEL_SET_EMPTY
 
     def test_query_cap_without_witness_is_budget_exhausted(self):
-        class ThreeQueries(MetastepConfig):
-            def query_budget(self):
-                return 3
+        # x >= 1.5 meets the ball [-2, 2], but the one iteration the query
+        # may make is a constraint cut, so no point was ever evaluated.
+        class OneIteration(MetastepConfig):
+            def iteration_budget(self, dim):
+                return 1
 
         f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([5.0]))
-        cfg = ThreeQueries(radius=2.0, level_tolerance=1e-4)
+        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([1.5]))
+        cfg = OneIteration(radius=2.0, level_tolerance=1e-4)
         res = bisect_level(f, np.zeros(1), cfg, extra)
-        assert res.level_queries == 3
+        assert res.level_queries == 1
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
-        lo, hi = res.alpha_bracket
-        assert hi - lo > cfg.level_tolerance
+        assert res.best_point is None
+        assert res.alpha_bracket == (-math.inf, math.inf)
 
     def test_trace_volume_non_increasing_within_query(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5)
@@ -324,107 +262,129 @@ class TestTraceOnlyObserves:
                 assert iters == list(range(1, len(iters) + 1))
                 assert used - 1 <= len(iters) <= used
             kinds.update(r.cut for r in traced.trace)
-        assert kinds == {"level", "epigraph", "objective", "ball", "constraint"}
+        assert kinds == {"objective", "ball", "constraint"}
 
 
-def planted_minimum(rng):
-    """Criterion 06's construction on R^2: three pieces whose gradients
-    positively span the plane, plus two pieces lying below them."""
-    minimizer = rng.uniform(-2, 2, 2)
+def planted_minimum(rng, n):
+    """Criterion 06's construction on R^n: n+1 pieces active at the
+    minimizer whose gradients positively span R^n (scaled vertices of a
+    rotated regular simplex), plus two pieces lying below them."""
+    minimizer = rng.uniform(-2, 2, n)
     true_min = float(rng.uniform(-3, 1))
-    base = rng.uniform(0, 2 * math.pi)
-    rows, offsets = [], []
-    for k in range(3):
-        angle = base + k * (2 * math.pi / 3) + rng.uniform(-0.4, 0.4)
-        g = rng.uniform(0.5, 2.0) * np.array([math.cos(angle), math.sin(angle)])
-        rows.append(g)
-        offsets.append(true_min - float(g @ minimizer))
+    vertices = np.eye(n + 1) - 1.0 / (n + 1)
+    basis = np.linalg.qr(vertices.T)[0][:, :n]
+    rotation = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    rows = [rng.uniform(0.5, 2.0) * v / np.linalg.norm(v)
+            for v in vertices @ basis @ rotation]
+    offsets = [true_min - float(g @ minimizer) for g in rows]
     for _ in range(2):
-        g = rng.uniform(-2, 2, 2)
+        g = rng.uniform(-2, 2, n)
         rows.append(g)
         offsets.append(true_min - float(g @ minimizer) - rng.uniform(0.3, 2.0))
-    return MaxAffineFunction(np.array(rows), np.array(offsets)), minimizer
+    return MaxAffineFunction(np.array(rows), np.array(offsets)), minimizer, true_min
 
 
-def level_set_samples(state, alpha, per_axis=81, lifts=5):
-    """Grid points (x, y) of S(alpha): inside the lifted ball, on or above
-    the graph of f, at most alpha, and within the side constraints."""
-    radius = state.cfg.radius
-    axes = [np.linspace(c - radius, c + radius, per_axis) for c in state.x0]
-    xs = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
-    fx = state.f.eval_many(xs)
-    keep = fx <= alpha
-    if state.extra is not None:
-        keep &= np.array([state.extra_ok(x) for x in xs])
-    xs, fx = xs[keep], fx[keep]
-    points = []
-    for t in np.linspace(0.0, 1.0, lifts):
-        lifted = np.column_stack([xs, fx + t * (alpha - fx)])
-        inside = np.linalg.norm(lifted - state.lifted_start, axis=1) <= radius
-        points.append(lifted[inside])
-    return np.vstack(points)
+def unit(rng, n):
+    v = rng.normal(size=n)
+    return v / np.linalg.norm(v)
 
 
-class TestWarmStart:
+class TestBracketSoundness:
+    """alpha_bracket = (lb, U): lb is proven below the minimum over the
+    ball, U is the value of the reported point."""
+
     @pytest.fixture
-    def queries(self, monkeypatch):
-        """Record every level query's state, level and starting ellipsoid."""
+    def metasteps(self, monkeypatch):
+        """Record every metastep's start, config and result."""
         log = []
-        original = solver._run_level_query
+        original = solver.bisect_level
 
-        def recording(state, alpha):
-            log.append((state, alpha, state.warm))
-            return original(state, alpha)
+        def recording(f, x0, cfg, extra=None, **kwargs):
+            res = original(f, x0, cfg, extra, **kwargs)
+            log.append((f, np.array(x0, dtype=float), cfg, extra, res))
+            return res
 
-        monkeypatch.setattr(solver, "_run_level_query", recording)
+        monkeypatch.setattr(solver, "bisect_level", recording)
         return log
 
-    def check(self, log):
-        seen = set()
-        shrunk = checked = 0
-        for state, alpha, start in log:
-            if id(state) not in seen:
-                # The first query of every metastep starts from the full ball.
-                seen.add(id(state))
-                assert start is None
-                continue
-            if start is None:
-                continue
-            shrunk += start.log_volume_ratio < 0.0
-            samples = level_set_samples(state, alpha)
-            assert start.contains_many(samples).all()
-            checked += samples.shape[0]
-        # Levels near the minimum have level sets too small for the grid;
-        # the higher ones must still have been sampled.
-        assert shrunk >= 1 and checked >= 100
-        return len(seen)
+    @staticmethod
+    def check_every_metastep(log):
+        for f, x0, cfg, extra, res in log:
+            lo, hi = res.alpha_bracket
+            assert lo <= hi == res.best_value == f.eval(res.best_point)
+            assert np.linalg.norm(res.best_point - x0) <= cfg.radius
+            if extra is not None:
+                assert extra.normalized_max_violation(res.best_point)[0] <= (
+                    cfg.constraint_tolerance
+                )
 
-    def test_minima_start_inside_level_set(self, queries):
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_minima_bracket_holds_true_minimum(self, metasteps, n):
         rng = np.random.default_rng(6)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=2e-5, max_metasteps=16)
         for _ in range(3):
-            f, minimizer = planted_minimum(rng)
-            cfg = MetastepConfig(radius=2.0, level_tolerance=2e-5, max_metasteps=16)
-            for offset in (np.array([0.3, -0.4]), np.array([2.5, 2.5])):
-                res = run_metasteps(f, minimizer + offset, cfg)
+            f, minimizer, true_min = planted_minimum(rng, n)
+            near = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
+            far = minimizer + rng.uniform(2.5, 6.0) * unit(rng, n)
+            for x0 in (near, far):
+                res = run_metasteps(f, x0, cfg)
                 assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-        metasteps = self.check(queries)
-        # The far starts recentre, so several metasteps began cold.
-        assert metasteps > 6
+                lo, hi = res.alpha_bracket
+                assert lo <= true_min <= res.best_value == hi <= lo + cfg.level_tolerance
+        self.check_every_metastep(metasteps)
+        # The far starts recentre, so there were more metasteps than runs.
+        assert len(metasteps) > 6
 
-    def test_constrained_quadratic_start_inside_level_set(self, queries):
-        # min x^T Q x subject to x1 + x2 >= 1: 0.875 at (1/4, 3/4)
+    def test_constrained_quadratic_bracket_holds_true_minimum(self, metasteps):
+        # min x^T Q x subject to x1 + x2 >= 1: 0.875 at (1/4, 3/4).  Cuts
+        # use the exact constraint, so lb is proven under 0.875; the
+        # incumbent may break it by the normalized tolerance, where the
+        # minimum is 0.875 (1 - sqrt(2) tol)^2.
         f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
         extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5, max_metasteps=8)
+        relaxed_min = 0.875 * (1.0 - math.sqrt(2.0) * cfg.constraint_tolerance) ** 2
         for x0 in ([1.5, 1.0], [-1.0, 2.0]):
             res = run_metasteps(f, np.array(x0), cfg, extra=extra)
             assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-            assert float(res.best_point.sum()) >= 1.0 - 1e-8
-            assert res.best_value == pytest.approx(0.875, abs=1e-4)
-        self.check(queries)
+            lo, hi = res.alpha_bracket
+            assert lo <= 0.875
+            assert relaxed_min <= res.best_value == hi <= lo + cfg.level_tolerance
+        self.check_every_metastep(metasteps)
 
-    def test_single_query_starts_cold(self, queries):
-        out = level_set_feasible(abs_minus_one(), np.array([0.6]),
-                                 MetastepConfig(radius=2.0), -0.8)
-        assert out.verdict is LevelVerdict.FEASIBLE_WITNESS
-        assert [start for _, _, start in queries] == [None]
+    def test_incumbent_cut_away_keeps_bracket_ordered(self):
+        # With a loose constraint tolerance the incumbent may break the
+        # exact constraint 0.6 x1 + 0.4 x2 + 0.5 <= 0; constraint cuts,
+        # which use the exact row, then cut it away, and objective cuts
+        # can see f(c) - width above U.  lb must still not pass U.
+        f = QuadraticForm(np.diag([1.6, 0.7]))
+        row = np.array([0.6, 0.4])
+        extra = LinearConstraintSet(row[None, :], np.array([0.5]))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, constraint_tolerance=0.1)
+        res = bisect_level(f, np.array([-0.6, 0.6]), cfg, extra)
+        assert float(row @ res.best_point) + 0.5 > 0.0
+        exact_min = 0.25 / (0.36 / 1.6 + 0.16 / 0.7)
+        lo, hi = res.alpha_bracket
+        assert lo <= hi == res.best_value <= exact_min
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_early_stop_keeps_a_valid_lower_bound(self, n):
+        # Stopped after a few iterations, the run proves nothing about the
+        # incumbent but its lb still lies under the minimum: the minimizer
+        # is within 1 of x0, inside the ball.
+        class FewIterations(MetastepConfig):
+            def iteration_budget(self, dim):
+                return 5 * dim
+
+        rng = np.random.default_rng(8)
+        cfg = FewIterations(radius=2.0, level_tolerance=2e-5)
+        for _ in range(5):
+            f, minimizer, true_min = planted_minimum(rng, n)
+            x0 = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
+            res = bisect_level(f, x0, cfg)
+            assert res.status is SolveStatus.BUDGET_EXHAUSTED
+            assert res.iterations == 5 * n
+            lo, hi = res.alpha_bracket
+            assert -math.inf < lo <= true_min <= res.best_value == hi
+            assert hi - lo > cfg.level_tolerance
