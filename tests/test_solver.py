@@ -43,6 +43,53 @@ class TestConfig:
         assert cfg.iteration_budget(d) == expected
 
 
+class TestLevelSetFeasible:
+    """A run's bracket read as level-set verdicts on the ball: the incumbent
+    point witnesses that {f <= U} meets the ball, and no point of the ball
+    (and the side constraints) lies below lb."""
+
+    def test_witness_validity(self):
+        f = abs_minus_one()
+        x0 = np.array([0.6])
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, early_stop_value=-0.8)
+        res = bisect_level(f, x0, cfg)
+        assert res.early_stopped
+        assert f.eval(res.best_point) == res.best_value <= -0.8
+        assert abs(float(res.best_point[0] - x0[0])) <= cfg.radius
+
+    def test_bottom_of_bracket_infeasible(self):
+        # Stopped early, lb is far under the incumbent, yet f stays above
+        # it on the whole ball, not only at the minimizer.
+        class FewIterations(MetastepConfig):
+            def iteration_budget(self, dim):
+                return 3 * dim
+
+        rng = np.random.default_rng(5)
+        cfg = FewIterations(radius=2.0, level_tolerance=1e-6)
+        for _ in range(5):
+            f, minimizer, _ = planted_minimum(rng, 2)
+            x0 = minimizer + rng.uniform(0.1, 3.0) * unit(rng, 2)
+            res = bisect_level(f, x0, cfg)
+            lo, hi = res.alpha_bracket
+            assert -math.inf < lo < hi - cfg.level_tolerance
+            directions = rng.normal(size=(2000, 2))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            radii = cfg.radius * np.sqrt(rng.uniform(size=(2000, 1)))
+            samples = x0 + radii * directions
+            assert min(f.eval(x) for x in samples) >= lo
+
+    def test_extra_constraints_respected(self):
+        # minimize x^2 with x >= 0.5: level 0.25 is reached, level 0.2 not
+        f = QuadraticForm(np.array([[1.0]]))
+        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([0.5]))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        res = bisect_level(f, np.array([1.0]), cfg, extra)
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        assert float(res.best_point[0]) >= 0.5 - 1e-8
+        lo, hi = res.alpha_bracket
+        assert 0.2 < lo <= 0.25 <= hi == res.best_value <= lo + cfg.level_tolerance
+
+
 class TestBisectLevel:
     def test_interior_minimum_certified(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4)
