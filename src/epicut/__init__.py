@@ -16,7 +16,6 @@ from .errors import (
     DegenerateShape,
     DimensionMismatch,
     EmptySystem,
-    InvalidBracket,
     PreconditionViolated,
     SizeLimitExceeded,
     SolverBudgetExceeded,
@@ -74,7 +73,6 @@ __all__ = [
     "FeasibilityDecision",
     "FeasibilityVerdict",
     "Halfspace",
-    "InvalidBracket",
     "LinearConstraintSet",
     "LinearSystem",
     "MaxAffineFunction",

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateShape,
     DimensionMismatch,
     EmptySystem,
-    InvalidBracket,
     SolverBudgetExceeded,
     StrictFeasibilityViolated,
 )
@@ -185,34 +184,32 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
-def _gather_counts(parts: Sequence[Optional[MetastepResult]]) -> Tuple[int, int]:
-    queries = sum(p.level_queries for p in parts if p is not None)
-    iters = sum(p.iterations for p in parts if p is not None)
-    return queries, iters
+def _counts(run: Optional[MetastepResult]) -> Tuple[int, int]:
+    """(level queries, ellipsoid iterations) of a run; zeros without one."""
+    if run is None:
+        return 0, 0
+    return run.level_queries, run.iterations
 
 
-def _write_trace(path: str, parts: Sequence[Optional[MetastepResult]]) -> None:
+def _write_trace(path: str, run: Optional[MetastepResult]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            for part in parts:
-                if part is None:
-                    continue
-                for rec in part.trace:
-                    handle.write(
-                        json.dumps(
-                            {
-                                "query": rec.query,
-                                "iteration": rec.iteration,
-                                "center": _vec(rec.center),
-                                "value": _num(rec.value),
-                                "cut": rec.cut,
-                                "depth": _num(rec.depth),
-                                "log_volume": _num(rec.log_volume),
-                            },
-                            allow_nan=False,
-                        )
-                        + "\n"
+            for rec in run.trace if run is not None else ():
+                handle.write(
+                    json.dumps(
+                        {
+                            "query": rec.query,
+                            "iteration": rec.iteration,
+                            "center": _vec(rec.center),
+                            "value": _num(rec.value),
+                            "cut": rec.cut,
+                            "depth": _num(rec.depth),
+                            "log_volume": _num(rec.log_volume),
+                        },
+                        allow_nan=False,
                     )
+                    + "\n"
+                )
     except OSError as exc:
         raise UsageError(f"cannot write trace {path}: {exc.strerror or exc}") from exc
 
@@ -264,7 +261,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         _emit(report)
         print(f"epicut: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    queries, iters = _gather_counts([decision.phase_one, decision.report])
+    queries, iters = _counts(decision.report)
     report["verdict"] = decision.verdict.value
     report["certificate"] = _vec(decision.certificate)
     report["d_star"] = _num(decision.d_star)
@@ -272,7 +269,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     report["ellipsoid_iters"] = iters
     _finish_timing(report, args, started)
     if args.trace:
-        _write_trace(args.trace, [decision.phase_one, decision.report])
+        _write_trace(args.trace, decision.report)
     _emit(report)
     return _DECIDE_EXIT[decision.verdict]
 
@@ -317,15 +314,16 @@ def cmd_find_point(args: argparse.Namespace) -> int:
     if report["radius"] is None and result.radius_used is not None:
         report["radius"] = _num(result.radius_used)
         report["radius_method"] = "Halving"
-    queries, iters = _gather_counts([result.metastep_report])
+    queries, iters = _counts(result.metastep_report)
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
     report["value"] = _num(result.f_value)
+    report["certificate"] = _vec(result.certificate)
     report["level_queries"] = queries
     report["ellipsoid_iters"] = iters
     _finish_timing(report, args, started)
     if args.trace:
-        _write_trace(args.trace, [result.metastep_report])
+        _write_trace(args.trace, result.metastep_report)
     _emit(report)
     return _POINT_EXIT[result.outcome]
 
@@ -353,7 +351,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     report["ellipsoid_iters"] = result.iterations
     _finish_timing(report, args, started)
     if args.trace:
-        _write_trace(args.trace, [result])
+        _write_trace(args.trace, result)
     _emit(report)
     return EXIT_OK if result.best_point is not None else EXIT_UNDECIDED
 
@@ -378,7 +376,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             norm_sys = normalize(system)
             decision = decide_feasibility(norm_sys, tol=args.tol)
             verdict = decision.verdict.value
-            queries, iters = _gather_counts([decision.phase_one, decision.report])
+            queries, iters = _counts(decision.report)
         except EmptySystem:
             verdict = FeasibilityVerdict.FEASIBLE.value
         except (SolverBudgetExceeded, StrictFeasibilityViolated):
@@ -456,7 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"epicut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateShape, InvalidBracket, DimensionMismatch) as exc:
+    except (DegenerateShape, DimensionMismatch) as exc:
         print(f"epicut: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -9,10 +9,6 @@ class DegenerateShape(RuntimeError):
     """An ellipsoid shape matrix lost positive definiteness."""
 
 
-class InvalidBracket(ValueError):
-    """A bisection bracket is empty or inverted."""
-
-
 class PreconditionViolated(ValueError):
     """An input fails a documented precondition of the routine."""
 

@@ -2,16 +2,18 @@
 decision with Farkas certificates, subgradient floor programs, search
 radii, and feasible-point search.
 
-Every inner program (the decision QP, the floor programs, the max-offset
-program) is handed to the metastep solver with its constraints expressed
-as a LinearConstraintSet; equalities are split into opposing inequality
-rows.
+The decision and the point search minimize f(x) = max_k (A_k . x + b_k)
+in R^n; an infeasible verdict rests on multipliers of the rows active at
+the incumbent that pass validate_certificate.  The multiplier programs
+(the floor programs and the max-offset program) run over the simplex in
+R^m, with their constraints expressed as a LinearConstraintSet;
+equalities are split into opposing inequality rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Tuple, Union
 
@@ -98,8 +100,9 @@ class FeasibilityVerdict(Enum):
 class FeasibilityDecision:
     verdict: FeasibilityVerdict
     certificate: Optional[np.ndarray]
-    d_star: float  # decision-QP optimum; +inf when its constraint set is empty
-    report: Optional[MetastepResult] = None
+    d_star: float  # ||A^T q||^2 of the certificate; +inf without one
+    report: Optional[MetastepResult] = None  # the primal run
+    # Always None; kept because benchmark/run.py --check-fidelity reads it.
     phase_one: Optional[MetastepResult] = None
 
 
@@ -130,6 +133,8 @@ class PointSearchResult:
     outcome: PointSearchOutcome
     metastep_report: Optional[MetastepResult]
     radius_used: Optional[float] = None
+    # The Farkas certificate behind INFEASIBLE_PROVEN; None otherwise.
+    certificate: Optional[np.ndarray] = None
 
 
 def _simplex_constraint_parts(m: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,21 +156,30 @@ def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
     )
 
 
+# The primal decision run: start radius, growth per metastep and metastep
+# cap, picked by measurement on the acceptance corpus and the m-ladder.
+_PRIMAL_RADIUS = 100.0
+_PRIMAL_GROWTH = 10.0
+_PRIMAL_METASTEPS = 8
+
+
 def decide_feasibility(
     system: LinearSystem,
     tol: float = 1e-7,
     *,
     trace: bool = False,
 ) -> FeasibilityDecision:
-    """Farkas-based feasibility decision for a normalized system.
+    """Feasibility decision for a normalized system by minimizing f in R^n.
 
-    Minimizes ||A^T q||^2 over {q >= 0, B.q >= 0, 1 <= sum q <= 2}.  A
-    minimum provably above tol means no certificate direction exists and
-    the system is feasible; a vanishing minimum yields a certificate that
-    is polished and classified by the sign of B.q.  An empty QP
-    constraint set (detected by a max-violation phase run) is itself a
-    feasibility proof.  ``trace`` records per-cut traces in both
-    programs' results (see solver.bisect_level).
+    Runs the metastep minimizer on f(x) = max_k (A_k . x + b_k) from the
+    origin, growing the ball around each boundary incumbent.  Any
+    evaluated x with f(x) < 0 is a strictly feasible point.  Otherwise
+    the rows active at the incumbent give multipliers q (see
+    _active_certificate): b.q > tol gives InfeasibleNonStrict, |b.q| <=
+    tol gives InfeasibleStrictOnly.  Without either, the run continues
+    from the incumbent in a larger ball; after _PRIMAL_METASTEPS
+    metasteps it raises SolverBudgetExceeded.  ``trace`` records per-cut
+    traces in the report (see solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -178,79 +192,102 @@ def decide_feasibility(
                 FeasibilityVerdict.INFEASIBLE_NON_STRICT, cert, 0.0
             )
 
-    radius = 2.0 * math.sqrt(m)
     eps = min(tol / 10.0, 1e-8)
-    cons_rows = np.vstack(
-        [-np.eye(m), -system.offsets[None, :], -np.ones((1, m)), np.ones((1, m))]
-    )
-    cons_offsets = np.concatenate([np.zeros(m), [0.0], [1.0], [-2.0]])
-    cons = LinearConstraintSet(cons_rows, cons_offsets)
-
-    phase_one = None
-    if float(np.max(system.offsets)) < 0.0:
-        # Only then can {B.q >= 0, sum q >= 1, q >= 0} be empty; prove or
-        # refute it by minimizing the constraint violation itself.
-        pcfg = MetastepConfig(
-            radius=radius,
-            level_tolerance=eps,
-            max_metasteps=2,
-            early_stop_value=0.0,
-            stop_when_high_below=0.0,
-            stop_when_low_above=tol,
-        )
-        phase_one = run_metasteps(cons.as_max_affine(), np.zeros(m), pcfg, trace=trace)
-        set_nonempty = (
-            phase_one.early_stopped
-            or (phase_one.best_point is not None and phase_one.best_value <= tol)
-        )
-        if not set_nonempty:
-            if phase_one.alpha_bracket[0] > tol:
-                return FeasibilityDecision(
-                    FeasibilityVerdict.FEASIBLE, None, math.inf, None, phase_one
-                )
-            raise SolverBudgetExceeded(
-                "could not settle whether the decision QP has any feasible point"
-            )
-
-    gram = QuadraticForm(system.rows @ system.rows.T)
-    mcfg = MetastepConfig(
-        radius=radius,
+    f = MaxAffineFunction(system.rows, system.offsets)
+    # stop_when_high_below is strict: f(x) = 0 proves nothing.
+    cfg = MetastepConfig(
+        radius=_PRIMAL_RADIUS,
         level_tolerance=eps,
-        max_metasteps=2,
-        value_floor=0.0,
-        constraint_tolerance=1e-9,
-        stop_when_high_below=0.5 * tol,
-        stop_when_low_above=tol,
+        max_metasteps=_PRIMAL_METASTEPS,
+        radius_growth=_PRIMAL_GROWTH,
+        stop_when_high_below=0.0,
     )
-    res = run_metasteps(gram, np.zeros(m), mcfg, extra=cons, trace=trace)
-    if res.alpha_bracket[0] > tol:
-        d_star = res.best_value if res.best_point is not None else math.inf
-        return FeasibilityDecision(
-            FeasibilityVerdict.FEASIBLE, None, float(d_star), res, phase_one
-        )
-    if res.best_point is None:
-        raise SolverBudgetExceeded("decision QP returned no witness")
-    d_star = float(res.best_value)
-    cert = _polish_certificate(system, res.best_point)
-    resid = float(np.linalg.norm(system.rows.T @ cert))
-    if float(np.min(cert)) < -tol or resid > tol * (1.0 + float(np.linalg.norm(cert))):
-        raise SolverBudgetExceeded(
-            "certificate polishing failed near the decision boundary"
-        )
-    b_dot = float(system.offsets @ cert)
-    verdict = (
-        FeasibilityVerdict.INFEASIBLE_NON_STRICT
-        if b_dot > tol
-        else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+    x = np.zeros(system.n)
+    report: Optional[MetastepResult] = None
+    while True:
+        res = run_metasteps(f, x, cfg, trace=trace)
+        report = res if report is None else _joined(report, res)
+        if res.best_value < 0.0:
+            return FeasibilityDecision(
+                FeasibilityVerdict.FEASIBLE, None, math.inf, report
+            )
+        cert = _active_certificate(system, res.best_point, eps, tol)
+        if cert is not None:
+            verdict = (
+                FeasibilityVerdict.INFEASIBLE_NON_STRICT
+                if float(system.offsets @ cert) > tol
+                else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+            )
+            d_star = float(np.sum((system.rows.T @ cert) ** 2))
+            return FeasibilityDecision(verdict, cert, d_star, report)
+        left = _PRIMAL_METASTEPS - report.level_queries
+        if left <= 0:
+            raise SolverBudgetExceeded(
+                f"no point with f < 0 and no certificate after {_PRIMAL_METASTEPS} metasteps"
+            )
+        x = res.best_point
+        cfg = replace(cfg, radius=res.config.radius * _PRIMAL_GROWTH, max_metasteps=left)
+
+
+def _joined(first: MetastepResult, later: MetastepResult) -> MetastepResult:
+    """One result for two consecutive runs: later's outcome, summed counters."""
+    for rec in later.trace:
+        rec.query += first.level_queries
+    return replace(
+        later,
+        iterations=first.iterations + later.iterations,
+        level_queries=first.level_queries + later.level_queries,
+        trace=first.trace + later.trace,
+        query_iterations=first.query_iterations + later.query_iterations,
+        config=replace(later.config, max_metasteps=first.config.max_metasteps),
     )
-    return FeasibilityDecision(verdict, cert, d_star, res, phase_one)
+
+
+def _active_certificate(
+    system: LinearSystem, x: np.ndarray, window: float, tol: float
+) -> Optional[np.ndarray]:
+    """Farkas multipliers from the rows active at x, or None.
+
+    By LP duality, min_x f(x) = max{b.q : q >= 0, sum q = 1, A^T q = 0},
+    and the maximizing q lives on the rows active at a minimizer.  Rows
+    within ``window`` of f(x) count as active; their multipliers are
+    polished on the restricted system, and the window widens tenfold
+    until q passes validate_certificate on the whole system.  Failing
+    that, the first q that passes its sign and residual checks with
+    |b.q| <= tol is returned, and None when no window gives one.  So b.q
+    > tol holds exactly when q passes validate_certificate.
+    """
+    values = system.rows @ x + system.offsets
+    gaps = float(np.max(values)) - values
+    fallback = None
+    seen = 0
+    while seen < system.m:
+        active = gaps <= window
+        count = int(np.count_nonzero(active))
+        window *= 10.0
+        if count == seen:
+            continue
+        seen = count
+        q = np.zeros(system.m)
+        q[active] = _polish_certificate(
+            LinearSystem(system.rows[active], system.offsets[active]), np.ones(count)
+        )
+        if validate_certificate(system, q, tol):
+            return q
+        if (
+            fallback is None
+            and _farkas_residual_ok(system, q, tol)
+            and float(system.offsets @ q) >= -tol
+        ):
+            fallback = q
+    return fallback
 
 
 def _polish_certificate(system: LinearSystem, q: np.ndarray) -> np.ndarray:
     """Alternate projections onto {A^T q = 0} and {q >= 0}, then rescale.
 
-    The solver's witness satisfies the null-space condition only to the
-    level tolerance; the certificate contract is much tighter.
+    Started from q, this moves q toward the cone {q >= 0, A^T q = 0};
+    nothing guarantees the result, so callers check it.
     """
     q = np.maximum(np.asarray(q, dtype=float).copy(), 0.0)
     u, s, _ = np.linalg.svd(system.rows, full_matrices=True)
@@ -275,16 +312,19 @@ def _polish_certificate(system: LinearSystem, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _farkas_residual_ok(system: LinearSystem, q: np.ndarray, tol: float) -> bool:
+    """q >= 0 and A^T q = 0, up to tol."""
+    if float(np.min(q)) < -tol:
+        return False
+    return float(np.linalg.norm(system.rows.T @ q)) <= tol * (1.0 + float(np.linalg.norm(q)))
+
+
 def validate_certificate(system: LinearSystem, q, tol: float = 1e-7) -> bool:
     """Independent Farkas check: q >= 0, A^T q = 0, B.q > 0, up to tol."""
     q = np.asarray(q, dtype=float).ravel()
     if q.shape[0] != system.m:
         raise DimensionMismatch("certificate length does not match row count")
-    if float(np.min(q)) < -tol:
-        return False
-    if float(np.linalg.norm(system.rows.T @ q)) > tol * (1.0 + float(np.linalg.norm(q))):
-        return False
-    return float(system.offsets @ q) > tol
+    return _farkas_residual_ok(system, q, tol) and float(system.offsets @ q) > tol
 
 
 def _require_settled(res: MetastepResult, program: str) -> None:
@@ -420,52 +460,49 @@ def find_feasible_point(
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
     With a radius bound the metastep solver runs once; without one the
-    floor guess is halved (radius grows) until a point is found, the
-    minimum is certified positive, or the halving budget runs out.
-    ``trace`` records a per-cut trace in the metastep report.
+    floor guess is halved (radius grows) until a point is found,
+    infeasibility is proven, or the halving budget runs out.  A run that
+    certifies a minimum above feas_tol proves infeasibility only through
+    a certificate from the rows active at its incumbent that passes
+    validate_certificate at feas_tol; without one the attempt is
+    undecided.  ``trace`` records a per-cut trace in the metastep report.
     """
+    if max_halvings < 0:
+        raise ValueError("max_halvings must be nonnegative")
     f = MaxAffineFunction(system.rows, system.offsets)
     x0 = np.zeros(system.n)
     f0 = float(f.eval(x0))
     if f0 <= feas_tol:
         return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
 
-    def attempt(radius: float) -> Tuple[MetastepResult, PointSearchOutcome]:
+    def attempt(radius: float) -> PointSearchResult:
+        eps = min(level_tolerance, radius / 2.0)
         cfg = MetastepConfig(
             radius=radius,
-            level_tolerance=min(level_tolerance, radius / 2.0),
+            level_tolerance=eps,
             max_metasteps=max_metasteps,
             early_stop_value=feas_tol,
         )
         res = run_metasteps(f, x0, cfg, trace=trace)
+        outcome, cert = PointSearchOutcome.UNDECIDED, None
         if res.best_point is not None and res.best_value <= feas_tol:
-            return res, PointSearchOutcome.FEASIBLE_POINT_FOUND
-        if (
-            res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-            and res.best_value > feas_tol
-        ):
-            return res, PointSearchOutcome.INFEASIBLE_PROVEN
-        return res, PointSearchOutcome.UNDECIDED
+            outcome = PointSearchOutcome.FEASIBLE_POINT_FOUND
+        elif res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED:
+            cert = _active_certificate(system, res.best_point, eps, feas_tol)
+            if cert is not None and float(system.offsets @ cert) > feas_tol:
+                outcome = PointSearchOutcome.INFEASIBLE_PROVEN
+            else:
+                cert = None
+        return PointSearchResult(res.best_point, res.best_value, outcome, res, radius, cert)
 
     if bound is not None:
         radius = bound.radius if isinstance(bound, RadiusBound) else float(bound)
         if not radius > 0.0:
             raise ValueError("search radius must be positive")
-        res, outcome = attempt(radius)
-        return PointSearchResult(res.best_point, res.best_value, outcome, res, radius)
+        return attempt(radius)
 
-    res = None
-    radius = None
     for k in range(max_halvings + 1):
-        e = 2.0 ** (-k)
-        radius = _radius_from_floor(system.m, e)
-        res, outcome = attempt(radius)
-        if outcome is not PointSearchOutcome.UNDECIDED:
-            return PointSearchResult(res.best_point, res.best_value, outcome, res, radius)
-    return PointSearchResult(
-        res.best_point if res is not None else None,
-        res.best_value if res is not None else math.inf,
-        PointSearchOutcome.UNDECIDED,
-        res,
-        radius,
-    )
+        result = attempt(_radius_from_floor(system.m, 2.0 ** (-k)))
+        if result.outcome is not PointSearchOutcome.UNDECIDED:
+            break
+    return result

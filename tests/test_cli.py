@@ -126,6 +126,22 @@ class TestFindPointCommand:
         assert report["verdict"] == "InfeasibleProven"
         assert report["value"] > 1e-7
 
+    def test_proven_report_carries_certificate(self, contradictory):
+        report = json.loads(invoke("find-point", contradictory).stdout)
+        cert = report["certificate"]
+        assert cert is not None
+        assert cert[0] == pytest.approx(cert[1], abs=1e-6)
+        assert sum(cert) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_flat_row_never_infeasible(self, tmp_path, command):
+        # Feasible at x >= 3.3e6 only; the row varies by less than eps
+        # across small balls.
+        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        proc = invoke(command, path)
+        assert proc.returncode in (0, 3)
+        assert json.loads(proc.stdout)["certificate"] is None
+
     def test_zero_radius_rejected(self, unit_box):
         assert invoke("find-point", unit_box, "--radius", "0").returncode == 64
 
@@ -306,8 +322,7 @@ class TestFlagValues:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize("error", ["DegenerateShape", "InvalidBracket",
-                                       "DimensionMismatch"])
+    @pytest.mark.parametrize("error", ["DegenerateShape", "DimensionMismatch"])
     def test_internal_error_exit_70(self, unit_box, monkeypatch, capsys, error):
         from epicut import cli, errors
 

@@ -33,6 +33,9 @@ def system(rows, offsets):
 
 
 CONTRADICTORY = system([[1.0], [-1.0]], [1.0, 1.0])  # x <= -1 and x >= 1
+# Feasible only at x >= 3.3e6: the normalized row varies by less than
+# the solvers' eps across a ball of modest radius.
+FLAT_ROW = system([[-2.989e-07]], [1.0])
 UNIT_BOX = system(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, -1.0, -1.0]
 )
@@ -117,11 +120,21 @@ class TestDecide:
     def test_unit_box_feasible(self):
         out = decide_feasibility(normalize(UNIT_BOX))
         assert out.verdict is FeasibilityVerdict.FEASIBLE
-        # Phase one stops on its bracket short-circuit with the bracket
-        # open: that settles the verdict but certifies no minimum.
-        lo, hi = out.phase_one.alpha_bracket
-        assert hi - lo > out.phase_one.config.level_tolerance
-        assert out.phase_one.status is SolveStatus.BUDGET_EXHAUSTED
+        assert out.report.best_value < 0.0
+
+    def test_nonpositive_half_line_feasible(self):
+        # f(0) = 0 exactly: the run must go on to a point with f < 0.
+        out = decide_feasibility(normalize(system([[1.0]], [0.0])))
+        assert out.verdict is FeasibilityVerdict.FEASIBLE
+        assert out.report.best_value < 0.0
+        assert out.d_star == math.inf
+
+    def test_flat_row_never_certified(self):
+        try:
+            out = decide_feasibility(normalize(FLAT_ROW))
+        except SolverBudgetExceeded:
+            return
+        assert out.verdict is not FeasibilityVerdict.INFEASIBLE_NON_STRICT
 
     def test_weakly_feasible_point_only(self):
         # x <= 0 and x >= 0: only x = 0; strict version infeasible
@@ -304,6 +317,15 @@ class TestFindFeasiblePoint:
         res = find_feasible_point(sys_n)
         assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
         assert res.f_value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
+        assert validate_certificate(sys_n, res.certificate)
+
+    def test_flat_row_never_proven(self):
+        sys_n = normalize(FLAT_ROW)
+        res = find_feasible_point(sys_n)
+        assert res.outcome is not PointSearchOutcome.INFEASIBLE_PROVEN
+        assert res.certificate is None
+        if res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND:
+            assert sys_n.violation(res.point) <= 1e-7
 
     def test_start_value_bounded_by_offsets(self):
         rng = np.random.default_rng(31)
@@ -326,6 +348,34 @@ class TestDecisionAgainstOracle:
             assert got.verdict is not FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
             assert want.feasible == (got.verdict is FeasibilityVerdict.FEASIBLE)
             if got.certificate is not None:
+                assert validate_certificate(sys_n, got.certificate)
+            seen.add(got.verdict)
+        assert len(seen) == 2
+
+    def test_wide_systems(self):
+        # n >= m: generic rows are always feasible, so every other system
+        # has rows projected onto the complement of a planted q > 0 with
+        # b.q > 0.  The oracle enumerates in at most four dimensions, and
+        # feasibility depends only on the row space, where it runs.
+        rng = np.random.default_rng(43)
+        seen = set()
+        for i in range(30):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, min(n, 4) + 1))
+            rows = rng.uniform(-1, 1, (m, n))
+            offsets = rng.uniform(-1, 1, m)
+            if i % 2:
+                q = rng.uniform(0.1, 1.0, m)
+                rows -= np.outer(q, q @ rows) / (q @ q)
+                offsets += q * (0.5 - offsets @ q) / (q @ q)
+            sys_n = normalize(system(rows, offsets))
+            got = decide_feasibility(sys_n)
+            _, sv, vt = np.linalg.svd(sys_n.rows)
+            basis = vt[: int(np.sum(sv > 1e-12))]
+            want = vertex_enumerate_feasible(system(sys_n.rows @ basis.T, sys_n.offsets))
+            assert want.feasible == (got.verdict is FeasibilityVerdict.FEASIBLE)
+            if got.verdict is not FeasibilityVerdict.FEASIBLE:
+                assert got.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
                 assert validate_certificate(sys_n, got.certificate)
             seen.add(got.verdict)
         assert len(seen) == 2
