@@ -19,7 +19,6 @@ from .errors import (
     PreconditionViolated,
     SizeLimitExceeded,
     SolverBudgetExceeded,
-    StrictFeasibilityViolated,
 )
 from .geometry import (
     CutKind,
@@ -88,7 +87,6 @@ __all__ = [
     "SizeLimitExceeded",
     "SolveStatus",
     "SolverBudgetExceeded",
-    "StrictFeasibilityViolated",
     "TraceRecord",
     "bisect_level",
     "central_cut",

@@ -26,13 +26,13 @@ from .errors import (
     DimensionMismatch,
     EmptySystem,
     SolverBudgetExceeded,
-    StrictFeasibilityViolated,
 )
-from .lp import (
+# global_radius is not called here; it stays importable as
+# cli.global_radius, a name benchmark/tracing.py wraps.
+from .lp import (  # noqa: F401
     FeasibilityVerdict,
     LinearSystem,
     PointSearchOutcome,
-    RadiusBound,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -172,16 +172,12 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise UsageError("--radius-growth must be a finite number of at least 1")
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    return {
-        "eps": args.eps,
-        "tol": args.tol,
-        "radius": args.radius,
-        "metasteps": args.metasteps,
-        "radius_growth": args.radius_growth,
-        "x0": args.x0,
-        "trace": args.trace,
-    }
+_CONFIG_KEYS = ("eps", "tol", "radius", "metasteps", "radius_growth", "x0", "trace")
+
+
+def _config_echo(args: argparse.Namespace, read: Tuple[str, ...]) -> dict:
+    """The flag values the command read; null for every flag it did not."""
+    return {key: getattr(args, key) if key in read else None for key in _CONFIG_KEYS}
 
 
 def _counts(run: Optional[MetastepResult]) -> Tuple[int, int]:
@@ -219,7 +215,7 @@ def _emit(report: dict) -> None:
 
 
 def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
-                     args: argparse.Namespace) -> dict:
+                     args: argparse.Namespace, read: Tuple[str, ...]) -> dict:
     return {
         "command": command,
         "name": name,
@@ -236,14 +232,14 @@ def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
         "level_queries": 0,
         "ellipsoid_iters": 0,
         "wall_ms": None,
-        "config": _config_echo(args),
+        "config": _config_echo(args, read),
         "trace_file": args.trace,
     }
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    report = _report_skeleton("decide", name, system.n, system.m, args)
+    report = _report_skeleton("decide", name, system.n, system.m, args, ("tol", "trace"))
     started = time.perf_counter()
     try:
         norm_sys = normalize(system)
@@ -276,7 +272,10 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_find_point(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    report = _report_skeleton("find-point", name, system.n, system.m, args)
+    read = ("tol", "trace")
+    if args.radius is not None:
+        read += ("eps", "radius", "metasteps")
+    report = _report_skeleton("find-point", name, system.n, system.m, args, read)
     started = time.perf_counter()
     try:
         norm_sys = normalize(system)
@@ -288,37 +287,20 @@ def cmd_find_point(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_OK
 
-    bound = None
-    if args.radius is not None:
-        bound = args.radius
-        report["radius"] = args.radius
-    elif not args.eps_halving:
-        try:
-            rb = global_radius(norm_sys, tol=args.tol)
-            bound = rb
-            report["d_lower"] = _num(rb.d_lower)
-            report["radius"] = _num(rb.radius)
-            report["radius_method"] = rb.method.value
-        except (StrictFeasibilityViolated, SolverBudgetExceeded) as exc:
-            print(f"epicut: radius derivation failed ({exc}); halving instead",
-                  file=sys.stderr)
-
     result = find_feasible_point(
         norm_sys,
-        bound=bound,
+        bound=args.radius,
         feas_tol=args.tol,
         level_tolerance=args.eps,
         max_metasteps=args.metasteps,
         trace=bool(args.trace),
     )
-    if report["radius"] is None and result.radius_used is not None:
-        report["radius"] = _num(result.radius_used)
-        report["radius_method"] = "Halving"
     queries, iters = _counts(result.metastep_report)
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
     report["value"] = _num(result.f_value)
     report["certificate"] = _vec(result.certificate)
+    report["radius"] = args.radius if args.radius is not None else _num(result.radius_used)
     report["level_queries"] = queries
     report["ellipsoid_iters"] = iters
     _finish_timing(report, args, started)
@@ -340,7 +322,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         max_metasteps=args.metasteps,
         radius_growth=args.radius_growth,
     )
-    report = _report_skeleton("minimize", name, system.n, system.m, args)
+    report = _report_skeleton("minimize", name, system.n, system.m, args,
+                              ("eps", "radius", "metasteps", "radius_growth", "x0", "trace"))
     report["radius"] = args.radius
     started = time.perf_counter()
     result = run_metasteps(objective, x0, cfg, trace=bool(args.trace))
@@ -379,7 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             queries, iters = _counts(decision.report)
         except EmptySystem:
             verdict = FeasibilityVerdict.FEASIBLE.value
-        except (SolverBudgetExceeded, StrictFeasibilityViolated):
+        except SolverBudgetExceeded:
             verdict = "Undecided"
         wall_ms = (time.perf_counter() - started) * 1000.0
         writer.writerow(
@@ -429,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("find-point", parents=[common],
                              help="search for a feasible point")
     p_point.add_argument("path", help="problem file (JSON)")
-    p_point.add_argument("--eps-halving", action="store_true",
-                         help="skip radius derivation; grow the radius by halving the floor guess")
     p_point.set_defaults(handler=cmd_find_point)
 
     p_min = sub.add_parser("minimize", parents=[common],

@@ -17,10 +17,6 @@ class EmptySystem(ValueError):
     """A constraint system has no rows left after normalization."""
 
 
-class StrictFeasibilityViolated(RuntimeError):
-    """A routine that needs a strictly feasible system detected otherwise."""
-
-
 class SolverBudgetExceeded(RuntimeError):
     """The inner solver returned no usable witness within its budget."""
 

@@ -2,12 +2,12 @@
 decision with Farkas certificates, subgradient floor programs, search
 radii, and feasible-point search.
 
-The decision and the point search minimize f(x) = max_k (A_k . x + b_k)
-in R^n; an infeasible verdict rests on multipliers of the rows active at
-the incumbent that pass validate_certificate.  The multiplier programs
-(the floor programs and the max-offset program) run over the simplex in
-R^m, with their constraints expressed as a LinearConstraintSet;
-equalities are split into opposing inequality rows.
+The decision and the point search run the same minimization of
+f(x) = max_k (A_k . x + b_k) in R^n; an infeasible verdict rests on
+multipliers of the rows active at the incumbent that pass
+validate_certificate.  The floor programs run over the simplex in R^m,
+with their constraints expressed as a LinearConstraintSet; equalities
+are split into opposing inequality rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     EmptySystem,
     PreconditionViolated,
     SolverBudgetExceeded,
-    StrictFeasibilityViolated,
 )
 from .oracles import LinearConstraintSet, MaxAffineFunction, QuadraticForm
 from .solver import (
@@ -108,8 +107,6 @@ class FeasibilityDecision:
 
 class RadiusMethod(Enum):
     GLOBAL_C = "GlobalC"
-    EPSILON_SHIFT = "EpsilonShift"
-    HALVING = "Halving"
 
 
 @dataclass
@@ -117,7 +114,6 @@ class RadiusBound:
     d_lower: float
     radius: float
     method: RadiusMethod
-    detail: Optional[float] = None  # epsilon shift or halving level
 
 
 class PointSearchOutcome(Enum):
@@ -171,13 +167,10 @@ def decide_feasibility(
 ) -> FeasibilityDecision:
     """Feasibility decision for a normalized system by minimizing f in R^n.
 
-    Runs the metastep minimizer on f(x) = max_k (A_k . x + b_k) from the
-    origin, growing the ball around each boundary incumbent.  Any
-    evaluated x with f(x) < 0 is a strictly feasible point.  Otherwise
-    the rows active at the incumbent give multipliers q (see
-    _active_certificate): b.q > tol gives InfeasibleNonStrict, |b.q| <=
-    tol gives InfeasibleStrictOnly.  Without either, the run continues
-    from the incumbent in a larger ball; after _PRIMAL_METASTEPS
+    Any evaluated x with f(x) < 0 is a strictly feasible point.
+    Otherwise the rows active at the incumbent give multipliers q (see
+    _primal_run): b.q > tol gives InfeasibleNonStrict, |b.q| <= tol
+    gives InfeasibleStrictOnly.  With neither after _PRIMAL_METASTEPS
     metasteps it raises SolverBudgetExceeded.  ``trace`` records per-cut
     traces in the report (see solver.bisect_level).
     """
@@ -192,6 +185,36 @@ def decide_feasibility(
                 FeasibilityVerdict.INFEASIBLE_NON_STRICT, cert, 0.0
             )
 
+    report, cert = _primal_run(system, tol, trace)
+    if cert is not None:
+        verdict = (
+            FeasibilityVerdict.INFEASIBLE_NON_STRICT
+            if float(system.offsets @ cert) > tol
+            else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+        )
+        d_star = float(np.sum((system.rows.T @ cert) ** 2))
+        return FeasibilityDecision(verdict, cert, d_star, report)
+    if report.best_value < 0.0:
+        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
+    raise SolverBudgetExceeded(
+        f"no point with f < 0 and no certificate after {_PRIMAL_METASTEPS} metasteps"
+    )
+
+
+def _primal_run(
+    system: LinearSystem, tol: float, trace: bool
+) -> Tuple[MetastepResult, Optional[np.ndarray]]:
+    """Minimize f(x) = max_k (A_k . x + b_k) in R^n until f < 0 or a certificate.
+
+    Runs the metastep minimizer from the origin in a ball of radius
+    _PRIMAL_RADIUS, growing it _PRIMAL_GROWTH-fold around each boundary
+    incumbent, with eps = min(tol/10, 1e-8).  The run stops at the first
+    evaluated x with f(x) < 0.  Otherwise _active_certificate is tried at
+    the incumbent; without one the run goes on from the incumbent in a
+    larger ball, for at most _PRIMAL_METASTEPS metasteps in all.  Returns
+    the joined report and the certificate, which is None when the run
+    found f < 0 or used up its metasteps.
+    """
     eps = min(tol / 10.0, 1e-8)
     f = MaxAffineFunction(system.rows, system.offsets)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
@@ -208,23 +231,11 @@ def decide_feasibility(
         res = run_metasteps(f, x, cfg, trace=trace)
         report = res if report is None else _joined(report, res)
         if res.best_value < 0.0:
-            return FeasibilityDecision(
-                FeasibilityVerdict.FEASIBLE, None, math.inf, report
-            )
+            return report, None
         cert = _active_certificate(system, res.best_point, eps, tol)
-        if cert is not None:
-            verdict = (
-                FeasibilityVerdict.INFEASIBLE_NON_STRICT
-                if float(system.offsets @ cert) > tol
-                else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
-            )
-            d_star = float(np.sum((system.rows.T @ cert) ** 2))
-            return FeasibilityDecision(verdict, cert, d_star, report)
         left = _PRIMAL_METASTEPS - report.level_queries
-        if left <= 0:
-            raise SolverBudgetExceeded(
-                f"no point with f < 0 and no certificate after {_PRIMAL_METASTEPS} metasteps"
-            )
+        if cert is not None or left <= 0:
+            return report, cert
         x = res.best_point
         cfg = replace(cfg, radius=res.config.radius * _PRIMAL_GROWTH, max_metasteps=left)
 
@@ -369,82 +380,31 @@ def _radius_from_floor(m: int, d_lower: float) -> float:
     return math.sqrt(m) * math.sqrt((d_lower * d_lower + 1.0) / (d_lower * d_lower))
 
 
-def global_radius(
-    system: LinearSystem,
-    eps_shift: Optional[float] = None,
-    tol: float = 1e-7,
-) -> RadiusBound:
-    """Search radius from a global subgradient-norm floor.
+def global_radius(system: LinearSystem, tol: float = 1e-7) -> RadiusBound:
+    """Search radius from the global subgradient-norm floor (GlobalC).
 
-    First tries the unconditional floor (gram minimum over the whole
-    simplex).  When that collapses, falls back to the shifted program:
-    certificate directions are excluded by bounding the offset response
-    away from its maximum, which must be negative for a strictly
-    feasible system.
+    Minimizes the gram form ||A^T L||^2 over the simplex.  A floor above
+    tol bounds every subgradient norm from below, and so the distance to
+    the nearest feasible point of a strictly feasible system.  At or
+    below tol there is no global floor and PreconditionViolated is
+    raised; that says nothing about whether the system is feasible.
     """
-    if eps_shift is not None and not eps_shift > 0.0:
-        raise ValueError("eps_shift must be positive")
     m = system.m
-    gram = QuadraticForm(system.rows @ system.rows.T)
     srows, soffs = _simplex_constraint_parts(m)
-    center = np.full(m, 1.0 / m)
-
     c_res = run_metasteps(
-        gram, center, _lambda_config(value_floor=0.0),
+        QuadraticForm(system.rows @ system.rows.T),
+        np.full(m, 1.0 / m),
+        _lambda_config(value_floor=0.0),
         extra=LinearConstraintSet(srows, soffs),
     )
     _require_settled(c_res, "simplex floor program")
     c_low = max(float(c_res.best_value), 0.0)
-    if c_low > tol:
-        d_lower = math.sqrt(c_low)
-        return RadiusBound(d_lower, _radius_from_floor(m, d_lower), RadiusMethod.GLOBAL_C)
-
-    # Max offset response along near-null multiplier directions.  The
-    # exact null-space set can be empty, so the equality is relaxed to
-    # the band the floor witness is known to reach.
-    band = math.sqrt(c_low) + 1e-9
-    eq_rows = []
-    eq_offsets = []
-    for j in range(system.n):
-        col = system.rows[:, j]
-        eq_rows.extend([col, -col])
-        eq_offsets.extend([-band, -band])
-    b_rows = np.vstack([srows, np.array(eq_rows)])
-    b_offsets = np.concatenate([soffs, np.array(eq_offsets)])
-    b_res = run_metasteps(
-        MaxAffineFunction(-system.offsets[None, :], [0.0]),
-        c_res.best_point,
-        _lambda_config(value_floor=-1.0 - 1e-9),
-        extra=LinearConstraintSet(b_rows, b_offsets),
-    )
-    _require_settled(b_res, "offset maximum program")
-    b_bar = -float(b_res.best_value)
-    if b_bar >= -tol:
-        raise StrictFeasibilityViolated(
-            f"offset maximum {b_bar:.3e} is not negative; system is not strictly feasible"
+    if not c_low > tol:
+        raise PreconditionViolated(
+            f"simplex floor {c_low:.3e} is at most tol; no global floor"
         )
-    shift = eps_shift if eps_shift is not None else max(1e-3 * abs(b_bar), 1e-9)
-
-    a_rows = np.vstack([srows, -system.offsets[None, :]])
-    a_offsets = np.concatenate([soffs, [shift - abs(b_bar)]])
-    a_res = run_metasteps(
-        gram, center, _lambda_config(value_floor=0.0),
-        extra=LinearConstraintSet(a_rows, a_offsets),
-    )
-    if a_res.status is SolveStatus.LEVEL_SET_EMPTY:
-        # No multiplier clears the shifted offset bar: a cut proved the
-        # constraint set empty inside the ball (it can be genuinely empty,
-        # e.g. when B.L is constant over the simplex).  Then every
-        # multiplier active at an infeasible x obeys B.L <= b_bar < 0, so
-        # L.(A x + B) >= 0 forces ||A^T L|| >= |b_bar| / ||x||, making
-        # |b_bar| a unit-ball floor.
-        d_lower = abs(b_bar)
-    else:
-        _require_settled(a_res, "shifted floor program")
-        d_lower = max(math.sqrt(max(float(a_res.best_value), 0.0)), 1e-9)
-    return RadiusBound(
-        d_lower, _radius_from_floor(m, d_lower), RadiusMethod.EPSILON_SHIFT, shift
-    )
+    d_lower = math.sqrt(c_low)
+    return RadiusBound(d_lower, _radius_from_floor(m, d_lower), RadiusMethod.GLOBAL_C)
 
 
 def find_feasible_point(
@@ -453,29 +413,34 @@ def find_feasible_point(
     feas_tol: float = 1e-7,
     level_tolerance: float = 1e-6,
     max_metasteps: int = 3,
-    max_halvings: int = 40,
     *,
     trace: bool = False,
 ) -> PointSearchResult:
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
-    With a radius bound the metastep solver runs once; without one the
-    floor guess is halved (radius grows) until a point is found,
-    infeasibility is proven, or the halving budget runs out.  A run that
-    certifies a minimum above feas_tol proves infeasibility only through
-    a certificate from the rows active at its incumbent that passes
-    validate_certificate at feas_tol; without one the attempt is
-    undecided.  ``trace`` records a per-cut trace in the metastep report.
+    A feasible origin is returned at once, with radius_used 0.  With a
+    radius bound the metastep solver runs once in that ball (eps
+    level_tolerance, max_metasteps metasteps).  Without one it is the
+    run behind decide_feasibility (see _primal_run, with tol feas_tol).
+    A best value at most feas_tol is a feasible point.  Infeasibility is
+    proven only by a certificate from the rows active at the incumbent
+    that passes validate_certificate at feas_tol; the bounded run tries
+    one only at a certified minimum.  Anything else is undecided.
+    radius_used is the radius of the last metastep's ball.  ``trace``
+    records a per-cut trace in the metastep report.
     """
-    if max_halvings < 0:
-        raise ValueError("max_halvings must be nonnegative")
     f = MaxAffineFunction(system.rows, system.offsets)
     x0 = np.zeros(system.n)
     f0 = float(f.eval(x0))
     if f0 <= feas_tol:
-        return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+        return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None, 0.0)
 
-    def attempt(radius: float) -> PointSearchResult:
+    if bound is None:
+        res, cert = _primal_run(system, feas_tol, trace)
+    else:
+        radius = bound.radius if isinstance(bound, RadiusBound) else float(bound)
+        if not radius > 0.0:
+            raise ValueError("search radius must be positive")
         eps = min(level_tolerance, radius / 2.0)
         cfg = MetastepConfig(
             radius=radius,
@@ -484,25 +449,15 @@ def find_feasible_point(
             early_stop_value=feas_tol,
         )
         res = run_metasteps(f, x0, cfg, trace=trace)
-        outcome, cert = PointSearchOutcome.UNDECIDED, None
-        if res.best_point is not None and res.best_value <= feas_tol:
-            outcome = PointSearchOutcome.FEASIBLE_POINT_FOUND
-        elif res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED:
+        cert = None
+        if res.best_value > feas_tol and res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED:
             cert = _active_certificate(system, res.best_point, eps, feas_tol)
-            if cert is not None and float(system.offsets @ cert) > feas_tol:
-                outcome = PointSearchOutcome.INFEASIBLE_PROVEN
-            else:
-                cert = None
-        return PointSearchResult(res.best_point, res.best_value, outcome, res, radius, cert)
-
-    if bound is not None:
-        radius = bound.radius if isinstance(bound, RadiusBound) else float(bound)
-        if not radius > 0.0:
-            raise ValueError("search radius must be positive")
-        return attempt(radius)
-
-    for k in range(max_halvings + 1):
-        result = attempt(_radius_from_floor(system.m, 2.0 ** (-k)))
-        if result.outcome is not PointSearchOutcome.UNDECIDED:
-            break
-    return result
+    if res.best_value <= feas_tol:
+        outcome, cert = PointSearchOutcome.FEASIBLE_POINT_FOUND, None
+    elif cert is not None and validate_certificate(system, cert, feas_tol):
+        outcome = PointSearchOutcome.INFEASIBLE_PROVEN
+    else:
+        outcome, cert = PointSearchOutcome.UNDECIDED, None
+    return PointSearchResult(
+        res.best_point, res.best_value, outcome, res, res.config.radius, cert
+    )

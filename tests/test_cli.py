@@ -145,9 +145,61 @@ class TestFindPointCommand:
     def test_zero_radius_rejected(self, unit_box):
         assert invoke("find-point", unit_box, "--radius", "0").returncode == 64
 
-    def test_eps_halving_flag(self, unit_box):
-        proc = invoke("find-point", unit_box, "--eps-halving")
+    def test_flat_row_point_without_stderr(self, tmp_path):
+        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        proc = invoke("find-point", path)
         assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["verdict"] == "FeasiblePointFound"
+
+    def test_nonpositive_half_line_returns_origin(self, tmp_path):
+        path = write_problem(tmp_path / "half.json", {"A": [[1]], "b": [0]})
+        proc = invoke("find-point", path)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["point"] == [0.0]
+        assert report["ellipsoid_iters"] == 0
+        assert report["radius"] == 0.0
+
+    def test_no_radius_program(self, unit_box, contradictory, monkeypatch, capsys):
+        from epicut import cli, lp
+
+        def boom(*args, **kwargs):
+            raise AssertionError("find-point must not derive a radius")
+
+        monkeypatch.setattr(cli, "global_radius", boom)
+        monkeypatch.setattr(lp, "global_radius", boom)
+        assert cli.main(["find-point", unit_box]) == 0
+        assert cli.main(["find-point", contradictory]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_criterion_07_corpus_matches_decide(self, tmp_path, capsys):
+        import numpy as np
+
+        from epicut import LinearSystem, cli, normalize, validate_certificate
+
+        rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
+        path = tmp_path / "system.json"
+        verdicts = {}
+        for _ in range(200):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            rows, offsets = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)
+            write_problem(path, {"A": rows.tolist(), "b": offsets.tolist()})
+            decided = cli.main(["decide", str(path)])
+            capsys.readouterr()
+            code = cli.main(["find-point", str(path)])
+            out = capsys.readouterr()
+            assert out.err == ""
+            report = json.loads(out.out)
+            sys_n = normalize(LinearSystem(rows, offsets))
+            if decided == cli.EXIT_OK:
+                assert (code, report["verdict"]) == (0, "FeasiblePointFound")
+                assert sys_n.violation(np.asarray(report["point"])) <= 1e-7
+            else:
+                assert (code, report["verdict"]) == (1, "InfeasibleProven")
+                assert validate_certificate(sys_n, report["certificate"], tol=1e-7)
+            verdicts[report["verdict"]] = verdicts.get(report["verdict"], 0) + 1
+        assert verdicts == {"FeasiblePointFound": 120, "InfeasibleProven": 80}
 
     def test_explicit_radius_echoed(self, tmp_path):
         path = write_problem(
@@ -158,6 +210,35 @@ class TestFindPointCommand:
         report = json.loads(proc.stdout)
         assert report["radius"] == pytest.approx(6.0)
         assert 1.0 - 1e-6 <= report["point"][0] <= 2.0 + 1e-6
+
+
+class TestConfigEcho:
+    def test_decide_ignores_metasteps(self, tmp_path):
+        # The flat row takes several metasteps, so a metastep cap of 1
+        # would change the run if decide read it.
+        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        plain = json.loads(invoke("decide", path).stdout)
+        capped = json.loads(invoke("decide", path, "--metasteps", "1").stdout)
+        assert plain["level_queries"] > 1
+        assert capped["config"]["metasteps"] is None
+        assert capped["ellipsoid_iters"] == plain["ellipsoid_iters"]
+        assert capped == plain
+
+    def test_echo_lists_only_the_flags_read(self, tmp_path, unit_box):
+        abs_path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]})
+        every = ["--eps", "1e-5", "--tol", "1e-6", "--radius", "3",
+                 "--metasteps", "4", "--radius-growth", "2", "--x0=0.5"]
+        no_radius = every[:4] + every[6:]
+        cases = [
+            (["decide", unit_box, *every], {"tol"}),
+            (["find-point", unit_box, *no_radius], {"tol"}),
+            (["find-point", unit_box, *every], {"tol", "eps", "radius", "metasteps"}),
+            (["minimize", abs_path, *every],
+             {"eps", "radius", "metasteps", "radius_growth", "x0"}),
+        ]
+        for argv, read in cases:
+            config = json.loads(invoke(*argv).stdout)["config"]
+            assert {key for key, value in config.items() if value is not None} == read
 
 
 class TestMinimizeCommand:

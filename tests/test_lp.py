@@ -15,7 +15,6 @@ from epicut import (
     RadiusMethod,
     SolveStatus,
     SolverBudgetExceeded,
-    StrictFeasibilityViolated,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -238,30 +237,9 @@ class TestGlobalRadius:
         assert rb.d_lower == pytest.approx(math.sqrt(0.5), abs=1e-6)
         assert rb.radius == pytest.approx(math.sqrt(3.0), abs=1e-5)
 
-    def test_null_direction_takes_shift_path(self):
-        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
-        rb = global_radius(sys_n)
-        assert rb.method is RadiusMethod.EPSILON_SHIFT
-        assert rb.detail is not None and rb.detail > 0.0
-        assert rb.d_lower > 0.0
-        # the bound must cover the known feasible segment
-        assert rb.radius >= 1.0
-
-    def test_empty_shifted_set_uses_offset_floor(self, monkeypatch):
-        # -1 <= x <= 1: B.L is constant over the simplex, so no multiplier
-        # clears the shifted offset bar and |b_bar| is the floor.
-        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, -1.0]))
-        calls = exhaust_program(monkeypatch, None)
-        rb = global_radius(sys_n)
-        assert rb.method is RadiusMethod.EPSILON_SHIFT
-        assert rb.d_lower == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
-        assert rb.radius >= 1.0
-        # The shifted floor program proved its level set empty.
-        assert calls[-1].status is SolveStatus.LEVEL_SET_EMPTY
-        assert calls[-1].best_point is None
-
-    # An empty level set has no minimum to read a floor from.
-    @pytest.mark.parametrize("index", [0, 1])
+    # An empty level set has no minimum to read a floor from.  The
+    # simplex floor program is global_radius's only program.
+    @pytest.mark.parametrize("index", [0])
     def test_level_set_empty_raises(self, monkeypatch, index):
         sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
         calls = exhaust_program(monkeypatch, index, status=SolveStatus.LEVEL_SET_EMPTY)
@@ -269,9 +247,7 @@ class TestGlobalRadius:
             global_radius(sys_n)
         assert len(calls) == index + 1
 
-    # Programs in order: simplex floor, offset maximum, shifted floor.
-    @pytest.mark.parametrize("index,drop_witness", [(0, False), (1, False), (2, False),
-                                                    (2, True)])
+    @pytest.mark.parametrize("index,drop_witness", [(0, False)])
     def test_budget_exhaustion_raises(self, monkeypatch, index, drop_witness):
         sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
         calls = exhaust_program(monkeypatch, index, drop_witness)
@@ -281,15 +257,14 @@ class TestGlobalRadius:
 
     def test_weakly_feasible_rejected(self):
         sys_n = normalize(system([[1.0], [-1.0]], [0.0, 0.0]))
-        with pytest.raises(StrictFeasibilityViolated):
+        with pytest.raises(PreconditionViolated, match="no global floor"):
             global_radius(sys_n)
 
-    def test_eps_shift_override(self):
-        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))
-        rb = global_radius(sys_n, eps_shift=1e-5)
-        assert rb.detail == pytest.approx(1e-5)
-        with pytest.raises(ValueError):
-            global_radius(sys_n, eps_shift=-1.0)
+    def test_flat_row_has_no_global_floor(self):
+        # Strictly feasible, but the row's squared norm is below tol: no
+        # floor, and no claim about feasibility either.
+        with pytest.raises(PreconditionViolated, match="no global floor"):
+            global_radius(normalize(FLAT_ROW))
 
 
 class TestFindFeasiblePoint:
@@ -326,6 +301,58 @@ class TestFindFeasiblePoint:
         assert res.certificate is None
         if res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND:
             assert sys_n.violation(res.point) <= 1e-7
+
+    def test_nonpositive_half_line_returns_origin(self):
+        res = find_feasible_point(normalize(system([[1.0]], [0.0])))  # x <= 0
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        npt.assert_array_equal(res.point, [0.0])
+        assert res.metastep_report is None
+        assert res.radius_used == 0.0
+
+    def test_weakly_feasible_incumbent_is_a_point(self):
+        # x = 1 is the only feasible point; decide calls it InfeasibleStrictOnly.
+        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 1.0]))
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert sys_n.violation(res.point) <= 1e-7
+        assert res.certificate is None
+
+    def test_runs_the_decide_run(self):
+        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))  # 1 <= x <= 2
+        res = find_feasible_point(sys_n)
+        decision = decide_feasibility(sys_n)
+        assert res.metastep_report.iterations == decision.report.iterations
+        npt.assert_array_equal(res.point, decision.report.best_point)
+        assert res.radius_used == decision.report.config.radius
+
+    def test_metastep_cap_is_undecided(self, monkeypatch):
+        # Two metasteps reach radius 1e3, far short of the flat row's points.
+        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
+        sys_n = normalize(FLAT_ROW)
+        with pytest.raises(SolverBudgetExceeded):
+            decide_feasibility(sys_n)
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.UNDECIDED
+        assert res.certificate is None
+        assert res.metastep_report.level_queries == 2
+        assert res.radius_used == pytest.approx(1e3)
+
+    def test_criterion_07_corpus_matches_decide(self):
+        rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
+        outcomes = set()
+        for _ in range(200):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            sys_n = normalize(system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)))
+            feasible = decide_feasibility(sys_n).verdict is FeasibilityVerdict.FEASIBLE
+            res = find_feasible_point(sys_n)
+            outcomes.add(res.outcome)
+            if feasible:
+                assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+                assert sys_n.violation(res.point) <= 1e-7
+            else:
+                assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
+                assert validate_certificate(sys_n, res.certificate, tol=1e-7)
+        assert len(outcomes) == 2
 
     def test_start_value_bounded_by_offsets(self):
         rng = np.random.default_rng(31)
