@@ -153,31 +153,32 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
+# Each flag value argparse cannot check by type: (attribute, test, message).
+_FLAG_CHECKS = (
+    ("tol", _positive_finite, "--tol must be a positive finite number"),
+    ("metasteps", lambda v: v >= 1, "--metasteps must be at least 1"),
+    ("eps", _positive_finite, "--eps must be a positive finite number"),
+    ("radius", _positive_finite, "--radius must be a positive finite number"),
+    ("radius_growth", lambda v: math.isfinite(v) and v >= 1.0,
+     "--radius-growth must be a finite number of at least 1"),
+)
+
+
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject flag values no run can use; argparse checks only their types."""
-    if not _positive_finite(args.tol):
-        raise UsageError("--tol must be a positive finite number")
-    if args.command == "bench":
-        return
-    if args.metasteps < 1:
-        raise UsageError("--metasteps must be at least 1")
-    if not _positive_finite(args.eps):
-        raise UsageError("--eps must be a positive finite number")
-    if args.radius is not None:
-        if not _positive_finite(args.radius):
-            raise UsageError("--radius must be a positive finite number")
-        if not args.eps < args.radius:
-            raise UsageError("--eps must be smaller than --radius")
-    if not (math.isfinite(args.radius_growth) and args.radius_growth >= 1.0):
-        raise UsageError("--radius-growth must be a finite number of at least 1")
+    """Reject values of the command's flags that no run can use."""
+    for key, ok, message in _FLAG_CHECKS:
+        if hasattr(args, key) and not ok(getattr(args, key)):
+            raise UsageError(message)
+    if hasattr(args, "radius") and not args.eps < args.radius:
+        raise UsageError("--eps must be smaller than --radius")
 
 
 _CONFIG_KEYS = ("eps", "tol", "radius", "metasteps", "radius_growth", "x0", "trace")
 
 
-def _config_echo(args: argparse.Namespace, read: Tuple[str, ...]) -> dict:
-    """The flag values the command read; null for every flag it did not."""
-    return {key: getattr(args, key) if key in read else None for key in _CONFIG_KEYS}
+def _config_echo(args: argparse.Namespace) -> dict:
+    """The command's flag values; null for every flag it does not take."""
+    return {key: getattr(args, key, None) for key in _CONFIG_KEYS}
 
 
 def _counts(run: Optional[MetastepResult]) -> Tuple[int, int]:
@@ -215,7 +216,7 @@ def _emit(report: dict) -> None:
 
 
 def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
-                     args: argparse.Namespace, read: Tuple[str, ...]) -> dict:
+                     args: argparse.Namespace) -> dict:
     return {
         "command": command,
         "name": name,
@@ -232,14 +233,14 @@ def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
         "level_queries": 0,
         "ellipsoid_iters": 0,
         "wall_ms": None,
-        "config": _config_echo(args, read),
+        "config": _config_echo(args),
         "trace_file": args.trace,
     }
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    report = _report_skeleton("decide", name, system.n, system.m, args, ("tol", "trace"))
+    report = _report_skeleton("decide", name, system.n, system.m, args)
     started = time.perf_counter()
     try:
         norm_sys = normalize(system)
@@ -272,10 +273,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_find_point(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    read = ("tol", "trace")
-    if args.radius is not None:
-        read += ("eps", "radius", "metasteps")
-    report = _report_skeleton("find-point", name, system.n, system.m, args, read)
+    report = _report_skeleton("find-point", name, system.n, system.m, args)
     started = time.perf_counter()
     try:
         norm_sys = normalize(system)
@@ -287,20 +285,13 @@ def cmd_find_point(args: argparse.Namespace) -> int:
         _emit(report)
         return EXIT_OK
 
-    result = find_feasible_point(
-        norm_sys,
-        bound=args.radius,
-        feas_tol=args.tol,
-        level_tolerance=args.eps,
-        max_metasteps=args.metasteps,
-        trace=bool(args.trace),
-    )
+    result = find_feasible_point(norm_sys, args.tol, trace=bool(args.trace))
     queries, iters = _counts(result.metastep_report)
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
     report["value"] = _num(result.f_value)
     report["certificate"] = _vec(result.certificate)
-    report["radius"] = args.radius if args.radius is not None else _num(result.radius_used)
+    report["radius"] = _num(result.radius_used)
     report["level_queries"] = queries
     report["ellipsoid_iters"] = iters
     _finish_timing(report, args, started)
@@ -312,8 +303,6 @@ def cmd_find_point(args: argparse.Namespace) -> int:
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    if args.radius is None:
-        raise UsageError("minimize requires --radius")
     objective = MaxAffineFunction(system.rows, system.offsets)
     x0 = _parse_x0(args.x0, system.n)
     cfg = MetastepConfig(
@@ -322,8 +311,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         max_metasteps=args.metasteps,
         radius_growth=args.radius_growth,
     )
-    report = _report_skeleton("minimize", name, system.n, system.m, args,
-                              ("eps", "radius", "metasteps", "radius_growth", "x0", "trace"))
+    report = _report_skeleton("minimize", name, system.n, system.m, args)
     report["radius"] = args.radius
     started = time.perf_counter()
     result = run_metasteps(objective, x0, cfg, trace=bool(args.trace))
@@ -383,40 +371,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # bench reads only --tol, so it takes this parent alone.
+    # Each command takes only the flags it reads; any other is a usage error.
     tol_flag = _Parser(add_help=False)
     tol_flag.add_argument("--tol", type=float, default=1e-7,
                           help="certificate / feasibility tolerance (default 1e-7)")
 
-    common = _Parser(add_help=False, parents=[tol_flag])
-    common.add_argument("--eps", type=float, default=1e-6,
-                        help="width of the proven bracket on the minimum (default 1e-6)")
-    common.add_argument("--radius", type=float, default=None,
-                        help="search radius override")
-    common.add_argument("--metasteps", type=int, default=16,
-                        help="metastep budget (default 16)")
-    common.add_argument("--trace", metavar="FILE", default=None,
-                        help="write per-iteration trace records to FILE as JSON lines")
-    common.add_argument("--x0", metavar="CSV", default=None,
-                        help="start point as comma-separated numbers (default origin)")
-    common.add_argument("--radius-growth", type=float, default=1.0,
-                        help="radius multiplier between metasteps (default 1.0)")
-    common.add_argument("--timing", action="store_true",
-                        help="include wall time in the report (breaks byte determinism)")
+    run_flags = _Parser(add_help=False)
+    run_flags.add_argument("--trace", metavar="FILE", default=None,
+                           help="write per-iteration trace records to FILE as JSON lines")
+    run_flags.add_argument("--timing", action="store_true",
+                           help="include wall time in the report (breaks byte determinism)")
 
-    p_decide = sub.add_parser("decide", parents=[common],
+    p_decide = sub.add_parser("decide", parents=[tol_flag, run_flags],
                               help="decide feasibility of A x + b <= 0")
     p_decide.add_argument("path", help="problem file (JSON)")
     p_decide.set_defaults(handler=cmd_decide)
 
-    p_point = sub.add_parser("find-point", parents=[common],
+    p_point = sub.add_parser("find-point", parents=[tol_flag, run_flags],
                              help="search for a feasible point")
     p_point.add_argument("path", help="problem file (JSON)")
     p_point.set_defaults(handler=cmd_find_point)
 
-    p_min = sub.add_parser("minimize", parents=[common],
+    p_min = sub.add_parser("minimize", parents=[run_flags],
                            help="minimize the max-affine function in the file")
     p_min.add_argument("path", help="max-affine function file (JSON)")
+    p_min.add_argument("--eps", type=float, default=1e-6,
+                       help="width of the proven bracket on the minimum (default 1e-6)")
+    p_min.add_argument("--radius", type=float, required=True, help="search radius")
+    p_min.add_argument("--metasteps", type=int, default=16,
+                       help="metastep budget (default 16)")
+    p_min.add_argument("--x0", metavar="CSV", default=None,
+                       help="start point as comma-separated numbers (default origin)")
+    p_min.add_argument("--radius-growth", type=float, default=1.0,
+                       help="radius multiplier between metasteps (default 1.0)")
     p_min.set_defaults(handler=cmd_minimize)
 
     p_bench = sub.add_parser("bench", parents=[tol_flag],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,9 +68,11 @@ def normalize(system: LinearSystem) -> LinearSystem:
 
     Constant rows (zero coefficients) are vacuous when their offset is
     nonpositive and are dropped; a constant row with positive offset is
-    unsatisfiable and is kept as (0, 1) so the decision layer can emit
-    the trivial certificate.  Raises EmptySystem when nothing is left
-    (every point satisfies the original system).
+    unsatisfiable and is kept as (0, 1).  No other normalized row
+    reaches 1 at the origin, so the decision run's first center has a
+    zero subgradient, and the row's unit multiplier is the certificate.
+    Raises EmptySystem when nothing is left (every point satisfies the
+    original system).
     """
     kept_rows: List[np.ndarray] = []
     kept_offsets: List[float] = []
@@ -176,15 +178,6 @@ def decide_feasibility(
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    m = system.m
-    for k in range(m):
-        if float(np.linalg.norm(system.rows[k])) < _ZERO_ROW and system.offsets[k] > 0:
-            cert = np.zeros(m)
-            cert[k] = 1.0
-            return FeasibilityDecision(
-                FeasibilityVerdict.INFEASIBLE_NON_STRICT, cert, 0.0
-            )
-
     report, cert = _primal_run(system, tol, trace)
     if cert is not None:
         verdict = (
@@ -409,49 +402,27 @@ def global_radius(system: LinearSystem, tol: float = 1e-7) -> RadiusBound:
 
 def find_feasible_point(
     system: LinearSystem,
-    bound: Union[RadiusBound, float, None] = None,
     feas_tol: float = 1e-7,
-    level_tolerance: float = 1e-6,
-    max_metasteps: int = 3,
     *,
     trace: bool = False,
 ) -> PointSearchResult:
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
-    A feasible origin is returned at once, with radius_used 0.  With a
-    radius bound the metastep solver runs once in that ball (eps
-    level_tolerance, max_metasteps metasteps).  Without one it is the
-    run behind decide_feasibility (see _primal_run, with tol feas_tol).
-    A best value at most feas_tol is a feasible point.  Infeasibility is
-    proven only by a certificate from the rows active at the incumbent
-    that passes validate_certificate at feas_tol; the bounded run tries
-    one only at a certified minimum.  Anything else is undecided.
-    radius_used is the radius of the last metastep's ball.  ``trace``
-    records a per-cut trace in the metastep report.
+    A feasible origin is returned at once, with radius_used 0.  Otherwise
+    this is the run behind decide_feasibility (see _primal_run, with tol
+    feas_tol).  A best value at most feas_tol is a feasible point.
+    Infeasibility is proven only by a certificate from the rows active at
+    the incumbent, which passes validate_certificate at feas_tol.
+    Anything else is undecided.  radius_used is the radius of the last
+    metastep's ball.  ``trace`` records a per-cut trace in the metastep
+    report.
     """
-    f = MaxAffineFunction(system.rows, system.offsets)
     x0 = np.zeros(system.n)
-    f0 = float(f.eval(x0))
+    f0 = system.violation(x0)
     if f0 <= feas_tol:
         return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None, 0.0)
 
-    if bound is None:
-        res, cert = _primal_run(system, feas_tol, trace)
-    else:
-        radius = bound.radius if isinstance(bound, RadiusBound) else float(bound)
-        if not radius > 0.0:
-            raise ValueError("search radius must be positive")
-        eps = min(level_tolerance, radius / 2.0)
-        cfg = MetastepConfig(
-            radius=radius,
-            level_tolerance=eps,
-            max_metasteps=max_metasteps,
-            early_stop_value=feas_tol,
-        )
-        res = run_metasteps(f, x0, cfg, trace=trace)
-        cert = None
-        if res.best_value > feas_tol and res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED:
-            cert = _active_certificate(system, res.best_point, eps, feas_tol)
+    res, cert = _primal_run(system, feas_tol, trace)
     if res.best_value <= feas_tol:
         outcome, cert = PointSearchOutcome.FEASIBLE_POINT_FOUND, None
     elif cert is not None and validate_certificate(system, cert, feas_tol):

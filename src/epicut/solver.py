@@ -18,15 +18,15 @@ lb to max(lb, min(U, f(c) - ||J^T g||)), where ||J^T g|| is the width
 the cut kernel returns for E before the cut.  An empty intersection
 proves the set empty: lb becomes U (+inf with no incumbent yet).
 
-The run stops once U - lb <= eps, on a ``stop_when_*`` threshold, on an
-early stop, or at ``iteration_budget(n)`` iterations.  A closed bracket
-whose incumbent lies strictly inside the ball (by 10 eps) certifies the
-global minimum; one on the sphere triggers another metastep around it
-when budget remains.  A closed bracket with no incumbent proves the
-feasible part of the ball empty (LevelSetEmpty).  Any other stop proves
+The run stops once U - lb <= eps, once U drops below
+``stop_when_high_below``, or at ``iteration_budget(n)`` iterations.  A
+closed bracket whose incumbent lies strictly inside the ball (by 10 eps)
+certifies the global minimum; one on the sphere triggers another
+metastep around it when budget remains.  A closed bracket with no
+incumbent proves the feasible part of the ball empty (LevelSetEmpty).  Any other stop proves
 only the bracket it reports (BudgetExhausted): lb is still a lower bound
-on the minimum over the ball, which is the early-stop proof that the
-optimum is not yet reached.
+on the minimum over the ball, which is the proof of how far from the
+optimum the run stopped.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -81,15 +81,10 @@ class MetastepConfig:
     radius_growth: float = 1.0
     # Known lower bound on f; starts the bracket's lower end when given.
     value_floor: Optional[float] = None
-    # Stop the whole solve the moment any evaluated point that satisfies
-    # the side constraints has f <= this value.
-    early_stop_value: Optional[float] = None
     # Normalized slack allowed when testing side constraints at a point.
     constraint_tolerance: float = 1e-9
-    # Optional bracket short-circuits: stop once the incumbent is below /
-    # the proven lower bound is above a threshold.
+    # Stop the whole solve once the incumbent value is strictly below this.
     stop_when_high_below: Optional[float] = None
-    stop_when_low_above: Optional[float] = None
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -119,7 +114,6 @@ class MetastepResult:
     alpha_bracket: Tuple[float, float]  # proven (lower bound, incumbent value)
     trace: List[TraceRecord]
     query_iterations: List[int]
-    early_stopped: bool
     config: MetastepConfig
 
 
@@ -142,9 +136,7 @@ def bisect_level(
     radius = cfg.radius
     eps = cfg.level_tolerance
     tolerance = cfg.constraint_tolerance
-    esv = cfg.early_stop_value
     high_below = cfg.stop_when_high_below
-    low_above = cfg.stop_when_low_above
     budget = cfg.iteration_budget(x0.shape[0])
     query = _query_start + 1
     records: List[TraceRecord] = []
@@ -197,16 +189,10 @@ def bisect_level(
                 records.append(
                     TraceRecord(query, iters, center, value, kind, slack, e.log_volume_ratio)
                 )
-        if (
-            lower >= upper - eps
-            or (esv is not None and upper <= esv)
-            or (high_below is not None and upper < high_below)
-            or (low_above is not None and lower > low_above)
-        ):
+        if lower >= upper - eps or (high_below is not None and upper < high_below):
             break
 
-    early_stopped = esv is not None and upper <= esv
-    if early_stopped or lower < upper - eps:
+    if lower < upper - eps:
         status = SolveStatus.BUDGET_EXHAUSTED
     elif best_point is None:
         status = SolveStatus.LEVEL_SET_EMPTY
@@ -223,7 +209,6 @@ def bisect_level(
         alpha_bracket=(lower, upper),
         trace=records,
         query_iterations=[iters],
-        early_stopped=early_stopped,
         config=cfg,
     )
 
@@ -238,8 +223,8 @@ def run_metasteps(
 ) -> MetastepResult:
     """Repeat metasteps, recentering at each boundary incumbent.
 
-    Stops on a certificate, an early stop, a missing incumbent, or when a
-    recentred metastep fails to strictly improve; the result carries the
+    Stops on any status but BOUNDARY_REACHED, or when a recentred
+    metastep fails to strictly improve; the result carries the
     last metastep's outcome with counters and trace aggregated over all
     of them.  ``trace`` is passed to each metastep (see bisect_level).
     """
@@ -258,11 +243,7 @@ def run_metasteps(
         records.extend(result.trace)
         query_iterations.extend(result.query_iterations)
         total_queries += result.level_queries
-        if (
-            result.early_stopped
-            or result.status is not SolveStatus.BOUNDARY_REACHED
-            or result.best_point is None
-        ):
+        if result.status is not SolveStatus.BOUNDARY_REACHED:
             break
         if previous is not None and result.best_value >= previous.best_value:
             break

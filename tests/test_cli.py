@@ -7,6 +7,7 @@ import pytest
 
 RUN = [sys.executable, "-m", "epicut"]
 REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "run_report.schema.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(*argv):
@@ -142,9 +143,6 @@ class TestFindPointCommand:
         assert proc.returncode in (0, 3)
         assert json.loads(proc.stdout)["certificate"] is None
 
-    def test_zero_radius_rejected(self, unit_box):
-        assert invoke("find-point", unit_box, "--radius", "0").returncode == 64
-
     def test_flat_row_point_without_stderr(self, tmp_path):
         path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
         proc = invoke("find-point", path)
@@ -201,39 +199,28 @@ class TestFindPointCommand:
             verdicts[report["verdict"]] = verdicts.get(report["verdict"], 0) + 1
         assert verdicts == {"FeasiblePointFound": 120, "InfeasibleProven": 80}
 
-    def test_explicit_radius_echoed(self, tmp_path):
-        path = write_problem(
-            tmp_path / "seg.json", {"A": [[-1], [1]], "b": [1, -2]}
-        )
-        proc = invoke("find-point", path, "--radius", "6")
-        assert proc.returncode == 0
-        report = json.loads(proc.stdout)
-        assert report["radius"] == pytest.approx(6.0)
-        assert 1.0 - 1e-6 <= report["point"][0] <= 2.0 + 1e-6
-
 
 class TestConfigEcho:
-    def test_decide_ignores_metasteps(self, tmp_path):
-        # The flat row takes several metasteps, so a metastep cap of 1
-        # would change the run if decide read it.
-        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
-        plain = json.loads(invoke("decide", path).stdout)
-        capped = json.loads(invoke("decide", path, "--metasteps", "1").stdout)
-        assert plain["level_queries"] > 1
-        assert capped["config"]["metasteps"] is None
-        assert capped["ellipsoid_iters"] == plain["ellipsoid_iters"]
-        assert capped == plain
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    @pytest.mark.parametrize("flag", ["--eps", "--radius", "--metasteps",
+                                      "--radius-growth", "--x0"])
+    def test_solver_flag_rejected(self, unit_box, capsys, command, flag):
+        from epicut import cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, unit_box, flag, "0"])
+        assert exit_info.value.code == cli.EXIT_USAGE == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"epicut: error: unrecognized arguments: {flag} 0\n"
 
     def test_echo_lists_only_the_flags_read(self, tmp_path, unit_box):
         abs_path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]})
-        every = ["--eps", "1e-5", "--tol", "1e-6", "--radius", "3",
-                 "--metasteps", "4", "--radius-growth", "2", "--x0=0.5"]
-        no_radius = every[:4] + every[6:]
         cases = [
-            (["decide", unit_box, *every], {"tol"}),
-            (["find-point", unit_box, *no_radius], {"tol"}),
-            (["find-point", unit_box, *every], {"tol", "eps", "radius", "metasteps"}),
-            (["minimize", abs_path, *every],
+            (["decide", unit_box, "--tol", "1e-6"], {"tol"}),
+            (["find-point", unit_box, "--tol", "1e-6"], {"tol"}),
+            (["minimize", abs_path, "--eps", "1e-5", "--radius", "3", "--metasteps", "4",
+              "--radius-growth", "2", "--x0=0.5"],
              {"eps", "radius", "metasteps", "radius_growth", "x0"}),
         ]
         for argv, read in cases:
@@ -256,6 +243,16 @@ class TestMinimizeCommand:
     def test_radius_required(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert invoke("minimize", path).returncode == 64
+
+    def test_zero_radius_rejected(self, tmp_path):
+        path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
+        assert invoke("minimize", path, "--radius", "0").returncode == 64
+
+    def test_tol_rejected(self, tmp_path):
+        path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
+        proc = invoke("minimize", path, "--radius", "2", "--tol", "1e-6")
+        assert proc.returncode == 64
+        assert "unrecognized arguments: --tol" in proc.stderr
 
     def test_boundary_status_with_single_metastep(self, tmp_path):
         path = write_problem(tmp_path / "far.json", {"A": [[1], [-1]], "b": [-1, -1]})
@@ -346,6 +343,27 @@ class TestGrammar:
     def test_no_command_is_usage_error(self):
         assert invoke().returncode == 64
 
+    def test_readme_flag_table_matches_parser(self):
+        import argparse
+        import re
+
+        from epicut import cli
+
+        documented = {}
+        for line in README.read_text().splitlines():
+            row = re.match(r"\| `(--[\w-]+)` \| ([^|]*) \|", line)
+            if row:
+                for command in re.findall(r"`([\w-]+)`", row.group(2)):
+                    documented.setdefault(command, set()).add(row.group(1))
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        taken = {
+            name: {flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, sub in commands.items()
+        }
+        assert documented == taken
+
     def test_unknown_command(self):
         assert invoke("frobnicate").returncode == 64
 
@@ -378,7 +396,7 @@ class TestFlagValues:
         pytest.param(["minimize", "{abs}", "--radius", "2", "--eps", "0"], id="eps-0"),
         pytest.param(["minimize", "{abs}", "--radius", "2", "--eps", "2"],
                      id="eps-equal-to-radius"),
-        pytest.param(["find-point", "{abs}", "--radius", "2", "--eps", "3"],
+        pytest.param(["minimize", "{abs}", "--radius", "2", "--eps", "3"],
                      id="eps-above-radius"),
         pytest.param(["minimize", "{abs}", "--radius", "2", "--radius-growth", "0.5"],
                      id="radius-growth-0.5"),

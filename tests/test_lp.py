@@ -281,12 +281,6 @@ class TestFindFeasiblePoint:
         assert sys_n.violation(res.point) <= 1e-7
         assert 1.0 - 1e-6 <= float(res.point[0]) <= 2.0 + 1e-6
 
-    def test_respects_supplied_bound(self):
-        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
-        res = find_feasible_point(sys_n, bound=5.0)
-        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
-        assert res.radius_used == pytest.approx(5.0)
-
     def test_infeasible_proven(self):
         sys_n = normalize(CONTRADICTORY)
         res = find_feasible_point(sys_n)

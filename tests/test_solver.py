@@ -51,10 +51,10 @@ class TestLevelSetFeasible:
     def test_witness_validity(self):
         f = abs_minus_one()
         x0 = np.array([0.6])
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, early_stop_value=-0.8)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, stop_when_high_below=-0.8)
         res = bisect_level(f, x0, cfg)
-        assert res.early_stopped
-        assert f.eval(res.best_point) == res.best_value <= -0.8
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert f.eval(res.best_point) == res.best_value < -0.8
         assert abs(float(res.best_point[0] - x0[0])) <= cfg.radius
 
     def test_bottom_of_bracket_infeasible(self):
@@ -141,10 +141,10 @@ class TestBisectLevel:
         assert lo <= -1.0 <= hi <= lo + cfg.level_tolerance
 
     def test_early_stop_value(self):
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, early_stop_value=-0.5)
-        res = bisect_level(abs_minus_one(), np.array([0.6]), cfg)
-        assert res.early_stopped
-        assert res.best_value <= -0.5
+        f = abs_minus_one()
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, stop_when_high_below=-0.5)
+        res = bisect_level(f, np.array([0.6]), cfg)
+        assert f.eval(res.best_point) == res.best_value < -0.5
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
 
     def test_open_bracket_short_circuit_is_not_a_proof(self):
