@@ -413,9 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main() reuses; built by the first call, not at import, so
+# that importing the module stays cheap.  Set it to None to rebuild.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called repeatedly in one process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         _check_flags(args)
         return args.handler(args)

@@ -3,9 +3,9 @@
 An ellipsoid is stored as a center c and a square-root factor J of its
 shape matrix P = J J^T, with E = { x : (x - c)^T P^{-1} (x - c) <= 1 }.
 A cut is one O(d^2) rank-one update of J, applied in place by
-``cut_in_place``; the shape is factored only once, when an ellipsoid is
-built from an explicit P.  Membership is evaluated through a solve with
-J, so P is never inverted explicitly.
+``cut_in_place``; the shape is factored only when an ellipsoid is built
+from an explicit P (a ball gets its factor R I directly).  Membership
+is evaluated through a solve with J, so P is never inverted explicitly.
 Volume is tracked in log space from the closed-form per-cut determinant
 ratio instead of recomputed determinants.
 """
@@ -13,6 +13,7 @@ ratio instead of recomputed determinants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -25,6 +26,10 @@ from .errors import DegenerateShape, DimensionMismatch, PreconditionViolated
 _PIVOT_FLOOR = 1e-300
 
 _MEMBERSHIP_TOL = 1e-9
+
+# Squared cut widths below this (the smallest normal float) have lost
+# precision or underflowed to 0; the kernel rescales those and overflows.
+_NORM2_FLOOR = sys.float_info.min
 
 
 class Ellipsoid:
@@ -69,19 +74,38 @@ class Ellipsoid:
 
         The factor is already valid, so it is not re-checked.
         """
-        e = Ellipsoid.__new__(Ellipsoid)
-        e.dim = self.dim
-        e.center = self.center.copy()
-        e.factor = self.factor.copy()
-        e.log_volume_ratio = self.log_volume_ratio
+        return Ellipsoid._from_factor(
+            self.center.copy(), self.factor.copy(), self.log_volume_ratio
+        )
+
+    @classmethod
+    def _from_factor(cls, center, factor, log_volume_ratio: float) -> "Ellipsoid":
+        """An ellipsoid from a factor known to be valid, with no checks."""
+        e = cls.__new__(cls)
+        e.dim = center.shape[0]
+        e.center = center
+        e.factor = factor
+        e.log_volume_ratio = log_volume_ratio
         return e
 
     @classmethod
     def ball(cls, center, radius: float) -> "Ellipsoid":
+        """The ball B(center, radius), with factor radius * I.
+
+        That is the Cholesky factor of radius^2 I bit for bit, since
+        sqrt(fl(R^2)) = R, so the ball skips the factorization.
+        """
         center = np.asarray(center, dtype=float)
         if not radius > 0.0:
             raise ValueError("ball radius must be positive")
-        return cls(center, (radius * radius) * np.eye(center.shape[0]))
+        if center.ndim != 1 or center.size == 0:
+            raise DimensionMismatch("center must be a nonempty vector")
+        radius = float(radius)
+        if radius * radius < _PIVOT_FLOOR:
+            raise DegenerateShape(
+                f"smallest factorization pivot {radius * radius:.3e} below {_PIVOT_FLOOR:g}"
+            )
+        return cls._from_factor(center, np.diag(np.full(center.shape[0], radius)), 0.0)
 
     @property
     def shape_inv(self) -> np.ndarray:
@@ -151,6 +175,12 @@ class CutOutcome:
     depth_used: float               # normalized depth alpha
 
 
+def _binade(a: np.ndarray) -> float:
+    """The power of two 2^k with max |a| in [2^(k-1), 2^k); 1 for 0,
+    inf or NaN."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1])
+
+
 def cut_in_place(
     e: Ellipsoid, normal: np.ndarray, slack: float
 ) -> Tuple[CutKind, float, float]:
@@ -167,7 +197,12 @@ def cut_in_place(
     Returns the kind of outcome, alpha and the width ||J^T normal|| of E
     before the cut: E spans normal^T (x - c) over [-width, width].  A
     negative slack (shallow cut) is accepted; the solver only ever
-    passes slack >= 0.
+    passes slack >= 0.  A zero normal gives width 0: the constraint
+    slack <= 0 then holds nowhere (EMPTY_INTERSECTION, alpha = inf) or
+    everywhere (NO_CUT, alpha = -inf).  A nonzero normal whose
+    ||J^T normal||^2 underflows or overflows is cut after scaling normal,
+    J^T normal and slack by powers of two, which leaves the cut
+    unchanged; the width is still reported in the units of ``normal``.
 
     With H = normal, the update P' = sigma (P - tau u u^T),
     u = P H / ||J^T H||, is applied to the factor: with
@@ -178,14 +213,30 @@ def cut_in_place(
     factor = e.factor
     g = factor.T @ normal
     h2 = float(g @ g)
-    if not h2 > 0.0:
-        raise DegenerateShape("cut direction has nonpositive ellipsoid norm")
+    scale = 1.0
+    if not _NORM2_FLOOR <= h2 < math.inf:
+        if not np.any(normal):
+            if slack > 0.0:
+                return CutKind.EMPTY_INTERSECTION, math.inf, 0.0
+            return CutKind.NO_CUT, -math.inf, 0.0
+        # Scale the normal, then J^T normal, to a largest entry in
+        # [1/2, 1); powers of two change no bit of v or alpha.
+        scale = _binade(normal)
+        g = factor.T @ (normal / scale)
+        g_scale = _binade(g)
+        g = g / g_scale
+        scale *= g_scale
+        slack = slack / scale
+        h2 = float(g @ g)
+        if not 0.0 < h2 < math.inf:
+            raise DegenerateShape("cut direction has no finite nonzero ellipsoid norm")
     root = math.sqrt(h2)
+    width = root * scale
     alpha = float(slack) / root
     if alpha >= 1.0:
-        return CutKind.EMPTY_INTERSECTION, alpha, root
+        return CutKind.EMPTY_INTERSECTION, alpha, width
     if alpha <= -1.0 / d:
-        return CutKind.NO_CUT, alpha, root
+        return CutKind.NO_CUT, alpha, width
     v = g / root
     u = factor @ v
     step = (1.0 + d * alpha) / (d + 1.0)
@@ -198,14 +249,14 @@ def cut_in_place(
     else:
         sigma = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
         keep = (d - 1.0) * (1.0 - alpha) / ((d + 1.0) * (1.0 + alpha))  # 1 - tau
-        correction = np.multiply.outer(u, v)
+        correction = u[:, None] * v
         correction *= 1.0 - math.sqrt(keep)
         factor -= correction
         factor *= math.sqrt(sigma)
         # vol(E')/vol(E) = sqrt(sigma^d * (1 - tau)).
         dlog = 0.5 * (d * math.log(sigma) + math.log(keep))
     e.log_volume_ratio += dlog
-    return CutKind.UPDATED, alpha, root
+    return CutKind.UPDATED, alpha, width
 
 
 def deep_cut(e: Ellipsoid, h: Halfspace, slack: float) -> CutOutcome:

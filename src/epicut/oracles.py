@@ -66,17 +66,24 @@ class MaxAffineFunction(ConvexOracle):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch("point dimension does not match function")
-        return self.rows @ x + self.offsets
+        vals = self.rows @ x
+        vals += self.offsets
+        return vals
 
     def eval(self, x) -> float:
-        return float(self._values(x).max())
+        return self.eval_with_index(x)[0]
 
     def eval_with_index(self, x) -> Tuple[float, int]:
-        """Value and the smallest index active within ACTIVE_TOL."""
+        """Value and the smallest index active within ACTIVE_TOL.
+
+        The value is read at argmax, which skips ndarray.max's Python-level
+        wrapper; a NaN is its own argmax, so a NaN value stays NaN and,
+        with no row active, the index is 0.
+        """
         vals = self._values(x)
-        top = float(vals.max())
+        top = vals[vals.argmax()]
         idx = int((vals >= top - ACTIVE_TOL).argmax())
-        return top, idx
+        return float(top), idx
 
     def subgradient(self, x) -> np.ndarray:
         _, idx = self.eval_with_index(x)

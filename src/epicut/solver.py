@@ -170,25 +170,23 @@ def bisect_level(
                 upper, best_point = value, center
             kind, slack = "objective", value - upper
 
-        if kind == "objective" and not float(normal @ normal) > 0.0:
-            # A zero subgradient: the center minimizes f everywhere.
+        outcome, _, width = cut_in_place(e, normal, slack)
+        # Only a zero normal (width 0) leaves E as it is from slack >= 0.
+        if outcome is CutKind.NO_CUT and width > 0.0:
+            raise DegenerateShape("cut produced no update from nonnegative slack")
+        if kind == "objective":
+            # The minimizer lies in the ellipsoid, where f >= value - width.
+            # An empty intersection has value - width >= upper, and a zero
+            # subgradient (width 0) makes the center a global minimizer.
+            lower = max(lower, min(upper, value - width))
+        elif outcome is CutKind.EMPTY_INTERSECTION:
+            # No point of the ball and the side constraints lies
+            # below the incumbent, or none at all without one.
             lower = upper
-        else:
-            outcome, _, width = cut_in_place(e, normal, slack)
-            if outcome is CutKind.NO_CUT:
-                raise DegenerateShape("cut produced no update from nonnegative slack")
-            if kind == "objective":
-                # The minimizer lies in the ellipsoid, where f >= value - width.
-                # An empty intersection has value - width >= upper.
-                lower = max(lower, min(upper, value - width))
-            elif outcome is CutKind.EMPTY_INTERSECTION:
-                # No point of the ball and the side constraints lies
-                # below the incumbent, or none at all without one.
-                lower = upper
-            if trace and outcome is CutKind.UPDATED:
-                records.append(
-                    TraceRecord(query, iters, center, value, kind, slack, e.log_volume_ratio)
-                )
+        if trace and outcome is CutKind.UPDATED:
+            records.append(
+                TraceRecord(query, iters, center, value, kind, slack, e.log_volume_ratio)
+            )
         if lower >= upper - eps or (high_below is not None and upper < high_below):
             break
 

@@ -21,6 +21,15 @@ def write_problem(path, doc):
     return str(path)
 
 
+@pytest.fixture(autouse=True)
+def fresh_parser(monkeypatch):
+    """Each test starts without main()'s cached parser and leaves none
+    behind, so a parser built under a test's patches dies with it."""
+    from epicut import cli
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+
+
 @pytest.fixture
 def unit_box(tmp_path):
     return write_problem(
@@ -418,6 +427,68 @@ class TestFlagValues:
         assert captured.out == ""
         assert captured.err.startswith("epicut: error: --")
         assert captured.err.count("\n") == 1
+
+
+class TestInProcessCalls:
+    def test_parser_built_once_per_process(self, unit_box, contradictory, monkeypatch,
+                                           capsys):
+        from epicut import cli
+
+        real = cli.build_parser
+        built = []
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(4):
+            for path in (unit_box, contradictory):
+                cli.main(["decide", path])
+                cli.main(["find-point", path])
+            with pytest.raises(SystemExit):
+                cli.main(["decide", unit_box, "--bogus"])
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_repeated_calls_give_the_same_reports(self, unit_box, tmp_path,
+                                                  monkeypatch):
+        import contextlib
+        import io
+
+        from epicut import cli, errors
+
+        abs_path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]})
+        runs = [["decide", unit_box], ["find-point", unit_box],
+                ["minimize", abs_path, "--radius", "2", "--x0", "0.6"]]
+
+        def call(argv):
+            """(exit code, stdout, stderr) of one in-process call, each
+            stream a new one for this call alone."""
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        first = [call(argv) for argv in runs]
+        assert [code for code, _, _ in first] == [0, 0, 0]
+        assert all(out and not err for _, out, err in first)
+
+        assert call(["decide", unit_box, "--eps", "0"]) == (
+            64, "", "epicut: error: unrecognized arguments: --eps 0\n")
+
+        def boom(*args, **kwargs):
+            raise errors.DegenerateShape("synthetic failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "decide_feasibility", boom)
+            assert call(["decide", unit_box]) == (
+                70, "", "epicut: internal error: DegenerateShape: synthetic failure\n")
+
+        assert [call(argv) for argv in runs] == first
 
 
 class TestInternalErrors:

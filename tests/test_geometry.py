@@ -15,7 +15,7 @@ from epicut import (
     deep_cut,
     intersects_halfspace,
 )
-from epicut.geometry import cut_in_place
+from epicut.geometry import _PIVOT_FLOOR, cut_in_place
 
 
 def central_volume_log_ratio(d: int) -> float:
@@ -54,6 +54,25 @@ class TestEllipsoid:
             Ellipsoid(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(DegenerateShape):
             Ellipsoid(np.zeros(2), np.zeros((2, 2)))
+        # A ball whose squared radius falls below the pivot floor.
+        for radius in (1e-151, 1e-200, 5e-324):
+            assert radius * radius < _PIVOT_FLOOR
+            with pytest.raises(DegenerateShape):
+                Ellipsoid.ball(np.zeros(2), radius)
+            with pytest.raises(DegenerateShape):
+                Ellipsoid(np.zeros(2), (radius * radius) * np.eye(2))
+
+    def test_ball_factor_is_the_cholesky_factor(self):
+        # R I is the Cholesky factor of R^2 I bit for bit: sqrt(fl(R^2)) = R.
+        rng = np.random.default_rng(19)
+        radii = np.concatenate([10.0 ** np.arange(-150, 151, 5),
+                                10.0 ** rng.uniform(-150, 150, 200)])
+        for radius in radii:
+            d = int(rng.integers(1, 9))
+            e = Ellipsoid.ball(rng.normal(size=d), float(radius))
+            expected = np.linalg.cholesky((radius * radius) * np.eye(d))
+            assert e.factor.tobytes() == expected.tobytes()
+            assert e.log_volume_ratio == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -246,6 +265,32 @@ class TestCutInPlace:
                 npt.assert_array_equal(work.factor, before[1])
                 assert work.log_volume_ratio == before[2]
         assert kinds == set(CutKind)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_cut_invariant_under_power_of_two_scaling(self):
+        # Scaling normal and slack together leaves the cut as it is, also
+        # when ||J^T normal||^2 underflows or overflows and the kernel
+        # rescales; the width stays in the units of the normal.
+        for e, normal, slack in self.cases():
+            reference = e.copy()
+            kind, alpha, width = cut_in_place(reference, normal, slack)
+            for k in (-1000, -600, -560, 300, 560, 1000):
+                work = e.copy()
+                got = cut_in_place(work, np.ldexp(normal, k), math.ldexp(slack, k))
+                assert got == (kind, alpha, math.ldexp(width, k))
+                npt.assert_array_equal(work.center, reference.center)
+                npt.assert_array_equal(work.factor, reference.factor)
+                assert work.log_volume_ratio == reference.log_volume_ratio
+
+    def test_zero_normal_cut(self):
+        # The constraint slack <= 0 holds nowhere or everywhere.
+        for slack, expected in ((0.5, (CutKind.EMPTY_INTERSECTION, math.inf, 0.0)),
+                                (0.0, (CutKind.NO_CUT, -math.inf, 0.0)),
+                                (-0.5, (CutKind.NO_CUT, -math.inf, 0.0))):
+            e = Ellipsoid.ball(np.zeros(3), 2.0)
+            assert cut_in_place(e, np.zeros(3), slack) == expected
+            npt.assert_array_equal(e.center, np.zeros(3))
+            npt.assert_array_equal(e.factor, 2.0 * np.eye(3))
 
     def test_kernel_replaces_center_and_leaves_copies_alone(self):
         e = Ellipsoid.ball(np.zeros(3), 2.0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -400,3 +401,82 @@ class TestDecisionAgainstOracle:
                 assert validate_certificate(sys_n, got.certificate)
             seen.add(got.verdict)
         assert len(seen) == 2
+
+    @staticmethod
+    def integer_systems(rng, count, homogeneous):
+        """Rows and offsets of small integers, so that rows tie exactly at
+        integer points (the origin first of all); one row of each system
+        repeats another.  Sizes up to the vertex oracle's caps."""
+        for _ in range(count):
+            m, n = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            rows = rng.integers(-2, 3, (m, n)).astype(float)
+            rows[-1] = rows[int(rng.integers(0, m))]
+            offsets = np.zeros(m) if homogeneous else rng.integers(-2, 3, m).astype(float)
+            yield system(rows, offsets)
+
+    @staticmethod
+    def check_against_oracle(raw):
+        """decide and find-point on one system against the vertex oracle.
+
+        Returns decide's verdict, "Undecided" when it ran out of
+        metasteps, or "empty" when normalize dropped every row."""
+        try:
+            sys_n = normalize(raw)
+        except EmptySystem:
+            assert vertex_enumerate_feasible(raw).feasible
+            return "empty"
+        feasible = vertex_enumerate_feasible(sys_n).feasible
+        # Normalized integer rows that are strictly feasible at all are so
+        # by far more than 1e-6.
+        strictly = vertex_enumerate_feasible(
+            system(sys_n.rows, sys_n.offsets + 1e-6)).feasible
+        try:
+            got = decide_feasibility(sys_n)
+        except SolverBudgetExceeded:
+            # Running out is no verdict, and cannot hide a point with f < 0.
+            assert not strictly
+            verdict = "Undecided"
+        else:
+            verdict = got.verdict
+            if verdict is FeasibilityVerdict.FEASIBLE:
+                assert strictly
+                assert sys_n.violation(got.report.best_point) < 0.0
+                assert got.certificate is None
+            else:
+                assert not strictly
+                q = got.certificate
+                # The certificate proves infeasibility exactly when the
+                # verdict says so; a strict-only one is still a Farkas
+                # vector: q >= 0 and A^T q = 0 up to tol.
+                proves = verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
+                assert validate_certificate(sys_n, q) == proves == (not feasible)
+                assert float(np.min(q)) >= -1e-7
+                assert np.linalg.norm(sys_n.rows.T @ q) <= 1e-7 * (1.0 + np.linalg.norm(q))
+        point = find_feasible_point(sys_n)
+        if feasible:
+            assert point.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+            assert sys_n.violation(point.point) <= 1e-7
+        else:
+            assert point.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
+            assert validate_certificate(sys_n, point.certificate)
+        return verdict
+
+    def test_integer_ties(self):
+        rng = np.random.default_rng(53)
+        seen = Counter(self.check_against_oracle(raw)
+                       for raw in self.integer_systems(rng, 100, homogeneous=False))
+        assert seen["Undecided"] == 0
+        assert {FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE_NON_STRICT,
+                FeasibilityVerdict.INFEASIBLE_STRICT_ONLY} <= set(seen)
+
+    def test_homogeneous(self):
+        # b = 0: the origin is always a point, and decide tells the
+        # strictly feasible systems (Feasible) from the others, which get
+        # a Farkas vector with b.q = 0 (InfeasibleStrictOnly) or, when
+        # polishing finds none, no verdict (see CHANGES.md).
+        rng = np.random.default_rng(59)
+        seen = Counter(self.check_against_oracle(raw)
+                       for raw in self.integer_systems(rng, 100, homogeneous=True))
+        assert FeasibilityVerdict.INFEASIBLE_NON_STRICT not in seen
+        assert seen[FeasibilityVerdict.FEASIBLE] and seen[
+            FeasibilityVerdict.INFEASIBLE_STRICT_ONLY]

@@ -9,6 +9,7 @@ from epicut import (
     MaxAffineFunction,
     QuadraticForm,
 )
+from epicut.oracles import ACTIVE_TOL
 
 
 class TestMaxAffine:
@@ -73,7 +74,8 @@ class TestValueAndSubgradient:
     def check(f, points):
         for x in points:
             value, g = f.value_and_subgradient(x)
-            assert value == f.eval(x)
+            # Bit for bit, so that NaN and the sign of zero count too.
+            assert np.float64(value).tobytes() == np.float64(f.eval(x)).tobytes()
             npt.assert_array_equal(g, f.subgradient(x))
 
     def test_max_affine_including_ties(self):
@@ -84,6 +86,38 @@ class TestValueAndSubgradient:
         # index must win in both paths.
         self.check(f, rng.integers(-3, 4, size=(200, 3)).astype(float))
         self.check(f, rng.normal(size=(50, 3)))
+
+    def test_max_affine_near_ties_and_nan(self):
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(8, 3))
+        # Pairs of pieces equal up to less than ACTIVE_TOL, and pieces
+        # that tie exactly at the origin.
+        offsets = np.array([0.0, 4e-13, -4e-13, 0.0, 2e-12, 0.0, -0.0, 1e-13])
+        rows[1] = rows[0]
+        rows[2] = rows[0]
+        f = MaxAffineFunction(rows, offsets)
+        points = np.vstack([np.zeros((1, 3)), rng.normal(size=(100, 3)),
+                            [[np.nan, 0.0, 0.0], [np.nan] * 3]])
+        self.check(f, points)
+        for x in points:
+            value, g = f.value_and_subgradient(x)
+            vals = rows @ x + offsets
+            if np.isnan(x).any():
+                # A NaN center: value NaN, and row 0's subgradient.
+                assert np.isnan(value)
+                npt.assert_array_equal(g, rows[0])
+                continue
+            assert value == vals.max()
+            # The smallest index within ACTIVE_TOL of the max.
+            (active,) = np.nonzero(vals >= value - ACTIVE_TOL)
+            npt.assert_array_equal(g, rows[active[0]])
+
+    def test_max_affine_wrong_length_rejected(self):
+        f = MaxAffineFunction(np.eye(3), np.zeros(3))
+        for x in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            for call in (f.value_and_subgradient, f.eval, f.subgradient):
+                with pytest.raises(DimensionMismatch):
+                    call(x)
 
     def test_max_affine_returns_a_copy(self):
         f = MaxAffineFunction(np.array([[1.0, 2.0]]), np.zeros(1))

@@ -209,6 +209,35 @@ class TestBisectLevel:
         assert res.best_point is None
         assert res.alpha_bracket == (-math.inf, math.inf)
 
+    def test_zero_subgradient_closes_the_bracket(self):
+        # A constant function: the first center is a global minimizer.
+        f = MaxAffineFunction(np.zeros((2, 3)), np.array([-2.0, 0.5]))
+        res = bisect_level(f, np.ones(3), MetastepConfig(radius=1.0))
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        assert res.alpha_bracket == (0.5, 0.5)
+        assert res.iterations == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("rows, rounding", [
+        ([[1e-170]], 0.0), ([[1e-170, -3e-171]], 0.0), ([[-4e-200, 0.0]], 0.0),
+        # Values of size 1e160 round at about 1e144.
+        ([[1e160]], 1e-12), ([[1e160, -3e159]], 1e-12), ([[-4e200, 0.0]], 1e-12),
+    ])
+    def test_out_of_range_subgradient_norm(self, rows, rounding):
+        # ||g||^2 underflows to 0 (or overflows) although g is finite and
+        # not 0: the bracket must still hold the minimum over the ball.
+        # Read as a zero subgradient, 1e-170 x would close it at f(0) = 0
+        # after one iteration.
+        rows = np.array(rows)
+        f = MaxAffineFunction(rows, np.zeros(1))
+        x0 = np.zeros(rows.shape[1])
+        res = bisect_level(f, x0, MetastepConfig(radius=1.0))
+        lo, hi = res.alpha_bracket
+        # The minimum over the unit ball is -||g||, at -g / ||g||.
+        scale = np.abs(rows).max()
+        true_min = -scale * float(np.linalg.norm(rows / scale))
+        assert lo <= true_min * (1.0 - rounding) and true_min <= hi
+
     def test_trace_volume_non_increasing_within_query(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5)
         res = bisect_level(abs_minus_one(), np.array([0.6]), cfg, trace=True)
