@@ -21,12 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateShape,
-    DimensionMismatch,
-    EmptySystem,
-    SolverBudgetExceeded,
-)
+from .errors import DegenerateShape, DimensionMismatch, EmptySystem
 # global_radius is not called here; it stays importable as
 # cli.global_radius, a name benchmark/tracing.py wraps.
 from .lp import (  # noqa: F401
@@ -55,6 +50,7 @@ _DECIDE_EXIT = {
     FeasibilityVerdict.FEASIBLE: EXIT_OK,
     FeasibilityVerdict.INFEASIBLE_NON_STRICT: EXIT_INFEASIBLE,
     FeasibilityVerdict.INFEASIBLE_STRICT_ONLY: EXIT_STRICT_ONLY,
+    FeasibilityVerdict.UNDECIDED: EXIT_UNDECIDED,
 }
 
 _POINT_EXIT = {
@@ -153,12 +149,18 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
+def _radius_ok(value: float) -> bool:
+    # The solver squares distances in the ball: ||x - x0||^2 and the
+    # ball cut's slack must not overflow.
+    return _positive_finite(value) and math.isfinite(value * value)
+
+
 # Each flag value argparse cannot check by type: (attribute, test, message).
 _FLAG_CHECKS = (
     ("tol", _positive_finite, "--tol must be a positive finite number"),
     ("metasteps", lambda v: v >= 1, "--metasteps must be at least 1"),
     ("eps", _positive_finite, "--eps must be a positive finite number"),
-    ("radius", _positive_finite, "--radius must be a positive finite number"),
+    ("radius", _radius_ok, "--radius must be a positive number with a finite square"),
     ("radius_growth", lambda v: math.isfinite(v) and v >= 1.0,
      "--radius-growth must be a finite number of at least 1"),
 )
@@ -250,14 +252,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         _finish_timing(report, args, started)
         _emit(report)
         return EXIT_OK
-    try:
-        decision = decide_feasibility(norm_sys, tol=args.tol, trace=bool(args.trace))
-    except SolverBudgetExceeded as exc:
-        report["verdict"] = "Undecided"
-        _finish_timing(report, args, started)
-        _emit(report)
-        print(f"epicut: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    decision = decide_feasibility(norm_sys, tol=args.tol, trace=bool(args.trace))
     queries, iters = _counts(decision.report)
     report["verdict"] = decision.verdict.value
     report["certificate"] = _vec(decision.certificate)
@@ -350,8 +345,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             queries, iters = _counts(decision.report)
         except EmptySystem:
             verdict = FeasibilityVerdict.FEASIBLE.value
-        except SolverBudgetExceeded:
-            verdict = "Undecided"
         wall_ms = (time.perf_counter() - started) * 1000.0
         writer.writerow(
             [label, system.n, system.m, verdict, queries, iters, f"{wall_ms:.3f}"]

@@ -95,6 +95,8 @@ class FeasibilityVerdict(Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE_NON_STRICT = "InfeasibleNonStrict"
     INFEASIBLE_STRICT_ONLY = "InfeasibleStrictOnly"
+    # Neither f < 0 nor a certificate within the metastep cap.
+    UNDECIDED = "Undecided"
 
 
 @dataclass
@@ -173,8 +175,8 @@ def decide_feasibility(
     Otherwise the rows active at the incumbent give multipliers q (see
     _primal_run): b.q > tol gives InfeasibleNonStrict, |b.q| <= tol
     gives InfeasibleStrictOnly.  With neither after _PRIMAL_METASTEPS
-    metasteps it raises SolverBudgetExceeded.  ``trace`` records per-cut
-    traces in the report (see solver.bisect_level).
+    metasteps the verdict is Undecided, with the run's report.  ``trace``
+    records per-cut traces in the report (see solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -187,11 +189,12 @@ def decide_feasibility(
         )
         d_star = float(np.sum((system.rows.T @ cert) ** 2))
         return FeasibilityDecision(verdict, cert, d_star, report)
-    if report.best_value < 0.0:
-        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
-    raise SolverBudgetExceeded(
-        f"no point with f < 0 and no certificate after {_PRIMAL_METASTEPS} metasteps"
+    verdict = (
+        FeasibilityVerdict.FEASIBLE
+        if report.best_value < 0.0
+        else FeasibilityVerdict.UNDECIDED
     )
+    return FeasibilityDecision(verdict, None, math.inf, report)
 
 
 def _primal_run(
@@ -202,11 +205,15 @@ def _primal_run(
     Runs the metastep minimizer from the origin in a ball of radius
     _PRIMAL_RADIUS, growing it _PRIMAL_GROWTH-fold around each boundary
     incumbent, with eps = min(tol/10, 1e-8).  The run stops at the first
-    evaluated x with f(x) < 0.  Otherwise _active_certificate is tried at
-    the incumbent; without one the run goes on from the incumbent in a
-    larger ball, for at most _PRIMAL_METASTEPS metasteps in all.  Returns
-    the joined report and the certificate, which is None when the run
-    found f < 0 or used up its metasteps.
+    evaluated x with f(x) < 0.  Once its proven lower bound is above 0,
+    the system is infeasible, and every 4(n+1) iterations the solver
+    hands the incumbent to _active_certificate; the run ends as soon as
+    that q passes validate_certificate.  When a run ends otherwise,
+    _active_certificate is tried at its incumbent once more, and without
+    a certificate the run goes on from the incumbent in a larger ball,
+    for at most _PRIMAL_METASTEPS metasteps in all.  Returns the joined
+    report and the certificate, which is None when the run found f < 0
+    or used up its metasteps.
     """
     eps = min(tol / 10.0, 1e-8)
     f = MaxAffineFunction(system.rows, system.offsets)
@@ -218,11 +225,22 @@ def _primal_run(
         radius_growth=_PRIMAL_GROWTH,
         stop_when_high_below=0.0,
     )
+    proven: List[np.ndarray] = []
+
+    def try_certificate(point: np.ndarray) -> bool:
+        q = _active_certificate(system, point, eps, tol)
+        if q is not None and validate_certificate(system, q, tol):
+            proven.append(q)
+            return True
+        return False
+
     x = np.zeros(system.n)
     report: Optional[MetastepResult] = None
     while True:
-        res = run_metasteps(f, x, cfg, trace=trace)
+        res = run_metasteps(f, x, cfg, trace=trace, hook=try_certificate)
         report = res if report is None else _joined(report, res)
+        if proven:
+            return report, proven[0]
         if res.best_value < 0.0:
             return report, None
         cert = _active_certificate(system, res.best_point, eps, tol)
@@ -253,13 +271,13 @@ def _active_certificate(
     """Farkas multipliers from the rows active at x, or None.
 
     By LP duality, min_x f(x) = max{b.q : q >= 0, sum q = 1, A^T q = 0},
-    and the maximizing q lives on the rows active at a minimizer.  Rows
-    within ``window`` of f(x) count as active; their multipliers are
-    polished on the restricted system, and the window widens tenfold
-    until q passes validate_certificate on the whole system.  Failing
-    that, the first q that passes its sign and residual checks with
-    |b.q| <= tol is returned, and None when no window gives one.  So b.q
-    > tol holds exactly when q passes validate_certificate.
+    and the maximizing q lives on the rows active at a minimizer, where
+    every such q has b.q = min f.  Rows within ``window`` of f(x) count
+    as active; _polish_certificate finds q on them, and the window
+    widens tenfold until q passes validate_certificate on the whole
+    system.  Failing that, the first q that passes its sign and residual
+    checks with |b.q| <= tol is returned, and None when no window gives
+    one.  So b.q > tol holds exactly when q passes validate_certificate.
     """
     values = system.rows @ x + system.offsets
     gaps = float(np.max(values)) - values
@@ -273,9 +291,7 @@ def _active_certificate(
             continue
         seen = count
         q = np.zeros(system.m)
-        q[active] = _polish_certificate(
-            LinearSystem(system.rows[active], system.offsets[active]), np.ones(count)
-        )
+        q[active] = _polish_certificate(system.rows[active])
         if validate_certificate(system, q, tol):
             return q
         if (
@@ -287,32 +303,64 @@ def _active_certificate(
     return fallback
 
 
-def _polish_certificate(system: LinearSystem, q: np.ndarray) -> np.ndarray:
-    """Alternate projections onto {A^T q = 0} and {q >= 0}, then rescale.
+def _polish_certificate(rows: np.ndarray) -> np.ndarray:
+    """Multipliers q >= 0 with sum q = 1 and A^T q = 0 for ``rows`` A.
 
-    Started from q, this moves q toward the cone {q >= 0, A^T q = 0};
-    nothing guarantees the result, so callers check it.
+    Solves [A^T; 1^T] q ~ [0; 1] with q >= 0 by _nnls and rescales q to
+    sum 1.  When such multipliers exist the residual is 0 up to
+    rounding, so the result is one of them; otherwise A^T q stays away
+    from 0, and callers reject q by checking it.
     """
-    q = np.maximum(np.asarray(q, dtype=float).copy(), 0.0)
-    u, s, _ = np.linalg.svd(system.rows, full_matrices=True)
-    if s.size:
-        rank = int(np.sum(s > s[0] * max(system.rows.shape) * np.finfo(float).eps))
-    else:
-        rank = 0
-    basis = u[:, rank:]
-    if basis.shape[1] == 0:
-        total = float(q.sum())
-        return q / total if total > 0.0 else q
-    for _ in range(500):
-        q = basis @ (basis.T @ q)
-        q = np.maximum(q, 0.0)
-        if float(np.linalg.norm(system.rows.T @ q)) <= 1e-13 * (
-            1.0 + float(np.linalg.norm(q))
-        ):
+    k, n = rows.shape
+    matrix = np.vstack([rows.T, np.ones((1, k))])
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    q = _nnls(matrix, target)
+    return q / float(q.sum())
+
+
+def _nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """min ||matrix q - target|| over q >= 0, by Lawson and Hanson's
+    active-set method ("Solving Least Squares Problems", 1974, ch. 23).
+
+    Each outer step moves the free column with the largest positive
+    gradient entry w = matrix^T (target - matrix q) into the passive
+    set and solves least squares on that set; when an entry of the
+    solution is not positive, q steps toward it only as far as the first
+    passive entry reaching zero, which leaves the set.  The loop ends
+    when no free entry of w exceeds a rounding threshold (the KKT
+    conditions: w <= 0, and w = 0 where q > 0), or after 3k outer steps
+    as a guard against rounding cycles.
+    """
+    k = matrix.shape[1]
+    q = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    scale = float(np.abs(matrix).sum(axis=0).max())
+    threshold = 10.0 * np.finfo(float).eps * scale * max(matrix.shape)
+    for _ in range(3 * k):
+        w = matrix.T @ (target - matrix @ q)
+        w[passive] = -np.inf
+        entering = int(np.argmax(w))
+        if not w[entering] > threshold:
             break
-    total = float(q.sum())
-    if total > 0.0:
-        q = q / total
+        passive[entering] = True
+        while True:
+            cols = np.flatnonzero(passive)
+            z = np.linalg.lstsq(matrix[:, cols], target, rcond=None)[0]
+            if float(z.min()) > 0.0:
+                q[cols] = z
+                break
+            current = q[cols]
+            low = np.flatnonzero(z <= 0.0)
+            # Only the entering column can have current 0: no step at all.
+            steps = np.divide(current[low], current[low] - z[low],
+                              out=np.zeros(low.size), where=current[low] > 0.0)
+            first = int(np.argmin(steps))
+            q[cols] = np.maximum(current + steps[first] * (z - current), 0.0)
+            q[cols[low[first]]] = 0.0
+            passive = q > 0.0
+            if not passive.any():
+                break
     return q
 
 

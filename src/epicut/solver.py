@@ -19,7 +19,8 @@ the cut kernel returns for E before the cut.  An empty intersection
 proves the set empty: lb becomes U (+inf with no incumbent yet).
 
 The run stops once U - lb <= eps, once U drops below
-``stop_when_high_below``, or at ``iteration_budget(n)`` iterations.  A
+``stop_when_high_below``, at ``iteration_budget(n)`` iterations, or when
+the caller's hook asks it to (see bisect_level).  A
 closed bracket whose incumbent lies strictly inside the ball (by 10 eps)
 certifies the global minimum; one on the sphere triggers another
 metastep around it when budget remains.  A closed bracket with no
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +125,7 @@ def bisect_level(
     extra: Optional[LinearConstraintSet] = None,
     *,
     trace: bool = False,
+    hook: Optional[Callable[[np.ndarray], bool]] = None,
     _query_start: int = 0,
 ) -> MetastepResult:
     """One metastep: a single ellipsoid run over the ball around x0.
@@ -131,6 +133,13 @@ def bisect_level(
     Counts as one level query.  With ``trace`` the result carries one
     TraceRecord per cut; without it ``trace`` is empty.  Tracing changes
     nothing else.
+
+    ``hook``, when given, is called with the incumbent every 4(d+1)
+    iterations while the proven lower bound is above 0, that is while
+    the ball is proven to hold no point with f <= 0.  A True return ends
+    the run with its bracket still open and proven: BudgetExhausted.
+    Without a hook the run is the same as with one that always returns
+    False.
     """
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
@@ -138,6 +147,7 @@ def bisect_level(
     tolerance = cfg.constraint_tolerance
     high_below = cfg.stop_when_high_below
     budget = cfg.iteration_budget(x0.shape[0])
+    period = 4 * (x0.shape[0] + 1)
     query = _query_start + 1
     records: List[TraceRecord] = []
 
@@ -189,6 +199,9 @@ def bisect_level(
             )
         if lower >= upper - eps or (high_below is not None and upper < high_below):
             break
+        if (hook is not None and lower > 0.0 and iters % period == 0
+                and best_point is not None and hook(best_point)):
+            break
 
     if lower < upper - eps:
         status = SolveStatus.BUDGET_EXHAUSTED
@@ -218,13 +231,16 @@ def run_metasteps(
     extra: Optional[LinearConstraintSet] = None,
     *,
     trace: bool = False,
+    hook: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> MetastepResult:
     """Repeat metasteps, recentering at each boundary incumbent.
 
     Stops on any status but BOUNDARY_REACHED, or when a recentred
     metastep fails to strictly improve; the result carries the
     last metastep's outcome with counters and trace aggregated over all
-    of them.  ``trace`` is passed to each metastep (see bisect_level).
+    of them.  ``trace`` and ``hook`` are passed to each metastep (see
+    bisect_level); a run the hook ends reports BudgetExhausted, so no
+    further metastep follows it.
     """
     x = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
@@ -236,7 +252,7 @@ def run_metasteps(
     for _ in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         result = bisect_level(
-            f, x, step_cfg, extra, trace=trace, _query_start=total_queries
+            f, x, step_cfg, extra, trace=trace, hook=hook, _query_start=total_queries
         )
         records.extend(result.trace)
         query_iterations.extend(result.query_iterations)

@@ -106,6 +106,21 @@ class TestDecideCommand:
         )
         assert invoke("decide", bad).returncode == 64
 
+    def test_undecided_keeps_its_run(self, tmp_path, monkeypatch, capsys):
+        from epicut import cli, lp
+
+        # Two metasteps reach radius 1e3, far short of the flat row's points.
+        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
+        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["decide", path, "--trace", str(trace)]) == cli.EXIT_UNDECIDED == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "Undecided"
+        assert report["certificate"] is None
+        assert report["level_queries"] == 2
+        assert report["ellipsoid_iters"] > 0
+        assert trace.read_text().strip()
+
     def test_byte_identical_reports(self, unit_box, contradictory):
         for path in (unit_box, contradictory):
             first = invoke("decide", path)
@@ -249,6 +264,12 @@ class TestMinimizeCommand:
         assert report["verdict"] == "GlobalOptimumCertified"
         assert report["value"] == pytest.approx(-1.0, abs=1e-4)
 
+    def test_huge_radius_with_finite_square_runs(self, tmp_path):
+        path = write_problem(tmp_path / "f.json", {"A": [[1], [-1]], "b": [-6, 4]})
+        proc = invoke("minimize", path, "--radius", "1e150")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] >= -1.0
+
     def test_radius_required(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert invoke("minimize", path).returncode == 64
@@ -340,6 +361,17 @@ class TestBenchCommand:
         verdicts = [line.split(",")[3] for line in lines[1:]]
         assert verdicts == ["InfeasibleNonStrict", "Feasible", "Feasible"]
 
+    def test_undecided_row_keeps_its_counts(self, tmp_path, monkeypatch, capsys):
+        from epicut import cli, lp
+
+        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
+        write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        assert cli.main(["bench", str(tmp_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        name, _, _, verdict, queries, iters, _ = rows[1].split(",")
+        assert (name, verdict, queries) == ("flat", "Undecided", "2")
+        assert int(iters) > 0
+
     def test_missing_dir_rejected(self):
         assert invoke("bench", "/nonexistent/dir").returncode == 64
 
@@ -414,6 +446,9 @@ class TestFlagValues:
         pytest.param(["decide", "{abs}", "--tol", "nan"], id="decide-tol-nan"),
         pytest.param(["find-point", "{abs}", "--tol", "nan"], id="find-point-tol-nan"),
         pytest.param(["minimize", "{abs}", "--radius", "inf"], id="minimize-radius-inf"),
+        # The solver squares distances in the ball; R^2 must be finite.
+        pytest.param(["minimize", "{abs}", "--radius", "1e160"], id="minimize-radius-1e160"),
+        pytest.param(["minimize", "{abs}", "--radius", "1e200"], id="minimize-radius-1e200"),
     ])
     def test_invalid_value_exit_64(self, tmp_path, capsys, argv):
         from epicut import cli

@@ -39,6 +39,25 @@ FLAT_ROW = system([[-2.989e-07]], [1.0])
 UNIT_BOX = system(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, -1.0, -1.0]
 )
+# Homogeneous and not strictly feasible: x = 0 is a point, every row is
+# active there, and q >= 0 with A^T q = 0 exists (Gordan).  The
+# homogeneous fuzz family's seed 59 drew it.
+HOMOGENEOUS_EIGHT = system(
+    [[1, -2, 2], [0, -2, 2], [2, 1, 2], [-1, 0, 0],
+     [2, 1, 2], [-2, -2, 0], [2, 1, 0], [2, -2, 1]],
+    np.zeros(8),
+)
+
+
+def planted_infeasible(rng, m, n):
+    """Uniform rows projected so that A^T q = 0 for a planted q > 0, with
+    b shifted so that b.q > 0 (the benchmark's m-ladder construction)."""
+    rows = rng.uniform(-1, 1, (m, n))
+    q = rng.uniform(0.1, 1.0, m)
+    rows = rows - np.outer(q, q @ rows) / (q @ q)
+    offsets = rng.uniform(-1, 1, m)
+    offsets = offsets + q * (0.5 - offsets @ q) / (q @ q)
+    return system(rows, offsets)
 
 
 def exhaust_program(monkeypatch, index, drop_witness=False,
@@ -130,11 +149,28 @@ class TestDecide:
         assert out.d_star == math.inf
 
     def test_flat_row_never_certified(self):
-        try:
-            out = decide_feasibility(normalize(FLAT_ROW))
-        except SolverBudgetExceeded:
-            return
+        out = decide_feasibility(normalize(FLAT_ROW))
         assert out.verdict is not FeasibilityVerdict.INFEASIBLE_NON_STRICT
+        assert out.certificate is None
+
+    def test_homogeneous_strict_only(self):
+        sys_n = normalize(HOMOGENEOUS_EIGHT)
+        out = decide_feasibility(sys_n)
+        assert out.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+        q, tol = out.certificate, 1e-7
+        assert float(np.min(q)) >= -tol
+        assert np.linalg.norm(sys_n.rows.T @ q) <= tol * (1.0 + np.linalg.norm(q))
+
+    def test_square_planted_infeasible(self):
+        # n = m = 12: the certificate is tried once the lower bound passes
+        # 0, so the run ends with its bracket still open.
+        sys_n = normalize(planted_infeasible(np.random.default_rng([0, 12]), 12, 12))
+        out = decide_feasibility(sys_n)
+        assert out.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
+        assert validate_certificate(sys_n, out.certificate)
+        assert out.report.status is SolveStatus.BUDGET_EXHAUSTED
+        lower, upper = out.report.alpha_bracket
+        assert 0.0 < lower < upper
 
     def test_weakly_feasible_point_only(self):
         # x <= 0 and x >= 0: only x = 0; strict version infeasible
@@ -182,6 +218,50 @@ class TestValidateCertificate:
 
         with pytest.raises(DimensionMismatch):
             validate_certificate(normalize(CONTRADICTORY), np.array([1.0]))
+
+
+class TestFarkasKernel:
+    """lp._nnls, the Lawson-Hanson kernel, on [A^T; 1^T] q ~ [0; 1]."""
+
+    @staticmethod
+    def stacked(rows):
+        k, n = rows.shape
+        return np.vstack([rows.T, np.ones((1, k))]), np.eye(n + 1)[n]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_multipliers_found(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+        rows = planted_infeasible(rng, m, n).rows
+        matrix, target = self.stacked(rows)
+        q = lp._nnls(matrix, target)
+        assert float(np.min(q)) >= 0.0
+        assert np.linalg.norm(matrix @ q - target) <= 1e-12
+        cert = lp._polish_certificate(rows)
+        assert float(cert.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(rows.T @ cert) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_strictly_feasible_direction_gives_no_certificate(self, seed):
+        # A d <= -0.1 for a unit d, so every q >= 0 with sum 1 has
+        # ||A^T q|| >= 0.1; b = 1 would make any Farkas vector prove.
+        rng = np.random.default_rng(100 + seed)
+        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 6))
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        rows = rng.uniform(-1, 1, (m, n))
+        rows -= np.outer(rows @ d + rng.uniform(0.1, 1.0, m), d)
+        matrix, target = self.stacked(rows)
+        q = lp._nnls(matrix, target)
+        # KKT: the gradient w is <= 0, and 0 on the support of q.
+        w = matrix.T @ (target - matrix @ q)
+        assert float(np.min(q)) >= 0.0
+        assert float(np.max(w)) <= 1e-10
+        assert np.all(np.abs(w[q > 0.0]) <= 1e-10)
+        cert = lp._polish_certificate(rows)
+        assert float(np.min(cert)) >= 0.0
+        assert float(cert.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert not validate_certificate(system(rows, np.ones(m)), cert)
 
 
 class TestSubgradientFloor:
@@ -324,8 +404,12 @@ class TestFindFeasiblePoint:
         # Two metasteps reach radius 1e3, far short of the flat row's points.
         monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
         sys_n = normalize(FLAT_ROW)
-        with pytest.raises(SolverBudgetExceeded):
-            decide_feasibility(sys_n)
+        decision = decide_feasibility(sys_n)
+        assert decision.verdict is FeasibilityVerdict.UNDECIDED
+        assert decision.certificate is None
+        assert decision.d_star == math.inf
+        assert decision.report.level_queries == 2
+        assert decision.report.iterations > 0
         res = find_feasible_point(sys_n)
         assert res.outcome is PointSearchOutcome.UNDECIDED
         assert res.certificate is None
@@ -418,8 +502,8 @@ class TestDecisionAgainstOracle:
     def check_against_oracle(raw):
         """decide and find-point on one system against the vertex oracle.
 
-        Returns decide's verdict, "Undecided" when it ran out of
-        metasteps, or "empty" when normalize dropped every row."""
+        Returns decide's verdict, or "empty" when normalize dropped
+        every row."""
         try:
             sys_n = normalize(raw)
         except EmptySystem:
@@ -430,28 +514,26 @@ class TestDecisionAgainstOracle:
         # by far more than 1e-6.
         strictly = vertex_enumerate_feasible(
             system(sys_n.rows, sys_n.offsets + 1e-6)).feasible
-        try:
-            got = decide_feasibility(sys_n)
-        except SolverBudgetExceeded:
+        got = decide_feasibility(sys_n)
+        verdict = got.verdict
+        if verdict is FeasibilityVerdict.UNDECIDED:
             # Running out is no verdict, and cannot hide a point with f < 0.
             assert not strictly
-            verdict = "Undecided"
+            assert got.certificate is None
+        elif verdict is FeasibilityVerdict.FEASIBLE:
+            assert strictly
+            assert sys_n.violation(got.report.best_point) < 0.0
+            assert got.certificate is None
         else:
-            verdict = got.verdict
-            if verdict is FeasibilityVerdict.FEASIBLE:
-                assert strictly
-                assert sys_n.violation(got.report.best_point) < 0.0
-                assert got.certificate is None
-            else:
-                assert not strictly
-                q = got.certificate
-                # The certificate proves infeasibility exactly when the
-                # verdict says so; a strict-only one is still a Farkas
-                # vector: q >= 0 and A^T q = 0 up to tol.
-                proves = verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
-                assert validate_certificate(sys_n, q) == proves == (not feasible)
-                assert float(np.min(q)) >= -1e-7
-                assert np.linalg.norm(sys_n.rows.T @ q) <= 1e-7 * (1.0 + np.linalg.norm(q))
+            assert not strictly
+            q = got.certificate
+            # The certificate proves infeasibility exactly when the
+            # verdict says so; a strict-only one is still a Farkas
+            # vector: q >= 0 and A^T q = 0 up to tol.
+            proves = verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
+            assert validate_certificate(sys_n, q) == proves == (not feasible)
+            assert float(np.min(q)) >= -1e-7
+            assert np.linalg.norm(sys_n.rows.T @ q) <= 1e-7 * (1.0 + np.linalg.norm(q))
         point = find_feasible_point(sys_n)
         if feasible:
             assert point.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
@@ -465,18 +547,18 @@ class TestDecisionAgainstOracle:
         rng = np.random.default_rng(53)
         seen = Counter(self.check_against_oracle(raw)
                        for raw in self.integer_systems(rng, 100, homogeneous=False))
-        assert seen["Undecided"] == 0
+        assert seen[FeasibilityVerdict.UNDECIDED] == 0
         assert {FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE_NON_STRICT,
                 FeasibilityVerdict.INFEASIBLE_STRICT_ONLY} <= set(seen)
 
     def test_homogeneous(self):
         # b = 0: the origin is always a point, and decide tells the
         # strictly feasible systems (Feasible) from the others, which get
-        # a Farkas vector with b.q = 0 (InfeasibleStrictOnly) or, when
-        # polishing finds none, no verdict (see CHANGES.md).
+        # a Farkas vector with b.q = 0 (InfeasibleStrictOnly).
         rng = np.random.default_rng(59)
         seen = Counter(self.check_against_oracle(raw)
                        for raw in self.integer_systems(rng, 100, homogeneous=True))
+        assert seen[FeasibilityVerdict.UNDECIDED] == 0
         assert FeasibilityVerdict.INFEASIBLE_NON_STRICT not in seen
         assert seen[FeasibilityVerdict.FEASIBLE] and seen[
             FeasibilityVerdict.INFEASIBLE_STRICT_ONLY]
