@@ -16,9 +16,9 @@ from .errors import (
     DegenerateShape,
     DimensionMismatch,
     EmptySystem,
+    NonFiniteValue,
     PreconditionViolated,
     SizeLimitExceeded,
-    SolverBudgetExceeded,
 )
 from .geometry import (
     CutKind,
@@ -77,6 +77,7 @@ __all__ = [
     "MaxAffineFunction",
     "MetastepConfig",
     "MetastepResult",
+    "NonFiniteValue",
     "OracleFeasibility",
     "PointSearchOutcome",
     "PointSearchResult",
@@ -86,7 +87,6 @@ __all__ = [
     "RadiusMethod",
     "SizeLimitExceeded",
     "SolveStatus",
-    "SolverBudgetExceeded",
     "TraceRecord",
     "bisect_level",
     "central_cut",

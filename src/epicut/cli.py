@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateShape, DimensionMismatch, EmptySystem
+from .errors import DegenerateShape, DimensionMismatch, EmptySystem, NonFiniteValue
 # global_radius is not called here; it stays importable as
 # cli.global_radius, a name benchmark/tracing.py wraps.
 from .lp import (  # noqa: F401
@@ -229,9 +229,7 @@ def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
         "value": None,
         "certificate": None,
         "d_star": None,
-        "d_lower": None,
         "radius": None,
-        "radius_method": None,
         "level_queries": 0,
         "ellipsoid_iters": 0,
         "wall_ms": None,
@@ -319,7 +317,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     if args.trace:
         _write_trace(args.trace, result)
     _emit(report)
-    return EXIT_OK if result.best_point is not None else EXIT_UNDECIDED
+    return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -423,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"epicut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateShape, DimensionMismatch) as exc:
+    except (DegenerateShape, DimensionMismatch, NonFiniteValue) as exc:
         print(f"epicut: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

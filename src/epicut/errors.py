@@ -17,8 +17,8 @@ class EmptySystem(ValueError):
     """A constraint system has no rows left after normalization."""
 
 
-class SolverBudgetExceeded(RuntimeError):
-    """The inner solver returned no usable witness within its budget."""
+class NonFiniteValue(ArithmeticError):
+    """An oracle returned a value that is not a finite number."""
 
 
 class SizeLimitExceeded(ValueError):

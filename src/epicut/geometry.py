@@ -176,9 +176,10 @@ class CutOutcome:
 
 
 def _binade(a: np.ndarray) -> float:
-    """The power of two 2^k with max |a| in [2^(k-1), 2^k); 1 for 0,
-    inf or NaN."""
-    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1])
+    """The power of two 2^k with max |a| in [2^k, 2^(k+1)); 1/2 for 0,
+    inf or NaN.  2^k never exceeds the largest float, which 2^(k+1)
+    would for an entry of 2^1023 or more."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(a))))[1] - 1)
 
 
 def cut_in_place(
@@ -202,7 +203,8 @@ def cut_in_place(
     everywhere (NO_CUT, alpha = -inf).  A nonzero normal whose
     ||J^T normal||^2 underflows or overflows is cut after scaling normal,
     J^T normal and slack by powers of two, which leaves the cut
-    unchanged; the width is still reported in the units of ``normal``.
+    unchanged; the width is still reported in the units of ``normal``,
+    and is inf when it exceeds the largest float.
 
     With H = normal, the update P' = sigma (P - tau u u^T),
     u = P H / ||J^T H||, is applied to the factor: with
@@ -220,13 +222,13 @@ def cut_in_place(
                 return CutKind.EMPTY_INTERSECTION, math.inf, 0.0
             return CutKind.NO_CUT, -math.inf, 0.0
         # Scale the normal, then J^T normal, to a largest entry in
-        # [1/2, 1); powers of two change no bit of v or alpha.
+        # [1, 2); powers of two change no bit of v or alpha.
         scale = _binade(normal)
         g = factor.T @ (normal / scale)
         g_scale = _binade(g)
         g = g / g_scale
+        slack = slack / scale / g_scale
         scale *= g_scale
-        slack = slack / scale
         h2 = float(g @ g)
         if not 0.0 < h2 < math.inf:
             raise DegenerateShape("cut direction has no finite nonzero ellipsoid norm")

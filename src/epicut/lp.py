@@ -1,13 +1,15 @@
 """Linear inequality systems A x + b <= 0: normalization, feasibility
-decision with Farkas certificates, subgradient floor programs, search
-radii, and feasible-point search.
+decision with Farkas certificates, subgradient floors, search radii,
+and feasible-point search.
 
 The decision and the point search run the same minimization of
 f(x) = max_k (A_k . x + b_k) in R^n; an infeasible verdict rests on
 multipliers of the rows active at the incumbent that pass
-validate_certificate.  The floor programs run over the simplex in R^m,
-with their constraints expressed as a LinearConstraintSet; equalities
-are split into opposing inequality rows.
+validate_certificate.  The two floors (subgradient_lower_bound_at and
+global_radius) are distances from 0 to a convex hull of row
+combinations, Wolfe's minimum-norm-point problem; the NNLS kernel that
+finds the certificates solves it, and each floor reports the
+weak-duality lower bound of that solution (see _hull_floor).
 """
 
 from __future__ import annotations
@@ -19,19 +21,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySystem,
-    PreconditionViolated,
-    SolverBudgetExceeded,
-)
-from .oracles import LinearConstraintSet, MaxAffineFunction, QuadraticForm
-from .solver import (
-    MetastepConfig,
-    MetastepResult,
-    SolveStatus,
-    run_metasteps,
-)
+from .errors import DimensionMismatch, EmptySystem, PreconditionViolated
+from .oracles import MaxAffineFunction
+from .solver import MetastepConfig, MetastepResult, run_metasteps
 
 # Rows with coefficient norm below this are treated as constant rows.
 _ZERO_ROW = 1e-150
@@ -135,25 +127,6 @@ class PointSearchResult:
     radius_used: Optional[float] = None
     # The Farkas certificate behind INFEASIBLE_PROVEN; None otherwise.
     certificate: Optional[np.ndarray] = None
-
-
-def _simplex_constraint_parts(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows for {q >= 0, sum q = 1} with the equality split in two."""
-    rows = np.vstack([-np.eye(m), np.ones((1, m)), -np.ones((1, m))])
-    offsets = np.concatenate([np.zeros(m), [-1.0], [1.0]])
-    return rows, offsets
-
-
-def _lambda_config(value_floor: Optional[float]) -> MetastepConfig:
-    # The multiplier programs all live inside the unit simplex; a ball of
-    # radius 2 around the simplex center covers them with slack.
-    return MetastepConfig(
-        radius=2.0,
-        level_tolerance=1e-7,
-        max_metasteps=2,
-        value_floor=value_floor,
-        constraint_tolerance=1e-8,
-    )
 
 
 # The primal decision run: start radius, growth per metastep and metastep
@@ -309,7 +282,11 @@ def _polish_certificate(rows: np.ndarray) -> np.ndarray:
     Solves [A^T; 1^T] q ~ [0; 1] with q >= 0 by _nnls and rescales q to
     sum 1.  When such multipliers exist the residual is 0 up to
     rounding, so the result is one of them; otherwise A^T q stays away
-    from 0, and callers reject q by checking it.
+    from 0, and callers reject q by checking it.  Either way the result
+    minimizes ||A^T q|| over the simplex: with q = t L for L in the
+    simplex, the residual t^2 ||A^T L||^2 + (t - 1)^2 is least at
+    t = 1 / (1 + ||A^T L||^2), where it grows with ||A^T L||, so _nnls
+    returns L* / (1 + ||A^T L*||^2).
     """
     k, n = rows.shape
     matrix = np.vstack([rows.T, np.ones((1, k))])
@@ -379,42 +356,44 @@ def validate_certificate(system: LinearSystem, q, tol: float = 1e-7) -> bool:
     return _farkas_residual_ok(system, q, tol) and float(system.offsets @ q) > tol
 
 
-def _require_settled(res: MetastepResult, program: str) -> None:
-    """Raise unless the program's run proved its reported minimum.
+def _hull_floor(points: np.ndarray) -> float:
+    """A lower bound on the distance from 0 to conv(points), tight at
+    the minimum-norm point.
 
-    A budget-exhausted run leaves best_value only an upper bound, so
-    nothing built on it as a floor would be proven; a run whose level set
-    was proven empty has no minimum at all.
+    _polish_certificate gives the weights L of the minimum-norm point
+    p = points^T L.  Every y in the hull has
+    ||y|| >= y . p / ||p|| >= min_k points_k . p / ||p||, so
+    max(min_k points_k . p, 0) / ||p|| is a lower bound whatever L is,
+    and it equals ||p|| when L is optimal (then points_k . p >= ||p||^2
+    for every k).  0 when p is 0.
     """
-    if res.status is SolveStatus.BUDGET_EXHAUSTED:
-        raise SolverBudgetExceeded(f"{program} ran out of budget")
-    if res.status is SolveStatus.LEVEL_SET_EMPTY:
-        raise SolverBudgetExceeded(f"{program} has no feasible point in its search ball")
+    p = points.T @ _polish_certificate(points)
+    norm = float(np.linalg.norm(p))
+    if norm == 0.0:
+        return 0.0
+    return max(float(np.min(points @ p)), 0.0) / norm
 
 
 def subgradient_lower_bound_at(system: LinearSystem, x) -> float:
     """Norm floor for every subgradient of the row-max function at x.
 
-    Minimizes ||A^T L||^2 over multipliers L in the simplex whose
-    response L . (A x + B) is nonnegative; requires f(x) >= 0.
+    The floor is min ||A^T L|| over multipliers L in the simplex whose
+    response L . v, v = A x + b, is nonnegative; requires f(x) >= 0.
+    Those L form the convex hull of e_k for each v_k >= 0 and of
+    (-v_j e_i + v_i e_j) / (v_i - v_j) for each pair v_i > 0 > v_j, so
+    the floor is the distance from 0 to the hull of their images under
+    A^T, which _hull_floor bounds from below.
     """
     x = np.asarray(x, dtype=float)
-    fx = system.violation(x)
+    v = system.rows @ x + system.offsets
+    fx = float(np.max(v))
     if fx < 0.0:
         raise PreconditionViolated(f"row-max value {fx} is negative at x")
-    m = system.m
-    srows, soffs = _simplex_constraint_parts(m)
-    response = system.rows @ x + system.offsets
-    rows = np.vstack([srows, -response[None, :]])
-    offsets = np.concatenate([soffs, [0.0]])
-    res = run_metasteps(
-        QuadraticForm(system.rows @ system.rows.T),
-        np.full(m, 1.0 / m),
-        _lambda_config(value_floor=0.0),
-        extra=LinearConstraintSet(rows, offsets),
-    )
-    _require_settled(res, "subgradient floor program")
-    return math.sqrt(max(float(res.best_value), 0.0))
+    pos, neg = v > 0.0, v < 0.0
+    vi, vj = v[pos][:, None, None], v[neg][None, :, None]
+    pairs = (-vj * system.rows[pos][:, None, :] + vi * system.rows[neg][None, :, :]) / (vi - vj)
+    points = np.vstack([system.rows[v >= 0.0], pairs.reshape(-1, system.n)])
+    return _hull_floor(points)
 
 
 def _radius_from_floor(m: int, d_lower: float) -> float:
@@ -424,28 +403,21 @@ def _radius_from_floor(m: int, d_lower: float) -> float:
 def global_radius(system: LinearSystem, tol: float = 1e-7) -> RadiusBound:
     """Search radius from the global subgradient-norm floor (GlobalC).
 
-    Minimizes the gram form ||A^T L||^2 over the simplex.  A floor above
-    tol bounds every subgradient norm from below, and so the distance to
-    the nearest feasible point of a strictly feasible system.  At or
-    below tol there is no global floor and PreconditionViolated is
-    raised; that says nothing about whether the system is feasible.
+    The floor d_lower bounds min ||A^T L|| over the simplex from below:
+    the distance from 0 to the hull of the rows (see _hull_floor).  A
+    squared floor above tol bounds every subgradient norm from below,
+    and so the distance to the nearest feasible point of a strictly
+    feasible system.  At or below tol there is no global floor and
+    PreconditionViolated is raised; that says nothing about whether the
+    system is feasible.
     """
-    m = system.m
-    srows, soffs = _simplex_constraint_parts(m)
-    c_res = run_metasteps(
-        QuadraticForm(system.rows @ system.rows.T),
-        np.full(m, 1.0 / m),
-        _lambda_config(value_floor=0.0),
-        extra=LinearConstraintSet(srows, soffs),
-    )
-    _require_settled(c_res, "simplex floor program")
-    c_low = max(float(c_res.best_value), 0.0)
+    d_lower = _hull_floor(system.rows)
+    c_low = d_lower * d_lower
     if not c_low > tol:
         raise PreconditionViolated(
             f"simplex floor {c_low:.3e} is at most tol; no global floor"
         )
-    d_lower = math.sqrt(c_low)
-    return RadiusBound(d_lower, _radius_from_floor(m, d_lower), RadiusMethod.GLOBAL_C)
+    return RadiusBound(d_lower, _radius_from_floor(system.m, d_lower), RadiusMethod.GLOBAL_C)
 
 
 def find_feasible_point(

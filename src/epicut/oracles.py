@@ -38,10 +38,6 @@ class ConvexOracle(ABC):
         """(eval(x), subgradient(x)); subclasses share the work of the two."""
         return self.eval(x), self.subgradient(x)
 
-    def eval_many(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.array([self.eval(p) for p in pts])
-
 
 class MaxAffineFunction(ConvexOracle):
     """f(x) = max_k (rows[k] . x + offsets[k])."""
@@ -98,6 +94,8 @@ class MaxAffineFunction(ConvexOracle):
         return (pts @ self.rows.T + self.offsets).max(axis=1)
 
 
+# No code in the package builds a QuadraticForm or a LinearConstraintSet;
+# both stay importable because benchmark/tracing.py wraps their methods.
 class QuadraticForm(ConvexOracle):
     """f(q) = q^T gram q for a positive-semidefinite gram matrix."""
 

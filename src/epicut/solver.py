@@ -1,33 +1,30 @@
 """Ball-restricted convex minimization by one ellipsoid run per metastep.
 
-A metastep minimizes f over the ball B(x0, R) intersected with optional
-linear side constraints C.  It runs the ellipsoid method in R^n from
-the ball itself and keeps a proven bracket [lb, U] on the minimum:
+A metastep minimizes f over the ball B(x0, R).  It runs the ellipsoid
+method in R^n from the ball itself and keeps a proven bracket [lb, U]
+on the minimum:
 
-- a center outside the ball gets a ball cut, and a center that breaks
-  a side constraint (beyond ``constraint_tolerance``) gets a cut on its
-  most violated row; the more violated of the two wins;
+- a center outside the ball gets a ball cut;
 - any other center c is evaluated: f(c) updates the incumbent U, and
   with a subgradient g the deep objective cut g.(x - c) + f(c) - U <= 0
-  follows.
+  follows.  A value that is not a finite number raises NonFiniteValue:
+  no cut or bound can be built on it.
 
-Every cut keeps all of {x in B and C : f(x) <= U}, so the minimizer
-stays inside the ellipsoid E with factor J, and there
-f >= f(c) - ||J^T g||.  Each objective cut therefore raises
-lb to max(lb, min(U, f(c) - ||J^T g||)), where ||J^T g|| is the width
-the cut kernel returns for E before the cut.  An empty intersection
-proves the set empty: lb becomes U (+inf with no incumbent yet).
+Every cut keeps all of {x in B : f(x) <= U}, so the minimizer stays
+inside the ellipsoid E with factor J, and there f >= f(c) - ||J^T g||.
+Each objective cut therefore raises lb to
+max(lb, min(U, f(c) - ||J^T g||)), where ||J^T g|| is the width the
+cut kernel returns for E before the cut.  An empty intersection proves
+that nothing below U is left: lb becomes U.
 
 The run stops once U - lb <= eps, once U drops below
 ``stop_when_high_below``, at ``iteration_budget(n)`` iterations, or when
-the caller's hook asks it to (see bisect_level).  A
-closed bracket whose incumbent lies strictly inside the ball (by 10 eps)
-certifies the global minimum; one on the sphere triggers another
-metastep around it when budget remains.  A closed bracket with no
-incumbent proves the feasible part of the ball empty (LevelSetEmpty).  Any other stop proves
-only the bracket it reports (BudgetExhausted): lb is still a lower bound
-on the minimum over the ball, which is the proof of how far from the
-optimum the run stopped.
+the caller's hook asks it to (see bisect_level).  A closed bracket
+whose incumbent lies strictly inside the ball (by 10 eps) certifies the
+global minimum; one on the sphere triggers another metastep around it
+when budget remains.  Any other stop proves only the bracket it reports
+(BudgetExhausted): lb is still a lower bound on the minimum over the
+ball, which is the proof of how far from the optimum the run stopped.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -41,7 +38,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateShape
+from .errors import DegenerateShape, NonFiniteValue
 # deep_cut and intersects_halfspace are not called here; they stay
 # importable as solver.deep_cut and solver.intersects_halfspace, names
 # benchmark/tracing.py wraps.
@@ -52,15 +49,13 @@ from .geometry import (  # noqa: F401
     deep_cut,
     intersects_halfspace,
 )
-from .oracles import ConvexOracle, LinearConstraintSet
+from .oracles import ConvexOracle
 
 
 class SolveStatus(Enum):
     GLOBAL_OPTIMUM_CERTIFIED = "GlobalOptimumCertified"
     BOUNDARY_REACHED = "BoundaryReached"
     BUDGET_EXHAUSTED = "BudgetExhausted"
-    # No incumbent, and a cut proved the feasible part of the ball empty.
-    LEVEL_SET_EMPTY = "LevelSetEmpty"
 
 
 @dataclass
@@ -69,7 +64,7 @@ class TraceRecord:
     iteration: int            # 1-based ellipsoid iteration within the metastep
     center: np.ndarray        # center before the cut
     value: Optional[float]    # f at the center; None unless the cut is "objective"
-    cut: str                  # "objective" | "ball" | "constraint"
+    cut: str                  # "objective" | "ball"
     depth: float              # raw slack passed to the cut
     log_volume: float         # log volume ratio after the cut, against the ball
 
@@ -80,10 +75,6 @@ class MetastepConfig:
     level_tolerance: float = 1e-6
     max_metasteps: int = 16
     radius_growth: float = 1.0
-    # Known lower bound on f; starts the bracket's lower end when given.
-    value_floor: Optional[float] = None
-    # Normalized slack allowed when testing side constraints at a point.
-    constraint_tolerance: float = 1e-9
     # Stop the whole solve once the incumbent value is strictly below this.
     stop_when_high_below: Optional[float] = None
 
@@ -107,7 +98,7 @@ class MetastepConfig:
 
 @dataclass
 class MetastepResult:
-    best_point: Optional[np.ndarray]
+    best_point: np.ndarray
     best_value: float
     status: SolveStatus
     iterations: int
@@ -122,7 +113,6 @@ def bisect_level(
     f: ConvexOracle,
     x0,
     cfg: MetastepConfig,
-    extra: Optional[LinearConstraintSet] = None,
     *,
     trace: bool = False,
     hook: Optional[Callable[[np.ndarray], bool]] = None,
@@ -144,7 +134,6 @@ def bisect_level(
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
     eps = cfg.level_tolerance
-    tolerance = cfg.constraint_tolerance
     high_below = cfg.stop_when_high_below
     budget = cfg.iteration_budget(x0.shape[0])
     period = 4 * (x0.shape[0] + 1)
@@ -154,7 +143,7 @@ def bisect_level(
     e = Ellipsoid.ball(x0, radius)
     best_point: Optional[np.ndarray] = None
     upper = math.inf
-    lower = -math.inf if cfg.value_floor is None else float(cfg.value_floor)
+    lower = -math.inf
     iters = 0
     while iters < budget:
         iters += 1
@@ -163,19 +152,14 @@ def bisect_level(
         center = e.center
         du = center - x0
         dist = math.sqrt(float(du @ du))
-        if extra is None:
-            viol, row = -math.inf, -1
-        else:
-            viol, row = extra.normalized_max_violation(center)
         value = None
-        if dist > radius and dist - radius >= viol:
+        if dist > radius:
             kind, normal, slack = "ball", du, dist * (dist - radius)
-        elif viol > tolerance:
-            normal = extra.rows[row]
-            kind, slack = "constraint", float(normal @ center + extra.offsets[row])
         else:
             value, normal = f.value_and_subgradient(center)
             value = float(value)
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"objective value {value} at a center in the ball")
             if value < upper:
                 upper, best_point = value, center
             kind, slack = "objective", value - upper
@@ -190,8 +174,7 @@ def bisect_level(
             # subgradient (width 0) makes the center a global minimizer.
             lower = max(lower, min(upper, value - width))
         elif outcome is CutKind.EMPTY_INTERSECTION:
-            # No point of the ball and the side constraints lies
-            # below the incumbent, or none at all without one.
+            # No point of the ball lies below the incumbent.
             lower = upper
         if trace and outcome is CutKind.UPDATED:
             records.append(
@@ -199,14 +182,11 @@ def bisect_level(
             )
         if lower >= upper - eps or (high_below is not None and upper < high_below):
             break
-        if (hook is not None and lower > 0.0 and iters % period == 0
-                and best_point is not None and hook(best_point)):
+        if hook is not None and lower > 0.0 and iters % period == 0 and hook(best_point):
             break
 
     if lower < upper - eps:
         status = SolveStatus.BUDGET_EXHAUSTED
-    elif best_point is None:
-        status = SolveStatus.LEVEL_SET_EMPTY
     elif float(np.linalg.norm(best_point - x0)) < radius - 10.0 * eps:
         status = SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
     else:
@@ -228,7 +208,6 @@ def run_metasteps(
     f: ConvexOracle,
     x0,
     cfg: MetastepConfig,
-    extra: Optional[LinearConstraintSet] = None,
     *,
     trace: bool = False,
     hook: Optional[Callable[[np.ndarray], bool]] = None,
@@ -252,7 +231,7 @@ def run_metasteps(
     for _ in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         result = bisect_level(
-            f, x, step_cfg, extra, trace=trace, hook=hook, _query_start=total_queries
+            f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries
         )
         records.extend(result.trace)
         query_iterations.extend(result.query_iterations)

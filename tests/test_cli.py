@@ -270,6 +270,33 @@ class TestMinimizeCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] >= -1.0
 
+    @pytest.mark.parametrize("doc, flags", [
+        # f(0.9999) is about -0.9999; an overflowing f(c) read as a cut
+        # with infinite slack closed the bracket at f(0) = 0 (exit 0).
+        ({"A": [[1e307], [-1]], "b": [-1e307, 0]}, ["--radius", "1000"]),
+        # f(x0) overflows: no incumbent at all (LevelSetEmpty, exit 3).
+        ({"A": [[1e300]], "b": [0]}, ["--x0", "1e10", "--radius", "1"]),
+        # The second metastep's ball [-2, 0] holds values below -1.8e308.
+        ({"A": [[9e307]], "b": [0]}, ["--radius", "1"]),
+    ])
+    def test_non_finite_value_is_an_internal_error(self, tmp_path, doc, flags):
+        proc = invoke("minimize", write_problem(tmp_path / "f.json", doc), *flags)
+        assert proc.returncode == 70
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(
+            "epicut: internal error: NonFiniteValue: ")
+
+    def test_normal_in_the_top_binade_runs(self, tmp_path):
+        # ||g||^2 overflows and g's entry is above 2^1023: the cut kernel
+        # rescaled by 2^1024 and exited 1 with a traceback.
+        path = write_problem(tmp_path / "f.json", {"A": [[9e307]], "b": [0]})
+        proc = invoke("minimize", path, "--radius", "1", "--metasteps", "1")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "BoundaryReached"
+        assert report["point"] == [-1.0] and report["value"] == -9e307
+
     def test_radius_required(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert invoke("minimize", path).returncode == 64
@@ -527,7 +554,7 @@ class TestInProcessCalls:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize("error", ["DegenerateShape", "DimensionMismatch"])
+    @pytest.mark.parametrize("error", ["DegenerateShape", "DimensionMismatch", "NonFiniteValue"])
     def test_internal_error_exit_70(self, unit_box, monkeypatch, capsys, error):
         from epicut import cli, errors
 

@@ -282,6 +282,28 @@ class TestCutInPlace:
                 npt.assert_array_equal(work.factor, reference.factor)
                 assert work.log_volume_ratio == reference.log_volume_ratio
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_normal_in_the_top_binade(self):
+        # Largest entry in [2^1023, 2^1024): the kernel's scale factors
+        # must stay finite (2^1024 raised OverflowError).  The cut is the
+        # one of the unscaled normal; the width overflows to inf exactly
+        # when it exceeds the largest float.
+        for e, normal, slack in self.cases():
+            k = 1024 - math.frexp(float(np.max(np.abs(normal))))[1]
+            big_slack = float(np.ldexp(slack, k))
+            if math.isinf(big_slack):
+                continue  # a different cut: the slack itself overflowed
+            reference = e.copy()
+            kind, alpha, width = cut_in_place(reference, normal, slack)
+            work = e.copy()
+            got = cut_in_place(work, np.ldexp(normal, k), big_slack)
+            assert got == (kind, alpha, float(np.ldexp(width, k)))
+            npt.assert_array_equal(work.center, reference.center)
+            npt.assert_array_equal(work.factor, reference.factor)
+        e = Ellipsoid.ball(np.zeros(1), 1.0)
+        assert cut_in_place(e, np.array([9e307]), 0.0) == (CutKind.UPDATED, 0.0, 9e307)
+        npt.assert_array_equal(e.center, [-0.5])
+
     def test_zero_normal_cut(self):
         # The constraint slack <= 0 holds nowhere or everywhere.
         for slack, expected in ((0.5, (CutKind.EMPTY_INTERSECTION, math.inf, 0.0)),

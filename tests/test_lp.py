@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +14,6 @@ from epicut import (
     PreconditionViolated,
     RadiusMethod,
     SolveStatus,
-    SolverBudgetExceeded,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -58,30 +56,6 @@ def planted_infeasible(rng, m, n):
     offsets = rng.uniform(-1, 1, m)
     offsets = offsets + q * (0.5 - offsets @ q) / (q @ q)
     return system(rows, offsets)
-
-
-def exhaust_program(monkeypatch, index, drop_witness=False,
-                    status=SolveStatus.BUDGET_EXHAUSTED):
-    """Make the index-th inner program of the next lp call report
-    ``status`` (BudgetExhausted by default); with drop_witness it also
-    loses its witness and leaves its bracket open, as a run that ran out
-    before any witness.  With index None every program runs untouched.
-    Returns the list the programs' results are recorded in."""
-    real = lp.run_metasteps
-    calls = []
-
-    def fake(*args, **kwargs):
-        res = real(*args, **kwargs)
-        calls.append(res)
-        if len(calls) - 1 == index:
-            res = replace(res, status=status)
-            if drop_witness:
-                lo = res.alpha_bracket[0]
-                res = replace(res, best_point=None, alpha_bracket=(lo, lo + 1.0))
-        return res
-
-    monkeypatch.setattr(lp, "run_metasteps", fake)
-    return calls
 
 
 class TestNormalize:
@@ -264,7 +238,53 @@ class TestFarkasKernel:
         assert not validate_certificate(system(rows, np.ones(m)), cert)
 
 
+def planted_hull(rng):
+    """Rows p + u_k with every u_k orthogonal to p and 0 = sum w_k u_k for
+    weights w > 0: the hull lies in the plane y . p = ||p||^2 and holds
+    p, so p is its minimum-norm point.  Returns the rows and ||p||^2."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(2, 11))
+    p = rng.normal(size=n)
+    p *= rng.uniform(0.1, 1.0) / np.linalg.norm(p)
+    z = rng.normal(size=(m, n))
+    z -= np.outer(z @ p, p) / float(p @ p)
+    w = rng.uniform(0.1, 1.0, m)
+    u = z - (w / w.sum()) @ z
+    return p + u, float(p @ p)
+
+
+def assert_floor(d, norm2):
+    """d^2 equals the planted norm2 to 1e-9 relative, and lies above it
+    by no more than the rounding of the planted rows."""
+    assert d * d <= norm2 * (1.0 + 1e-14)
+    assert d * d == pytest.approx(norm2, rel=1e-9)
+
+
 class TestSubgradientFloor:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_hull(self, seed):
+        # Every row has a nonnegative response at x, so the floor is the
+        # distance from 0 to the hull of the rows.
+        rng = np.random.default_rng(200 + seed)
+        rows, norm2 = planted_hull(rng)
+        x = rng.uniform(-1, 1, rows.shape[1])
+        response = rng.uniform(0.0, 1.0, rows.shape[0])
+        response[0] = 0.0
+        assert_floor(subgradient_lower_bound_at(system(rows, response - rows @ x), x), norm2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_response_constraint_binds(self, seed):
+        # Rows s Q (1, 1) and s Q (-1, 1), response v = (1, -3): L . v >= 0
+        # needs L_1 >= 3/4, so the subgradients form the segment from
+        # s Q (1/2, 1) to s Q (1, 1), with least norm s sqrt(5/4).  Without
+        # the constraint it would be s Q (0, 1), of norm s.
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 6))
+        basis = np.linalg.qr(rng.normal(size=(n, 2)))[0]
+        scale = rng.uniform(0.5, 2.0)
+        rows = scale * np.array([[1.0, 1.0], [-1.0, 1.0]]) @ basis.T
+        d = subgradient_lower_bound_at(system(rows, [1.0, -3.0]), np.zeros(n))
+        assert_floor(d, 1.25 * scale * scale)
+
     def test_single_row(self):
         sys_n = normalize(system([[1.0]], [-1.0]))
         # normalized row (1, -1)/sqrt(2); at x = 2 the only subgradient
@@ -296,20 +316,6 @@ class TestSubgradientFloor:
             assert float(np.min(norms)) >= d - 1e-6
             done += 1
 
-    def test_budget_exhaustion_raises(self, monkeypatch):
-        sys_n = normalize(system([[1.0]], [-1.0]))
-        calls = exhaust_program(monkeypatch, 0)
-        with pytest.raises(SolverBudgetExceeded):
-            subgradient_lower_bound_at(sys_n, np.array([2.0]))
-        assert len(calls) == 1
-
-    def test_level_set_empty_raises(self, monkeypatch):
-        sys_n = normalize(system([[1.0]], [-1.0]))
-        exhaust_program(monkeypatch, 0, status=SolveStatus.LEVEL_SET_EMPTY)
-        with pytest.raises(SolverBudgetExceeded):
-            subgradient_lower_bound_at(sys_n, np.array([2.0]))
-
-
 class TestGlobalRadius:
     def test_single_row_closed_form(self):
         sys_n = normalize(system([[1.0]], [-1.0]))
@@ -318,23 +324,10 @@ class TestGlobalRadius:
         assert rb.d_lower == pytest.approx(math.sqrt(0.5), abs=1e-6)
         assert rb.radius == pytest.approx(math.sqrt(3.0), abs=1e-5)
 
-    # An empty level set has no minimum to read a floor from.  The
-    # simplex floor program is global_radius's only program.
-    @pytest.mark.parametrize("index", [0])
-    def test_level_set_empty_raises(self, monkeypatch, index):
-        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
-        calls = exhaust_program(monkeypatch, index, status=SolveStatus.LEVEL_SET_EMPTY)
-        with pytest.raises(SolverBudgetExceeded):
-            global_radius(sys_n)
-        assert len(calls) == index + 1
-
-    @pytest.mark.parametrize("index,drop_witness", [(0, False)])
-    def test_budget_exhaustion_raises(self, monkeypatch, index, drop_witness):
-        sys_n = normalize(system([[1.0], [-1.0]], [-1.0, 0.0]))  # 0 <= x <= 1
-        calls = exhaust_program(monkeypatch, index, drop_witness)
-        with pytest.raises(SolverBudgetExceeded):
-            global_radius(sys_n)
-        assert len(calls) == index + 1
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_hull(self, seed):
+        rows, norm2 = planted_hull(np.random.default_rng(400 + seed))
+        assert_floor(global_radius(system(rows, -np.ones(rows.shape[0]))).d_lower, norm2)
 
     def test_weakly_feasible_rejected(self):
         sys_n = normalize(system([[1.0], [-1.0]], [0.0, 0.0]))

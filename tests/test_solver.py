@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from epicut import (
-    LinearConstraintSet,
     MaxAffineFunction,
     MetastepConfig,
-    QuadraticForm,
+    NonFiniteValue,
     SolveStatus,
     bisect_level,
     run_metasteps,
@@ -46,7 +45,7 @@ class TestConfig:
 class TestLevelSetFeasible:
     """A run's bracket read as level-set verdicts on the ball: the incumbent
     point witnesses that {f <= U} meets the ball, and no point of the ball
-    (and the side constraints) lies below lb."""
+    lies below lb."""
 
     def test_witness_validity(self):
         f = abs_minus_one()
@@ -77,18 +76,6 @@ class TestLevelSetFeasible:
             radii = cfg.radius * np.sqrt(rng.uniform(size=(2000, 1)))
             samples = x0 + radii * directions
             assert min(f.eval(x) for x in samples) >= lo
-
-    def test_extra_constraints_respected(self):
-        # minimize x^2 with x >= 0.5: level 0.25 is reached, level 0.2 not
-        f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([0.5]))
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
-        res = bisect_level(f, np.array([1.0]), cfg, extra)
-        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-        assert float(res.best_point[0]) >= 0.5 - 1e-8
-        lo, hi = res.alpha_bracket
-        assert 0.2 < lo <= 0.25 <= hi == res.best_value <= lo + cfg.level_tolerance
-
 
 class TestBisectLevel:
     def test_interior_minimum_certified(self):
@@ -181,34 +168,6 @@ class TestBisectLevel:
         np.testing.assert_array_equal(res.best_point, np.zeros(2))
         assert run_metasteps(f, np.zeros(2), cfg).status is SolveStatus.BUDGET_EXHAUSTED
 
-    def test_closed_bracket_without_witness_is_level_set_empty(self):
-        # x >= 5 lies outside the ball around x0 = 0: the first constraint
-        # cut misses the ball, so the minimum over the empty set is +inf.
-        f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([5.0]))
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4)
-        res = bisect_level(f, np.zeros(1), cfg, extra)
-        assert res.status is SolveStatus.LEVEL_SET_EMPTY
-        assert res.best_point is None
-        assert res.alpha_bracket == (math.inf, math.inf)
-        assert run_metasteps(f, np.zeros(1), cfg, extra).status is SolveStatus.LEVEL_SET_EMPTY
-
-    def test_query_cap_without_witness_is_budget_exhausted(self):
-        # x >= 1.5 meets the ball [-2, 2], but the one iteration the query
-        # may make is a constraint cut, so no point was ever evaluated.
-        class OneIteration(MetastepConfig):
-            def iteration_budget(self, dim):
-                return 1
-
-        f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([1.5]))
-        cfg = OneIteration(radius=2.0, level_tolerance=1e-4)
-        res = bisect_level(f, np.zeros(1), cfg, extra)
-        assert res.level_queries == 1
-        assert res.status is SolveStatus.BUDGET_EXHAUSTED
-        assert res.best_point is None
-        assert res.alpha_bracket == (-math.inf, math.inf)
-
     def test_zero_subgradient_closes_the_bracket(self):
         # A constant function: the first center is a global minimizer.
         f = MaxAffineFunction(np.zeros((2, 3)), np.array([-2.0, 0.5]))
@@ -216,6 +175,20 @@ class TestBisectLevel:
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         assert res.alpha_bracket == (0.5, 0.5)
         assert res.iterations == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("rows, offsets, x0, radius", [
+        # f(x0) = inf: no incumbent to bracket.
+        ([[1e300]], [0.0], 1e10, 1.0),
+        # f(0) = 0, then a center where 1e307 x overflows; read as a cut
+        # with infinite slack it closed the bracket at 0, but f(0.9999)
+        # is about -0.9999.
+        ([[1e307], [-1.0]], [-1e307, 0.0], 0.0, 1000.0),
+    ])
+    def test_non_finite_value_raises(self, rows, offsets, x0, radius):
+        f = MaxAffineFunction(np.array(rows), np.array(offsets))
+        with pytest.raises(NonFiniteValue):
+            run_metasteps(f, np.array([x0]), MetastepConfig(radius=radius))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("rows, rounding", [
@@ -269,15 +242,6 @@ class TestRunMetasteps:
         res = run_metasteps(abs_minus_one(), np.array([0.6]), cfg)
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
 
-    def test_constrained_quadratic(self):
-        # min x^2 subject to x >= 0.5: optimum 0.25 on the constraint edge
-        f = QuadraticForm(np.array([[1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0]]), np.array([0.5]))
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=4)
-        res = run_metasteps(f, np.array([1.0]), cfg, extra=extra)
-        assert res.best_value == pytest.approx(0.25, abs=1e-4)
-        assert float(res.best_point[0]) >= 0.5 - 1e-8
-
     def test_monotone_descent_and_aggregation(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4, max_metasteps=12)
         res = run_metasteps(abs_minus_one(), np.array([10.0]), cfg, trace=True)
@@ -303,12 +267,8 @@ class TestTraceOnlyObserves:
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         box = MaxAffineFunction(rows, np.full(4, -1.0))
         cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, max_metasteps=8)
-        yield box, np.array([0.9, -0.7]), cfg, None
-        yield box, np.array([6.0, 5.0]), cfg, None
-        # A side constraint brings in constraint cuts.
-        f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
-        yield f, np.array([-1.0, 2.0]), MetastepConfig(radius=2.0, level_tolerance=1e-5), extra
+        yield box, np.array([0.9, -0.7]), cfg
+        yield box, np.array([6.0, 5.0]), cfg
 
     def test_same_result_with_and_without_trace(self, monkeypatch):
         updates = []
@@ -321,10 +281,10 @@ class TestTraceOnlyObserves:
 
         monkeypatch.setattr(solver, "cut_in_place", counting)
         kinds = set()
-        for f, x0, cfg, extra in self.runs():
-            plain = run_metasteps(f, x0, cfg, extra)
+        for f, x0, cfg in self.runs():
+            plain = run_metasteps(f, x0, cfg)
             del updates[:]
-            traced = run_metasteps(f, x0, cfg, extra, trace=True)
+            traced = run_metasteps(f, x0, cfg, trace=True)
             assert plain.trace == []
             assert traced.status is plain.status
             assert traced.best_value == plain.best_value
@@ -338,7 +298,7 @@ class TestTraceOnlyObserves:
                 assert iters == list(range(1, len(iters) + 1))
                 assert used - 1 <= len(iters) <= used
             kinds.update(r.cut for r in traced.trace)
-        assert kinds == {"objective", "ball", "constraint"}
+        assert kinds == {"objective", "ball"}
 
 
 class TestHook:
@@ -433,9 +393,9 @@ class TestBracketSoundness:
         log = []
         original = solver.bisect_level
 
-        def recording(f, x0, cfg, extra=None, **kwargs):
-            res = original(f, x0, cfg, extra, **kwargs)
-            log.append((f, np.array(x0, dtype=float), cfg, extra, res))
+        def recording(f, x0, cfg, **kwargs):
+            res = original(f, x0, cfg, **kwargs)
+            log.append((f, np.array(x0, dtype=float), cfg, res))
             return res
 
         monkeypatch.setattr(solver, "bisect_level", recording)
@@ -443,14 +403,10 @@ class TestBracketSoundness:
 
     @staticmethod
     def check_every_metastep(log):
-        for f, x0, cfg, extra, res in log:
+        for f, x0, cfg, res in log:
             lo, hi = res.alpha_bracket
             assert lo <= hi == res.best_value == f.eval(res.best_point)
             assert np.linalg.norm(res.best_point - x0) <= cfg.radius
-            if extra is not None:
-                assert extra.normalized_max_violation(res.best_point)[0] <= (
-                    cfg.constraint_tolerance
-                )
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_minima_bracket_holds_true_minimum(self, metasteps, n):
@@ -468,39 +424,6 @@ class TestBracketSoundness:
         self.check_every_metastep(metasteps)
         # The far starts recentre, so there were more metasteps than runs.
         assert len(metasteps) > 6
-
-    def test_constrained_quadratic_bracket_holds_true_minimum(self, metasteps):
-        # min x^T Q x subject to x1 + x2 >= 1: 0.875 at (1/4, 3/4).  Cuts
-        # use the exact constraint, so lb is proven under 0.875; the
-        # incumbent may break it by the normalized tolerance, where the
-        # minimum is 0.875 (1 - sqrt(2) tol)^2.
-        f = QuadraticForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        extra = LinearConstraintSet(np.array([[-1.0, -1.0]]), np.array([1.0]))
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-5, max_metasteps=8)
-        relaxed_min = 0.875 * (1.0 - math.sqrt(2.0) * cfg.constraint_tolerance) ** 2
-        for x0 in ([1.5, 1.0], [-1.0, 2.0]):
-            res = run_metasteps(f, np.array(x0), cfg, extra=extra)
-            assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-            lo, hi = res.alpha_bracket
-            assert lo <= 0.875
-            assert relaxed_min <= res.best_value == hi <= lo + cfg.level_tolerance
-        self.check_every_metastep(metasteps)
-
-    def test_incumbent_cut_away_keeps_bracket_ordered(self):
-        # With a loose constraint tolerance the incumbent may break the
-        # exact constraint 0.6 x1 + 0.4 x2 + 0.5 <= 0; constraint cuts,
-        # which use the exact row, then cut it away, and objective cuts
-        # can see f(c) - width above U.  lb must still not pass U.
-        f = QuadraticForm(np.diag([1.6, 0.7]))
-        row = np.array([0.6, 0.4])
-        extra = LinearConstraintSet(row[None, :], np.array([0.5]))
-        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, constraint_tolerance=0.1)
-        res = bisect_level(f, np.array([-0.6, 0.6]), cfg, extra)
-        assert float(row @ res.best_point) + 0.5 > 0.0
-        exact_min = 0.25 / (0.36 / 1.6 + 0.16 / 0.7)
-        lo, hi = res.alpha_bracket
-        assert lo <= hi == res.best_value <= exact_min
-        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_early_stop_keeps_a_valid_lower_bound(self, n):

@@ -1,0 +1,35 @@
+"""benchmark/tracing.py wraps package names through owner.__dict__[attr].
+A deleted or renamed name breaks only the traced benchmark runs, so this
+installs the tracer on the package, runs one command and uninstalls it."""
+
+import json
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    import tracing
+    from epicut import cli
+
+    targets = tracing._MODULE_TARGETS + tracing._CLASS_TARGETS
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets
+               if attr not in owner.__dict__]
+    assert missing == []
+    originals = [owner.__dict__[attr] for owner, attr, _ in targets]
+
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"A": [[1], [-1]], "b": [1, 1]}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not original
+                   for (owner, attr, _), original in zip(targets, originals))
+        assert tracer.call(0, cli.main, ["decide", str(path)]) == cli.EXIT_INFEASIBLE
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr, _), original in zip(targets, originals))
+    assert tracer.counts["solver.ellipsoid_iters"] > 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "InfeasibleNonStrict"
