@@ -1,9 +1,10 @@
 """Ellipsoid-based convex feasibility and nonsmooth minimization.
 
 Layers: an ellipsoid engine with central and deep cuts (geometry), convex
-function oracles (oracles), a metastep minimizer with proven brackets (solver),
-linear-inequality feasibility with Farkas certificates (lp), brute-force
-reference oracles (bruteforce), and a CLI (cli).
+function oracles (oracles), a nonnegative least squares kernel (nnls), a
+metastep minimizer with proven brackets (solver), linear-inequality
+feasibility with Farkas certificates (lp), brute-force reference oracles
+(bruteforce), and a CLI (cli).
 """
 
 from .bruteforce import (

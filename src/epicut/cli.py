@@ -190,6 +190,14 @@ def _counts(run: Optional[MetastepResult]) -> Tuple[int, int]:
     return run.level_queries, run.iterations
 
 
+def _bracket(run: Optional[MetastepResult]) -> Optional[List[Optional[float]]]:
+    """The run's proven [lb, U]; null without a run.  An lb of -inf
+    (nothing proven) reads null."""
+    if run is None:
+        return None
+    return [_num(bound) for bound in run.alpha_bracket]
+
+
 def _write_trace(path: str, run: Optional[MetastepResult]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -232,6 +240,8 @@ def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
         "radius": None,
         "level_queries": 0,
         "ellipsoid_iters": 0,
+        "bracket": None,
+        "depth": None,
         "wall_ms": None,
         "config": _config_echo(args),
         "trace_file": args.trace,
@@ -257,6 +267,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     report["d_star"] = _num(decision.d_star)
     report["level_queries"] = queries
     report["ellipsoid_iters"] = iters
+    report["bracket"] = _bracket(decision.report)
     _finish_timing(report, args, started)
     if args.trace:
         _write_trace(args.trace, decision.report)
@@ -287,6 +298,7 @@ def cmd_find_point(args: argparse.Namespace) -> int:
     report["radius"] = _num(result.radius_used)
     report["level_queries"] = queries
     report["ellipsoid_iters"] = iters
+    report["bracket"] = _bracket(result.metastep_report)
     _finish_timing(report, args, started)
     if args.trace:
         _write_trace(args.trace, result.metastep_report)
@@ -313,6 +325,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     report["value"] = _num(result.best_value)
     report["level_queries"] = result.level_queries
     report["ellipsoid_iters"] = result.iterations
+    report["bracket"] = _bracket(result)
+    report["depth"] = _num(result.depth)
     _finish_timing(report, args, started)
     if args.trace:
         _write_trace(args.trace, result)

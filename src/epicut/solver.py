@@ -17,6 +17,16 @@ max(lb, min(U, f(c) - ||J^T g||)), where ||J^T g|| is the width the
 cut kernel returns for E before the cut.  An empty intersection proves
 that nothing below U is left: lb becomes U.
 
+A max-affine f run without a hook also gets the model step (Kelley's
+cutting-plane model, J. SIAM 8, 1960): from time to time, simplex
+weights on the rows nearest the max at the incumbent give the ball
+bound L.b + (A^T L).x0 - R ||A^T L||, which holds for any weights and
+wherever the ellipsoid is, and the vertex where those rows are equal is
+evaluated if it lies in the ball.  Once the rows active at an interior
+minimizer are known, the two close the bracket, long before the
+ellipsoid shrinks to eps around the minimizer.  See bisect_level and
+_model_step.
+
 The run stops once U - lb <= eps, once U drops below
 ``stop_when_high_below``, at ``iteration_budget(n)`` iterations, or when
 the caller's hook asks it to (see bisect_level).  A closed bracket
@@ -49,7 +59,17 @@ from .geometry import (  # noqa: F401
     deep_cut,
     intersects_halfspace,
 )
-from .oracles import ConvexOracle
+from .nnls import min_norm_weights
+from .oracles import ConvexOracle, MaxAffineFunction
+
+# The hook's slot comes every _MODEL_PERIOD (d+1) iterations.  The model
+# step that fills it without a hook comes first after as many, and a try
+# that does not halve the gap multiplies the wait before the next one by
+# _MODEL_BACKOFF (see bisect_level; README measures both).
+_MODEL_PERIOD = 4
+_MODEL_BACKOFF = 2
+
+_ROUNDING = float(np.finfo(float).eps)
 
 
 class SolveStatus(Enum):
@@ -104,6 +124,7 @@ class MetastepResult:
     iterations: int
     level_queries: int
     alpha_bracket: Tuple[float, float]  # proven (lower bound, incumbent value)
+    depth: float  # radius minus the best point's distance from the ball's center
     trace: List[TraceRecord]
     query_iterations: List[int]
     config: MetastepConfig
@@ -128,22 +149,39 @@ def bisect_level(
     iterations while the proven lower bound is above 0, that is while
     the ball is proven to hold no point with f <= 0.  A True return ends
     the run with its bracket still open and proven: BudgetExhausted.
-    Without a hook the run is the same as with one that always returns
-    False.
+
+    Without a hook, a MaxAffineFunction gets the model step in the
+    hook's slot instead (see _model_step), whatever the sign of lb.  It
+    raises lb to the model's ball bound and probes a vertex of the
+    model, which enters the incumbent only through f's value there.
+    The first try comes after 4(d+1) iterations.  A try that halves the
+    gap U - lb is followed by the next 4(d+1) iterations later; one that
+    does not doubles the wait, so metasteps whose minimum lies on the
+    sphere, where the model rarely helps, do not pay for a try every
+    4(d+1) iterations.  A hook takes the model step's place: the lp
+    layer's hook runs its own NNLS try.  Any other oracle runs as with a
+    hook that always returns False.
+
+    A value f(c) below lb disproves the cut bound: rounding lost the
+    minimizer from the ellipsoid.  The run then ends with lb taken from
+    the model's ball bound alone (-inf without one), so no bracket has
+    lb > U.
     """
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
     eps = cfg.level_tolerance
     high_below = cfg.stop_when_high_below
     budget = cfg.iteration_budget(x0.shape[0])
-    period = 4 * (x0.shape[0] + 1)
+    period = _MODEL_PERIOD * (x0.shape[0] + 1)
+    model = f if hook is None and isinstance(f, MaxAffineFunction) else None
+    wait = next_try = period
     query = _query_start + 1
     records: List[TraceRecord] = []
 
     e = Ellipsoid.ball(x0, radius)
     best_point: Optional[np.ndarray] = None
     upper = math.inf
-    lower = -math.inf
+    lower = model_lower = -math.inf
     iters = 0
     while iters < budget:
         iters += 1
@@ -180,14 +218,29 @@ def bisect_level(
             records.append(
                 TraceRecord(query, iters, center, value, kind, slack, e.log_volume_ratio)
             )
+        if model is not None and iters >= next_try and lower < upper - eps:
+            gap = upper - lower
+            bound, vertex = _model_step(model, best_point, x0, radius)
+            model_lower = max(model_lower, bound)
+            if vertex is not None:
+                probed = model.eval(vertex)
+                if math.isfinite(probed) and probed < upper:
+                    upper, best_point = probed, vertex
+            lower = max(lower, min(upper, model_lower))
+            wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
+            next_try = iters + wait
         if lower >= upper - eps or (high_below is not None and upper < high_below):
+            if lower > upper:
+                # A value below lb disproved the cut bound.
+                lower = min(upper, model_lower)
             break
         if hook is not None and lower > 0.0 and iters % period == 0 and hook(best_point):
             break
 
+    dist = float(np.linalg.norm(best_point - x0))
     if lower < upper - eps:
         status = SolveStatus.BUDGET_EXHAUSTED
-    elif float(np.linalg.norm(best_point - x0)) < radius - 10.0 * eps:
+    elif dist < radius - 10.0 * eps:
         status = SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
     else:
         status = SolveStatus.BOUNDARY_REACHED
@@ -198,10 +251,71 @@ def bisect_level(
         iterations=iters,
         level_queries=1,
         alpha_bracket=(lower, upper),
+        depth=radius - dist,
         trace=records,
         query_iterations=[iters],
         config=cfg,
     )
+
+
+def _model_step(
+    f: MaxAffineFunction, point: np.ndarray, x0: np.ndarray, radius: float
+) -> Tuple[float, Optional[np.ndarray]]:
+    """A lower bound on min f over B(x0, radius), and a point of the ball
+    to probe, from the rows of f near the max at ``point``.
+
+    For simplex weights L on any rows (A, b) of f and p = A^T L, f(x) >=
+    L.(A x + b) = L.b + p.x, so over the ball f >= L.b + p.x0 - R ||p||:
+    the ball bound, which holds for every L and no matter where the
+    ellipsoid is.  It is tight when L are the multipliers of the rows
+    active at an interior minimizer (p = 0, L.b = min f), and those are
+    the weights min_norm_weights finds once the rows it gets contain the
+    active ones.  So the rows are sorted by their gap to the max at
+    ``point``, and prefixes of n + 1 rows and up are tried until p is 0
+    up to rounding or a prefix gives a bound no higher than the one
+    before.  Each bound is lowered by an allowance for the rounding of
+    its sums and of p.
+
+    The point to probe is the vertex where the rows in the best L's
+    support are equal (least squares when they do not meet in one
+    point), if it lies in the ball; at the active rows of an interior
+    minimizer, that is the minimizer.  Returns (bound, vertex or None).
+    """
+    rows, offsets = f.rows, f.offsets
+    m, n = rows.shape
+    # The kernel sees the rows scaled to a largest entry of 1, which keeps
+    # its sums in range and changes neither L nor the bound.
+    top = float(np.abs(rows).max()) or 1.0
+    unit = rows / top
+    values = rows @ point + offsets
+    order = np.argsort(float(values.max()) - values, kind="stable")
+    best, support = -math.inf, None
+    for k in range(min(m, n + 1), m + 1):
+        take = order[:k]
+        weights = min_norm_weights(unit[take])
+        p = unit[take].T @ weights
+        size = np.abs(unit[take]).T @ weights
+        pull = radius * top * float(np.linalg.norm(p))
+        bound = float(weights @ offsets[take]) + top * float(p @ x0) - pull
+        scale = (float(weights @ np.abs(offsets[take]))
+                 + top * (float(size @ np.abs(x0)) + radius * float(np.linalg.norm(size))))
+        slack = 4.0 * (k + n + 2) * _ROUNDING * scale
+        bound -= slack
+        if not bound > best:
+            break
+        best, support = bound, take[weights > 0.0]
+        if pull <= slack:
+            # p is 0 up to rounding: more rows cannot shrink it.
+            break
+    if support is None:
+        return best, None
+    # unit_S (point + dx) + offsets_S / top = s for (dx, s).
+    system = np.hstack([unit[support], -np.ones((support.size, 1))])
+    step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
+    vertex = point + step[:n]
+    if not float(np.linalg.norm(vertex - x0)) <= radius:
+        return best, None
+    return best, vertex
 
 
 def run_metasteps(
@@ -217,9 +331,12 @@ def run_metasteps(
     Stops on any status but BOUNDARY_REACHED, or when a recentred
     metastep fails to strictly improve; the result carries the
     last metastep's outcome with counters and trace aggregated over all
-    of them.  ``trace`` and ``hook`` are passed to each metastep (see
-    bisect_level); a run the hook ends reports BudgetExhausted, so no
-    further metastep follows it.
+    of them.  A metastep that raises NonFiniteValue after one has
+    completed ends the run with the completed metasteps' result: their
+    brackets are proven, and only the raising one is lost.  ``trace``
+    and ``hook`` are passed to each metastep (see bisect_level); a run
+    the hook ends reports BudgetExhausted, so no further metastep
+    follows it.
     """
     x = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
@@ -230,9 +347,15 @@ def run_metasteps(
     result = None
     for _ in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
-        result = bisect_level(
-            f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries
-        )
+        try:
+            step = bisect_level(
+                f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries
+            )
+        except NonFiniteValue:
+            if result is None:
+                raise
+            break
+        result = step
         records.extend(result.trace)
         query_iterations.extend(result.query_iterations)
         total_queries += result.level_queries

@@ -182,6 +182,30 @@ class TestFindPointCommand:
         assert report["point"] == [0.0]
         assert report["ellipsoid_iters"] == 0
         assert report["radius"] == 0.0
+        assert report["bracket"] is None and report["depth"] is None
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    @pytest.mark.parametrize("doc, infeasible", [
+        # 1 <= x <= 2: the origin is infeasible, so both commands run.
+        ({"A": [[-1], [1]], "b": [1, -2]}, False),
+        ({"A": [[1], [-1]], "b": [1, 1]}, True),
+    ])
+    def test_report_carries_the_run_bracket(self, tmp_path, command, doc, infeasible):
+        path = write_problem(tmp_path / "p.json", doc)
+        report = json.loads(invoke(command, path).stdout)
+        lower, upper = report["bracket"]
+        assert lower is not None and lower <= upper
+        assert report["depth"] is None
+        if command == "find-point":
+            assert upper == report["value"]
+        # An infeasible verdict rests on a run whose lb is above 0.
+        assert (lower > 0.0) == infeasible
+
+    def test_all_vacuous_decide_has_no_bracket(self, tmp_path):
+        path = write_problem(tmp_path / "vacuous.json", {"A": [[0, 0]], "b": [-1]})
+        report = json.loads(invoke("decide", path).stdout)
+        assert report["verdict"] == "Feasible"
+        assert report["bracket"] is None and report["depth"] is None
 
     def test_no_radius_program(self, unit_box, contradictory, monkeypatch, capsys):
         from epicut import cli, lp
@@ -263,12 +287,23 @@ class TestMinimizeCommand:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "GlobalOptimumCertified"
         assert report["value"] == pytest.approx(-1.0, abs=1e-4)
+        lower, upper = report["bracket"]
+        assert lower <= -1.0 <= upper == report["value"] <= lower + 1e-6
+        (x,) = report["point"]
+        assert report["depth"] == pytest.approx(2.0 - abs(x - 0.6))
+        assert report["depth"] > 10e-6
 
     def test_huge_radius_with_finite_square_runs(self, tmp_path):
+        # |x - 5| - 1: the cut bound loses the minimizer to cancellation at
+        # these radii; the bracket must still hold the minimum -1.
         path = write_problem(tmp_path / "f.json", {"A": [[1], [-1]], "b": [-6, 4]})
-        proc = invoke("minimize", path, "--radius", "1e150")
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["value"] >= -1.0
+        for radius in ("1e20", "1e150"):
+            proc = invoke("minimize", path, "--radius", radius)
+            assert proc.returncode == 0
+            report = json.loads(proc.stdout)
+            assert report["value"] >= -1.0
+            lower, upper = report["bracket"]
+            assert lower <= -1.0 <= upper == report["value"]
 
     @pytest.mark.parametrize("doc, flags", [
         # f(0.9999) is about -0.9999; an overflowing f(c) read as a cut
@@ -276,8 +311,6 @@ class TestMinimizeCommand:
         ({"A": [[1e307], [-1]], "b": [-1e307, 0]}, ["--radius", "1000"]),
         # f(x0) overflows: no incumbent at all (LevelSetEmpty, exit 3).
         ({"A": [[1e300]], "b": [0]}, ["--x0", "1e10", "--radius", "1"]),
-        # The second metastep's ball [-2, 0] holds values below -1.8e308.
-        ({"A": [[9e307]], "b": [0]}, ["--radius", "1"]),
     ])
     def test_non_finite_value_is_an_internal_error(self, tmp_path, doc, flags):
         proc = invoke("minimize", write_problem(tmp_path / "f.json", doc), *flags)
@@ -296,6 +329,19 @@ class TestMinimizeCommand:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "BoundaryReached"
         assert report["point"] == [-1.0] and report["value"] == -9e307
+
+    def test_later_metastep_error_keeps_the_proven_metasteps(self, tmp_path):
+        # The first metastep proves BoundaryReached at -1; the second one's
+        # ball [-2, 0] holds values below -1.8e308 and raises.  The report
+        # is the first one's, not an internal error.
+        path = write_problem(tmp_path / "f.json", {"A": [[9e307]], "b": [0]})
+        proc = invoke("minimize", path, "--radius", "1")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "BoundaryReached"
+        assert report["point"] == [-1.0] and report["value"] == -9e307
+        assert report["level_queries"] == 1
+        assert report["bracket"][0] <= -9e307 == report["bracket"][1]
 
     def test_radius_required(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
@@ -317,7 +363,11 @@ class TestMinimizeCommand:
             "minimize", path, "--radius", "2", "--x0", "10", "--metasteps", "1"
         )
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["verdict"] == "BoundaryReached"
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "BoundaryReached"
+        lower, upper = report["bracket"]
+        assert lower <= 7.0 <= upper <= lower + 1e-6
+        assert abs(report["depth"]) <= 1e-5
 
     def test_bad_x0_rejected(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})

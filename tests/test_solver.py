@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epicut import (
+    ConvexOracle,
     MaxAffineFunction,
     MetastepConfig,
     NonFiniteValue,
@@ -314,8 +315,10 @@ class TestHook:
 
     @pytest.mark.parametrize("offset", [1.0, 0.0, -1.0])
     def test_declining_hook_changes_nothing(self, offset):
+        # A hook takes the model step's place, so the plain run goes
+        # through an oracle with the same values and no rows to model.
         f, x0 = self.lifted_box(offset), np.array([0.9, -0.7])
-        plain = bisect_level(f, x0, self.CFG, trace=True)
+        plain = bisect_level(RowlessOracle(f), x0, self.CFG, trace=True)
         seen = []
         hooked = bisect_level(f, x0, self.CFG, trace=True,
                               hook=lambda point: seen.append(point) or False)
@@ -359,10 +362,33 @@ class TestHook:
         assert 0.0 < lower <= 1.0 <= upper == res.best_value
 
 
-def planted_minimum(rng, n):
+class RowlessOracle(ConvexOracle):
+    """f's values and subgradients without f's rows: a run on it has no
+    model step."""
+
+    def __init__(self, f):
+        self.f = f
+
+    @property
+    def dim(self):
+        return self.f.dim
+
+    def eval(self, x):
+        return self.f.eval(x)
+
+    def subgradient(self, x):
+        return self.f.subgradient(x)
+
+    def value_and_subgradient(self, x):
+        return self.f.value_and_subgradient(x)
+
+
+def planted_minimum(rng, n, active=0, close=0):
     """Criterion 06's construction on R^n: n+1 pieces active at the
     minimizer whose gradients positively span R^n (scaled vertices of a
-    rotated regular simplex), plus two pieces lying below them."""
+    rotated regular simplex), plus two pieces lying below them.
+    ``active`` more random pieces are active at the minimizer too, and
+    ``close`` more lie 1e-6 below it there."""
     minimizer = rng.uniform(-2, 2, n)
     true_min = float(rng.uniform(-3, 1))
     vertices = np.eye(n + 1) - 1.0 / (n + 1)
@@ -375,6 +401,10 @@ def planted_minimum(rng, n):
         g = rng.uniform(-2, 2, n)
         rows.append(g)
         offsets.append(true_min - float(g @ minimizer) - rng.uniform(0.3, 2.0))
+    for below in [0.0] * active + [1e-6] * close:
+        g = rng.uniform(-2, 2, n)
+        rows.append(g)
+        offsets.append(true_min - float(g @ minimizer) - below)
     return MaxAffineFunction(np.array(rows), np.array(offsets)), minimizer, true_min
 
 
@@ -383,23 +413,24 @@ def unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+@pytest.fixture
+def metasteps(monkeypatch):
+    """Record every metastep's start, config and result."""
+    log = []
+    original = solver.bisect_level
+
+    def recording(f, x0, cfg, **kwargs):
+        res = original(f, x0, cfg, **kwargs)
+        log.append((f, np.array(x0, dtype=float), cfg, res))
+        return res
+
+    monkeypatch.setattr(solver, "bisect_level", recording)
+    return log
+
+
 class TestBracketSoundness:
     """alpha_bracket = (lb, U): lb is proven below the minimum over the
     ball, U is the value of the reported point."""
-
-    @pytest.fixture
-    def metasteps(self, monkeypatch):
-        """Record every metastep's start, config and result."""
-        log = []
-        original = solver.bisect_level
-
-        def recording(f, x0, cfg, **kwargs):
-            res = original(f, x0, cfg, **kwargs)
-            log.append((f, np.array(x0, dtype=float), cfg, res))
-            return res
-
-        monkeypatch.setattr(solver, "bisect_level", recording)
-        return log
 
     @staticmethod
     def check_every_metastep(log):
@@ -430,9 +461,11 @@ class TestBracketSoundness:
         # Stopped after a few iterations, the run proves nothing about the
         # incumbent but its lb still lies under the minimum: the minimizer
         # is within 1 of x0, inside the ball.
+        # 4 dim iterations end the run before its first model step, at
+        # 4 (dim + 1).
         class FewIterations(MetastepConfig):
             def iteration_budget(self, dim):
-                return 5 * dim
+                return 4 * dim
 
         rng = np.random.default_rng(8)
         cfg = FewIterations(radius=2.0, level_tolerance=2e-5)
@@ -441,7 +474,114 @@ class TestBracketSoundness:
             x0 = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
             res = bisect_level(f, x0, cfg)
             assert res.status is SolveStatus.BUDGET_EXHAUSTED
-            assert res.iterations == 5 * n
+            assert res.iterations == 4 * n
             lo, hi = res.alpha_bracket
             assert -math.inf < lo <= true_min <= res.best_value == hi
             assert hi - lo > cfg.level_tolerance
+
+
+class TestModelStep:
+    """Without a hook, a max-affine run tries its model every 4(d+1)
+    iterations: a ball bound from simplex weights on the rows nearest
+    the max, and a probe of the vertex where those rows are equal."""
+
+    @pytest.mark.parametrize("eps", [2e-5, 1e-7])
+    @pytest.mark.parametrize("active, close", [(0, 0), (0, 2), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_planted_family_is_certified(self, metasteps, n, active, close, eps):
+        # active = 1: n + 2 rows are active at the minimizer; close: rows
+        # 1e-6 below the minimum there, which the model may take as active.
+        rng = np.random.default_rng([n, active, close])
+        cfg = MetastepConfig(radius=2.0, level_tolerance=eps, max_metasteps=16)
+        for _ in range(2):
+            f, minimizer, true_min = planted_minimum(rng, n, active, close)
+            near = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
+            far = minimizer + rng.uniform(2.5, 6.0) * unit(rng, n)
+            for x0 in (near, far):
+                res = run_metasteps(f, x0, cfg)
+                assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+                lo, hi = res.alpha_bracket
+                assert lo <= true_min <= res.best_value == hi <= lo + eps
+        TestBracketSoundness.check_every_metastep(metasteps)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_first_model_step_keeps_a_valid_lower_bound(self, n):
+        # The run ends right after its first model step, at 4 (n + 1)
+        # iterations; the model only raises lb, and never above the minimum.
+        class FirstTry(MetastepConfig):
+            def iteration_budget(self, dim):
+                return 4 * (dim + 1)
+
+        rng = np.random.default_rng(10 + n)
+        cfg = FirstTry(radius=2.0, level_tolerance=1e-9)
+        raised = 0
+        for _ in range(6):
+            f, minimizer, true_min = planted_minimum(rng, n, active=1, close=1)
+            x0 = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
+            res = bisect_level(f, x0, cfg)
+            plain = bisect_level(RowlessOracle(f), x0, cfg)
+            assert plain.iterations == 4 * (n + 1) >= res.iterations
+            lo, hi = res.alpha_bracket
+            assert plain.alpha_bracket[0] <= lo <= true_min <= hi
+            raised += lo > plain.alpha_bracket[0]
+        assert raised > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_tries_back_off_on_boundary_metasteps(self, monkeypatch, n):
+        # The minimum lies outside the ball, so no try halves the gap: the
+        # waits double, and the tries come after (2^j - 1) 4 (n + 1)
+        # iterations, j = 1, 2, ...
+        tries = []
+        original = solver._model_step
+
+        def counting(*args):
+            tries.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_model_step", counting)
+        rng = np.random.default_rng(3)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=2e-5)
+        for _ in range(3):
+            f, minimizer, _ = planted_minimum(rng, n)
+            del tries[:]
+            res = bisect_level(f, minimizer + 5.0 * unit(rng, n), cfg)
+            assert res.status is SolveStatus.BOUNDARY_REACHED
+            assert 1 <= len(tries) <= math.log2(res.iterations / (4 * (n + 1)) + 1)
+
+    @pytest.mark.parametrize("radius", [1e20, 1e150])
+    def test_huge_radius_bracket_holds_the_minimum(self, radius):
+        # |x - 5| - 1 from 0: the cut bound loses the minimizer to
+        # cancellation and reaches 0; the vertex probe then finds f(5) = -1
+        # below it, and lb falls back to the model's ball bound.
+        f = MaxAffineFunction(np.array([[1.0], [-1.0]]), np.array([-6.0, 4.0]))
+        res = run_metasteps(f, np.zeros(1), MetastepConfig(radius=radius))
+        lo, hi = res.alpha_bracket
+        assert -math.inf < lo <= -1.0 <= hi == res.best_value == f.eval(res.best_point)
+
+    def test_value_below_lb_without_a_model_ends_with_no_bound(self, monkeypatch):
+        # A kernel that halves every width overstates the cut bound, and a
+        # later value falls below it.  With no model to fall back to, the
+        # run ends at once with lb = -inf, not with lb > U.
+        kernel = solver.cut_in_place
+
+        def overstated(e, normal, slack):
+            outcome, alpha, width = kernel(e, normal, slack)
+            return outcome, alpha, width / 2.0
+
+        monkeypatch.setattr(solver, "cut_in_place", overstated)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-9)
+        res = bisect_level(RowlessOracle(abs_minus_one()), np.array([0.6]), cfg)
+        assert res.alpha_bracket[0] == -math.inf < res.best_value
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.iterations < cfg.iteration_budget(1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_later_metastep_error_keeps_the_proven_ones(self):
+        # f = 9e307 x: the first metastep proves BoundaryReached at -1, the
+        # second one's ball [-2, 0] holds values that overflow.
+        f = MaxAffineFunction(np.array([[9e307]]), np.zeros(1))
+        res = run_metasteps(f, np.zeros(1), MetastepConfig(radius=1.0))
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        assert res.best_value == -9e307
+        np.testing.assert_array_equal(res.best_point, [-1.0])
+        assert res.level_queries == 1 == len(res.query_iterations)
