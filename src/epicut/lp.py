@@ -22,10 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySystem, PreconditionViolated
-# The kernel lives in its own module, which the solver imports too; lp
-# keeps its old names.
-from .nnls import min_norm_weights as _polish_certificate
-from .nnls import nnls as _nnls  # noqa: F401
+from .nnls import min_norm_weights, nnls, simplex_system
 from .oracles import MaxAffineFunction
 from .solver import MetastepConfig, MetastepResult, run_metasteps
 
@@ -205,10 +202,11 @@ def _primal_run(
     proven: List[np.ndarray] = []
 
     def try_certificate(point: np.ndarray) -> bool:
-        q = _active_certificate(system, point, eps, tol)
-        if q is not None and validate_certificate(system, q, tol):
-            proven.append(q)
-            return True
+        # Only a certificate that proves ends the run: no strict-only fallback.
+        for q in _window_multipliers(system, point, eps):
+            if validate_certificate(system, q, tol):
+                proven.append(q)
+                return True
         return False
 
     x = np.zeros(system.n)
@@ -249,26 +247,14 @@ def _active_certificate(
 
     By LP duality, min_x f(x) = max{b.q : q >= 0, sum q = 1, A^T q = 0},
     and the maximizing q lives on the rows active at a minimizer, where
-    every such q has b.q = min f.  Rows within ``window`` of f(x) count
-    as active; _polish_certificate finds q on them, and the window
-    widens tenfold until q passes validate_certificate on the whole
-    system.  Failing that, the first q that passes its sign and residual
-    checks with |b.q| <= tol is returned, and None when no window gives
-    one.  So b.q > tol holds exactly when q passes validate_certificate.
+    every such q has b.q = min f.  The first q of _window_multipliers
+    that passes validate_certificate on the whole system is returned.
+    Failing that, the first q that passes its sign and residual checks
+    with |b.q| <= tol is returned, and None when no window gives one.
+    So b.q > tol holds exactly when q passes validate_certificate.
     """
-    values = system.rows @ x + system.offsets
-    gaps = float(np.max(values)) - values
     fallback = None
-    seen = 0
-    while seen < system.m:
-        active = gaps <= window
-        count = int(np.count_nonzero(active))
-        window *= 10.0
-        if count == seen:
-            continue
-        seen = count
-        q = np.zeros(system.m)
-        q[active] = _polish_certificate(system.rows[active])
+    for q in _window_multipliers(system, x, window):
         if validate_certificate(system, q, tol):
             return q
         if (
@@ -278,6 +264,37 @@ def _active_certificate(
         ):
             fallback = q
     return fallback
+
+
+def _window_multipliers(system: LinearSystem, x: np.ndarray, window: float):
+    """Yield simplex multipliers of least ||A^T q|| on the rows within
+    ``window`` of f(x), for windows widening tenfold until they hold
+    every row; a widening that adds no row yields nothing new.
+
+    The rows are sorted by their gap to f(x) once, so each window is a
+    prefix of that order, and its nnls problem is the last one's with
+    columns appended (one power-of-two scale, simplex_system's, for the
+    whole system).  Each solve is warm-started from the last window's
+    raw nnls solution padded with zeros: that solution is optimal on the
+    old columns, so only the new ones can enter.
+    """
+    values = system.rows @ x + system.offsets
+    gaps = float(np.max(values)) - values
+    order = np.argsort(gaps, kind="stable")
+    sorted_gaps = gaps[order]
+    matrix, target = simplex_system(system.rows[order])
+    raw = np.zeros(0)
+    while raw.size < system.m:
+        count = int(np.searchsorted(sorted_gaps, window, side="right"))
+        window *= 10.0
+        if count == raw.size:
+            continue
+        start = np.zeros(count)
+        start[: raw.size] = raw
+        raw = nnls(matrix[:, :count], target, start)
+        q = np.zeros(system.m)
+        q[order[:count]] = raw / float(raw.sum())
+        yield q
 
 
 def _farkas_residual_ok(system: LinearSystem, q: np.ndarray, tol: float) -> bool:
@@ -299,14 +316,17 @@ def _hull_floor(points: np.ndarray) -> float:
     """A lower bound on the distance from 0 to conv(points), tight at
     the minimum-norm point.
 
-    _polish_certificate gives the weights L of the minimum-norm point
+    min_norm_weights gives the weights L of the minimum-norm point
     p = points^T L.  Every y in the hull has
     ||y|| >= y . p / ||p|| >= min_k points_k . p / ||p||, so
     max(min_k points_k . p, 0) / ||p|| is a lower bound whatever L is,
     and it equals ||p|| when L is optimal (then points_k . p >= ||p||^2
-    for every k).  0 when p is 0.
+    for every k).  0 when p is 0.  p is first scaled by the power of two
+    that brings its largest entry into [1/2, 1), which changes no bit of
+    the bound and keeps ||p|| and points . p in range.
     """
-    p = points.T @ _polish_certificate(points)
+    p = points.T @ min_norm_weights(points)
+    p = np.ldexp(p, -math.frexp(float(np.max(np.abs(p))))[1])
     norm = float(np.linalg.norm(p))
     if norm == 0.0:
         return 0.0

@@ -24,7 +24,8 @@ bound L.b + (A^T L).x0 - R ||A^T L||, which holds for any weights and
 wherever the ellipsoid is, and the vertex where those rows are equal is
 evaluated if it lies in the ball.  Once the rows active at an interior
 minimizer are known, the two close the bracket, long before the
-ellipsoid shrinks to eps around the minimizer.  See bisect_level and
+ellipsoid shrinks to eps around the minimizer.  A vertex outside the
+ball ends the tries of its metastep.  See bisect_level and
 _model_step.
 
 The run stops once U - lb <= eps, once U drops below
@@ -158,9 +159,13 @@ def bisect_level(
     gap U - lb is followed by the next 4(d+1) iterations later; one that
     does not doubles the wait, so metasteps whose minimum lies on the
     sphere, where the model rarely helps, do not pay for a try every
-    4(d+1) iterations.  A hook takes the model step's place: the lp
-    layer's hook runs its own NNLS try.  Any other oracle runs as with a
-    hook that always returns False.
+    4(d+1) iterations.  A try whose vertex lies outside the ball (or
+    that finds no bound) is the metastep's last: the model then points
+    past the sphere, where the minimum over the ball is not one that
+    weights with A^T L = 0 certify, and a skipped try only gives up a
+    bound.  A hook takes the model step's place: the lp layer's hook
+    runs its own NNLS try.  Any other oracle runs as with a hook that
+    always returns False.
 
     A value f(c) below lb disproves the cut bound: rounding lost the
     minimizer from the ellipsoid.  The run then ends with lb taken from
@@ -227,8 +232,12 @@ def bisect_level(
                 if math.isfinite(probed) and probed < upper:
                     upper, best_point = probed, vertex
             lower = max(lower, min(upper, model_lower))
-            wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
-            next_try = iters + wait
+            if vertex is None:
+                # The model points outside the ball: no later try.
+                next_try = math.inf
+            else:
+                wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
+                next_try = iters + wait
         if lower >= upper - eps or (high_below is not None and upper < high_below):
             if lower > upper:
                 # A value below lb disproved the cut bound.
@@ -279,26 +288,25 @@ def _model_step(
     The point to probe is the vertex where the rows in the best L's
     support are equal (least squares when they do not meet in one
     point), if it lies in the ball; at the active rows of an interior
-    minimizer, that is the minimizer.  Returns (bound, vertex or None).
+    minimizer, that is the minimizer.  Returns (bound, vertex), with
+    None for a vertex outside the ball or when no prefix gave a bound.
     """
     rows, offsets = f.rows, f.offsets
     m, n = rows.shape
-    # The kernel sees the rows scaled to a largest entry of 1, which keeps
-    # its sums in range and changes neither L nor the bound.
-    top = float(np.abs(rows).max()) or 1.0
-    unit = rows / top
     values = rows @ point + offsets
     order = np.argsort(float(values.max()) - values, kind="stable")
     best, support = -math.inf, None
     for k in range(min(m, n + 1), m + 1):
         take = order[:k]
-        weights = min_norm_weights(unit[take])
-        p = unit[take].T @ weights
-        size = np.abs(unit[take]).T @ weights
-        pull = radius * top * float(np.linalg.norm(p))
-        bound = float(weights @ offsets[take]) + top * float(p @ x0) - pull
+        chosen = rows[take]
+        weights = min_norm_weights(chosen)
+        p = chosen.T @ weights
+        size = np.abs(chosen).T @ weights
+        # hypot does not overflow where the sum of squares would.
+        pull = radius * math.hypot(*p)
+        bound = float(weights @ offsets[take]) + float(p @ x0) - pull
         scale = (float(weights @ np.abs(offsets[take]))
-                 + top * (float(size @ np.abs(x0)) + radius * float(np.linalg.norm(size))))
+                 + float(size @ np.abs(x0)) + radius * math.hypot(*size))
         slack = 4.0 * (k + n + 2) * _ROUNDING * scale
         bound -= slack
         if not bound > best:
@@ -309,8 +317,11 @@ def _model_step(
             break
     if support is None:
         return best, None
-    # unit_S (point + dx) + offsets_S / top = s for (dx, s).
-    system = np.hstack([unit[support], -np.ones((support.size, 1))])
+    # A_S (point + dx) + b_S = s for (dx, s), divided by the largest entry
+    # of A: the least-norm solution of an underdetermined system weighs dx
+    # against s, and this weighting does not change with the scale of f.
+    top = float(np.abs(rows).max()) or 1.0
+    system = np.hstack([rows[support] / top, -np.ones((support.size, 1))])
     step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
     vertex = point + step[:n]
     if not float(np.linalg.norm(vertex - x0)) <= radius:

@@ -24,6 +24,7 @@ from epicut import (
     vertex_enumerate_feasible,
 )
 from epicut import lp
+from epicut.nnls import min_norm_weights, nnls
 
 
 def system(rows, offsets):
@@ -195,7 +196,7 @@ class TestValidateCertificate:
 
 
 class TestFarkasKernel:
-    """lp._nnls, the Lawson-Hanson kernel, on [A^T; 1^T] q ~ [0; 1]."""
+    """epicut.nnls, the Lawson-Hanson kernel, on [A^T; 1^T] q ~ [0; 1]."""
 
     @staticmethod
     def stacked(rows):
@@ -208,10 +209,10 @@ class TestFarkasKernel:
         m, n = int(rng.integers(2, 13)), int(rng.integers(1, 6))
         rows = planted_infeasible(rng, m, n).rows
         matrix, target = self.stacked(rows)
-        q = lp._nnls(matrix, target)
+        q = nnls(matrix, target)
         assert float(np.min(q)) >= 0.0
         assert np.linalg.norm(matrix @ q - target) <= 1e-12
-        cert = lp._polish_certificate(rows)
+        cert = min_norm_weights(rows)
         assert float(cert.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(rows.T @ cert) <= 1e-12
 
@@ -226,16 +227,71 @@ class TestFarkasKernel:
         rows = rng.uniform(-1, 1, (m, n))
         rows -= np.outer(rows @ d + rng.uniform(0.1, 1.0, m), d)
         matrix, target = self.stacked(rows)
-        q = lp._nnls(matrix, target)
+        q = nnls(matrix, target)
         # KKT: the gradient w is <= 0, and 0 on the support of q.
         w = matrix.T @ (target - matrix @ q)
         assert float(np.min(q)) >= 0.0
         assert float(np.max(w)) <= 1e-10
         assert np.all(np.abs(w[q > 0.0]) <= 1e-10)
-        cert = lp._polish_certificate(rows)
+        cert = min_norm_weights(rows)
         assert float(np.min(cert)) >= 0.0
         assert float(cert.sum()) == pytest.approx(1.0, abs=1e-12)
         assert not validate_certificate(system(rows, np.ones(m)), cert)
+
+    @pytest.mark.parametrize("scale", [1e160, 1.0, 1e-160])
+    def test_weights_do_not_depend_on_the_row_scale(self, scale):
+        # The rows are scaled by a power of two before the row of ones
+        # joins them; unscaled, 1e160 gave NaN and 1e-160 gave [1, 0].
+        cert = min_norm_weights(np.array([[scale], [-2.0 * scale]]))
+        npt.assert_allclose(cert, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_start_reaches_the_cold_optimum(self, seed):
+        # The solution on a prefix of the columns, padded with zeros,
+        # starts the solve on all of them.
+        rng = np.random.default_rng(200 + seed)
+        m, n = int(rng.integers(4, 13)), int(rng.integers(1, 6))
+        rows = rng.uniform(-1, 1, (m, n)) if seed % 2 else planted_infeasible(rng, m, n).rows
+        matrix, target = self.stacked(rows)
+        cold = nnls(matrix, target)
+        k = int(rng.integers(1, m))
+        start = np.zeros(m)
+        start[:k] = nnls(matrix[:, :k], target)
+        warm = nnls(matrix, target, start)
+        assert float(np.min(warm)) >= 0.0
+        assert np.linalg.norm(matrix @ warm - target) == pytest.approx(
+            np.linalg.norm(matrix @ cold - target), abs=1e-12)
+
+    def test_warm_windows_match_cold_ones(self, monkeypatch):
+        # Each wider certificate window starts from the last one's nnls
+        # solution.  Run cold (every start dropped), decide gives the same
+        # verdicts, every certificate passes validate_certificate, and the
+        # first window that passes it at each incumbent is the same one.
+        # (Later windows may differ: a wide window has many q with
+        # A^T q = 0, and a warm start keeps the one it has.)
+        rng = np.random.default_rng(71)
+        systems = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)
+                   for _ in range(3)]
+        systems += [normalize(system(rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, m)))
+                    for m in (4, 8, 12) for _ in range(4)]
+
+        def outcomes():
+            out = []
+            for sys_n in systems:
+                got = decide_feasibility(sys_n)
+                if got.certificate is not None:
+                    assert validate_certificate(sys_n, got.certificate)
+                windows = lp._window_multipliers(sys_n, got.report.best_point, 1e-8)
+                passing = [validate_certificate(sys_n, q) for q in windows]
+                out.append((got.verdict, passing.index(True) if True in passing else None))
+            return out
+
+        warm = outcomes()
+        kernel = lp.nnls
+        monkeypatch.setattr(lp, "nnls", lambda matrix, target, start=None: kernel(matrix, target))
+        assert outcomes() == warm
+        assert {verdict for verdict, _ in warm} == {
+            FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE_NON_STRICT}
 
 
 def planted_hull(rng):
@@ -291,6 +347,18 @@ class TestSubgradientFloor:
         # is 1/sqrt(2)
         d = subgradient_lower_bound_at(sys_n, np.array([2.0]))
         assert d == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+
+    def test_huge_rows_have_a_finite_floor(self):
+        # [2/3, 1/3] makes A^T L = 0, so the floor is 0; the unscaled
+        # kernel returned NaN weights here.
+        assert subgradient_lower_bound_at(system([[1e160], [-2e160]], [1, 1]), [0]) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_floor_scales_with_the_rows(self, scale):
+        # The floor of rows s and 2 s is s; ||p||^2 and points . p would
+        # underflow or overflow at these scales.
+        floor = subgradient_lower_bound_at(system([[scale], [2.0 * scale]], [1, 1]), [0])
+        assert floor == pytest.approx(scale, rel=1e-12, abs=0.0)
 
     def test_infeasible_pair_floor_zero(self):
         sys_n = normalize(CONTRADICTORY)
@@ -492,6 +560,22 @@ class TestDecisionAgainstOracle:
             yield system(rows, offsets)
 
     @staticmethod
+    def planted_systems(rng, count):
+        """Systems with a clear answer, m > n, in alternation: a point x
+        with every row at least 0.1 below 0 there, or rows with A^T q = 0
+        for a planted q > 0 and b.q = 0.5 (planted_infeasible), which
+        stay infeasible under small changes since A has rank n."""
+        for i in range(count):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n + 1, 9))
+            if i % 2:
+                yield planted_infeasible(rng, m, n)
+            else:
+                rows = rng.uniform(-1, 1, (m, n))
+                x = rng.uniform(-1, 1, n)
+                yield system(rows, -rows @ x - rng.uniform(0.1, 1.0, m))
+
+    @staticmethod
     def check_against_oracle(raw):
         """decide and find-point on one system against the vertex oracle.
 
@@ -555,3 +639,30 @@ class TestDecisionAgainstOracle:
         assert FeasibilityVerdict.INFEASIBLE_NON_STRICT not in seen
         assert seen[FeasibilityVerdict.FEASIBLE] and seen[
             FeasibilityVerdict.INFEASIBLE_STRICT_ONLY]
+
+    def test_near_parallel_rows(self):
+        # Each system gains copies of its rows moved by delta in 1e-9 to
+        # 1e-3, up to the oracle's 12 rows: near-parallel rows make the
+        # kernel's Gram blocks nearly singular.
+        rng = np.random.default_rng(61)
+        seen = Counter()
+        for raw in self.planted_systems(rng, 100):
+            delta = 10.0 ** rng.uniform(-9, -3)
+            picks = rng.integers(0, raw.m, int(rng.integers(1, 13 - raw.m)))
+            rows = raw.rows[picks] + delta * rng.uniform(-1, 1, (picks.size, raw.n))
+            offsets = raw.offsets[picks] + delta * rng.uniform(-1, 1, picks.size)
+            seen[self.check_against_oracle(system(
+                np.vstack([raw.rows, rows]), np.concatenate([raw.offsets, offsets])))] += 1
+        assert seen == {FeasibilityVerdict.FEASIBLE: 50,
+                        FeasibilityVerdict.INFEASIBLE_NON_STRICT: 50}
+
+    def test_row_scales(self):
+        # Every row (A_k, b_k) scaled by its own factor in 1e-8 to 1e8.
+        rng = np.random.default_rng(67)
+        seen = Counter()
+        for raw in self.planted_systems(rng, 100):
+            scales = 10.0 ** rng.uniform(-8, 8, raw.m)
+            seen[self.check_against_oracle(
+                system(raw.rows * scales[:, None], raw.offsets * scales))] += 1
+        assert seen == {FeasibilityVerdict.FEASIBLE: 50,
+                        FeasibilityVerdict.INFEASIBLE_NON_STRICT: 50}

@@ -504,6 +504,58 @@ class TestModelStep:
                 assert lo <= true_min <= res.best_value == hi <= lo + eps
         TestBracketSoundness.check_every_metastep(metasteps)
 
+    # Iterations of each near start of test_planted_family_is_certified,
+    # (active, close) outer and eps inner: 1 or 2 model tries each.
+    NEAR_ITERATIONS = {
+        2: [12, 12, 12, 12, 12, 12, 24, 24, 12, 12, 12, 12, 12, 12, 24, 24],
+        4: [20, 20, 20, 20, 20, 20, 40, 20, 20, 20, 20, 20, 20, 20, 40, 40],
+        8: [36, 36, 36, 36, 36, 36, 36, 72, 36, 36, 36, 36, 36, 36, 36, 72],
+    }
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_interior_family_keeps_its_iterations(self, n):
+        iterations = []
+        for active, close in [(0, 0), (0, 2), (1, 0), (1, 1)]:
+            for eps in [2e-5, 1e-7]:
+                rng = np.random.default_rng([n, active, close])
+                cfg = MetastepConfig(radius=2.0, level_tolerance=eps, max_metasteps=16)
+                for _ in range(2):
+                    f, minimizer, _ = planted_minimum(rng, n, active, close)
+                    near = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
+                    rng.uniform(2.5, 6.0) * unit(rng, n)  # the far start, not run here
+                    iterations.append(run_metasteps(f, near, cfg).iterations)
+        assert iterations == self.NEAR_ITERATIONS[n]
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_no_try_after_a_vertex_outside_the_ball(self, monkeypatch, n):
+        # Far starts walk over boundary metasteps before the one that
+        # holds the minimizer.  Within each metastep, a try whose vertex
+        # lies outside the ball is the last one.
+        tries = []
+        model_step, metastep = solver._model_step, solver.bisect_level
+
+        def counting(*args):
+            bound, vertex = model_step(*args)
+            tries[-1].append(vertex is None)
+            return bound, vertex
+
+        def opening(*args, **kwargs):
+            tries.append([])
+            return metastep(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_model_step", counting)
+        monkeypatch.setattr(solver, "bisect_level", opening)
+        rng = np.random.default_rng(20 + n)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=2e-5)
+        for _ in range(3):
+            f, minimizer, true_min = planted_minimum(rng, n)
+            del tries[:]
+            res = run_metasteps(f, minimizer + 5.0 * unit(rng, n), cfg)
+            assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+            assert res.alpha_bracket[0] <= true_min <= res.best_value
+            assert any(True in step for step in tries)
+            assert not any(True in step[:-1] for step in tries)
+
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_first_model_step_keeps_a_valid_lower_bound(self, n):
         # The run ends right after its first model step, at 4 (n + 1)
@@ -547,6 +599,19 @@ class TestModelStep:
             res = bisect_level(f, minimizer + 5.0 * unit(rng, n), cfg)
             assert res.status is SolveStatus.BOUNDARY_REACHED
             assert 1 <= len(tries) <= math.log2(res.iterations / (4 * (n + 1)) + 1)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_model_step_does_not_depend_on_the_scale(self, scale):
+        # The kernel scales its rows itself, and the norms of A^T L do
+        # not overflow: f and scale * f give the same weights and vertex.
+        rows = np.array([[1.0, 0.3], [-2.0, 0.5], [0.2, -1.0]])
+        offsets = np.array([0.1, 0.2, 0.3])
+        x0 = np.array([0.3, 0.2])
+        bound, vertex = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
+        scaled = MaxAffineFunction(rows * scale, offsets * scale)
+        scaled_bound, scaled_vertex = solver._model_step(scaled, x0, x0, 1.0)
+        assert scaled_bound / scale == pytest.approx(bound, rel=1e-12)
+        np.testing.assert_allclose(scaled_vertex, vertex, rtol=1e-12)
 
     @pytest.mark.parametrize("radius", [1e20, 1e150])
     def test_huge_radius_bracket_holds_the_minimum(self, radius):
