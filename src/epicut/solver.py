@@ -25,17 +25,22 @@ wherever the ellipsoid is, and the vertex where those rows are equal is
 evaluated if it lies in the ball.  Once the rows active at an interior
 minimizer are known, the two close the bracket, long before the
 ellipsoid shrinks to eps around the minimizer.  A vertex outside the
-ball ends the tries of its metastep.  See bisect_level and
-_model_step.
+ball ends the tries of its metastep.  In a metastep that is not its
+run's last, f is evaluated there too: once lb > f(vertex), the ball
+holds no global minimizer (min over the ball >= lb > f(vertex)), so the
+metastep ends with its bracket open, and the next ball is centred at
+that outside witness.  See bisect_level and _model_step.
 
 The run stops once U - lb <= eps, once U drops below
-``stop_when_high_below``, at ``iteration_budget(n)`` iterations, or when
-the caller's hook asks it to (see bisect_level).  A closed bracket
-whose incumbent lies strictly inside the ball (by 10 eps) certifies the
-global minimum; one on the sphere triggers another metastep around it
-when budget remains.  Any other stop proves only the bracket it reports
-(BudgetExhausted): lb is still a lower bound on the minimum over the
-ball, which is the proof of how far from the optimum the run stopped.
+``stop_when_high_below``, at ``iteration_budget(n)`` iterations, at a
+witness, or when the caller's hook asks it to (see bisect_level).  A
+closed bracket whose incumbent lies strictly inside the ball (by 10 eps
+and the rounding of R and x0) certifies the global minimum; one on the
+sphere triggers another metastep around it when budget remains, as a
+witness does around the witness.  Any other stop proves only the
+bracket it reports (BudgetExhausted): lb is still a lower bound on the
+minimum over the ball, which is the proof of how far from the optimum
+the run stopped.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -129,8 +134,14 @@ class MetastepResult:
     trace: List[TraceRecord]
     query_iterations: List[int]
     config: MetastepConfig
+    # The point outside the ball whose value fell below lb and ended the
+    # metastep (see bisect_level); None for any other end.
+    outside: Optional[np.ndarray] = None
 
 
+# Every overflow in a metastep is handled: the cut kernel rescales, f(c)
+# raises NonFiniteValue and the witness skips a non-finite value.
+@np.errstate(over="ignore")
 def bisect_level(
     f: ConvexOracle,
     x0,
@@ -139,6 +150,7 @@ def bisect_level(
     trace: bool = False,
     hook: Optional[Callable[[np.ndarray], bool]] = None,
     _query_start: int = 0,
+    _witness: bool = False,
 ) -> MetastepResult:
     """One metastep: a single ellipsoid run over the ball around x0.
 
@@ -167,6 +179,17 @@ def bisect_level(
     runs its own NNLS try.  Any other oracle runs as with a hook that
     always returns False.
 
+    With ``_witness`` (run_metasteps sets it on every metastep but the
+    last its budget allows), f is evaluated at that outside vertex, and
+    the run ends as soon as lb > f(vertex) while its bracket is open:
+    BoundaryReached, with the vertex in ``outside`` and the in-ball
+    incumbent and bracket kept.  A bracket that closes inside the ball
+    after the model pointed past the sphere gets one more model try at
+    the incumbent, whose outside vertex ends the run the same way if f
+    there is below lb: on a flat f the incumbent of a ball whose
+    minimum lies on the sphere can sit 10 eps inside it.  Without the
+    flag the bracket always closes as above.
+
     A value f(c) below lb disproves the cut bound: rounding lost the
     minimizer from the ellipsoid.  The run then ends with lb taken from
     the model's ball bound alone (-inf without one), so no bracket has
@@ -180,6 +203,9 @@ def bisect_level(
     period = _MODEL_PERIOD * (x0.shape[0] + 1)
     model = f if hook is None and isinstance(f, MaxAffineFunction) else None
     wait = next_try = period
+    # Inside by 10 eps, and by more than the rounding of the centers'
+    # coordinates, which is about eps_mach (R + |x0|).
+    inner = 10.0 * eps + 16.0 * _ROUNDING * (radius + float(np.abs(x0).max()))
     query = _query_start + 1
     records: List[TraceRecord] = []
 
@@ -187,6 +213,8 @@ def bisect_level(
     best_point: Optional[np.ndarray] = None
     upper = math.inf
     lower = model_lower = -math.inf
+    # A vertex outside the ball and f there; inf stands for no witness.
+    witness, witness_value = None, math.inf
     iters = 0
     while iters < budget:
         iters += 1
@@ -227,12 +255,15 @@ def bisect_level(
             gap = upper - lower
             bound, vertex = _model_step(model, best_point, x0, radius)
             model_lower = max(model_lower, bound)
-            if vertex is not None:
+            inside = vertex is not None and _distance(vertex, x0) <= radius
+            if inside:
                 probed = model.eval(vertex)
                 if math.isfinite(probed) and probed < upper:
                     upper, best_point = probed, vertex
+            elif _witness:
+                witness, witness_value = _outside(model, vertex, x0, radius)
             lower = max(lower, min(upper, model_lower))
-            if vertex is None:
+            if not inside:
                 # The model points outside the ball: no later try.
                 next_try = math.inf
             else:
@@ -242,14 +273,30 @@ def bisect_level(
             if lower > upper:
                 # A value below lb disproved the cut bound.
                 lower = min(upper, model_lower)
+            if lower < upper - eps or radius - _distance(best_point, x0) <= inner:
+                witness = None
+            elif witness is not None:
+                # The model pointed past the sphere, yet the bracket closed
+                # inside the ball: ask it again, at the best point.
+                vertex = _model_step(model, best_point, x0, radius)[1]
+                witness, witness_value = _outside(model, vertex, x0, radius)
+            break
+        if lower > witness_value:
+            # min f over the ball >= lb > f(witness): no global minimizer
+            # lies in the ball.
             break
         if hook is not None and lower > 0.0 and iters % period == 0 and hook(best_point):
             break
 
-    dist = float(np.linalg.norm(best_point - x0))
-    if lower < upper - eps:
+    if not lower > witness_value:
+        # A witness proves nothing until lb passes f there.
+        witness = None
+    dist = _distance(best_point, x0)
+    if witness is not None:
+        status = SolveStatus.BOUNDARY_REACHED
+    elif lower < upper - eps:
         status = SolveStatus.BUDGET_EXHAUSTED
-    elif dist < radius - 10.0 * eps:
+    elif radius - dist > inner:
         status = SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
     else:
         status = SolveStatus.BOUNDARY_REACHED
@@ -264,14 +311,30 @@ def bisect_level(
         trace=records,
         query_iterations=[iters],
         config=cfg,
+        outside=witness,
     )
+
+
+def _distance(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.linalg.norm(x - y))
+
+
+def _outside(
+    f: MaxAffineFunction, vertex: Optional[np.ndarray], x0: np.ndarray, radius: float
+) -> Tuple[Optional[np.ndarray], float]:
+    """(vertex, f(vertex)) for a vertex outside B(x0, radius) where f is
+    finite, else (None, inf): a witness candidate for bisect_level."""
+    if vertex is None or not _distance(vertex, x0) > radius:
+        return None, math.inf
+    value = f.eval(vertex)
+    return (vertex, value) if math.isfinite(value) else (None, math.inf)
 
 
 def _model_step(
     f: MaxAffineFunction, point: np.ndarray, x0: np.ndarray, radius: float
 ) -> Tuple[float, Optional[np.ndarray]]:
-    """A lower bound on min f over B(x0, radius), and a point of the ball
-    to probe, from the rows of f near the max at ``point``.
+    """A lower bound on min f over B(x0, radius), and a point to probe,
+    from the rows of f near the max at ``point``.
 
     For simplex weights L on any rows (A, b) of f and p = A^T L, f(x) >=
     L.(A x + b) = L.b + p.x, so over the ball f >= L.b + p.x0 - R ||p||:
@@ -287,9 +350,9 @@ def _model_step(
 
     The point to probe is the vertex where the rows in the best L's
     support are equal (least squares when they do not meet in one
-    point), if it lies in the ball; at the active rows of an interior
+    point), wherever it lies; at the active rows of an interior
     minimizer, that is the minimizer.  Returns (bound, vertex), with
-    None for a vertex outside the ball or when no prefix gave a bound.
+    None for the vertex when no prefix gave a bound.
     """
     rows, offsets = f.rows, f.offsets
     m, n = rows.shape
@@ -323,10 +386,7 @@ def _model_step(
     top = float(np.abs(rows).max()) or 1.0
     system = np.hstack([rows[support] / top, -np.ones((support.size, 1))])
     step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
-    vertex = point + step[:n]
-    if not float(np.linalg.norm(vertex - x0)) <= radius:
-        return best, None
-    return best, vertex
+    return best, point + step[:n]
 
 
 def run_metasteps(
@@ -337,7 +397,9 @@ def run_metasteps(
     trace: bool = False,
     hook: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> MetastepResult:
-    """Repeat metasteps, recentering at each boundary incumbent.
+    """Repeat metasteps, recentering at each boundary incumbent, or at
+    the outside witness that ended the metastep (see bisect_level; the
+    last metastep the budget allows has none).
 
     Stops on any status but BOUNDARY_REACHED, or when a recentred
     metastep fails to strictly improve; the result carries the
@@ -356,11 +418,12 @@ def run_metasteps(
     total_queries = 0
     previous: Optional[MetastepResult] = None
     result = None
-    for _ in range(cfg.max_metasteps):
+    for k in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         try:
             step = bisect_level(
-                f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries
+                f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries,
+                _witness=k < cfg.max_metasteps - 1,
             )
         except NonFiniteValue:
             if result is None:
@@ -375,7 +438,8 @@ def run_metasteps(
         if previous is not None and result.best_value >= previous.best_value:
             break
         previous = result
-        x = np.array(result.best_point, copy=True)
+        centre = result.best_point if result.outside is None else result.outside
+        x = np.array(centre, copy=True)
         radius *= cfg.radius_growth
     return replace(
         result,

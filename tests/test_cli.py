@@ -369,6 +369,44 @@ class TestMinimizeCommand:
         assert lower <= 7.0 <= upper <= lower + 1e-6
         assert abs(report["depth"]) <= 1e-5
 
+    def test_last_metastep_closes_its_bracket(self, tmp_path):
+        # Tangents of x^2 at 0, 1, ..., 20, from 20 with R = 1: the first
+        # metastep ends at a model vertex outside its ball, the second and
+        # last one closes its bracket on its sphere.
+        t = list(range(21))
+        path = write_problem(tmp_path / "tangents.json",
+                             {"A": [[2 * k] for k in t], "b": [-k * k for k in t]})
+        proc = invoke("minimize", path, "--radius", "1", "--x0", "20", "--metasteps", "2")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "BoundaryReached"
+        assert report["level_queries"] == 2
+        lower, upper = report["bracket"]
+        assert lower <= upper == report["value"] <= lower + 1e-6
+        assert abs(report["depth"]) <= 1e-5
+        # The second ball is centred past the first one's reach, 19.
+        assert report["point"][0] < 18.0
+        proc = invoke("minimize", path, "--radius", "1", "--x0", "20")
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "GlobalOptimumCertified"
+        assert report["value"] == 0.0
+
+    @pytest.mark.parametrize("radius", ["1e140", "1e150", "1e153"])
+    def test_no_certificate_within_the_rounding_of_the_radius(self, tmp_path, radius):
+        # f(x) = x has no minimum.  The incumbent lies about 2 ulps of R
+        # inside the sphere, which passed the 10 eps interior test.
+        path = write_problem(tmp_path / "line.json", {"A": [[1]], "b": [0]})
+        proc = invoke("minimize", path, "--radius", radius, "--metasteps", "1")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "BoundaryReached"
+
+    def test_handled_overflow_prints_nothing(self, tmp_path):
+        # ||J^T g||^2 overflows in the cut kernel, which rescales it.
+        path = write_problem(tmp_path / "f.json", {"A": [[1, 0.5], [0.3, 1]], "b": [0, 0]})
+        proc = invoke("minimize", path, "--radius", "1e100")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_bad_x0_rejected(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert invoke("minimize", path, "--radius", "2", "--x0", "1,2").returncode == 64

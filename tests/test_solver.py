@@ -177,7 +177,6 @@ class TestBisectLevel:
         assert res.alpha_bracket == (0.5, 0.5)
         assert res.iterations == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("rows, offsets, x0, radius", [
         # f(x0) = inf: no incumbent to bracket.
         ([[1e300]], [0.0], 1e10, 1.0),
@@ -191,7 +190,6 @@ class TestBisectLevel:
         with pytest.raises(NonFiniteValue):
             run_metasteps(f, np.array([x0]), MetastepConfig(radius=radius))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("rows, rounding", [
         ([[1e-170]], 0.0), ([[1e-170, -3e-171]], 0.0), ([[-4e-200, 0.0]], 0.0),
         # Values of size 1e160 round at about 1e144.
@@ -530,13 +528,13 @@ class TestModelStep:
     def test_no_try_after_a_vertex_outside_the_ball(self, monkeypatch, n):
         # Far starts walk over boundary metasteps before the one that
         # holds the minimizer.  Within each metastep, a try whose vertex
-        # lies outside the ball is the last one.
+        # lies outside the ball (or that finds no bound) is the last one.
         tries = []
         model_step, metastep = solver._model_step, solver.bisect_level
 
-        def counting(*args):
-            bound, vertex = model_step(*args)
-            tries[-1].append(vertex is None)
+        def counting(f, point, x0, radius):
+            bound, vertex = model_step(f, point, x0, radius)
+            tries[-1].append(vertex is None or bool(np.linalg.norm(vertex - x0) > radius))
             return bound, vertex
 
         def opening(*args, **kwargs):
@@ -640,7 +638,6 @@ class TestModelStep:
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.iterations < cfg.iteration_budget(1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_later_metastep_error_keeps_the_proven_ones(self):
         # f = 9e307 x: the first metastep proves BoundaryReached at -1, the
         # second one's ball [-2, 0] holds values that overflow.
@@ -650,3 +647,130 @@ class TestModelStep:
         assert res.best_value == -9e307
         np.testing.assert_array_equal(res.best_point, [-1.0])
         assert res.level_queries == 1 == len(res.query_iterations)
+
+
+class TestOutsideWitness:
+    """A metastep that is not its run's last ends as soon as its lb
+    passes f at a model vertex outside its ball: the ball then holds no
+    global minimizer, and the next ball is centred at that vertex."""
+
+    # Iterations of each far start of test_planted_family_is_certified,
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS.  Closing
+    # every boundary metastep's bracket took 1 845, 6 706 and 35 099 in all.
+    FAR_ITERATIONS = {
+        2: [24, 24, 24, 24, 81, 45, 102, 45, 24, 24, 24, 24, 36, 127, 36, 172],
+        4: [40, 40, 40, 40, 40, 40, 180, 60, 80, 308, 80, 432, 40, 253, 60, 375],
+        8: [92, 72, 92, 72, 1960, 166, 1642, 202, 1948, 726, 1356, 1099, 2022, 72, 3006,
+            180],
+    }
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_far_family_ends_metasteps_at_witnesses(self, metasteps, n):
+        iterations, witnessed = [], 0
+        for active, close in [(0, 0), (0, 2), (1, 0), (1, 1)]:
+            for eps in [2e-5, 1e-7]:
+                rng = np.random.default_rng([n, active, close])
+                cfg = MetastepConfig(radius=2.0, level_tolerance=eps, max_metasteps=16)
+                for _ in range(2):
+                    f, minimizer, true_min = planted_minimum(rng, n, active, close)
+                    rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)  # the near start, not run here
+                    far = minimizer + rng.uniform(2.5, 6.0) * unit(rng, n)
+                    del metasteps[:]
+                    res = run_metasteps(f, far, cfg)
+                    assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+                    lo, hi = res.alpha_bracket
+                    assert lo <= true_min <= res.best_value == hi <= lo + eps
+                    for _, x0, step_cfg, step in metasteps:
+                        if step.outside is None:
+                            continue
+                        witnessed += 1
+                        lb, ub = step.alpha_bracket
+                        assert step.status is SolveStatus.BOUNDARY_REACHED
+                        assert np.linalg.norm(step.outside - x0) > step_cfg.radius
+                        assert f.eval(step.outside) < lb <= ub
+                        assert np.linalg.norm(minimizer - x0) > step_cfg.radius
+                    iterations.append(res.iterations)
+        assert witnessed > 0
+        assert iterations == self.FAR_ITERATIONS[n]
+
+    def test_boundary_walk_certifies_the_minimum(self):
+        # Random rows from 20 * 1 with R = 2: closing every boundary
+        # metastep's bracket, the run ended BoundaryReached at 7.194 after
+        # its 16 metasteps.  The minimum, 2.3233482675..., lies at about
+        # 33 from the start.
+        rng = np.random.default_rng(0)
+        f = MaxAffineFunction(rng.normal(size=(200, 3)), rng.normal(size=200))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        res = run_metasteps(f, np.full(3, 20.0), cfg)
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        lo, hi = res.alpha_bracket
+        assert hi - lo <= cfg.level_tolerance
+        assert lo - cfg.level_tolerance <= 2.3233482675255 <= hi + cfg.level_tolerance
+        # The same minimum from 0 in one ball of radius 50.
+        whole = run_metasteps(f, np.zeros(3), MetastepConfig(radius=50.0))
+        assert whole.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        assert lo <= whole.alpha_bracket[1] and whole.alpha_bracket[0] <= hi
+
+    @staticmethod
+    def flat_valley():
+        # Minimum 0 at (2.05, 0), just outside B(0, 2), where f rises
+        # only 1e-3 per unit towards the ball.
+        rows = np.array([[-1e-3, 10.0], [-1e-3, -10.0], [10.0, 0.0]])
+        return MaxAffineFunction(rows, -rows @ np.array([2.05, 0.0]))
+
+    def test_flat_valley_is_not_certified_inside_the_ball(self):
+        # Closing the bracket on B(0, 2), the run read its incumbent at
+        # depth 5e-5 (50 eps) as interior and certified 5.0e-5.
+        f = self.flat_valley()
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        res = run_metasteps(f, np.zeros(2), cfg)
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        lo, hi = res.alpha_bracket
+        assert lo <= 0.0 <= hi <= lo + cfg.level_tolerance
+        np.testing.assert_allclose(res.best_point, [2.05, 0.0], atol=1e-9)
+
+    def test_closed_bracket_asks_the_model_again(self, monkeypatch):
+        # The first try's vertex lies far outside, with f above every lb
+        # of the ball, and ends the tries; the ellipsoid then closes the
+        # bracket 5e-5 inside the sphere.  A last try at that incumbent
+        # finds the minimizer outside, below lb.
+        f = self.flat_valley()
+        model_step, calls = solver._model_step, []
+
+        def astray(*args):
+            bound, vertex = model_step(*args)
+            calls.append(vertex)
+            return (bound, np.array([10.0, 10.0])) if len(calls) == 1 else (bound, vertex)
+
+        monkeypatch.setattr(solver, "_model_step", astray)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        res = bisect_level(f, np.zeros(2), cfg, _witness=True)
+        assert len(calls) == 2
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        lo, hi = res.alpha_bracket
+        assert hi - lo <= cfg.level_tolerance
+        assert res.depth > 10 * cfg.level_tolerance
+        np.testing.assert_allclose(res.outside, [2.05, 0.0], atol=1e-9)
+        assert f.eval(res.outside) < lo
+
+    def test_no_witness_in_a_direct_call_or_the_last_metastep(self, metasteps):
+        # A direct call and a run's last metastep close their brackets, so
+        # no witness ends them.
+        rng = np.random.default_rng(0)
+        f = MaxAffineFunction(rng.normal(size=(200, 3)), rng.normal(size=200))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=2)
+        x0 = np.full(3, 20.0)
+        alone = bisect_level(f, x0, cfg)
+        assert alone.outside is None
+        assert alone.status is SolveStatus.BOUNDARY_REACHED
+        res = run_metasteps(f, x0, cfg)
+        (_, _, _, first), (_, centre, _, last) = metasteps
+        assert first.outside is not None
+        np.testing.assert_array_equal(centre, first.outside)
+        assert last.outside is None and res.outside is None
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        lo, hi = res.alpha_bracket
+        assert hi - lo <= cfg.level_tolerance
+        # The second ball is centred at the witness, not at the first
+        # incumbent, and reaches lower.
+        assert hi < first.best_value
