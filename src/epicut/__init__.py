@@ -37,7 +37,6 @@ from .lp import (
     PointSearchOutcome,
     PointSearchResult,
     RadiusBound,
-    RadiusMethod,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -85,7 +84,6 @@ __all__ = [
     "PreconditionViolated",
     "QuadraticForm",
     "RadiusBound",
-    "RadiusMethod",
     "SizeLimitExceeded",
     "SolveStatus",
     "TraceRecord",

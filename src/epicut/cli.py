@@ -33,7 +33,6 @@ from .lp import (  # noqa: F401
     global_radius,
     normalize,
 )
-from .oracles import MaxAffineFunction
 from .solver import MetastepConfig, MetastepResult, run_metasteps
 
 # Exit codes.  Argparse's default of 2 would collide with a verdict
@@ -183,21 +182,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key, None) for key in _CONFIG_KEYS}
 
 
-def _counts(run: Optional[MetastepResult]) -> Tuple[int, int]:
-    """(level queries, ellipsoid iterations) of a run; zeros without one."""
-    if run is None:
-        return 0, 0
-    return run.level_queries, run.iterations
-
-
-def _bracket(run: Optional[MetastepResult]) -> Optional[List[Optional[float]]]:
-    """The run's proven [lb, U]; null without a run.  An lb of -inf
-    (nothing proven) reads null."""
-    if run is None:
-        return None
-    return [_num(bound) for bound in run.alpha_bracket]
-
-
 def _write_trace(path: str, run: Optional[MetastepResult]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -248,6 +232,23 @@ def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
     }
 
 
+def _finish(report: dict, args: argparse.Namespace, started: float,
+            run: Optional[MetastepResult]) -> None:
+    """Fill in the run's level queries, iterations and proven [lb, U]
+    (an lb of -inf, nothing proven, reads null), the wall time under
+    --timing, then write the --trace file and print the report.  Without
+    a run the skeleton's zeros and null stay, and the trace is empty."""
+    if run is not None:
+        report["level_queries"] = run.level_queries
+        report["ellipsoid_iters"] = run.iterations
+        report["bracket"] = [_num(bound) for bound in run.alpha_bracket]
+    if args.timing:
+        report["wall_ms"] = (time.perf_counter() - started) * 1000.0
+    if args.trace:
+        _write_trace(args.trace, run)
+    _emit(report)
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
     report = _report_skeleton("decide", name, system.n, system.m, args)
@@ -256,22 +257,13 @@ def cmd_decide(args: argparse.Namespace) -> int:
         norm_sys = normalize(system)
     except EmptySystem:
         report["verdict"] = FeasibilityVerdict.FEASIBLE.value
-        report["d_star"] = None
-        _finish_timing(report, args, started)
-        _emit(report)
+        _finish(report, args, started, None)
         return EXIT_OK
     decision = decide_feasibility(norm_sys, tol=args.tol, trace=bool(args.trace))
-    queries, iters = _counts(decision.report)
     report["verdict"] = decision.verdict.value
     report["certificate"] = _vec(decision.certificate)
     report["d_star"] = _num(decision.d_star)
-    report["level_queries"] = queries
-    report["ellipsoid_iters"] = iters
-    report["bracket"] = _bracket(decision.report)
-    _finish_timing(report, args, started)
-    if args.trace:
-        _write_trace(args.trace, decision.report)
-    _emit(report)
+    _finish(report, args, started, decision.report)
     return _DECIDE_EXIT[decision.verdict]
 
 
@@ -285,30 +277,21 @@ def cmd_find_point(args: argparse.Namespace) -> int:
         report["verdict"] = PointSearchOutcome.FEASIBLE_POINT_FOUND.value
         report["point"] = _vec(np.zeros(system.n))
         report["value"] = 0.0
-        _finish_timing(report, args, started)
-        _emit(report)
+        _finish(report, args, started, None)
         return EXIT_OK
 
     result = find_feasible_point(norm_sys, args.tol, trace=bool(args.trace))
-    queries, iters = _counts(result.metastep_report)
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
     report["value"] = _num(result.f_value)
     report["certificate"] = _vec(result.certificate)
     report["radius"] = _num(result.radius_used)
-    report["level_queries"] = queries
-    report["ellipsoid_iters"] = iters
-    report["bracket"] = _bracket(result.metastep_report)
-    _finish_timing(report, args, started)
-    if args.trace:
-        _write_trace(args.trace, result.metastep_report)
-    _emit(report)
+    _finish(report, args, started, result.metastep_report)
     return _POINT_EXIT[result.outcome]
 
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
-    objective = MaxAffineFunction(system.rows, system.offsets)
     x0 = _parse_x0(args.x0, system.n)
     cfg = MetastepConfig(
         radius=args.radius,
@@ -319,18 +302,12 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     report = _report_skeleton("minimize", name, system.n, system.m, args)
     report["radius"] = args.radius
     started = time.perf_counter()
-    result = run_metasteps(objective, x0, cfg, trace=bool(args.trace))
+    result = run_metasteps(system, x0, cfg, trace=bool(args.trace))
     report["verdict"] = result.status.value
     report["point"] = _vec(result.best_point)
     report["value"] = _num(result.best_value)
-    report["level_queries"] = result.level_queries
-    report["ellipsoid_iters"] = result.iterations
-    report["bracket"] = _bracket(result)
     report["depth"] = _num(result.depth)
-    _finish_timing(report, args, started)
-    if args.trace:
-        _write_trace(args.trace, result)
-    _emit(report)
+    _finish(report, args, started, result)
     return EXIT_OK
 
 
@@ -354,7 +331,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             norm_sys = normalize(system)
             decision = decide_feasibility(norm_sys, tol=args.tol)
             verdict = decision.verdict.value
-            queries, iters = _counts(decision.report)
+            queries, iters = decision.report.level_queries, decision.report.iterations
         except EmptySystem:
             verdict = FeasibilityVerdict.FEASIBLE.value
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -362,11 +339,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             [label, system.n, system.m, verdict, queries, iters, f"{wall_ms:.3f}"]
         )
     return EXIT_OK
-
-
-def _finish_timing(report: dict, args: argparse.Namespace, started: float) -> None:
-    if args.timing:
-        report["wall_ms"] = (time.perf_counter() - started) * 1000.0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,10 @@
 decision with Farkas certificates, subgradient floors, search radii,
 and feasible-point search.
 
-The decision and the point search run the same minimization of
-f(x) = max_k (A_k . x + b_k) in R^n; an infeasible verdict rests on
+A LinearSystem is also the max-affine function
+f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
+set.  The decision and the point search minimize that f in R^n, and
+pass the system itself to the solver; an infeasible verdict rests on
 multipliers of the rows active at the incumbent that pass
 validate_certificate.  The two floors (subgradient_lower_bound_at and
 global_radius) are distances from 0 to a convex hull of row
@@ -26,22 +28,17 @@ from .nnls import min_norm_weights, nnls, simplex_system
 from .oracles import MaxAffineFunction
 from .solver import MetastepConfig, MetastepResult, run_metasteps
 
-# Rows with coefficient norm below this are treated as constant rows.
+# Rows whose coefficient norm is below this once normalize has scaled
+# their largest entry into [1/2, 1) are treated as constant rows.
 _ZERO_ROW = 1e-150
 
 
-class LinearSystem:
-    """m inequality rows over R^n: rows[k] . x + offsets[k] <= 0."""
+class LinearSystem(MaxAffineFunction):
+    """m inequality rows over R^n: rows[k] . x + offsets[k] <= 0.
 
-    __slots__ = ("rows", "offsets")
-
-    def __init__(self, rows, offsets):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).ravel()
-        if rows.shape[0] != offsets.shape[0] or rows.shape[0] == 0:
-            raise DimensionMismatch("need one offset per row and at least one row")
-        self.rows = rows
-        self.offsets = offsets
+    As a function it is f(x) = max_k (rows[k] . x + offsets[k]), the
+    function the decision run minimizes.
+    """
 
     @property
     def m(self) -> int:
@@ -59,17 +56,23 @@ class LinearSystem:
 def normalize(system: LinearSystem) -> LinearSystem:
     """Scale each row so ||(A_k, b_k)|| = 1.
 
-    Constant rows (zero coefficients) are vacuous when their offset is
-    nonpositive and are dropped; a constant row with positive offset is
-    unsatisfiable and is kept as (0, 1).  No other normalized row
-    reaches 1 at the origin, so the decision run's first center has a
-    zero subgradient, and the row's unit multiplier is the certificate.
-    Raises EmptySystem when nothing is left (every point satisfies the
-    original system).
+    Each row is first scaled by the power of two that brings its largest
+    entry into [1/2, 1), which is exact and keeps its norm in range, so
+    the result does not depend on the row's scale.  Constant rows (a
+    coefficient norm below _ZERO_ROW after that scaling) are vacuous
+    when their offset is nonpositive and are dropped; a constant row
+    with positive offset is unsatisfiable and is kept as (0, 1).  No
+    other normalized row reaches 1 at the origin, so the decision run's
+    first center has a zero subgradient, and the row's unit multiplier
+    is the certificate.  Raises EmptySystem when nothing is left (every
+    point satisfies the original system).
     """
     kept_rows: List[np.ndarray] = []
     kept_offsets: List[float] = []
-    for a, b in zip(system.rows, system.offsets):
+    top = np.maximum(np.abs(system.rows).max(axis=1), np.abs(system.offsets))
+    shift = -np.frexp(top)[1]
+    rows = np.ldexp(system.rows, shift[:, None])
+    for a, b in zip(rows, np.ldexp(system.offsets, shift)):
         na = float(np.linalg.norm(a))
         if na < _ZERO_ROW:
             if b > 0.0:
@@ -102,15 +105,10 @@ class FeasibilityDecision:
     phase_one: Optional[MetastepResult] = None
 
 
-class RadiusMethod(Enum):
-    GLOBAL_C = "GlobalC"
-
-
 @dataclass
 class RadiusBound:
     d_lower: float
     radius: float
-    method: RadiusMethod
 
 
 class PointSearchOutcome(Enum):
@@ -190,7 +188,6 @@ def _primal_run(
     or used up its metasteps.
     """
     eps = min(tol / 10.0, 1e-8)
-    f = MaxAffineFunction(system.rows, system.offsets)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
     cfg = MetastepConfig(
         radius=_PRIMAL_RADIUS,
@@ -212,7 +209,7 @@ def _primal_run(
     x = np.zeros(system.n)
     report: Optional[MetastepResult] = None
     while True:
-        res = run_metasteps(f, x, cfg, trace=trace, hook=try_certificate)
+        res = run_metasteps(system, x, cfg, trace=trace, hook=try_certificate)
         report = res if report is None else _joined(report, res)
         if proven:
             return report, proven[0]
@@ -227,13 +224,12 @@ def _primal_run(
 
 
 def _joined(first: MetastepResult, later: MetastepResult) -> MetastepResult:
-    """One result for two consecutive runs: later's outcome, summed counters."""
+    """One result for two consecutive runs: later's outcome, both runs'
+    metasteps."""
     for rec in later.trace:
         rec.query += first.level_queries
     return replace(
         later,
-        iterations=first.iterations + later.iterations,
-        level_queries=first.level_queries + later.level_queries,
         trace=first.trace + later.trace,
         query_iterations=first.query_iterations + later.query_iterations,
         config=replace(later.config, max_metasteps=first.config.max_metasteps),
@@ -376,7 +372,7 @@ def global_radius(system: LinearSystem, tol: float = 1e-7) -> RadiusBound:
         raise PreconditionViolated(
             f"simplex floor {c_low:.3e} is at most tol; no global floor"
         )
-    return RadiusBound(d_lower, _radius_from_floor(system.m, d_lower), RadiusMethod.GLOBAL_C)
+    return RadiusBound(d_lower, _radius_from_floor(system.m, d_lower))
 
 
 def find_feasible_point(

@@ -131,23 +131,14 @@ class QuadraticForm(ConvexOracle):
         return np.einsum("ij,jk,ik->i", pts, self.gram, pts)
 
 
-class LinearConstraintSet:
-    """{ z : rows z + offsets <= 0 componentwise }."""
+class LinearConstraintSet(MaxAffineFunction):
+    """{ z : rows z + offsets <= 0 componentwise }; as a function, its
+    largest violation max_k (rows[k] z + offsets[k])."""
 
     def __init__(self, rows, offsets):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).ravel()
-        if rows.shape[0] != offsets.shape[0] or rows.shape[0] == 0:
-            raise DimensionMismatch("need one offset per row and at least one row")
-        self.rows = rows
-        self.offsets = offsets
-        norms = np.linalg.norm(rows, axis=1)
-        self.row_norms = norms
-        self._safe_norms = np.maximum(norms, 1e-300)
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+        super().__init__(rows, offsets)
+        self.row_norms = np.linalg.norm(self.rows, axis=1)
+        self._safe_norms = np.maximum(self.row_norms, 1e-300)
 
     @property
     def n_rows(self) -> int:

@@ -127,16 +127,22 @@ class MetastepResult:
     best_point: np.ndarray
     best_value: float
     status: SolveStatus
-    iterations: int
-    level_queries: int
     alpha_bracket: Tuple[float, float]  # proven (lower bound, incumbent value)
     depth: float  # radius minus the best point's distance from the ball's center
     trace: List[TraceRecord]
-    query_iterations: List[int]
+    query_iterations: List[int]  # ellipsoid iterations of each metastep
     config: MetastepConfig
     # The point outside the ball whose value fell below lb and ended the
     # metastep (see bisect_level); None for any other end.
     outside: Optional[np.ndarray] = None
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.query_iterations)
+
+    @property
+    def level_queries(self) -> int:
+        return len(self.query_iterations)
 
 
 # Every overflow in a metastep is handled: the cut kernel rescales, f(c)
@@ -149,14 +155,13 @@ def bisect_level(
     *,
     trace: bool = False,
     hook: Optional[Callable[[np.ndarray], bool]] = None,
-    _query_start: int = 0,
     _witness: bool = False,
 ) -> MetastepResult:
     """One metastep: a single ellipsoid run over the ball around x0.
 
     Counts as one level query.  With ``trace`` the result carries one
-    TraceRecord per cut; without it ``trace`` is empty.  Tracing changes
-    nothing else.
+    TraceRecord per cut, each with query 1 (run_metasteps renumbers
+    them); without it ``trace`` is empty.  Tracing changes nothing else.
 
     ``hook``, when given, is called with the incumbent every 4(d+1)
     iterations while the proven lower bound is above 0, that is while
@@ -206,7 +211,6 @@ def bisect_level(
     # Inside by 10 eps, and by more than the rounding of the centers'
     # coordinates, which is about eps_mach (R + |x0|).
     inner = 10.0 * eps + 16.0 * _ROUNDING * (radius + float(np.abs(x0).max()))
-    query = _query_start + 1
     records: List[TraceRecord] = []
 
     e = Ellipsoid.ball(x0, radius)
@@ -249,7 +253,7 @@ def bisect_level(
             lower = upper
         if trace and outcome is CutKind.UPDATED:
             records.append(
-                TraceRecord(query, iters, center, value, kind, slack, e.log_volume_ratio)
+                TraceRecord(1, iters, center, value, kind, slack, e.log_volume_ratio)
             )
         if model is not None and iters >= next_try and lower < upper - eps:
             gap = upper - lower
@@ -304,8 +308,6 @@ def bisect_level(
         best_point=best_point,
         best_value=upper,
         status=status,
-        iterations=iters,
-        level_queries=1,
         alpha_bracket=(lower, upper),
         depth=radius - dist,
         trace=records,
@@ -402,11 +404,12 @@ def run_metasteps(
     last metastep the budget allows has none).
 
     Stops on any status but BOUNDARY_REACHED, or when a recentred
-    metastep fails to strictly improve; the result carries the
-    last metastep's outcome with counters and trace aggregated over all
-    of them.  A metastep that raises NonFiniteValue after one has
-    completed ends the run with the completed metasteps' result: their
-    brackets are proven, and only the raising one is lost.  ``trace``
+    metastep fails to strictly improve; the result carries the last
+    metastep's outcome with the trace and the iteration counts of all
+    of them, and each trace record's query numbers its metastep.  A
+    metastep that raises NonFiniteValue after one has completed ends
+    the run with the completed metasteps' result: their brackets are
+    proven, and only the raising one is lost.  ``trace``
     and ``hook`` are passed to each metastep (see bisect_level); a run
     the hook ends reports BudgetExhausted, so no further metastep
     follows it.
@@ -415,24 +418,23 @@ def run_metasteps(
     radius = cfg.radius
     records: List[TraceRecord] = []
     query_iterations: List[int] = []
-    total_queries = 0
     previous: Optional[MetastepResult] = None
     result = None
     for k in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         try:
             step = bisect_level(
-                f, x, step_cfg, trace=trace, hook=hook, _query_start=total_queries,
-                _witness=k < cfg.max_metasteps - 1,
+                f, x, step_cfg, trace=trace, hook=hook, _witness=k < cfg.max_metasteps - 1,
             )
         except NonFiniteValue:
             if result is None:
                 raise
             break
         result = step
-        records.extend(result.trace)
-        query_iterations.extend(result.query_iterations)
-        total_queries += result.level_queries
+        for rec in step.trace:
+            rec.query = k + 1
+        records.extend(step.trace)
+        query_iterations.extend(step.query_iterations)
         if result.status is not SolveStatus.BOUNDARY_REACHED:
             break
         if previous is not None and result.best_value >= previous.best_value:
@@ -441,10 +443,4 @@ def run_metasteps(
         centre = result.best_point if result.outside is None else result.outside
         x = np.array(centre, copy=True)
         radius *= cfg.radius_growth
-    return replace(
-        result,
-        iterations=sum(query_iterations),
-        level_queries=total_queries,
-        trace=records,
-        query_iterations=query_iterations,
-    )
+    return replace(result, trace=records, query_iterations=query_iterations)

@@ -23,7 +23,6 @@ from epicut import (
     LinearSystem,
     MaxAffineFunction,
     MetastepConfig,
-    RadiusMethod,
     bisect_level,
     central_cut,
     decide_feasibility,
@@ -386,8 +385,6 @@ def test_criterion_10_radius_soundness():
             offsets.append(-float(a @ anchor) - rng.uniform(0.05, 0.5))
         sys_n = normalize(LinearSystem(np.array(rows), np.array(offsets)))
         bound = global_radius(sys_n, tol=1e-7)
-        if bound.method is not RadiusMethod.GLOBAL_C:
-            continue  # construction should prevent this; do not count it
         oracle = vertex_enumerate_feasible(sys_n)
         if not oracle.feasible:
             ok = False

@@ -174,6 +174,17 @@ class TestFindPointCommand:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["verdict"] == "FeasiblePointFound"
 
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_badly_scaled_rows_without_stderr(self, tmp_path, command):
+        # x <= -1 with tiny coefficients is feasible; x <= -1 and x >= 0
+        # with huge ones is infeasible.
+        tiny = write_problem(tmp_path / "tiny.json", {"A": [[1e-160]], "b": [1e-160]})
+        huge = write_problem(tmp_path / "huge.json", {"A": [[1e200], [-1]], "b": [1e200, 0]})
+        for path, code in ((tiny, 0), (huge, 1)):
+            proc = invoke(command, path)
+            assert proc.returncode == code
+            assert proc.stderr == ""
+
     def test_nonpositive_half_line_returns_origin(self, tmp_path):
         path = write_problem(tmp_path / "half.json", {"A": [[1]], "b": [0]})
         proc = invoke("find-point", path)
@@ -206,6 +217,13 @@ class TestFindPointCommand:
         report = json.loads(invoke("decide", path).stdout)
         assert report["verdict"] == "Feasible"
         assert report["bracket"] is None and report["depth"] is None
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_all_vacuous_trace_file_is_empty(self, tmp_path, command):
+        path = write_problem(tmp_path / "vacuous.json", {"A": [[0, 0]], "b": [-1]})
+        trace = tmp_path / "trace.jsonl"
+        assert invoke(command, path, "--trace", str(trace)).returncode == 0
+        assert trace.read_text() == ""
 
     def test_no_radius_program(self, unit_box, contradictory, monkeypatch, capsys):
         from epicut import cli, lp

@@ -12,7 +12,6 @@ from epicut import (
     MaxAffineFunction,
     PointSearchOutcome,
     PreconditionViolated,
-    RadiusMethod,
     SolveStatus,
     decide_feasibility,
     find_feasible_point,
@@ -80,6 +79,39 @@ class TestNormalize:
         with pytest.raises(EmptySystem):
             normalize(system([[0.0, 0.0]], [-1.0]))
 
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_power_of_two_scale_changes_no_bit(self, k):
+        # Rows from 2^-30 to 2^30, so that 2^500 overflows the squared
+        # norm of some and 2^-500 brings some below _ZERO_ROW.
+        rng = np.random.default_rng(22)
+        scales = np.ldexp(1.0, rng.integers(-30, 31, 6))
+        rows = rng.uniform(-1, 1, (6, 3)) * scales[:, None]
+        offsets = rng.uniform(-1, 1, 6) * scales
+        base = normalize(system(rows, offsets))
+        scaled = normalize(system(np.ldexp(rows, k), np.ldexp(offsets, k)))
+        npt.assert_array_equal(scaled.rows, base.rows)
+        npt.assert_array_equal(scaled.offsets, base.offsets)
+
+    @pytest.mark.parametrize("rows, offsets, verdict", [
+        # x <= -1: tiny, but not a constant row.
+        ([[1e-160]], [1e-160], FeasibilityVerdict.FEASIBLE),
+        # x <= -1 and x >= 0: the first row's squared norm overflows.
+        ([[1e200], [-1.0]], [1e200, 0.0], FeasibilityVerdict.INFEASIBLE_NON_STRICT),
+        ([[1e160], [-1.0]], [1e160, 0.0], FeasibilityVerdict.INFEASIBLE_NON_STRICT),
+    ], ids=["tiny", "huge", "large"])
+    def test_badly_scaled_rows(self, rows, offsets, verdict):
+        out = normalize(system(rows, offsets))
+        npt.assert_allclose(out.rows[0], [math.sqrt(0.5)])
+        npt.assert_allclose(out.offsets[0], math.sqrt(0.5))
+        assert decide_feasibility(out).verdict is verdict
+
+    def test_normalized_system_is_its_max_affine_function(self):
+        rng = np.random.default_rng(23)
+        out = normalize(system(rng.uniform(-5, 5, (7, 3)), rng.uniform(-5, 5, 7)))
+        assert isinstance(out, MaxAffineFunction)
+        for x in rng.uniform(-3, 3, (20, 3)):
+            assert out.violation(x) == out.eval(x)
+
     def test_offset_norm_bound(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -127,6 +159,28 @@ class TestDecide:
         out = decide_feasibility(normalize(FLAT_ROW))
         assert out.verdict is not FeasibilityVerdict.INFEASIBLE_NON_STRICT
         assert out.certificate is None
+
+    def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
+        # Each metastep of the flat row's run ends certified near f = 1, so
+        # decide runs it as six run_metasteps calls and joins their reports.
+        original, calls = lp.run_metasteps, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "run_metasteps", counted)
+        report = decide_feasibility(normalize(FLAT_ROW), trace=True).report
+        assert len(calls) == 6
+        assert report.level_queries == 6
+        assert report.iterations == sum(report.query_iterations)
+        queries = [rec.query for rec in report.trace]
+        assert queries == sorted(queries)
+        assert sorted(set(queries)) == list(range(1, 7))
+        for query, used in enumerate(report.query_iterations, 1):
+            iterations = [rec.iteration for rec in report.trace if rec.query == query]
+            assert iterations == list(range(1, len(iterations) + 1))
+            assert len(iterations) <= used
 
     def test_homogeneous_strict_only(self):
         sys_n = normalize(HOMOGENEOUS_EIGHT)
@@ -388,7 +442,6 @@ class TestGlobalRadius:
     def test_single_row_closed_form(self):
         sys_n = normalize(system([[1.0]], [-1.0]))
         rb = global_radius(sys_n)
-        assert rb.method is RadiusMethod.GLOBAL_C
         assert rb.d_lower == pytest.approx(math.sqrt(0.5), abs=1e-6)
         assert rb.radius == pytest.approx(math.sqrt(3.0), abs=1e-5)
 

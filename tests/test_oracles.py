@@ -6,6 +6,7 @@ from epicut import (
     ConvexOracle,
     DimensionMismatch,
     LinearConstraintSet,
+    LinearSystem,
     MaxAffineFunction,
     QuadraticForm,
 )
@@ -62,9 +63,15 @@ class TestMaxAffine:
         single = np.array([self.f.eval(p) for p in pts])
         npt.assert_allclose(batch, single)
 
-    def test_shape_validation(self):
+    @pytest.mark.parametrize(
+        "cls", [MaxAffineFunction, LinearSystem, LinearConstraintSet],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_shape_validation(self, cls):
         with pytest.raises(DimensionMismatch):
-            MaxAffineFunction(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+            cls(np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            cls(np.zeros((0, 2)), np.zeros(0))
 
 
 class TestValueAndSubgradient:
