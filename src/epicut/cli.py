@@ -25,6 +25,7 @@ from .errors import DegenerateShape, DimensionMismatch, EmptySystem, NonFiniteVa
 # global_radius is not called here; it stays importable as
 # cli.global_radius, a name benchmark/tracing.py wraps.
 from .lp import (  # noqa: F401
+    FeasibilityDecision,
     FeasibilityVerdict,
     LinearSystem,
     PointSearchOutcome,
@@ -249,17 +250,21 @@ def _finish(report: dict, args: argparse.Namespace, started: float,
     _emit(report)
 
 
+def _decide(system: LinearSystem, tol: float, trace: bool = False) -> FeasibilityDecision:
+    """normalize, then decide_feasibility.  A system whose rows are all
+    vacuous is Feasible without a run (report None)."""
+    try:
+        norm_sys = normalize(system)
+    except EmptySystem:
+        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf)
+    return decide_feasibility(norm_sys, tol=tol, trace=trace)
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
     report = _report_skeleton("decide", name, system.n, system.m, args)
     started = time.perf_counter()
-    try:
-        norm_sys = normalize(system)
-    except EmptySystem:
-        report["verdict"] = FeasibilityVerdict.FEASIBLE.value
-        _finish(report, args, started, None)
-        return EXIT_OK
-    decision = decide_feasibility(norm_sys, tol=args.tol, trace=bool(args.trace))
+    decision = _decide(system, args.tol, bool(args.trace))
     report["verdict"] = decision.verdict.value
     report["certificate"] = _vec(decision.certificate)
     report["d_star"] = _num(decision.d_star)
@@ -326,18 +331,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         label = name or os.path.splitext(os.path.basename(path))[0]
         started = time.perf_counter()
-        queries = iters = 0
-        try:
-            norm_sys = normalize(system)
-            decision = decide_feasibility(norm_sys, tol=args.tol)
-            verdict = decision.verdict.value
-            queries, iters = decision.report.level_queries, decision.report.iterations
-        except EmptySystem:
-            verdict = FeasibilityVerdict.FEASIBLE.value
+        decision = _decide(system, args.tol)
         wall_ms = (time.perf_counter() - started) * 1000.0
-        writer.writerow(
-            [label, system.n, system.m, verdict, queries, iters, f"{wall_ms:.3f}"]
-        )
+        run = decision.report
+        writer.writerow([
+            label, system.n, system.m, decision.verdict.value,
+            run.level_queries if run else 0, run.iterations if run else 0,
+            f"{wall_ms:.3f}",
+        ])
     return EXIT_OK
 
 

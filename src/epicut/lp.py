@@ -4,10 +4,10 @@ and feasible-point search.
 
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
-set.  The decision and the point search minimize that f in R^n, and
-pass the system itself to the solver; an infeasible verdict rests on
-multipliers of the rows active at the incumbent that pass
-validate_certificate.  The two floors (subgradient_lower_bound_at and
+set.  The decision minimizes that f in R^n, passing the system itself
+to the solver, and the point search reads that run as a point; an
+infeasible verdict rests on multipliers of the rows active at the
+incumbent that pass validate_certificate.  The two floors (subgradient_lower_bound_at and
 global_radius) are distances from 0 to a convex hull of row
 combinations, Wolfe's minimum-norm-point problem; the NNLS kernel that
 finds the certificates solves it, and each floor reports the
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -67,24 +67,26 @@ def normalize(system: LinearSystem) -> LinearSystem:
     is the certificate.  Raises EmptySystem when nothing is left (every
     point satisfies the original system).
     """
-    kept_rows: List[np.ndarray] = []
-    kept_offsets: List[float] = []
     top = np.maximum(np.abs(system.rows).max(axis=1), np.abs(system.offsets))
     shift = -np.frexp(top)[1]
     rows = np.ldexp(system.rows, shift[:, None])
-    for a, b in zip(rows, np.ldexp(system.offsets, shift)):
-        na = float(np.linalg.norm(a))
-        if na < _ZERO_ROW:
-            if b > 0.0:
-                kept_rows.append(np.zeros(system.n))
-                kept_offsets.append(1.0)
-            continue
-        s = math.sqrt(na * na + b * b)
-        kept_rows.append(a / s)
-        kept_offsets.append(b / s)
-    if not kept_rows:
+    offsets = np.ldexp(system.offsets, shift)
+    # Each row's norm from its own dot product: the bits of a per-row
+    # np.linalg.norm, which einsum and norm(axis=1) do not keep.
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    constant = norms < _ZERO_ROW
+    kept = ~constant | (offsets > 0.0)
+    if not kept.any():
         raise EmptySystem("all rows vacuous; any point is feasible")
-    return LinearSystem(np.array(kept_rows), np.array(kept_offsets))
+    # Constant rows become (0, 1); only the others are divided (0/0 warns).
+    live = ~constant
+    na, b = norms[live], offsets[live]
+    scale = np.sqrt(na * na + b * b)
+    rows[constant] = 0.0
+    rows[live] /= scale[:, None]
+    offsets[constant] = 1.0
+    offsets[live] = b / scale
+    return LinearSystem(rows[kept], offsets[kept])
 
 
 class FeasibilityVerdict(Enum):
@@ -141,52 +143,27 @@ def decide_feasibility(
     *,
     trace: bool = False,
 ) -> FeasibilityDecision:
-    """Feasibility decision for a normalized system by minimizing f in R^n.
-
-    Any evaluated x with f(x) < 0 is a strictly feasible point.
-    Otherwise the rows active at the incumbent give multipliers q (see
-    _primal_run): b.q > tol gives InfeasibleNonStrict, |b.q| <= tol
-    gives InfeasibleStrictOnly.  With neither after _PRIMAL_METASTEPS
-    metasteps the verdict is Undecided, with the run's report.  ``trace``
-    records per-cut traces in the report (see solver.bisect_level).
-    """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    report, cert = _primal_run(system, tol, trace)
-    if cert is not None:
-        verdict = (
-            FeasibilityVerdict.INFEASIBLE_NON_STRICT
-            if float(system.offsets @ cert) > tol
-            else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
-        )
-        d_star = float(np.sum((system.rows.T @ cert) ** 2))
-        return FeasibilityDecision(verdict, cert, d_star, report)
-    verdict = (
-        FeasibilityVerdict.FEASIBLE
-        if report.best_value < 0.0
-        else FeasibilityVerdict.UNDECIDED
-    )
-    return FeasibilityDecision(verdict, None, math.inf, report)
-
-
-def _primal_run(
-    system: LinearSystem, tol: float, trace: bool
-) -> Tuple[MetastepResult, Optional[np.ndarray]]:
-    """Minimize f(x) = max_k (A_k . x + b_k) in R^n until f < 0 or a certificate.
+    """Feasibility decision for a normalized system by minimizing
+    f(x) = max_k (A_k . x + b_k) in R^n.
 
     Runs the metastep minimizer from the origin in a ball of radius
     _PRIMAL_RADIUS, growing it _PRIMAL_GROWTH-fold around each boundary
     incumbent, with eps = min(tol/10, 1e-8).  The run stops at the first
-    evaluated x with f(x) < 0.  Once its proven lower bound is above 0,
-    the system is infeasible, and every 4(n+1) iterations the solver
-    hands the incumbent to _active_certificate; the run ends as soon as
-    that q passes validate_certificate.  When a run ends otherwise,
-    _active_certificate is tried at its incumbent once more, and without
-    a certificate the run goes on from the incumbent in a larger ball,
-    for at most _PRIMAL_METASTEPS metasteps in all.  Returns the joined
-    report and the certificate, which is None when the run found f < 0
-    or used up its metasteps.
+    evaluated x with f(x) < 0, a strictly feasible point: Feasible.
+    Once its proven lower bound is above 0, the system is infeasible,
+    and every 4(n+1) iterations the solver hands the incumbent to
+    _active_certificate; the run ends as soon as that q has b.q > tol.
+    When a run ends otherwise, _active_certificate is tried at its
+    incumbent once more, and without a certificate the run goes on from
+    the incumbent in a larger ball, for at most _PRIMAL_METASTEPS
+    metasteps in all.  A certificate q with b.q > tol gives
+    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly;
+    with neither f < 0 nor a certificate the verdict is Undecided.  The
+    decision keeps the joined report of the runs.  ``trace`` records
+    per-cut traces in the report (see solver.bisect_level).
     """
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     eps = min(tol / 10.0, 1e-8)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
     cfg = MetastepConfig(
@@ -199,11 +176,11 @@ def _primal_run(
     proven: List[np.ndarray] = []
 
     def try_certificate(point: np.ndarray) -> bool:
-        # Only a certificate that proves ends the run: no strict-only fallback.
-        for q in _window_multipliers(system, point, eps):
-            if validate_certificate(system, q, tol):
-                proven.append(q)
-                return True
+        # Only a certificate that proves ends the run.
+        q = _active_certificate(system, point, eps, tol)
+        if q is not None and float(system.offsets @ q) > tol:
+            proven.append(q)
+            return True
         return False
 
     x = np.zeros(system.n)
@@ -212,15 +189,25 @@ def _primal_run(
         res = run_metasteps(system, x, cfg, trace=trace, hook=try_certificate)
         report = res if report is None else _joined(report, res)
         if proven:
-            return report, proven[0]
+            cert = proven[0]
+            break
         if res.best_value < 0.0:
-            return report, None
+            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
         cert = _active_certificate(system, res.best_point, eps, tol)
+        if cert is not None:
+            break
         left = _PRIMAL_METASTEPS - report.level_queries
-        if cert is not None or left <= 0:
-            return report, cert
+        if left <= 0:
+            return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
         x = res.best_point
         cfg = replace(cfg, radius=res.config.radius * _PRIMAL_GROWTH, max_metasteps=left)
+    verdict = (
+        FeasibilityVerdict.INFEASIBLE_NON_STRICT
+        if float(system.offsets @ cert) > tol
+        else FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+    )
+    d_star = float(np.sum((system.rows.T @ cert) ** 2))
+    return FeasibilityDecision(verdict, cert, d_star, report)
 
 
 def _joined(first: MetastepResult, later: MetastepResult) -> MetastepResult:
@@ -247,17 +234,18 @@ def _active_certificate(
     that passes validate_certificate on the whole system is returned.
     Failing that, the first q that passes its sign and residual checks
     with |b.q| <= tol is returned, and None when no window gives one.
-    So b.q > tol holds exactly when q passes validate_certificate.
+    So b.q > tol holds exactly when q passes validate_certificate: the
+    decision run's hook keeps only such a q, its last try either kind.
     """
     fallback = None
     for q in _window_multipliers(system, x, window):
-        if validate_certificate(system, q, tol):
+        # validate_certificate's two checks, each made once.
+        if not _farkas_residual_ok(system, q, tol):
+            continue
+        bq = float(system.offsets @ q)
+        if bq > tol:
             return q
-        if (
-            fallback is None
-            and _farkas_residual_ok(system, q, tol)
-            and float(system.offsets @ q) >= -tol
-        ):
+        if fallback is None and bq >= -tol:
             fallback = q
     return fallback
 
@@ -384,26 +372,28 @@ def find_feasible_point(
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
     A feasible origin is returned at once, with radius_used 0.  Otherwise
-    this is the run behind decide_feasibility (see _primal_run, with tol
-    feas_tol).  A best value at most feas_tol is a feasible point.
-    Infeasibility is proven only by a certificate from the rows active at
-    the incumbent, which passes validate_certificate at feas_tol.
-    Anything else is undecided.  radius_used is the radius of the last
-    metastep's ball.  ``trace`` records a per-cut trace in the metastep
-    report.
+    this is decide_feasibility's run (with tol feas_tol) read as a point:
+    a best value at most feas_tol is a feasible point, an
+    InfeasibleNonStrict verdict proves infeasibility with its
+    certificate, and anything else is undecided.  radius_used is the
+    radius of the last metastep's ball.  ``trace`` records a per-cut
+    trace in the metastep report.  Raises ValueError unless feas_tol > 0.
     """
+    if not feas_tol > 0.0:
+        raise ValueError("tolerance must be positive")
     x0 = np.zeros(system.n)
     f0 = system.violation(x0)
     if f0 <= feas_tol:
         return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None, 0.0)
 
-    res, cert = _primal_run(system, feas_tol, trace)
+    decision = decide_feasibility(system, feas_tol, trace=trace)
+    res, cert = decision.report, None
     if res.best_value <= feas_tol:
-        outcome, cert = PointSearchOutcome.FEASIBLE_POINT_FOUND, None
-    elif cert is not None and validate_certificate(system, cert, feas_tol):
-        outcome = PointSearchOutcome.INFEASIBLE_PROVEN
+        outcome = PointSearchOutcome.FEASIBLE_POINT_FOUND
+    elif decision.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT:
+        outcome, cert = PointSearchOutcome.INFEASIBLE_PROVEN, decision.certificate
     else:
-        outcome, cert = PointSearchOutcome.UNDECIDED, None
+        outcome = PointSearchOutcome.UNDECIDED
     return PointSearchResult(
         res.best_point, res.best_value, outcome, res, res.config.radius, cert
     )

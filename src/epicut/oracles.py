@@ -54,10 +54,6 @@ class MaxAffineFunction(ConvexOracle):
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    @property
-    def n_pieces(self) -> int:
-        return self.rows.shape[0]
-
     def _values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -121,11 +117,6 @@ class QuadraticForm(ConvexOracle):
     def subgradient(self, x) -> np.ndarray:
         return 2.0 * (self.gram @ np.asarray(x, dtype=float))
 
-    def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        gx = self.gram @ x
-        return float(x @ gx), 2.0 * gx
-
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return np.einsum("ij,jk,ik->i", pts, self.gram, pts)
@@ -140,24 +131,8 @@ class LinearConstraintSet(MaxAffineFunction):
         self.row_norms = np.linalg.norm(self.rows, axis=1)
         self._safe_norms = np.maximum(self.row_norms, 1e-300)
 
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    def violations(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return self.rows @ z + self.offsets
-
-    def max_violation(self, z) -> float:
-        return float(np.max(self.violations(z)))
-
     def normalized_max_violation(self, z) -> Tuple[float, int]:
         """(worst violation in Euclidean-distance units, its row index)."""
-        scaled = self.violations(z) / self._safe_norms
+        scaled = self._values(z) / self._safe_norms
         idx = int(np.argmax(scaled))
         return float(scaled[idx]), idx
-
-    def as_max_affine(self) -> MaxAffineFunction:
-        """The violation function max_k (rows[k] z + offsets[k]) as an oracle."""
-        return MaxAffineFunction(self.rows, self.offsets)
-

@@ -92,6 +92,32 @@ class TestNormalize:
         npt.assert_array_equal(scaled.rows, base.rows)
         npt.assert_array_equal(scaled.offsets, base.offsets)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_row_loop(self, seed):
+        # The loop normalize was written as: one np.linalg.norm per row.
+        rng = np.random.default_rng(60 + seed)
+        m, n = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        rows = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-300, 300, (m, 1))
+        offsets = rng.normal(size=m) * 10.0 ** rng.uniform(-300, 300, m)
+        rows[rng.random(m) < 0.2] = 0.0
+        rows[rng.random(m) < 0.2] *= 1e-160
+        out = normalize(system(rows, offsets))
+        top = np.maximum(np.abs(rows).max(axis=1), np.abs(offsets))
+        shift = -np.frexp(top)[1]
+        want_rows, want_offsets = [], []
+        for a, b in zip(np.ldexp(rows, shift[:, None]), np.ldexp(offsets, shift)):
+            na = float(np.linalg.norm(a))
+            if na < lp._ZERO_ROW:
+                if b > 0.0:
+                    want_rows.append(np.zeros(n))
+                    want_offsets.append(1.0)
+                continue
+            s = math.sqrt(na * na + b * b)
+            want_rows.append(a / s)
+            want_offsets.append(b / s)
+        npt.assert_array_equal(out.rows, np.array(want_rows).reshape(-1, n))
+        npt.assert_array_equal(out.offsets, want_offsets)
+
     @pytest.mark.parametrize("rows, offsets, verdict", [
         # x <= -1: tiny, but not a constant row.
         ([[1e-160]], [1e-160], FeasibilityVerdict.FEASIBLE),
@@ -505,6 +531,7 @@ class TestFindFeasiblePoint:
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         assert sys_n.violation(res.point) <= 1e-7
         assert res.certificate is None
+        assert decide_feasibility(sys_n).verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
 
     def test_runs_the_decide_run(self):
         sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))  # 1 <= x <= 2
@@ -536,16 +563,28 @@ class TestFindFeasiblePoint:
         for _ in range(200):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
             sys_n = normalize(system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m)))
-            feasible = decide_feasibility(sys_n).verdict is FeasibilityVerdict.FEASIBLE
+            decision = decide_feasibility(sys_n)
             res = find_feasible_point(sys_n)
             outcomes.add(res.outcome)
-            if feasible:
+            if decision.verdict is FeasibilityVerdict.FEASIBLE:
                 assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
                 assert sys_n.violation(res.point) <= 1e-7
             else:
+                # find-point reads decide's run: the same certificate and work.
                 assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
                 assert validate_certificate(sys_n, res.certificate, tol=1e-7)
+                npt.assert_array_equal(res.certificate, decision.certificate)
+                assert res.metastep_report.iterations == decision.report.iterations
         assert len(outcomes) == 2
+
+    @pytest.mark.parametrize("feas_tol", [0.0, -1e-3])
+    @pytest.mark.parametrize("rows, offsets", [
+        ([[1.0]], [-1.0]),  # x <= 1: the origin is feasible
+        ([[-1.0], [1.0]], [1.0, -2.0]),  # 1 <= x <= 2: it is not
+    ])
+    def test_nonpositive_tolerance_rejected(self, rows, offsets, feas_tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            find_feasible_point(normalize(system(rows, offsets)), feas_tol)
 
     def test_start_value_bounded_by_offsets(self):
         rng = np.random.default_rng(31)

@@ -25,7 +25,6 @@ class TestMaxAffine:
         assert self.f.eval(np.array([2.0, 0.0])) == pytest.approx(1.0)
         assert self.f.eval(np.array([0.0, 0.5])) == pytest.approx(0.5)
         assert self.f.dim == 2
-        assert self.f.n_pieces == 3
 
     def test_first_active_wins_on_tie(self):
         # At (0, -1) rows 0 and 1 tie at -1, row 2 gives -1 as well.
@@ -191,21 +190,7 @@ class TestLinearConstraintSet:
             np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([-1.0, 0.0])
         )
 
-    def test_violations(self):
-        npt.assert_allclose(
-            self.cons.violations(np.array([2.0, -3.0])), [1.0, 3.0]
-        )
-        assert self.cons.max_violation(np.array([0.0, 1.0])) == pytest.approx(-1.0)
-
     def test_normalized_max_violation_picks_row(self):
         value, idx = self.cons.normalized_max_violation(np.array([2.0, -3.0]))
         assert idx == 1
         assert value == pytest.approx(3.0)
-
-    def test_as_max_affine_equivalence(self):
-        f = self.cons.as_max_affine()
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            z = rng.uniform(-2, 2, size=2)
-            assert f.eval(z) == pytest.approx(self.cons.max_violation(z))
-
