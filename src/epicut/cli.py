@@ -149,18 +149,12 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
-def _radius_ok(value: float) -> bool:
-    # The solver squares distances in the ball: ||x - x0||^2 and the
-    # ball cut's slack must not overflow.
-    return _positive_finite(value) and math.isfinite(value * value)
-
-
 # Each flag value argparse cannot check by type: (attribute, test, message).
 _FLAG_CHECKS = (
     ("tol", _positive_finite, "--tol must be a positive finite number"),
     ("metasteps", lambda v: v >= 1, "--metasteps must be at least 1"),
     ("eps", _positive_finite, "--eps must be a positive finite number"),
-    ("radius", _radius_ok, "--radius must be a positive number with a finite square"),
+    ("radius", _positive_finite, "--radius must be a positive finite number"),
     ("radius_growth", lambda v: math.isfinite(v) and v >= 1.0,
      "--radius-growth must be a finite number of at least 1"),
 )
@@ -304,6 +298,10 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         max_metasteps=args.metasteps,
         radius_growth=args.radius_growth,
     )
+    try:
+        cfg.check_radii()
+    except ValueError as exc:
+        raise UsageError(f"--radius, --radius-growth and --metasteps: {exc}") from exc
     report = _report_skeleton("minimize", name, system.n, system.m, args)
     report["radius"] = args.radius
     started = time.perf_counter()

@@ -262,7 +262,7 @@ def _window_multipliers(system: LinearSystem, x: np.ndarray, window: float):
     raw nnls solution padded with zeros: that solution is optimal on the
     old columns, so only the new ones can enter.
     """
-    values = system.rows @ x + system.offsets
+    values = system.rows.dot(x) + system.offsets
     gaps = float(np.max(values)) - values
     order = np.argsort(gaps, kind="stable")
     sorted_gaps = gaps[order]

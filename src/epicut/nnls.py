@@ -78,6 +78,9 @@ def nnls(
     columns change.
     """
     k = matrix.shape[1]
+    # matmul for the products with matrix^T: lp passes strided column
+    # windows, where ndarray.dot copies the operand and rounds otherwise.
+    # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
     gram = matrix.T @ matrix
     rhs = matrix.T @ target
     q = np.zeros(k) if start is None else np.maximum(start, 0.0)
@@ -87,9 +90,9 @@ def nnls(
     if passive.any():
         passive = _settle(matrix, target, gram, rhs, q, passive)
     for _ in range(3 * k):
-        w = matrix.T @ (target - matrix @ q)
+        w = matrix.T @ (target - matrix.dot(q))
         w[passive] = -np.inf
-        entering = int(np.argmax(w))
+        entering = int(w.argmax())
         if not w[entering] > threshold:
             break
         passive[entering] = True
@@ -105,7 +108,7 @@ def _settle(matrix, target, gram, rhs, q, passive):
     while True:
         cols = np.flatnonzero(passive)
         z = _passive_solution(matrix, target, gram, rhs, cols)
-        if float(z.min()) > 0.0:
+        if (z > 0.0).all():
             q[cols] = z
             return passive
         current = q[cols]

@@ -56,9 +56,9 @@ class MaxAffineFunction(ConvexOracle):
 
     def _values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape != (self.rows.shape[1],):
             raise DimensionMismatch("point dimension does not match function")
-        vals = self.rows @ x
+        vals = self.rows.dot(x)
         vals += self.offsets
         return vals
 
@@ -66,28 +66,38 @@ class MaxAffineFunction(ConvexOracle):
         return self.eval_with_index(x)[0]
 
     def eval_with_index(self, x) -> Tuple[float, int]:
-        """Value and the smallest index active within ACTIVE_TOL.
-
-        The value is read at argmax, which skips ndarray.max's Python-level
-        wrapper; a NaN is its own argmax, so a NaN value stays NaN and,
-        with no row active, the index is 0.
-        """
-        vals = self._values(x)
-        top = vals[vals.argmax()]
-        idx = int((vals >= top - ACTIVE_TOL).argmax())
-        return float(top), idx
+        """Value and the smallest index active within ACTIVE_TOL."""
+        return _top(self._values(x))
 
     def subgradient(self, x) -> np.ndarray:
         _, idx = self.eval_with_index(x)
         return self.rows[idx].copy()
 
     def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
-        top, idx = self.eval_with_index(x)
-        return top, self.rows[idx].copy()
+        # _values inlined: this is the solver's call once per iteration.
+        x = np.asarray(x, dtype=float)
+        rows = self.rows
+        if x.shape != (rows.shape[1],):
+            raise DimensionMismatch("point dimension does not match function")
+        vals = rows.dot(x)
+        vals += self.offsets
+        top, idx = _top(vals)
+        return top, rows[idx].copy()
 
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return (pts @ self.rows.T + self.offsets).max(axis=1)
+
+
+def _top(vals: np.ndarray) -> Tuple[float, int]:
+    """The largest of ``vals`` and the smallest index within ACTIVE_TOL of it.
+
+    The value is read at argmax, which skips ndarray.max's Python-level
+    wrapper; a NaN is its own argmax, so a NaN value stays NaN and, with
+    no entry active, the index is 0.
+    """
+    top = vals[vals.argmax()]
+    return float(top), int((vals >= top - ACTIVE_TOL).argmax())
 
 
 # No code in the package builds a QuadraticForm or a LinearConstraintSet;

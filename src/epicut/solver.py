@@ -48,6 +48,7 @@ Per-cut TraceRecords are built only when a trace is requested.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -59,6 +60,7 @@ from .errors import DegenerateShape, NonFiniteValue
 # importable as solver.deep_cut and solver.intersects_halfspace, names
 # benchmark/tracing.py wraps.
 from .geometry import (  # noqa: F401
+    _PIVOT_FLOOR,
     CutKind,
     Ellipsoid,
     cut_in_place,
@@ -76,6 +78,8 @@ _MODEL_PERIOD = 4
 _MODEL_BACKOFF = 2
 
 _ROUNDING = float(np.finfo(float).eps)
+
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 class SolveStatus(Enum):
@@ -113,6 +117,24 @@ class MetastepConfig:
             raise ValueError("max_metasteps must be >= 1")
         if self.radius_growth < 1.0:
             raise ValueError("radius_growth must be >= 1")
+
+    def check_radii(self) -> None:
+        """Raise ValueError unless every radius a run reaches, R g^k for
+        k < max_metasteps, has a square in [1e-300, largest float].
+
+        The run squares each of them: Ellipsoid.ball's pivot, ||x - x0||^2
+        and the ball cut's slack.  The smallest is R, tested as the ball
+        tests it; the largest is tested in log space, where g^k cannot
+        overflow.
+        """
+        steps = self.max_metasteps - 1
+        top = math.log(self.radius) + (steps * math.log(self.radius_growth) if steps else 0.0)
+        if not (self.radius * self.radius >= _PIVOT_FLOOR and 2.0 * top <= _LOG_MAX_FLOAT):
+            raise ValueError(
+                "every radius a run reaches, radius * radius_growth**k for k < "
+                f"max_metasteps, must have a square in [{_PIVOT_FLOOR:g}, "
+                f"{sys.float_info.max:g}]"
+            )
 
     def iteration_budget(self, d: int) -> int:
         """Per-metastep iteration cap in R^d, 2(d+1)(d+2) log(R/eps)."""
@@ -203,11 +225,17 @@ def bisect_level(
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
     eps = cfg.level_tolerance
+    # No incumbent is below -inf: without a stop value the test is False.
     high_below = cfg.stop_when_high_below
+    if high_below is None:
+        high_below = -math.inf
     budget = cfg.iteration_budget(x0.shape[0])
     period = _MODEL_PERIOD * (x0.shape[0] + 1)
     model = f if hook is None and isinstance(f, MaxAffineFunction) else None
-    wait = next_try = period
+    wait = period
+    # Without a model the first try never comes.
+    next_try = period if model is not None else math.inf
+    value_and_subgradient = f.value_and_subgradient
     # Inside by 10 eps, and by more than the rounding of the centers'
     # coordinates, which is about eps_mach (R + |x0|).
     inner = 10.0 * eps + 16.0 * _ROUNDING * (radius + float(np.abs(x0).max()))
@@ -226,24 +254,25 @@ def bisect_level(
         # point for the incumbent and the trace.
         center = e.center
         du = center - x0
-        dist = math.sqrt(float(du @ du))
-        value = None
+        dist = math.sqrt(du.dot(du))
         if dist > radius:
-            kind, normal, slack = "ball", du, dist * (dist - radius)
+            # A ball cut; ``value`` None marks it below.
+            value, normal, slack = None, du, dist * (dist - radius)
         else:
-            value, normal = f.value_and_subgradient(center)
+            value, normal = value_and_subgradient(center)
+            # A generic oracle may return a numpy scalar.
             value = float(value)
             if not math.isfinite(value):
                 raise NonFiniteValue(f"objective value {value} at a center in the ball")
             if value < upper:
                 upper, best_point = value, center
-            kind, slack = "objective", value - upper
+            slack = value - upper
 
         outcome, _, width = cut_in_place(e, normal, slack)
         # Only a zero normal (width 0) leaves E as it is from slack >= 0.
         if outcome is CutKind.NO_CUT and width > 0.0:
             raise DegenerateShape("cut produced no update from nonnegative slack")
-        if kind == "objective":
+        if value is not None:
             # The minimizer lies in the ellipsoid, where f >= value - width.
             # An empty intersection has value - width >= upper, and a zero
             # subgradient (width 0) makes the center a global minimizer.
@@ -252,10 +281,11 @@ def bisect_level(
             # No point of the ball lies below the incumbent.
             lower = upper
         if trace and outcome is CutKind.UPDATED:
+            kind = "ball" if value is None else "objective"
             records.append(
                 TraceRecord(1, iters, center, value, kind, slack, e.log_volume_ratio)
             )
-        if model is not None and iters >= next_try and lower < upper - eps:
+        if iters >= next_try and lower < upper - eps:
             gap = upper - lower
             bound, vertex = _model_step(model, best_point, x0, radius)
             model_lower = max(model_lower, bound)
@@ -273,7 +303,7 @@ def bisect_level(
             else:
                 wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
                 next_try = iters + wait
-        if lower >= upper - eps or (high_below is not None and upper < high_below):
+        if lower >= upper - eps or upper < high_below:
             if lower > upper:
                 # A value below lb disproved the cut bound.
                 lower = min(upper, model_lower)
@@ -358,20 +388,22 @@ def _model_step(
     """
     rows, offsets = f.rows, f.offsets
     m, n = rows.shape
-    values = rows @ point + offsets
+    # ndarray.dot throughout gives matmul's bits: on matrix-vector products
+    # of any layout, and on chosen, a C-contiguous fancy-indexed copy.
+    values = rows.dot(point) + offsets
     order = np.argsort(float(values.max()) - values, kind="stable")
     best, support = -math.inf, None
     for k in range(min(m, n + 1), m + 1):
         take = order[:k]
         chosen = rows[take]
         weights = min_norm_weights(chosen)
-        p = chosen.T @ weights
-        size = np.abs(chosen).T @ weights
+        p = weights.dot(chosen)
+        size = weights.dot(np.abs(chosen))
         # hypot does not overflow where the sum of squares would.
         pull = radius * math.hypot(*p)
-        bound = float(weights @ offsets[take]) + float(p @ x0) - pull
-        scale = (float(weights @ np.abs(offsets[take]))
-                 + float(size @ np.abs(x0)) + radius * math.hypot(*size))
+        bound = float(weights.dot(offsets[take])) + float(p.dot(x0)) - pull
+        scale = (float(weights.dot(np.abs(offsets[take])))
+                 + float(size.dot(np.abs(x0))) + radius * math.hypot(*size))
         slack = 4.0 * (k + n + 2) * _ROUNDING * scale
         bound -= slack
         if not bound > best:
@@ -414,6 +446,7 @@ def run_metasteps(
     the hook ends reports BudgetExhausted, so no further metastep
     follows it.
     """
+    cfg.check_radii()
     x = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
     records: List[TraceRecord] = []

@@ -418,6 +418,16 @@ class TestMinimizeCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "BoundaryReached"
 
+    def test_grown_radius_with_finite_square_runs(self, tmp_path):
+        # f(x) = x has no minimum.  The second ball's radius 1e154 has a
+        # finite square, so the run goes on to the sphere.  From R = 1e153
+        # it would not, and that run is refused (TestFlagValues).
+        path = write_problem(tmp_path / "line.json", {"A": [[1]], "b": [0]})
+        proc = invoke("minimize", path, "--radius", "1e152", "--radius-growth", "1e2",
+                      "--metasteps", "2")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "BoundaryReached"
+
     def test_handled_overflow_prints_nothing(self, tmp_path):
         # ||J^T g||^2 overflows in the cut kernel, which rescales it.
         path = write_problem(tmp_path / "f.json", {"A": [[1, 0.5], [0.3, 1]], "b": [0, 0]})
@@ -582,6 +592,13 @@ class TestFlagValues:
         # The solver squares distances in the ball; R^2 must be finite.
         pytest.param(["minimize", "{abs}", "--radius", "1e160"], id="minimize-radius-1e160"),
         pytest.param(["minimize", "{abs}", "--radius", "1e200"], id="minimize-radius-1e200"),
+        # R^2 = 1e-320 lies below the ball's pivot floor.
+        pytest.param(["minimize", "{abs}", "--radius", "1e-160", "--eps", "1e-170"],
+                     id="minimize-radius-square-underflows"),
+        # The second ball's R = 1e155 has no finite square: its ball cut's
+        # slack would overflow and read as an empty intersection.
+        pytest.param(["minimize", "{abs}", "--radius", "1e153", "--radius-growth", "1e2",
+                      "--metasteps", "2"], id="minimize-grown-radius-square-overflows"),
     ])
     def test_invalid_value_exit_64(self, tmp_path, capsys, argv):
         from epicut import cli

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,7 @@ from epicut import (
     deep_cut,
     intersects_halfspace,
 )
-from epicut.geometry import _PIVOT_FLOOR, cut_in_place
+from epicut.geometry import _PIVOT_FLOOR, _binade, cut_in_place
 
 
 def central_volume_log_ratio(d: int) -> float:
@@ -326,6 +327,85 @@ class TestCutInPlace:
         npt.assert_array_equal(twin.center, np.zeros(3))
         npt.assert_array_equal(twin.factor, 2.0 * np.eye(3))
         assert twin.log_volume_ratio == 0.0 > e.log_volume_ratio
+
+
+def matmul_cut(e: Ellipsoid, normal: np.ndarray, slack: float):
+    """cut_in_place's arithmetic, in its order, spelled with matmul and a
+    broadcast outer product: ((kind, alpha, width), (center, factor,
+    log volume ratio) after the cut, or None when E is left as it is)."""
+    d = e.dim
+    factor = e.factor.copy()
+    g = factor.T @ normal
+    h2 = float(g @ g)
+    scale = 1.0
+    if not sys.float_info.min <= h2 < math.inf:
+        if not np.any(normal):
+            if slack > 0.0:
+                return (CutKind.EMPTY_INTERSECTION, math.inf, 0.0), None
+            return (CutKind.NO_CUT, -math.inf, 0.0), None
+        scale = _binade(normal)
+        g = factor.T @ (normal / scale)
+        g_scale = _binade(g)
+        g = g / g_scale
+        slack = slack / scale / g_scale
+        scale *= g_scale
+        h2 = float(g @ g)
+    root = math.sqrt(h2)
+    width = root * scale
+    alpha = float(slack) / root
+    if alpha >= 1.0:
+        return (CutKind.EMPTY_INTERSECTION, alpha, width), None
+    if alpha <= -1.0 / d:
+        return (CutKind.NO_CUT, alpha, width), None
+    v = g / root
+    u = factor @ v
+    center = e.center - (1.0 + d * alpha) / (d + 1.0) * u
+    if d == 1:
+        factor *= (1.0 - alpha) / 2.0
+        dlog = math.log((1.0 - alpha) / 2.0)
+    else:
+        sigma = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
+        keep = (d - 1.0) * (1.0 - alpha) / ((d + 1.0) * (1.0 + alpha))
+        correction = u[:, None] * v
+        correction *= 1.0 - math.sqrt(keep)
+        factor -= correction
+        factor *= math.sqrt(sigma)
+        dlog = 0.5 * (d * math.log(sigma) + math.log(keep))
+    return (CutKind.UPDATED, alpha, width), (center, factor, e.log_volume_ratio + dlog)
+
+
+class TestKernelBits:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_kernel_equals_matmul_reference_bit_for_bit(self):
+        # The kernel's ndarray.dot products must round as matmul does, at
+        # every dimension the package serves, for every outcome, and on
+        # the rescaled path (normals scaled by 2^-560 and 2^560).
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for d in range(1, 50):
+            basis = rng.normal(size=(d, d))
+            e = Ellipsoid(rng.normal(size=d), basis @ basis.T + 0.1 * np.eye(d))
+            for _ in range(3):
+                cut_in_place(e, rng.normal(size=d), 0.0)
+            normal = rng.normal(size=d)
+            width = float(np.linalg.norm(e.factor.T @ normal))
+            for alpha in (-1.5 / d, -0.5 / d, 0.0, 0.3, 0.9, 1.2):
+                for k in (0, -560, 560):
+                    h, slack = np.ldexp(normal, k), math.ldexp(alpha * width, k)
+                    expected, after = matmul_cut(e, h, slack)
+                    work = e.copy()
+                    assert cut_in_place(work, h, slack) == expected
+                    kinds.add(expected[0])
+                    if after is None:
+                        after = (e.center, e.factor, e.log_volume_ratio)
+                    npt.assert_array_equal(work.center, after[0])
+                    npt.assert_array_equal(work.factor, after[1])
+                    assert work.log_volume_ratio == after[2]
+            for slack in (0.5, 0.0):
+                expected, after = matmul_cut(e, np.zeros(d), slack)
+                assert after is None
+                assert cut_in_place(e.copy(), np.zeros(d), slack) == expected
+        assert kinds == set(CutKind)
 
 
 class TestIntersectsHalfspace:

@@ -36,6 +36,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             MetastepConfig(radius=1.0, radius_growth=0.5)
 
+    def test_every_radius_reached_has_a_normal_square(self):
+        # R g^k for k < max_metasteps: R^2 at least the ball's pivot floor
+        # 1e-300, (R g^(M-1))^2 at most the largest float.
+        for cfg in (MetastepConfig(radius=1e-140, level_tolerance=1e-150),
+                    MetastepConfig(radius=1e152, radius_growth=100.0, max_metasteps=2),
+                    MetastepConfig(radius=1e150, radius_growth=math.inf, max_metasteps=1)):
+            cfg.check_radii()
+        for cfg in (MetastepConfig(radius=1e-160, level_tolerance=1e-170),
+                    MetastepConfig(radius=1e153, radius_growth=100.0, max_metasteps=2),
+                    MetastepConfig(radius=1e160),
+                    # 10.0 ** 399 raises OverflowError; log space does not.
+                    MetastepConfig(radius=1.0, radius_growth=10.0, max_metasteps=400)):
+            with pytest.raises(ValueError, match="radius_growth"):
+                cfg.check_radii()
+            with pytest.raises(ValueError, match="radius_growth"):
+                run_metasteps(abs_fn(), np.zeros(1), cfg)
+
     def test_budget_formulas(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
         d = 2
@@ -379,6 +396,33 @@ class RowlessOracle(ConvexOracle):
 
     def value_and_subgradient(self, x):
         return self.f.value_and_subgradient(x)
+
+
+class CastValueOracle(RowlessOracle):
+    """RowlessOracle whose values come back through ``cast``."""
+
+    def __init__(self, f, cast):
+        super().__init__(f)
+        self.cast = cast
+
+    def value_and_subgradient(self, x):
+        value, g = self.f.value_and_subgradient(x)
+        return self.cast(value), g
+
+
+@pytest.mark.parametrize("cast", [np.float32, np.array], ids=["float32", "0-d-array"])
+def test_generic_oracle_values_read_as_floats(cast):
+    # A numpy scalar or 0-d array value runs as its Python float would:
+    # the same bracket and iterations, and a float best value.
+    f, _, _ = planted_minimum(np.random.default_rng(5), 2)
+    cfg = MetastepConfig(radius=5.0, level_tolerance=1e-6, max_metasteps=3)
+    odd = run_metasteps(CastValueOracle(f, cast), np.zeros(2), cfg)
+    twin = run_metasteps(CastValueOracle(f, lambda v: float(cast(v))), np.zeros(2), cfg)
+    assert odd.alpha_bracket == twin.alpha_bracket
+    assert odd.query_iterations == twin.query_iterations
+    np.testing.assert_array_equal(odd.best_point, twin.best_point)
+    assert type(odd.best_value) is float
+    assert all(type(bound) is float for bound in odd.alpha_bracket)
 
 
 def planted_minimum(rng, n, active=0, close=0):
