@@ -74,15 +74,8 @@ class MaxAffineFunction(ConvexOracle):
         return self.rows[idx].copy()
 
     def value_and_subgradient(self, x) -> Tuple[float, np.ndarray]:
-        # _values inlined: this is the solver's call once per iteration.
-        x = np.asarray(x, dtype=float)
-        rows = self.rows
-        if x.shape != (rows.shape[1],):
-            raise DimensionMismatch("point dimension does not match function")
-        vals = rows.dot(x)
-        vals += self.offsets
-        top, idx = _top(vals)
-        return top, rows[idx].copy()
+        top, idx = _top(self._values(x))
+        return top, self.rows[idx].copy()
 
     def eval_many(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

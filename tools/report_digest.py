@@ -2,7 +2,7 @@
 
     python3 tools/report_digest.py --seeds 0 1
     python3 tools/report_digest.py --seeds 0 1 --src ../parent/src
-    python3 tools/report_digest.py --seeds 0 1 --against ../parent/src --passes 3
+    python3 tools/report_digest.py --seeds 0 1 --against ../parent/src
 
 Runs each call of the lp-corpus, m-ladder and planted-minima workloads
 (``benchmark/workloads.py``, read only) in-process through
@@ -15,14 +15,15 @@ calls and their total ellipsoid iterations.  Two checkouts whose
 reports, exit codes and traces are byte-identical print the same lines.
 ``--src`` picks the package to run (default: this checkout's ``src``).
 
-``--against SRC`` compares the package of ``--src`` (the change) with
-the one under SRC (the parent) instead.  Both are imported, under
-distinct names, into one process, and each call is run by both back to
-back, in an order that alternates from call to call, ``--passes`` times
-over the workload.  For each workload it prints whether every output of
-the two was byte-identical and the change's share of the parent's time
-in ``cli.main``, summed over the calls: timing both sides in the same
-moment cancels the drift in speed between separate processes.
+``--against SRC`` also compares the package of ``--src`` (the change)
+with the one under SRC (the parent).  Both are imported, under distinct
+names, into one process, and each call is run by both back to back, in
+an order that alternates from call to call, ``PASSES`` times over the
+workload.  After each workload's digest line it prints a second line:
+whether every output of the two was byte-identical and the change's
+share of the parent's time in ``cli.main``, summed over the calls.
+Timing both sides in the same moment cancels the drift in speed between
+separate processes.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOAD_NAMES = ("lp-corpus", "m-ladder", "planted-minima")
+# Passes over each workload with --against.
+PASSES = 3
 
 
 def _call(main, argv):
@@ -95,6 +98,12 @@ def _report_iters(out: str) -> int:
         return 0
 
 
+def _hash(sha, parts) -> None:
+    for part in parts:
+        sha.update(len(part).to_bytes(8, "little"))
+        sha.update(part)
+
+
 def digest(workload_fn, seeds, main):
     """(sha256 hex, calls, total ellipsoid iterations) over all seeds.
     Runs in the current working directory."""
@@ -105,27 +114,25 @@ def digest(workload_fn, seeds, main):
         _write_problems(workload)
         for op in workload.ops:
             parts, op_iters = _traced_call(main, seed, op)
-            for part in parts:
-                sha.update(len(part).to_bytes(8, "little"))
-                sha.update(part)
+            _hash(sha, parts)
             calls += 1
             iters += op_iters
     return sha.hexdigest(), calls, iters
 
 
-def paired(workload_fn, seeds, change, parent, passes):
-    """(identical, calls, ellipsoid iterations, change/parent time) of
-    ``passes`` passes over all seeds, each call run by both mains back
+def paired(workload_fn, seeds, change, parent):
+    """(``digest`` of the change, identical, change/parent time) of
+    ``PASSES`` passes over all seeds, each call run by both mains back
     to back.  Each pass times calls without ``--trace``, as the
     benchmark makes them, and compares their outputs; the first also
-    compares the traced calls' outputs, trace files included.  Calls
-    and iterations count one pass.  Runs in the current working
-    directory."""
+    compares the traced calls' outputs, trace files included, and
+    digests the change's.  Runs in the current working directory."""
     mains = (change, parent)
     spent = [0.0, 0.0]
     identical = True
+    sha = hashlib.sha256()
     calls = iters = 0
-    for rep in range(passes):
+    for rep in range(PASSES):
         for seed in seeds:
             workload = workload_fn(seed)
             _write_problems(workload)
@@ -138,12 +145,14 @@ def paired(workload_fn, seeds, change, parent, passes):
                     spent[side] += seconds
                     outputs[side] = [code, out, err]
                     if rep == 0:
-                        outputs[side].append(_traced_call(mains[side], seed, op)[0])
+                        outputs[side].append(_traced_call(mains[side], seed, op))
                 identical = identical and outputs[0] == outputs[1]
                 if rep == 0:
-                    iters += _report_iters(outputs[0][1])
+                    parts, op_iters = outputs[0][3]
+                    _hash(sha, parts)
+                    iters += op_iters
                 calls += 1
-    return identical, calls // passes, iters, spent[0] / spent[1]
+    return (sha.hexdigest(), calls // PASSES, iters), identical, spent[0] / spent[1]
 
 
 def _load(src: str, name: str):
@@ -167,11 +176,7 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="SRC",
                         help="directory holding the parent's epicut package: "
                              "compare the two call by call")
-    parser.add_argument("--passes", type=int, default=3,
-                        help="passes over each workload with --against (default 3)")
     args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "benchmark")]
     import epicut.cli
     from workloads import WORKLOADS
@@ -184,16 +189,17 @@ def main(argv=None) -> int:
         try:
             for name in WORKLOAD_NAMES:
                 if parent_cli is None:
-                    sha, calls, iters = digest(WORKLOADS[name], args.seeds, epicut.cli.main)
-                    print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
-                          f"sha256={sha}")
-                    continue
-                same, calls, iters, ratio = paired(
-                    WORKLOADS[name], args.seeds, epicut.cli.main, parent_cli.main,
-                    args.passes)
-                print(f"{name} seeds={seeds} passes={args.passes} calls={calls} "
-                      f"ellipsoid_iters={iters} identical={'yes' if same else 'NO'} "
-                      f"change/parent={ratio:.3f}", flush=True)
+                    summary = digest(WORKLOADS[name], args.seeds, epicut.cli.main)
+                else:
+                    summary, same, ratio = paired(
+                        WORKLOADS[name], args.seeds, epicut.cli.main, parent_cli.main)
+                sha, calls, iters = summary
+                print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
+                      f"sha256={sha}", flush=True)
+                if parent_cli is not None:
+                    print(f"{name} against parent: passes={PASSES} "
+                          f"identical={'yes' if same else 'NO'} "
+                          f"change/parent={ratio:.3f}", flush=True)
         finally:
             os.chdir(home)
     return 0
