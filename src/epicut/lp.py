@@ -4,14 +4,15 @@ and feasible-point search.
 
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
-set.  The decision minimizes that f in R^n, passing the system itself
-to the solver, and the point search reads that run as a point; an
-infeasible verdict rests on multipliers of the rows active at the
-incumbent that pass validate_certificate.  The two floors (subgradient_lower_bound_at and
-global_radius) are distances from 0 to a convex hull of row
-combinations, Wolfe's minimum-norm-point problem; the NNLS kernel that
-finds the certificates solves it, and each floor reports the
-weak-duality lower bound of that solution (see _hull_floor).
+set.  The decision minimizes that f in R^n in metasteps of its own
+loop, passing the system itself to the solver, and the point search
+reads that run as a point; an infeasible verdict rests on multipliers
+of the rows active at the incumbent that pass validate_certificate.
+The two floors (subgradient_lower_bound_at and global_radius) are
+distances from 0 to a convex hull of row combinations, Wolfe's
+minimum-norm-point problem; the NNLS kernel that finds the certificates
+solves it, and each floor reports the weak-duality lower bound of that
+solution (see _hull_floor).
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySystem, PreconditionViolated
 from .nnls import min_norm_weights, nnls, simplex_system
 from .oracles import MaxAffineFunction
-from .solver import MetastepConfig, MetastepResult, run_metasteps
+from . import solver
+from .solver import MetastepConfig, MetastepResult, join
+# run_metasteps is not called here; it stays importable as
+# lp.run_metasteps, a name benchmark/tracing.py wraps.
+from .solver import run_metasteps  # noqa: F401
 
 # Rows whose coefficient norm is below this once normalize has scaled
 # their largest entry into [1/2, 1) are treated as constant rows.
@@ -146,21 +151,20 @@ def decide_feasibility(
     """Feasibility decision for a normalized system by minimizing
     f(x) = max_k (A_k . x + b_k) in R^n.
 
-    Runs the metastep minimizer from the origin in a ball of radius
-    _PRIMAL_RADIUS, growing it _PRIMAL_GROWTH-fold around each boundary
-    incumbent, with eps = min(tol/10, 1e-8).  The run stops at the first
+    Runs at most _PRIMAL_METASTEPS metasteps (solver.bisect_level) with
+    eps = min(tol/10, 1e-8), the first over the ball of radius
+    _PRIMAL_RADIUS around the origin.  A metastep stops at the first
     evaluated x with f(x) < 0, a strictly feasible point: Feasible.
     Once its proven lower bound is above 0, the system is infeasible,
-    and every 4(n+1) iterations the solver hands the incumbent to
-    _active_certificate; the run ends as soon as that q has b.q > tol.
-    When a run ends otherwise, _active_certificate is tried at its
-    incumbent once more, and without a certificate the run goes on from
-    the incumbent in a larger ball, for at most _PRIMAL_METASTEPS
-    metasteps in all.  A certificate q with b.q > tol gives
-    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly;
-    with neither f < 0 nor a certificate the verdict is Undecided.  The
-    decision keeps the joined report of the runs.  ``trace`` records
-    per-cut traces in the report (see solver.bisect_level).
+    and every 4(n+1) iterations its hook hands the incumbent to
+    _active_certificate; the metastep ends as soon as that q has
+    b.q > tol.  After a metastep that ends otherwise, _active_certificate
+    is tried at its incumbent once more; without a certificate the next
+    metastep runs around it in a ball _PRIMAL_GROWTH times larger.  A
+    q with b.q > tol gives InfeasibleNonStrict, one with |b.q| <= tol
+    InfeasibleStrictOnly, and neither f < 0 nor a q after the last
+    metastep Undecided.  The report joins the metasteps (solver.join);
+    ``trace`` records per-cut traces in it (see solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -176,7 +180,7 @@ def decide_feasibility(
     proven: List[np.ndarray] = []
 
     def try_certificate(point: np.ndarray) -> bool:
-        # Only a certificate that proves ends the run.
+        # Only a certificate that proves ends the metastep.
         q = _active_certificate(system, point, eps, tol)
         if q is not None and float(system.offsets @ q) > tol:
             proven.append(q)
@@ -185,22 +189,20 @@ def decide_feasibility(
 
     x = np.zeros(system.n)
     report: Optional[MetastepResult] = None
-    while True:
-        res = run_metasteps(system, x, cfg, trace=trace, hook=try_certificate)
-        report = res if report is None else _joined(report, res)
-        if proven:
-            cert = proven[0]
-            break
-        if res.best_value < 0.0:
+    for _ in range(cfg.max_metasteps):
+        # An attribute lookup, so that benchmark/tracing.py sees the call.
+        step = solver.bisect_level(system, x, cfg, trace=trace, hook=try_certificate)
+        report = step if report is None else join(report, step)
+        # A hook proof comes with lb > 0, so f < 0 and a proof exclude each other.
+        if step.best_value < 0.0:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
-        cert = _active_certificate(system, res.best_point, eps, tol)
+        cert = proven[0] if proven else _active_certificate(system, step.best_point, eps, tol)
         if cert is not None:
             break
-        left = _PRIMAL_METASTEPS - report.level_queries
-        if left <= 0:
-            return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
-        x = res.best_point
-        cfg = replace(cfg, radius=res.config.radius * _PRIMAL_GROWTH, max_metasteps=left)
+        x = step.best_point
+        cfg = replace(cfg, radius=cfg.radius * cfg.radius_growth)
+    else:
+        return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
     verdict = (
         FeasibilityVerdict.INFEASIBLE_NON_STRICT
         if float(system.offsets @ cert) > tol
@@ -208,19 +210,6 @@ def decide_feasibility(
     )
     d_star = float(np.sum((system.rows.T @ cert) ** 2))
     return FeasibilityDecision(verdict, cert, d_star, report)
-
-
-def _joined(first: MetastepResult, later: MetastepResult) -> MetastepResult:
-    """One result for two consecutive runs: later's outcome, both runs'
-    metasteps."""
-    for rec in later.trace:
-        rec.query += first.level_queries
-    return replace(
-        later,
-        trace=first.trace + later.trace,
-        query_iterations=first.query_iterations + later.query_iterations,
-        config=replace(later.config, max_metasteps=first.config.max_metasteps),
-    )
 
 
 def _active_certificate(

@@ -42,6 +42,9 @@ bracket it reports (BudgetExhausted): lb is still a lower bound on the
 minimum over the ball, which is the proof of how far from the optimum
 the run stopped.
 
+run_metasteps chains metasteps this way; lp's decision chains them by
+its own rule, with a hook.  join makes one result of either chain.
+
 Per-cut TraceRecords are built only when a trace is requested.
 """
 
@@ -129,12 +132,8 @@ class MetastepConfig:
         """
         steps = self.max_metasteps - 1
         top = math.log(self.radius) + (steps * math.log(self.radius_growth) if steps else 0.0)
-        if not (self.radius * self.radius >= _PIVOT_FLOOR and 2.0 * top <= _LOG_MAX_FLOAT):
-            raise ValueError(
-                "every radius a run reaches, radius * radius_growth**k for k < "
-                f"max_metasteps, must have a square in [{_PIVOT_FLOOR:g}, "
-                f"{sys.float_info.max:g}]"
-            )
+        _check_squares(self.radius, top, "every radius a run reaches, radius * "
+                       "radius_growth**k for k < max_metasteps,")
 
     def iteration_budget(self, d: int) -> int:
         """Per-metastep iteration cap in R^d, 2(d+1)(d+2) log(R/eps)."""
@@ -142,6 +141,13 @@ class MetastepConfig:
             1,
             math.ceil(2.0 * (d + 1) * (d + 2) * math.log(self.radius / self.level_tolerance)),
         )
+
+
+def _check_squares(smallest: float, log_largest: float, radii: str) -> None:
+    # smallest**2 >= 1e-300 and exp(log_largest)**2 <= the largest float.
+    if not (smallest * smallest >= _PIVOT_FLOOR and 2.0 * log_largest <= _LOG_MAX_FLOAT):
+        raise ValueError(
+            f"{radii} must have a square in [{_PIVOT_FLOOR:g}, {sys.float_info.max:g}]")
 
 
 @dataclass
@@ -182,8 +188,10 @@ def bisect_level(
     """One metastep: a single ellipsoid run over the ball around x0.
 
     Counts as one level query.  With ``trace`` the result carries one
-    TraceRecord per cut, each with query 1 (run_metasteps renumbers
-    them); without it ``trace`` is empty.  Tracing changes nothing else.
+    TraceRecord per cut, each with query 1 (join renumbers them);
+    without it ``trace`` is empty.  Tracing changes nothing else.
+    Raises ValueError unless the radius has a square in [1e-300, largest
+    float], the range MetastepConfig.check_radii asks of a whole run.
 
     ``hook``, when given, is called with the incumbent every 4(d+1)
     iterations while the proven lower bound is above 0, that is while
@@ -224,6 +232,7 @@ def bisect_level(
     """
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
+    _check_squares(radius, math.log(radius), "the metastep's radius")
     eps = cfg.level_tolerance
     # No incumbent is below -inf: without a stop value the test is False.
     high_below = cfg.stop_when_high_below
@@ -423,57 +432,57 @@ def _model_step(
     return best, point + step[:n]
 
 
+def join(first: MetastepResult, later: MetastepResult) -> MetastepResult:
+    """One result for consecutive metasteps: later's outcome and config,
+    with the traces and iteration counts of both.  later's trace records
+    are renumbered in place to follow first's metasteps."""
+    for rec in later.trace:
+        rec.query += first.level_queries
+    return replace(
+        later,
+        trace=first.trace + later.trace,
+        query_iterations=first.query_iterations + later.query_iterations,
+    )
+
+
 def run_metasteps(
     f: ConvexOracle,
     x0,
     cfg: MetastepConfig,
     *,
     trace: bool = False,
-    hook: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> MetastepResult:
     """Repeat metasteps, recentering at each boundary incumbent, or at
     the outside witness that ended the metastep (see bisect_level; the
     last metastep the budget allows has none).
 
     Stops on any status but BOUNDARY_REACHED, or when a recentred
-    metastep fails to strictly improve; the result carries the last
-    metastep's outcome with the trace and the iteration counts of all
-    of them, and each trace record's query numbers its metastep.  A
-    metastep that raises NonFiniteValue after one has completed ends
-    the run with the completed metasteps' result: their brackets are
-    proven, and only the raising one is lost.  ``trace``
-    and ``hook`` are passed to each metastep (see bisect_level); a run
-    the hook ends reports BudgetExhausted, so no further metastep
-    follows it.
+    metastep fails to strictly improve; the result joins the metasteps
+    (see join).  A metastep that raises NonFiniteValue after one has
+    completed ends the run with the completed metasteps' result: their
+    brackets are proven, and only the raising one is lost.  ``trace``
+    is passed to each metastep (see bisect_level).  Raises ValueError
+    before the first metastep unless cfg.check_radii() passes.
     """
     cfg.check_radii()
     x = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
-    records: List[TraceRecord] = []
-    query_iterations: List[int] = []
-    previous: Optional[MetastepResult] = None
-    result = None
+    result: Optional[MetastepResult] = None
     for k in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         try:
-            step = bisect_level(
-                f, x, step_cfg, trace=trace, hook=hook, _witness=k < cfg.max_metasteps - 1,
-            )
+            step = bisect_level(f, x, step_cfg, trace=trace, _witness=k < cfg.max_metasteps - 1)
         except NonFiniteValue:
             if result is None:
                 raise
             break
-        result = step
-        for rec in step.trace:
-            rec.query = k + 1
-        records.extend(step.trace)
-        query_iterations.extend(step.query_iterations)
-        if result.status is not SolveStatus.BOUNDARY_REACHED:
-            break
-        if previous is not None and result.best_value >= previous.best_value:
-            break
         previous = result
-        centre = result.best_point if result.outside is None else result.outside
+        result = step if previous is None else join(previous, step)
+        if step.status is not SolveStatus.BOUNDARY_REACHED:
+            break
+        if previous is not None and step.best_value >= previous.best_value:
+            break
+        centre = step.best_point if step.outside is None else step.outside
         x = np.array(centre, copy=True)
         radius *= cfg.radius_growth
-    return replace(result, trace=records, query_iterations=query_iterations)
+    return result

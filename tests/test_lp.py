@@ -22,7 +22,7 @@ from epicut import (
     validate_certificate,
     vertex_enumerate_feasible,
 )
-from epicut import lp
+from epicut import lp, solver
 from epicut.nnls import min_norm_weights, nnls
 
 
@@ -188,14 +188,14 @@ class TestDecide:
 
     def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
         # Each metastep of the flat row's run ends certified near f = 1, so
-        # decide runs it as six run_metasteps calls and joins their reports.
-        original, calls = lp.run_metasteps, []
+        # decide runs six metasteps and joins their reports.
+        original, calls = solver.bisect_level, []
 
         def counted(*args, **kwargs):
             calls.append(None)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lp, "run_metasteps", counted)
+        monkeypatch.setattr(solver, "bisect_level", counted)
         report = decide_feasibility(normalize(FLAT_ROW), trace=True).report
         assert len(calls) == 6
         assert report.level_queries == 6

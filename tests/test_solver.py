@@ -53,6 +53,17 @@ class TestConfig:
             with pytest.raises(ValueError, match="radius_growth"):
                 run_metasteps(abs_fn(), np.zeros(1), cfg)
 
+    def test_a_lone_metastep_checks_its_radius(self):
+        # f(x) = x is unbounded below.  At R = 1e155 R^2 overflows, and the
+        # ball cut's infinite slack would read as an empty intersection.
+        f = MaxAffineFunction([[1.0]], [0.0])
+        for cfg in (MetastepConfig(radius=1e155),
+                    MetastepConfig(radius=1e-160, level_tolerance=1e-170)):
+            with pytest.raises(ValueError, match="square"):
+                bisect_level(f, [0.0], cfg)
+        res = bisect_level(f, [0.0], MetastepConfig(radius=1e152))
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+
     def test_budget_formulas(self):
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
         d = 2
@@ -353,8 +364,8 @@ class TestHook:
     @pytest.mark.parametrize("offset", [0.0, -1.0])
     def test_never_called_while_lower_bound_nonpositive(self, offset):
         calls = []
-        res = run_metasteps(self.lifted_box(offset), np.array([2.5, 1.0]), self.CFG,
-                            hook=lambda point: calls.append(point) or True)
+        res = bisect_level(self.lifted_box(offset), np.array([2.5, 1.0]), self.CFG,
+                           hook=lambda point: calls.append(point) or True)
         assert calls == []
         assert res.alpha_bracket[0] <= 0.0
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
@@ -366,8 +377,8 @@ class TestHook:
             calls.append(point)
             return True
 
-        res = run_metasteps(self.lifted_box(1.0), np.array([0.9, -0.7]), self.CFG,
-                            hook=accept)
+        res = bisect_level(self.lifted_box(1.0), np.array([0.9, -0.7]), self.CFG,
+                           hook=accept)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], res.best_point)
         assert res.status is SolveStatus.BUDGET_EXHAUSTED

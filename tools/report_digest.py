@@ -1,7 +1,6 @@
 """Digest of every CLI output on the benchmark workloads.
 
     python3 tools/report_digest.py --seeds 0 1
-    python3 tools/report_digest.py --seeds 0 1 --src ../parent/src
     python3 tools/report_digest.py --seeds 0 1 --against ../parent/src
 
 Runs each call of the lp-corpus, m-ladder and planted-minima workloads
@@ -13,9 +12,9 @@ where the tool runs.  For each workload it prints one sha256 over every
 call's exit code, stdout, stderr and trace file, with the number of
 calls and their total ellipsoid iterations.  Two checkouts whose
 reports, exit codes and traces are byte-identical print the same lines.
-``--src`` picks the package to run (default: this checkout's ``src``).
+The package run is this checkout's, under ``src``.
 
-``--against SRC`` also compares the package of ``--src`` (the change)
+``--against SRC`` also compares this checkout's package (the change)
 with the one under SRC (the parent).  Both are imported, under distinct
 names, into one process, and each call is run by both back to back, in
 an order that alternates from call to call, ``PASSES`` times over the
@@ -171,13 +170,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="presentation seeds (default 0)")
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the epicut package to run")
     parser.add_argument("--against", metavar="SRC",
                         help="directory holding the parent's epicut package: "
                              "compare the two call by call")
     args = parser.parse_args(argv)
-    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "benchmark")]
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
     import epicut.cli
     from workloads import WORKLOADS
 
