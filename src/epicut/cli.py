@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateShape, DimensionMismatch, EmptySystem, NonFiniteValue
+from .errors import EmptySystem
 # global_radius is not called here; it stays importable as
 # cli.global_radius, a name benchmark/tracing.py wraps.
 from .lp import (  # noqa: F401
@@ -76,7 +76,11 @@ def _reject_constant(token: str) -> float:
 def _as_number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise UsageError(f"{where} must be finite, got an integer beyond the "
+                         "float range") from exc
     if not math.isfinite(out):
         raise UsageError(f"{where} must be finite, got {value!r}")
     return out
@@ -89,7 +93,10 @@ def load_problem(path: str) -> Tuple[Optional[str], LinearSystem]:
             doc = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UsageError:  # _reject_constant's, a ValueError too
+        raise
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON or UTF-8, an integer past Python's digit limit, deep nesting.
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: top level must be an object")
@@ -181,21 +188,11 @@ def _write_trace(path: str, run: Optional[MetastepResult]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
             for rec in run.trace if run is not None else ():
-                handle.write(
-                    json.dumps(
-                        {
-                            "query": rec.query,
-                            "iteration": rec.iteration,
-                            "center": _vec(rec.center),
-                            "value": _num(rec.value),
-                            "cut": rec.cut,
-                            "depth": _num(rec.depth),
-                            "log_volume": _num(rec.log_volume),
-                        },
-                        allow_nan=False,
-                    )
-                    + "\n"
-                )
+                record = {"query": rec.query, "iteration": rec.iteration,
+                          "center": _vec(rec.center), "value": _num(rec.value),
+                          "cut": rec.cut, "depth": _num(rec.depth),
+                          "log_volume": _num(rec.log_volume)}
+                handle.write(json.dumps(record, allow_nan=False) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write trace {path}: {exc.strerror or exc}") from exc
 
@@ -406,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"epicut: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateShape, DimensionMismatch, NonFiniteValue) as exc:
+    except Exception as exc:  # no error may exit with a verdict's code
         print(f"epicut: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -55,7 +55,7 @@ class LinearSystem(MaxAffineFunction):
 
     def violation(self, x) -> float:
         """Largest row value at x; <= 0 means feasible."""
-        return float(np.max(self.rows @ np.asarray(x, dtype=float) + self.offsets))
+        return self.eval(x)
 
 
 def normalize(system: LinearSystem) -> LinearSystem:
@@ -251,7 +251,7 @@ def _window_multipliers(system: LinearSystem, x: np.ndarray, window: float):
     raw nnls solution padded with zeros: that solution is optimal on the
     old columns, so only the new ones can enter.
     """
-    values = system.rows.dot(x) + system.offsets
+    values = system._values(x)
     gaps = float(np.max(values)) - values
     order = np.argsort(gaps, kind="stable")
     sorted_gaps = gaps[order]
@@ -316,8 +316,7 @@ def subgradient_lower_bound_at(system: LinearSystem, x) -> float:
     the floor is the distance from 0 to the hull of their images under
     A^T, which _hull_floor bounds from below.
     """
-    x = np.asarray(x, dtype=float)
-    v = system.rows @ x + system.offsets
+    v = system._values(x)
     fx = float(np.max(v))
     if fx < 0.0:
         raise PreconditionViolated(f"row-max value {fx} is negative at x")

@@ -31,16 +31,16 @@ holds no global minimizer (min over the ball >= lb > f(vertex)), so the
 metastep ends with its bracket open, and the next ball is centred at
 that outside witness.  See bisect_level and _model_step.
 
-The run stops once U - lb <= eps, once U drops below
-``stop_when_high_below``, at ``iteration_budget(n)`` iterations, at a
-witness, or when the caller's hook asks it to (see bisect_level).  A
-closed bracket whose incumbent lies strictly inside the ball (by 10 eps
-and the rounding of R and x0) certifies the global minimum; one on the
-sphere triggers another metastep around it when budget remains, as a
-witness does around the witness.  Any other stop proves only the
-bracket it reports (BudgetExhausted): lb is still a lower bound on the
-minimum over the ball, which is the proof of how far from the optimum
-the run stopped.
+A metastep stops once U - lb <= eps, once U drops below
+``stop_when_high_below`` (default -inf: never), once lb passes f at a
+witness, when the caller's hook asks it to, or at
+``iteration_budget(n)`` iterations; one block then decides how it
+ended (see bisect_level).  A closed bracket whose incumbent lies
+strictly inside the ball certifies the global minimum; one on the
+sphere, or a witness, starts another metastep there when budget
+remains.  Any other end proves only its bracket (BudgetExhausted): lb
+still bounds the minimum over the ball, the proof of how far from the
+optimum the run stopped.
 
 run_metasteps chains metasteps this way; lp's decision chains them by
 its own rule, with a hook.  join makes one result of either chain.
@@ -109,7 +109,7 @@ class MetastepConfig:
     max_metasteps: int = 16
     radius_growth: float = 1.0
     # Stop the whole solve once the incumbent value is strictly below this.
-    stop_when_high_below: Optional[float] = None
+    stop_when_high_below: float = -math.inf
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -153,7 +153,6 @@ def _check_squares(smallest: float, log_largest: float, radii: str) -> None:
 @dataclass
 class MetastepResult:
     best_point: np.ndarray
-    best_value: float
     status: SolveStatus
     alpha_bracket: Tuple[float, float]  # proven (lower bound, incumbent value)
     depth: float  # radius minus the best point's distance from the ball's center
@@ -163,6 +162,10 @@ class MetastepResult:
     # The point outside the ball whose value fell below lb and ended the
     # metastep (see bisect_level); None for any other end.
     outside: Optional[np.ndarray] = None
+
+    @property
+    def best_value(self) -> float:  # the incumbent value U
+        return self.alpha_bracket[1]
 
     @property
     def iterations(self) -> int:
@@ -195,8 +198,7 @@ def bisect_level(
 
     ``hook``, when given, is called with the incumbent every 4(d+1)
     iterations while the proven lower bound is above 0, that is while
-    the ball is proven to hold no point with f <= 0.  A True return ends
-    the run with its bracket still open and proven: BudgetExhausted.
+    the ball is proven to hold no point with f <= 0.
 
     Without a hook, a MaxAffineFunction gets the model step in the
     hook's slot instead (see _model_step), whatever the sign of lb.  It
@@ -204,40 +206,41 @@ def bisect_level(
     model, which enters the incumbent only through f's value there.
     The first try comes after 4(d+1) iterations.  A try that halves the
     gap U - lb is followed by the next 4(d+1) iterations later; one that
-    does not doubles the wait, so metasteps whose minimum lies on the
-    sphere, where the model rarely helps, do not pay for a try every
-    4(d+1) iterations.  A try whose vertex lies outside the ball (or
-    that finds no bound) is the metastep's last: the model then points
-    past the sphere, where the minimum over the ball is not one that
-    weights with A^T L = 0 certify, and a skipped try only gives up a
-    bound.  A hook takes the model step's place: the lp layer's hook
-    runs its own NNLS try.  Any other oracle runs as with a hook that
-    always returns False.
+    does not doubles the wait.  A try whose vertex lies outside the ball
+    (or that finds no bound) is the metastep's last: the model then
+    points past the sphere, and a skipped try only gives up a bound.  A
+    hook takes the model step's place: the lp layer's hook runs its own
+    NNLS try.  Any other oracle runs as with a hook that always returns
+    False.  With ``_witness`` (run_metasteps sets it on every metastep
+    but the last its budget allows), f is evaluated at that outside
+    vertex, a witness that no global minimizer lies in the ball once
+    lb > f there.
 
-    With ``_witness`` (run_metasteps sets it on every metastep but the
-    last its budget allows), f is evaluated at that outside vertex, and
-    the run ends as soon as lb > f(vertex) while its bracket is open:
-    BoundaryReached, with the vertex in ``outside`` and the in-ball
-    incumbent and bracket kept.  A bracket that closes inside the ball
-    after the model pointed past the sphere gets one more model try at
-    the incumbent, whose outside vertex ends the run the same way if f
-    there is below lb: on a flat f the incumbent of a ball whose
-    minimum lies on the sphere can sit 10 eps inside it.  Without the
-    flag the bracket always closes as above.
+    The loop leaves by one test after each cut, in this order: the
+    bracket closed (U - lb <= eps), U below cfg.stop_when_high_below
+    (-inf by default: never), lb above f at the witness, and only then
+    a True return of the hook; the budget bounds the loop.  One block
+    after it decides how the metastep ended, in this order:
 
-    A value f(c) below lb disproves the cut bound: rounding lost the
-    minimizer from the ellipsoid.  The run then ends with lb taken from
-    the model's ball bound alone (-inf without one), so no bracket has
-    lb > U.
+    1. lb > U: a value below lb disproved the cut bound (rounding lost
+       the minimizer), so lb becomes the model's ball bound alone (-inf
+       without one), capped at U.
+    2. A closed bracket whose incumbent lies more than ``inner`` (10 eps
+       and the rounding of R and x0) inside the ball asks the model
+       again there if a witness is held: on a flat f that depth is
+       reached in balls whose minimum lies on the sphere.  Otherwise a
+       closed bracket or a passed stop value drops the witness.
+    3. A witness counts only while lb > f there.
+    4. The status: BoundaryReached with a witness (in ``outside``, beside
+       the in-ball incumbent and bracket); else BudgetExhausted with the
+       bracket open, and proven; else GlobalOptimumCertified inside by
+       more than ``inner``; else BoundaryReached.
     """
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
     _check_squares(radius, math.log(radius), "the metastep's radius")
     eps = cfg.level_tolerance
-    # No incumbent is below -inf: without a stop value the test is False.
     high_below = cfg.stop_when_high_below
-    if high_below is None:
-        high_below = -math.inf
     budget = cfg.iteration_budget(x0.shape[0])
     period = _MODEL_PERIOD * (x0.shape[0] + 1)
     model = f if hook is None and isinstance(f, MaxAffineFunction) else None
@@ -312,43 +315,40 @@ def bisect_level(
             else:
                 wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
                 next_try = iters + wait
-        if lower >= upper - eps or upper < high_below:
-            if lower > upper:
-                # A value below lb disproved the cut bound.
-                lower = min(upper, model_lower)
-            if lower < upper - eps or radius - _distance(best_point, x0) <= inner:
-                witness = None
-            elif witness is not None:
-                # The model pointed past the sphere, yet the bracket closed
-                # inside the ball: ask it again, at the best point.
-                vertex = _model_step(model, best_point, x0, radius)[1]
-                witness, witness_value = _outside(model, vertex, x0, radius)
-            break
-        if lower > witness_value:
-            # min f over the ball >= lb > f(witness): no global minimizer
-            # lies in the ball.
-            break
-        if hook is not None and lower > 0.0 and iters % period == 0 and hook(best_point):
+        if (lower >= upper - eps or upper < high_below or lower > witness_value
+                or hook is not None and lower > 0.0 and iters % period == 0
+                and hook(best_point)):
             break
 
+    if lower > upper:
+        # A value below lb disproved the cut bound.
+        lower = min(upper, model_lower)
+    closed = lower >= upper - eps
+    depth = radius - _distance(best_point, x0)
+    interior = closed and depth > inner
+    if interior and witness is not None:
+        # The model pointed past the sphere, yet the bracket closed inside
+        # the ball: ask it again, at the best point.
+        vertex = _model_step(model, best_point, x0, radius)[1]
+        witness, witness_value = _outside(model, vertex, x0, radius)
+    elif closed or upper < high_below:
+        witness = None
     if not lower > witness_value:
         # A witness proves nothing until lb passes f there.
         witness = None
-    dist = _distance(best_point, x0)
     if witness is not None:
         status = SolveStatus.BOUNDARY_REACHED
-    elif lower < upper - eps:
+    elif not closed:
         status = SolveStatus.BUDGET_EXHAUSTED
-    elif radius - dist > inner:
+    elif interior:
         status = SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
     else:
         status = SolveStatus.BOUNDARY_REACHED
     return MetastepResult(
         best_point=best_point,
-        best_value=upper,
         status=status,
         alpha_bracket=(lower, upper),
-        depth=radius - dist,
+        depth=depth,
         trace=records,
         query_iterations=[iters],
         config=cfg,
@@ -357,7 +357,9 @@ def bisect_level(
 
 
 def _distance(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(x - y))
+    # np.linalg.norm's own formula for a 1-D float vector.
+    d = x - y
+    return math.sqrt(d.dot(d))
 
 
 def _outside(
@@ -399,7 +401,7 @@ def _model_step(
     m, n = rows.shape
     # ndarray.dot throughout gives matmul's bits: on matrix-vector products
     # of any layout, and on chosen, a C-contiguous fancy-indexed copy.
-    values = rows.dot(point) + offsets
+    values = f._values(point)
     order = np.argsort(float(values.max()) - values, kind="stable")
     best, support = -math.inf, None
     for k in range(min(m, n + 1), m + 1):

@@ -476,6 +476,39 @@ class TestTraceFlag:
         assert trace.read_text().count("\n") > 0
 
 
+# Files the JSON loader itself fails on, each a malformed problem.
+MALFORMED = {
+    "int-beyond-float": b'{"A": [[1' + b"0" * 400 + b']], "b": [1]}',
+    "non-utf8-byte": b'{"A": [[1]], "b": [1], "name": "\xff"}',
+    "deep-nesting": b'{"A": ' + b"[" * 5000 + b"]" * 5000 + b', "b": [1]}',
+    "int-past-digit-limit": b'{"A": [[1' + b"0" * 5000 + b']], "b": [1]}',
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", [["decide"], ["find-point"], ["minimize", "--radius", "1"]],
+                             ids=["decide", "find-point", "minimize"])
+    def test_usage_error_without_traceback(self, tmp_path, name, command):
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(MALFORMED[name])
+        proc = invoke(command[0], str(bad), *command[1:])
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("epicut: error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_bench_skips_them(self, tmp_path):
+        for name, data in MALFORMED.items():
+            (tmp_path / f"{name}.json").write_bytes(data)
+        write_problem(tmp_path / "pair.json", {"A": [[1], [-1]], "b": [1, 1]})
+        proc = invoke("bench", str(tmp_path))
+        assert proc.returncode == 0
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == ["pair"]
+        assert proc.stderr.count("epicut: skipping") == len(MALFORMED)
+        assert "Traceback" not in proc.stderr
+
+
 class TestBenchCommand:
     def test_empty_dir_header_only(self, tmp_path):
         empty = tmp_path / "empty"
@@ -689,3 +722,15 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"epicut: internal error: {error}: synthetic failure\n"
+
+    def test_any_other_error_exit_70(self, unit_box, monkeypatch, capsys):
+        from epicut import cli
+
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("synthetic failure")
+
+        monkeypatch.setattr(cli, "decide_feasibility", boom)
+        assert cli.main(["decide", unit_box]) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "epicut: internal error: ZeroDivisionError: synthetic failure\n"

@@ -285,6 +285,20 @@ class TestRunMetasteps:
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         assert res.best_value == pytest.approx(-1.0, abs=1e-4)
 
+    def test_stops_when_a_recentred_metastep_does_not_improve(self):
+        # At x0 = 1e17 the rounding allowance 16 eps_mach (R + |x0|), about
+        # 355, exceeds R = 1, so even the centre reads as on the sphere:
+        # each metastep ends BoundaryReached at the same point and value.
+        # The second one does not improve on the first, which ends the run;
+        # without that stop it would spend all 16 metasteps.
+        f = MaxAffineFunction([[1.0], [-1.0]], [-1e17, 1e17])
+        cfg = MetastepConfig(radius=1.0, level_tolerance=1e-6)
+        res = run_metasteps(f, [1e17], cfg)
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        assert (res.level_queries, res.iterations) == (2, 42)
+        assert res.best_point.tolist() == [1e17]
+        assert res.alpha_bracket == (-9.5367431640625e-07, 0.0)
+
 
 class TestTraceOnlyObserves:
     """Tracing records the run; it must not change it."""

@@ -103,55 +103,47 @@ def _hash(sha, parts) -> None:
         sha.update(part)
 
 
-def digest(workload_fn, seeds, main):
-    """(sha256 hex, calls, total ellipsoid iterations) over all seeds.
-    Runs in the current working directory."""
-    sha = hashlib.sha256()
-    calls = iters = 0
-    for seed in seeds:
-        workload = workload_fn(seed)
-        _write_problems(workload)
-        for op in workload.ops:
-            parts, op_iters = _traced_call(main, seed, op)
-            _hash(sha, parts)
-            calls += 1
-            iters += op_iters
-    return sha.hexdigest(), calls, iters
+def walk(workload_fn, seeds, change, parent=None):
+    """(digest, identical, change/parent time) of passes over all seeds;
+    runs in the current working directory.
 
-
-def paired(workload_fn, seeds, change, parent):
-    """(``digest`` of the change, identical, change/parent time) of
-    ``PASSES`` passes over all seeds, each call run by both mains back
-    to back.  Each pass times calls without ``--trace``, as the
+    The digest is (sha256 hex, calls, total ellipsoid iterations) over
+    the change's calls with ``--trace``.  Without ``parent`` that is the
+    one pass, identical is True and the time None.  With it, ``PASSES``
+    passes run each call by both mains back to back, alternating which
+    goes first.  Each pass times calls without ``--trace``, as the
     benchmark makes them, and compares their outputs; the first also
-    compares the traced calls' outputs, trace files included, and
-    digests the change's.  Runs in the current working directory."""
+    compares the traced calls' outputs, trace files included."""
     mains = (change, parent)
     spent = [0.0, 0.0]
     identical = True
     sha = hashlib.sha256()
     calls = iters = 0
-    for rep in range(PASSES):
+    passes = 1 if parent is None else PASSES
+    for rep in range(passes):
         for seed in seeds:
             workload = workload_fn(seed)
             _write_problems(workload)
             for op in workload.ops:
                 argv = [op.command, op.problem.name + ".json"] + op.flags
-                outputs = [None, None]
+                outputs = [[], []]
                 first = (calls + rep) % 2
-                for side in (first, 1 - first):
-                    code, out, err, seconds = _call(mains[side], argv)
-                    spent[side] += seconds
-                    outputs[side] = [code, out, err]
+                for side in (0,) if parent is None else (first, 1 - first):
+                    if parent is not None:
+                        code, out, err, seconds = _call(mains[side], argv)
+                        spent[side] += seconds
+                        outputs[side] += [code, out, err]
                     if rep == 0:
                         outputs[side].append(_traced_call(mains[side], seed, op))
-                identical = identical and outputs[0] == outputs[1]
+                if parent is not None:
+                    identical = identical and outputs[0] == outputs[1]
                 if rep == 0:
-                    parts, op_iters = outputs[0][3]
+                    parts, op_iters = outputs[0][-1]
                     _hash(sha, parts)
                     iters += op_iters
                 calls += 1
-    return (sha.hexdigest(), calls // PASSES, iters), identical, spent[0] / spent[1]
+    ratio = None if parent is None else spent[0] / spent[1]
+    return (sha.hexdigest(), calls // passes, iters), identical, ratio
 
 
 def _load(src: str, name: str):
@@ -185,12 +177,9 @@ def main(argv=None) -> int:
         os.chdir(work)
         try:
             for name in WORKLOAD_NAMES:
-                if parent_cli is None:
-                    summary = digest(WORKLOADS[name], args.seeds, epicut.cli.main)
-                else:
-                    summary, same, ratio = paired(
-                        WORKLOADS[name], args.seeds, epicut.cli.main, parent_cli.main)
-                sha, calls, iters = summary
+                (sha, calls, iters), same, ratio = walk(
+                    WORKLOADS[name], args.seeds, epicut.cli.main,
+                    None if parent_cli is None else parent_cli.main)
                 print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
                       f"sha256={sha}", flush=True)
                 if parent_cli is not None:
