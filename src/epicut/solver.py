@@ -13,9 +13,11 @@ on the minimum:
 Every cut keeps all of {x in B : f(x) <= U}, so the minimizer stays
 inside the ellipsoid E with factor J, and there f >= f(c) - ||J^T g||.
 Each objective cut therefore raises lb to
-max(lb, min(U, f(c) - ||J^T g||)), where ||J^T g|| is the width the
-cut kernel returns for E before the cut.  An empty intersection proves
-that nothing below U is left: lb becomes U.
+max(lb, min(U, f(c) - ||J^T g|| - 4 eps_mach |f(c)|)), where ||J^T g||
+is the width the cut kernel returns for E before the cut; the last term
+allows for the rounding of f(c) and of the difference, which reads f(c)
+back once the width is below its last bit.  An empty intersection
+proves that nothing below U is left: lb becomes U.
 
 A max-affine f run without a hook also gets the model step (Kelley's
 cutting-plane model, J. SIAM 8, 1960): from time to time, simplex
@@ -26,21 +28,26 @@ evaluated if it lies in the ball.  Once the rows active at an interior
 minimizer are known, the two close the bracket, long before the
 ellipsoid shrinks to eps around the minimizer.  A vertex outside the
 ball ends the tries of its metastep.  In a metastep that is not its
-run's last, f is evaluated there too: once lb > f(vertex), the ball
-holds no global minimizer (min over the ball >= lb > f(vertex)), so the
-metastep ends with its bracket open, and the next ball is centred at
-that outside witness.  See bisect_level and _model_step.
+run's last, it ends the metastep itself where f is finite: the run
+moves on the model's word.  If lb > f(vertex) by then, the ball holds
+no global minimizer (min over the ball >= lb > f(vertex)), a proven
+witness, and the next ball is centred at the vertex.  Otherwise the
+move is unproven: the bracket stays open, proven only over its ball,
+and the next ball, around the in-ball incumbent, grows to hold the
+vertex.  A move is never a proof; only the run's last metastep, which
+cannot move, backs a reported verdict.  See bisect_level and
+_model_step.
 
 A metastep stops once U - lb <= eps, once U drops below
-``stop_when_high_below`` (default -inf: never), once lb passes f at a
-witness, when the caller's hook asks it to, or at
-``iteration_budget(n)`` iterations; one block then decides how it
-ended (see bisect_level).  A closed bracket whose incumbent lies
-strictly inside the ball certifies the global minimum; one on the
-sphere, or a witness, starts another metastep there when budget
-remains.  Any other end proves only its bracket (BudgetExhausted): lb
-still bounds the minimum over the ball, the proof of how far from the
-optimum the run stopped.
+``stop_when_high_below`` (default -inf: never), at such a vertex, when
+the caller's hook asks it to, once E has collapsed below the rounding
+of its center, or at ``iteration_budget(n)`` iterations; one block
+then decides how it ended (see bisect_level).  A closed bracket whose
+incumbent lies strictly inside the ball certifies the global minimum;
+one on the sphere, a proven witness or a move starts another metastep
+when budget remains.  Any other end proves only its bracket
+(BudgetExhausted): lb still bounds the minimum over the ball, the proof
+of how far from the optimum the run stopped.
 
 run_metasteps chains metasteps this way; lp's decision chains them by
 its own rule, with a hook.  join makes one result of either chain.
@@ -143,9 +150,13 @@ class MetastepConfig:
         )
 
 
-def _check_squares(smallest: float, log_largest: float, radii: str) -> None:
+def _squares_fit(smallest: float, log_largest: float) -> bool:
     # smallest**2 >= 1e-300 and exp(log_largest)**2 <= the largest float.
-    if not (smallest * smallest >= _PIVOT_FLOOR and 2.0 * log_largest <= _LOG_MAX_FLOAT):
+    return smallest * smallest >= _PIVOT_FLOOR and 2.0 * log_largest <= _LOG_MAX_FLOAT
+
+
+def _check_squares(smallest: float, log_largest: float, radii: str) -> None:
+    if not _squares_fit(smallest, log_largest):
         raise ValueError(
             f"{radii} must have a square in [{_PIVOT_FLOOR:g}, {sys.float_info.max:g}]")
 
@@ -159,8 +170,9 @@ class MetastepResult:
     trace: List[TraceRecord]
     query_iterations: List[int]  # ellipsoid iterations of each metastep
     config: MetastepConfig
-    # The point outside the ball whose value fell below lb and ended the
-    # metastep (see bisect_level); None for any other end.
+    # The model vertex outside the ball that ended the metastep (see
+    # bisect_level): proven with BoundaryReached (f there < lb), an
+    # unproven move with BudgetExhausted; None for any other end.
     outside: Optional[np.ndarray] = None
 
     @property
@@ -177,7 +189,7 @@ class MetastepResult:
 
 
 # Every overflow in a metastep is handled: the cut kernel rescales, f(c)
-# raises NonFiniteValue and the witness skips a non-finite value.
+# raises NonFiniteValue and a vertex where f is not finite ends nothing.
 @np.errstate(over="ignore")
 def bisect_level(
     f: ConvexOracle,
@@ -213,28 +225,29 @@ def bisect_level(
     NNLS try.  Any other oracle runs as with a hook that always returns
     False.  With ``_witness`` (run_metasteps sets it on every metastep
     but the last its budget allows), f is evaluated at that outside
-    vertex, a witness that no global minimizer lies in the ball once
-    lb > f there.
+    vertex, and where it is finite the vertex is held and ends the
+    metastep.
 
     The loop leaves by one test after each cut, in this order: the
     bracket closed (U - lb <= eps), U below cfg.stop_when_high_below
-    (-inf by default: never), lb above f at the witness, and only then
-    a True return of the hook; the budget bounds the loop.  One block
-    after it decides how the metastep ended, in this order:
+    (-inf by default: never), a vertex held, and only then a True return
+    of the hook; the budget bounds the loop, and a cut kernel that finds
+    E collapsed (its factor underflowed, once eps is below the rounding
+    of f) ends it too.  One block after it decides how the metastep
+    ended, in this order:
 
     1. lb > U: a value below lb disproved the cut bound (rounding lost
        the minimizer), so lb becomes the model's ball bound alone (-inf
        without one), capped at U.
-    2. A closed bracket whose incumbent lies more than ``inner`` (10 eps
-       and the rounding of R and x0) inside the ball asks the model
-       again there if a witness is held: on a flat f that depth is
-       reached in balls whose minimum lies on the sphere.  Otherwise a
-       closed bracket or a passed stop value drops the witness.
-    3. A witness counts only while lb > f there.
-    4. The status: BoundaryReached with a witness (in ``outside``, beside
-       the in-ball incumbent and bracket); else BudgetExhausted with the
-       bracket open, and proven; else GlobalOptimumCertified inside by
-       more than ``inner``; else BoundaryReached.
+    2. A passed stop value drops the vertex, and so does a closed
+       bracket unless lb > f there.
+    3. The status: BoundaryReached with lb > f at the vertex (a proven
+       witness, in ``outside``, beside the in-ball incumbent and
+       bracket); else BudgetExhausted with the bracket open, and proven,
+       with ``outside`` set if the vertex ended it (an unproven move);
+       else GlobalOptimumCertified when the incumbent lies more than
+       ``inner`` (10 eps and the rounding of R and x0) inside the ball;
+       else BoundaryReached.
     """
     x0 = np.array(x0, dtype=float, copy=True)
     radius = cfg.radius
@@ -257,7 +270,8 @@ def bisect_level(
     best_point: Optional[np.ndarray] = None
     upper = math.inf
     lower = model_lower = -math.inf
-    # A vertex outside the ball and f there; inf stands for no witness.
+    # The model vertex outside the ball that ends the metastep, and f
+    # there; inf while none is held.
     witness, witness_value = None, math.inf
     iters = 0
     while iters < budget:
@@ -280,7 +294,13 @@ def bisect_level(
                 upper, best_point = value, center
             slack = value - upper
 
-        outcome, _, width = cut_in_place(e, normal, slack)
+        try:
+            outcome, _, width = cut_in_place(e, normal, slack)
+        except DegenerateShape:
+            # E's factor has underflowed: once eps is below the rounding
+            # of f, the cuts shrink E about a center they can no longer
+            # move.  lb and U stay proven; the bracket stays open.
+            break
         # Only a zero normal (width 0) leaves E as it is from slack >= 0.
         if outcome is CutKind.NO_CUT and width > 0.0:
             raise DegenerateShape("cut produced no update from nonnegative slack")
@@ -288,7 +308,8 @@ def bisect_level(
             # The minimizer lies in the ellipsoid, where f >= value - width.
             # An empty intersection has value - width >= upper, and a zero
             # subgradient (width 0) makes the center a global minimizer.
-            lower = max(lower, min(upper, value - width))
+            # 4 eps_mach |value| allows for the rounding of both terms.
+            lower = max(lower, min(upper, value - width - 4.0 * _ROUNDING * abs(value)))
         elif outcome is CutKind.EMPTY_INTERSECTION:
             # No point of the ball lies below the incumbent.
             lower = upper
@@ -306,8 +327,10 @@ def bisect_level(
                 probed = model.eval(vertex)
                 if math.isfinite(probed) and probed < upper:
                     upper, best_point = probed, vertex
-            elif _witness:
-                witness, witness_value = _outside(model, vertex, x0, radius)
+            elif _witness and vertex is not None:
+                # A vertex outside the ball, held where f is finite.
+                witness_value = model.eval(vertex)
+                witness = vertex if math.isfinite(witness_value) else None
             lower = max(lower, min(upper, model_lower))
             if not inside:
                 # The model points outside the ball: no later try.
@@ -315,7 +338,7 @@ def bisect_level(
             else:
                 wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
                 next_try = iters + wait
-        if (lower >= upper - eps or upper < high_below or lower > witness_value
+        if (lower >= upper - eps or upper < high_below or witness is not None
                 or hook is not None and lower > 0.0 and iters % period == 0
                 and hook(best_point)):
             break
@@ -325,22 +348,17 @@ def bisect_level(
         lower = min(upper, model_lower)
     closed = lower >= upper - eps
     depth = radius - _distance(best_point, x0)
-    interior = closed and depth > inner
-    if interior and witness is not None:
-        # The model pointed past the sphere, yet the bracket closed inside
-        # the ball: ask it again, at the best point.
-        vertex = _model_step(model, best_point, x0, radius)[1]
-        witness, witness_value = _outside(model, vertex, x0, radius)
-    elif closed or upper < high_below:
+    if upper < high_below:
         witness = None
-    if not lower > witness_value:
-        # A witness proves nothing until lb passes f there.
+    proven = witness is not None and lower > witness_value
+    if closed and not proven:
+        # Only a proven witness outlives a closed bracket.
         witness = None
-    if witness is not None:
+    if proven:
         status = SolveStatus.BOUNDARY_REACHED
     elif not closed:
         status = SolveStatus.BUDGET_EXHAUSTED
-    elif interior:
+    elif depth > inner:
         status = SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
     else:
         status = SolveStatus.BOUNDARY_REACHED
@@ -360,17 +378,6 @@ def _distance(x: np.ndarray, y: np.ndarray) -> float:
     # np.linalg.norm's own formula for a 1-D float vector.
     d = x - y
     return math.sqrt(d.dot(d))
-
-
-def _outside(
-    f: MaxAffineFunction, vertex: Optional[np.ndarray], x0: np.ndarray, radius: float
-) -> Tuple[Optional[np.ndarray], float]:
-    """(vertex, f(vertex)) for a vertex outside B(x0, radius) where f is
-    finite, else (None, inf): a witness candidate for bisect_level."""
-    if vertex is None or not _distance(vertex, x0) > radius:
-        return None, math.inf
-    value = f.eval(vertex)
-    return (vertex, value) if math.isfinite(value) else (None, math.inf)
 
 
 def _model_step(
@@ -447,6 +454,9 @@ def join(first: MetastepResult, later: MetastepResult) -> MetastepResult:
     )
 
 
+# An overflowing distance to a vertex gives a grown radius of inf, which
+# the range test below rejects.
+@np.errstate(over="ignore")
 def run_metasteps(
     f: ConvexOracle,
     x0,
@@ -454,14 +464,21 @@ def run_metasteps(
     *,
     trace: bool = False,
 ) -> MetastepResult:
-    """Repeat metasteps, recentering at each boundary incumbent, or at
-    the outside witness that ended the metastep (see bisect_level; the
-    last metastep the budget allows has none).
+    """Repeat metasteps from where the last one points (see bisect_level;
+    the last metastep the budget allows cannot end at a vertex):
 
-    Stops on any status but BOUNDARY_REACHED, or when a recentred
-    metastep fails to strictly improve; the result joins the metasteps
-    (see join).  A metastep that raises NonFiniteValue after one has
-    completed ends the run with the completed metasteps' result: their
+    - BoundaryReached: at the incumbent on the sphere, or at the proven
+      witness outside it;
+    - an unproven move (BudgetExhausted with ``outside``): at the
+      in-ball incumbent, with radius max(R, 1.5 ||vertex - incumbent||),
+      so that the next ball holds the vertex.
+
+    Each next radius is then multiplied by cfg.radius_growth.  Stops on
+    any other status, or when a recentred metastep fails to strictly
+    improve; the result joins the metasteps (see join), and a move is
+    never a proof.  A metastep that raises NonFiniteValue after one has
+    completed, or a next radius whose square leaves [1e-300, largest
+    float], ends the run with the completed metasteps' result: their
     brackets are proven, and only the raising one is lost.  ``trace``
     is passed to each metastep (see bisect_level).  Raises ValueError
     before the first metastep unless cfg.check_radii() passes.
@@ -480,11 +497,19 @@ def run_metasteps(
             break
         previous = result
         result = step if previous is None else join(previous, step)
-        if step.status is not SolveStatus.BOUNDARY_REACHED:
-            break
         if previous is not None and step.best_value >= previous.best_value:
             break
-        centre = step.best_point if step.outside is None else step.outside
-        x = np.array(centre, copy=True)
+        if step.status is SolveStatus.BOUNDARY_REACHED:
+            centre = step.best_point if step.outside is None else step.outside
+        elif step.outside is not None:
+            # A move: the next ball, around the in-ball best point, holds
+            # the vertex.
+            centre = step.best_point
+            radius = max(radius, 1.5 * _distance(step.outside, centre))
+        else:
+            break
         radius *= cfg.radius_growth
+        if not _squares_fit(radius, math.log(radius)):
+            break
+        x = np.array(centre, copy=True)
     return result

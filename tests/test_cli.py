@@ -412,11 +412,15 @@ class TestMinimizeCommand:
     @pytest.mark.parametrize("radius", ["1e140", "1e150", "1e153"])
     def test_no_certificate_within_the_rounding_of_the_radius(self, tmp_path, radius):
         # f(x) = x has no minimum.  The incumbent lies about 2 ulps of R
-        # inside the sphere, which passed the 10 eps interior test.
+        # inside the sphere, which passed the 10 eps interior test.  Its
+        # value is known only to the rounding of R, far above eps, so the
+        # bracket stays open and holds the ball's minimum -R.
         path = write_problem(tmp_path / "line.json", {"A": [[1]], "b": [0]})
         proc = invoke("minimize", path, "--radius", radius, "--metasteps", "1")
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["verdict"] == "BoundaryReached"
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "BudgetExhausted"
+        assert report["bracket"][0] <= -float(radius) < report["bracket"][1]
 
     def test_grown_radius_with_finite_square_runs(self, tmp_path):
         # f(x) = x has no minimum.  The second ball's radius 1e154 has a

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from epicut import (
     ConvexOracle,
+    LinearSystem,
     MaxAffineFunction,
     MetastepConfig,
     NonFiniteValue,
@@ -12,6 +14,7 @@ from epicut import (
     bisect_level,
     run_metasteps,
     solver,
+    vertex_enumerate_feasible,
 )
 
 
@@ -180,7 +183,8 @@ class TestBisectLevel:
 
     def test_budget_exhaustion_is_not_a_proof(self):
         # max(|x1 - 1/2|, |x2 - 1/2|) has minimum 0; a one-iteration budget
-        # proves only f(0) - R ||g|| = -1.5, and nothing is certified.
+        # proves only f(0) - R ||g|| = -1.5, less the rounding allowance
+        # 4 eps_mach |f(0)|, and nothing is certified.
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         f = MaxAffineFunction(rows, np.array([-0.5, 0.5, -0.5, 0.5]))
 
@@ -191,18 +195,19 @@ class TestBisectLevel:
         cfg = OneIteration(radius=2.0)
         res = bisect_level(f, np.zeros(2), cfg)
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
-        assert res.alpha_bracket[0] == 0.5 - 2.0
+        assert res.alpha_bracket[0] == 0.5 - 2.0 - 4.0 * solver._ROUNDING * 0.5
         assert res.level_queries == 1
         assert res.best_value == 0.5
         np.testing.assert_array_equal(res.best_point, np.zeros(2))
         assert run_metasteps(f, np.zeros(2), cfg).status is SolveStatus.BUDGET_EXHAUSTED
 
     def test_zero_subgradient_closes_the_bracket(self):
-        # A constant function: the first center is a global minimizer.
+        # A constant function: the first center is a global minimizer, and
+        # lb is f there less the rounding allowance 4 eps_mach |f|.
         f = MaxAffineFunction(np.zeros((2, 3)), np.array([-2.0, 0.5]))
         res = bisect_level(f, np.ones(3), MetastepConfig(radius=1.0))
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-        assert res.alpha_bracket == (0.5, 0.5)
+        assert res.alpha_bracket == (0.5 - 4.0 * solver._ROUNDING * 0.5, 0.5)
         assert res.iterations == 1
 
     @pytest.mark.parametrize("rows, offsets, x0, radius", [
@@ -523,6 +528,22 @@ class TestBracketSoundness:
         # The far starts recentre, so there were more metasteps than runs.
         assert len(metasteps) > 6
 
+    @pytest.mark.parametrize("c", [1e15, 1e16, 1e17, 1e20, 1e100])
+    def test_cut_bound_allows_for_the_rounding_of_f(self, c):
+        # |x - c| from 0 at R = 2: once the width falls below the last bit
+        # of f(c), f(c) - width rounded back to f(c), and both a lone
+        # metastep and a run certified c with bracket (c, c).  The ball's
+        # minimum is c - 2, and f's is 0.
+        f = MaxAffineFunction(np.array([[1.0], [-1.0]]), np.array([-c, c]))
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        alone = bisect_level(f, np.zeros(1), cfg)
+        assert alone.status is SolveStatus.BUDGET_EXHAUSTED
+        assert Fraction(alone.alpha_bracket[0]) <= Fraction(c) - 2
+        res = run_metasteps(f, np.zeros(1), cfg)
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        lo, hi = res.alpha_bracket
+        assert lo <= 0.0 == hi
+
     @pytest.mark.parametrize("n", [2, 8])
     def test_early_stop_keeps_a_valid_lower_bound(self, n):
         # Stopped after a few iterations, the run proves nothing about the
@@ -719,23 +740,27 @@ class TestModelStep:
 
 
 class TestOutsideWitness:
-    """A metastep that is not its run's last ends as soon as its lb
-    passes f at a model vertex outside its ball: the ball then holds no
-    global minimizer, and the next ball is centred at that vertex."""
+    """A metastep that is not its run's last ends at the first model
+    vertex outside its ball where f is finite.  Once lb > f there, the
+    ball holds no global minimizer: a proven witness, and the next ball
+    is centred at it.  Otherwise the end is an unproven move
+    (BudgetExhausted with ``outside`` set): the next ball, around the
+    in-ball best point, grows to hold the vertex."""
 
     # Iterations of each far start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner, as NEAR_ITERATIONS.  Closing
-    # every boundary metastep's bracket took 1 845, 6 706 and 35 099 in all.
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 553, 1 640
+    # and 4 331 in all.  Closing every boundary metastep's bracket took
+    # 1 845, 6 706 and 35 099; waiting in each until lb passed f at the
+    # vertex, 836, 2 108 and 14 707.
     FAR_ITERATIONS = {
-        2: [24, 24, 24, 24, 81, 45, 102, 45, 24, 24, 24, 24, 36, 127, 36, 172],
-        4: [40, 40, 40, 40, 40, 40, 180, 60, 80, 308, 80, 432, 40, 253, 60, 375],
-        8: [92, 72, 92, 72, 1960, 166, 1642, 202, 1948, 726, 1356, 1099, 2022, 72, 3006,
-            180],
+        2: [24, 24, 24, 24, 47, 36, 74, 48, 24, 24, 24, 24, 36, 36, 36, 48],
+        4: [40, 40, 40, 40, 40, 40, 180, 60, 80, 308, 80, 432, 40, 80, 60, 80],
+        8: [72, 72, 72, 72, 108, 72, 108, 108, 108, 72, 108, 72, 1234, 72, 1801, 180],
     }
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_far_family_ends_metasteps_at_witnesses(self, metasteps, n):
-        iterations, witnessed = [], 0
+        iterations, moves = [], 0
         for active, close in [(0, 0), (0, 2), (1, 0), (1, 1)]:
             for eps in [2e-5, 1e-7]:
                 rng = np.random.default_rng([n, active, close])
@@ -747,19 +772,29 @@ class TestOutsideWitness:
                     del metasteps[:]
                     res = run_metasteps(f, far, cfg)
                     assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+                    assert res.outside is None
                     lo, hi = res.alpha_bracket
                     assert lo <= true_min <= res.best_value == hi <= lo + eps
-                    for _, x0, step_cfg, step in metasteps:
+                    for (_, x0, step_cfg, step), (_, centre, next_cfg, _) in zip(
+                            metasteps, metasteps[1:]):
                         if step.outside is None:
                             continue
-                        witnessed += 1
+                        reach = np.linalg.norm(step.outside - x0)
+                        assert reach > step_cfg.radius
                         lb, ub = step.alpha_bracket
-                        assert step.status is SolveStatus.BOUNDARY_REACHED
-                        assert np.linalg.norm(step.outside - x0) > step_cfg.radius
-                        assert f.eval(step.outside) < lb <= ub
-                        assert np.linalg.norm(minimizer - x0) > step_cfg.radius
+                        if step.status is SolveStatus.BOUNDARY_REACHED:
+                            assert f.eval(step.outside) < lb <= ub
+                            assert np.linalg.norm(minimizer - x0) > step_cfg.radius
+                            np.testing.assert_array_equal(centre, step.outside)
+                            continue
+                        moves += 1
+                        assert step.status is SolveStatus.BUDGET_EXHAUSTED
+                        assert lb <= f.eval(step.outside) and ub - lb > eps
+                        np.testing.assert_array_equal(centre, step.best_point)
+                        gap = np.linalg.norm(step.outside - step.best_point)
+                        assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
                     iterations.append(res.iterations)
-        assert witnessed > 0
+        assert moves > 0
         assert iterations == self.FAR_ITERATIONS[n]
 
     def test_boundary_walk_certifies_the_minimum(self):
@@ -798,11 +833,11 @@ class TestOutsideWitness:
         assert lo <= 0.0 <= hi <= lo + cfg.level_tolerance
         np.testing.assert_allclose(res.best_point, [2.05, 0.0], atol=1e-9)
 
-    def test_closed_bracket_asks_the_model_again(self, monkeypatch):
+    def test_first_outside_vertex_ends_the_metastep(self, monkeypatch, metasteps):
         # The first try's vertex lies far outside, with f above every lb
-        # of the ball, and ends the tries; the ellipsoid then closes the
-        # bracket 5e-5 inside the sphere.  A last try at that incumbent
-        # finds the minimizer outside, below lb.
+        # of the ball.  Waiting for lb to pass f there, the ellipsoid
+        # closed the bracket 5e-5 inside the sphere; the metastep now ends
+        # at that try, an unproven move, and the next ball holds the vertex.
         f = self.flat_valley()
         model_step, calls = solver._model_step, []
 
@@ -813,14 +848,53 @@ class TestOutsideWitness:
 
         monkeypatch.setattr(solver, "_model_step", astray)
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
-        res = bisect_level(f, np.zeros(2), cfg, _witness=True)
-        assert len(calls) == 2
-        assert res.status is SolveStatus.BOUNDARY_REACHED
-        lo, hi = res.alpha_bracket
-        assert hi - lo <= cfg.level_tolerance
-        assert res.depth > 10 * cfg.level_tolerance
-        np.testing.assert_allclose(res.outside, [2.05, 0.0], atol=1e-9)
-        assert f.eval(res.outside) < lo
+        res = run_metasteps(f, np.zeros(2), cfg)
+        (_, _, _, first), (_, centre, second_cfg, _) = metasteps[:2]
+        assert first.iterations == 4 * 3  # the first try, after 4 (d + 1)
+        assert first.status is SolveStatus.BUDGET_EXHAUSTED
+        np.testing.assert_array_equal(first.outside, [10.0, 10.0])
+        lo, hi = first.alpha_bracket
+        assert lo <= f.eval(first.outside) and hi - lo > cfg.level_tolerance
+        np.testing.assert_array_equal(centre, first.best_point)
+        assert second_cfg.radius == 1.5 * np.linalg.norm(first.outside - first.best_point)
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        np.testing.assert_allclose(res.best_point, [2.05, 0.0], atol=1e-9)
+
+    def test_grown_radius_out_of_range_ends_the_run(self, monkeypatch):
+        # Every vertex lies at 1e200: the ball that would hold it has a
+        # radius whose square overflows, so the run ends with the first
+        # metastep's result instead of raising ValueError.
+        f = self.flat_valley()
+        model_step = solver._model_step
+
+        def distant(*args):
+            return model_step(*args)[0], np.full(2, 1e200)
+
+        monkeypatch.setattr(solver, "_model_step", distant)
+        res = run_metasteps(f, np.zeros(2), MetastepConfig(radius=2.0, level_tolerance=1e-6))
+        assert res.level_queries == 1
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        np.testing.assert_array_equal(res.outside, [1e200, 1e200])
+
+    def test_far_starts_certify_no_value_above_the_minimum(self):
+        # Random max-affine functions, some unbounded below, from starts up
+        # to about 30 away.  Every certified lb must lie below the minimum
+        # that vertex enumeration finds: f <= lb - 1e-9 has no solution.
+        # The run that waited for lb to pass f at each witness certified 23.
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=16)
+        certified = 0
+        for s in range(40):
+            rng = np.random.default_rng([21, s])
+            m, n = int(rng.integers(5, 13)), int(rng.integers(2, 5))
+            rows, offsets = rng.normal(size=(m, n)), rng.normal(size=m)
+            x0 = rng.normal(size=n) * (1.0, 10.0, 30.0)[s % 3]
+            res = run_metasteps(MaxAffineFunction(rows, offsets), x0, cfg)
+            if res.status is not SolveStatus.GLOBAL_OPTIMUM_CERTIFIED:
+                continue
+            certified += 1
+            lower = LinearSystem(rows, offsets - (res.alpha_bracket[0] - 1e-9))
+            assert not vertex_enumerate_feasible(lower, tol=0.0).feasible
+        assert certified >= 23
 
     def test_no_witness_in_a_direct_call_or_the_last_metastep(self, metasteps):
         # A direct call and a run's last metastep close their brackets, so

@@ -2,6 +2,7 @@
 
     python3 tools/report_digest.py --seeds 0 1
     python3 tools/report_digest.py --seeds 0 1 --against ../parent/src
+    python3 tools/report_digest.py --seeds 0 1 --against ../parent/src --parent HEAD
 
 Runs each call of the lp-corpus, m-ladder and planted-minima workloads
 (``benchmark/workloads.py``, read only) in-process through
@@ -23,6 +24,13 @@ whether every output of the two was byte-identical and the change's
 share of the parent's time in ``cli.main``, summed over the calls.
 Timing both sides in the same moment cancels the drift in speed between
 separate processes.
+
+With ``--against`` the tool is also a gate: it exits 1 when any
+workload's outputs differ, unless ``tools/declared_change.json`` names
+the parent commit (``--parent``, default ``HEAD~1``, resolved by git in
+this checkout).  A change that means to alter outputs commits that file
+with its parent's full hash and a reason; at the next commit the parent
+is another one, so the declaration goes stale by itself.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import time
@@ -48,6 +57,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOAD_NAMES = ("lp-corpus", "m-ladder", "planted-minima")
 # Passes over each workload with --against.
 PASSES = 3
+DECLARATION = os.path.join(ROOT, "tools", "declared_change.json")
 
 
 def _call(main, argv):
@@ -146,6 +156,43 @@ def walk(workload_fn, seeds, change, parent=None):
     return (sha.hexdigest(), calls // passes, iters), identical, ratio
 
 
+def gate(differing, declared, parent):
+    """(exit code, verdict line) of the byte-identity gate.
+
+    ``differing`` lists the workloads whose outputs differ from the
+    parent's, ``declared`` is the parent commit the declaration names
+    and ``parent`` the parent commit itself (either None when unknown).
+    Differing outputs pass only when the two commits are the same."""
+    if not differing:
+        return 0, "gate: every output byte-identical to the parent's"
+    names = ", ".join(differing)
+    if declared is None:
+        return 1, f"gate: FAIL: outputs differ on {names}, and no declaration is committed"
+    if parent is None or declared != parent:
+        return 1, (f"gate: FAIL: outputs differ on {names}; the declaration names "
+                   f"{declared}, not the parent {parent}")
+    return 0, f"gate: outputs differ on {names}, as declared for parent {parent}"
+
+
+def _declared():
+    """The parent commit tools/declared_change.json names, or None."""
+    try:
+        with open(DECLARATION, encoding="utf-8") as handle:
+            return json.load(handle)["parent"]
+    except OSError:
+        return None
+
+
+def _commit(rev):
+    """The full hash of ``rev`` in this checkout, or None."""
+    try:
+        out = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+                             capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.strip()
+
+
 def _load(src: str, name: str):
     """The epicut package under ``src``, imported as ``name``; returns its
     cli module."""
@@ -165,6 +212,9 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="SRC",
                         help="directory holding the parent's epicut package: "
                              "compare the two call by call")
+    parser.add_argument("--parent", default="HEAD~1", metavar="REV",
+                        help="the commit whose package --against names, matched "
+                             "against the declaration (default HEAD~1)")
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
     import epicut.cli
@@ -172,6 +222,7 @@ def main(argv=None) -> int:
 
     parent_cli = _load(args.against, "epicut_parent") if args.against else None
     seeds = ",".join(map(str, args.seeds))
+    differing = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -186,9 +237,15 @@ def main(argv=None) -> int:
                     print(f"{name} against parent: passes={PASSES} "
                           f"identical={'yes' if same else 'NO'} "
                           f"change/parent={ratio:.3f}", flush=True)
+                    if not same:
+                        differing.append(name)
         finally:
             os.chdir(home)
-    return 0
+    if parent_cli is None:
+        return 0
+    code, line = gate(differing, _declared(), _commit(args.parent))
+    print(line, flush=True)
+    return code
 
 
 if __name__ == "__main__":
