@@ -73,16 +73,22 @@ def _reject_constant(token: str) -> float:
     raise UsageError(f"non-finite number {token!r} in problem file")
 
 
-def _as_number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{where} must be a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError as exc:
-        raise UsageError(f"{where} must be finite, got an integer beyond the "
-                         "float range") from exc
-    if not math.isfinite(out):
-        raise UsageError(f"{where} must be finite, got {value!r}")
+def _as_numbers(values: list, where: str) -> List[float]:
+    """The entries of ``values`` as finite floats.  ``where`` names an
+    entry in the error once its index fills the ``{}``; it is formatted
+    only for a bad entry."""
+    out = []
+    for j, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"{where.format(j)} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError as exc:
+            raise UsageError(f"{where.format(j)} must be finite, got an integer "
+                             "beyond the float range") from exc
+        if not math.isfinite(number):
+            raise UsageError(f"{where.format(j)} must be finite, got {value!r}")
+        out.append(number)
     return out
 
 
@@ -117,8 +123,8 @@ def load_problem(path: str) -> Tuple[Optional[str], LinearSystem]:
             width = len(row)
         elif len(row) != width:
             raise UsageError(f"{path}: 'A' is not rectangular at row {i}")
-        rows.append([_as_number(v, f"A[{i}][{j}]") for j, v in enumerate(row)])
-    offsets = [_as_number(v, f"b[{i}]") for i, v in enumerate(raw_offsets)]
+        rows.append(_as_numbers(row, f"A[{i}][{{}}]"))
+    offsets = _as_numbers(raw_offsets, "b[{}]")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise UsageError(f"{path}: 'name' must be a string")

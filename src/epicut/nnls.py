@@ -6,10 +6,15 @@ layer's Farkas certificates and subgradient floors.
 
 The kernel is Lawson and Hanson's active-set method; each least-squares
 solve on the passive set is one np.linalg.solve on the matching block of
-the Gram matrix, built once per call.  Its accuracy affects only speed:
-every certificate is checked by lp.validate_certificate, and every bound
-built on the weights is a weak-duality bound, which holds for any weights
-on the simplex.
+the Gram matrix, built once per call.  A cold start with no more columns
+than rows first solves the whole Gram system, and returns its solution
+when every entry is positive: the method from zero would end there with
+the same solve, unless a near-duplicate column stays out (see nnls).
+That covers the solver's first model prefix, n + 1 rows for n + 1
+unknowns, in one solve instead of one per column.  Its accuracy affects
+only speed: every certificate is checked by lp.validate_certificate,
+and every bound built on the weights is a weak-duality bound, which
+holds for any weights on the simplex.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 
 def simplex_system(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,19 +83,40 @@ def nnls(
     step.  The solution of a problem with fewer columns, padded with
     zeros, is such a start; the outer steps then only add what the new
     columns change.
+
+    Without a start, and with no more columns than rows, the whole Gram
+    system is solved first, and its solution z is returned when it is
+    finite and positive.  z then meets the KKT conditions with w = 0.
+    Whenever the method from zero ends with every column passive, its
+    last solve is this same np.linalg.solve on the same block: the same
+    bits.  It leaves a column out only when the column's gradient falls
+    below the threshold first, as can happen to a near-duplicate of a
+    passive column; both answers then meet the KKT conditions up to
+    rounding.  Any other z (a singular block, an entry <= 0) runs the
+    method from zero as if it had not been tried.
     """
-    k = matrix.shape[1]
+    m, k = matrix.shape
     # matmul for the products with matrix^T: lp passes strided column
     # windows, where ndarray.dot copies the operand and rounds otherwise.
     # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
     gram = matrix.T @ matrix
     rhs = matrix.T @ target
-    q = np.zeros(k) if start is None else np.maximum(start, 0.0)
-    passive = q > 0.0
+    if start is None:
+        if k <= m:
+            z = _solve(gram, rhs)
+            if z is not None and (z > 0.0).all():
+                return z
+        q = np.zeros(k)
+        passive = np.zeros(k, dtype=bool)
+    else:
+        q = np.maximum(start, 0.0)
+        passive = q > 0.0
+        if passive.any():
+            passive = _settle(matrix, target, gram, rhs, q, passive)
+            if passive.all():
+                return q
     scale = float(np.abs(matrix).sum(axis=0).max())
-    threshold = 10.0 * np.finfo(float).eps * scale * max(matrix.shape)
-    if passive.any():
-        passive = _settle(matrix, target, gram, rhs, q, passive)
+    threshold = 10.0 * _EPS * scale * max(m, k)
     for _ in range(3 * k):
         w = matrix.T @ (target - matrix.dot(q))
         w[passive] = -np.inf
@@ -128,10 +156,20 @@ def _passive_solution(matrix, target, gram, rhs, cols):
     """Least squares on the columns ``cols``: the normal equations on
     their Gram block, or lstsq when that block is singular to working
     precision (no finite solution)."""
-    try:
-        z = np.linalg.solve(gram[cols][:, cols], rhs[cols])
-        if np.isfinite(z).all():
-            return z
-    except np.linalg.LinAlgError:
-        pass
+    if cols.size == rhs.size:
+        z = _solve(gram, rhs)
+    else:
+        z = _solve(gram[cols][:, cols], rhs[cols])
+    if z is not None:
+        return z
     return np.linalg.lstsq(matrix[:, cols], target, rcond=None)[0]
+
+
+def _solve(gram, rhs):
+    """np.linalg.solve(gram, rhs), or None when it finds no finite
+    solution."""
+    try:
+        z = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return z if np.isfinite(z).all() else None

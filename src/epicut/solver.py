@@ -417,11 +417,12 @@ def _model_step(
         weights = min_norm_weights(chosen)
         p = weights.dot(chosen)
         size = weights.dot(np.abs(chosen))
-        # hypot does not overflow where the sum of squares would.
-        pull = radius * math.hypot(*p)
+        # hypot does not overflow where the sum of squares would; it
+        # unpacks a list of floats faster than an array's scalars.
+        pull = radius * math.hypot(*p.tolist())
         bound = float(weights.dot(offsets[take])) + float(p.dot(x0)) - pull
         scale = (float(weights.dot(np.abs(offsets[take])))
-                 + float(size.dot(np.abs(x0))) + radius * math.hypot(*size))
+                 + float(size.dot(np.abs(x0))) + radius * math.hypot(*size.tolist()))
         slack = 4.0 * (k + n + 2) * _ROUNDING * scale
         bound -= slack
         if not bound > best:
@@ -436,7 +437,9 @@ def _model_step(
     # of A: the least-norm solution of an underdetermined system weighs dx
     # against s, and this weighting does not change with the scale of f.
     top = float(np.abs(rows).max()) or 1.0
-    system = np.hstack([rows[support] / top, -np.ones((support.size, 1))])
+    system = np.empty((support.size, n + 1))
+    np.divide(rows[support], top, out=system[:, :n])
+    system[:, n] = -1.0
     step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
     return best, point + step[:n]
 

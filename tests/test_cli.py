@@ -488,6 +488,37 @@ MALFORMED = {
     "int-past-digit-limit": b'{"A": [[1' + b"0" * 5000 + b']], "b": [1]}',
 }
 
+# A bad entry of A or b, each in a file of two rows, and the UsageError
+# load_problem raises for it ({path} stands for the file's path).
+BAD_ENTRIES = {
+    "bool-in-A": ('{"A": [[1, 2], [3, true]], "b": [1, 2]}',
+                  "A[1][1] must be a number, got True"),
+    "bool-in-b": ('{"A": [[1, 2], [3, 4]], "b": [false, 2]}',
+                  "b[0] must be a number, got False"),
+    "string-in-A": ('{"A": [[1, "2"], [3, 4]], "b": [1, 2]}',
+                    "A[0][1] must be a number, got '2'"),
+    "string-in-b": ('{"A": [[1, 2], [3, 4]], "b": [1, "x"]}',
+                    "b[1] must be a number, got 'x'"),
+    "int-beyond-float-in-A": ('{"A": [[1, 2], [1' + "0" * 400 + ', 4]], "b": [1, 2]}',
+                              "A[1][0] must be finite, got an integer beyond the float range"),
+    "int-beyond-float-in-b": ('{"A": [[1, 2], [3, 4]], "b": [1, -1' + "0" * 400 + ']}',
+                              "b[1] must be finite, got an integer beyond the float range"),
+    "overflowing-float-in-A": ('{"A": [[1, 2], [3, 1e999]], "b": [1, 2]}',
+                               "A[1][1] must be finite, got inf"),
+    "overflowing-float-in-b": ('{"A": [[1, 2], [3, 4]], "b": [-1e999, 2]}',
+                               "b[0] must be finite, got -inf"),
+    "nan-constant-in-A": ('{"A": [[1, NaN], [3, 4]], "b": [1, 2]}',
+                          "non-finite number 'NaN' in problem file"),
+    "infinity-constant-in-b": ('{"A": [[1, 2], [3, 4]], "b": [1, -Infinity]}',
+                               "non-finite number '-Infinity' in problem file"),
+    "ragged-row-in-A": ('{"A": [[1, 2], [3]], "b": [1, 2]}',
+                        "{path}: 'A' is not rectangular at row 1"),
+    "ragged-b": ('{"A": [[1, 2], [3, 4]], "b": [1]}',
+                 "{path}: 'b' must list one number per row of 'A'"),
+    "row-in-b": ('{"A": [[1, 2], [3, 4]], "b": [1, [2]]}',
+                 "b[1] must be a number, got [2]"),
+}
+
 
 class TestMalformedFiles:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -501,6 +532,17 @@ class TestMalformedFiles:
         assert proc.stdout == ""
         assert proc.stderr.startswith("epicut: error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(BAD_ENTRIES))
+    def test_bad_entry_message(self, tmp_path, name):
+        from epicut import cli
+
+        text, message = BAD_ENTRIES[name]
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text)
+        with pytest.raises(cli.UsageError) as error:
+            cli.load_problem(str(bad))
+        assert str(error.value) == message.format(path=bad)
 
     def test_bench_skips_them(self, tmp_path):
         for name, data in MALFORMED.items():

@@ -23,7 +23,8 @@ from epicut import (
     vertex_enumerate_feasible,
 )
 from epicut import lp, solver
-from epicut.nnls import min_norm_weights, nnls
+from epicut import nnls as nnls_module
+from epicut.nnls import min_norm_weights, nnls, simplex_system
 
 
 def system(rows, offsets):
@@ -342,6 +343,89 @@ class TestFarkasKernel:
         assert np.linalg.norm(matrix @ warm - target) == pytest.approx(
             np.linalg.norm(matrix @ cold - target), abs=1e-12)
 
+    @staticmethod
+    def tall_problems(count, seed):
+        """nnls problems with no more columns than rows, 1 to 9 rows: odd
+        ones simplex_system's of k <= n + 1 rows of dimension n <= 8, even
+        ones general.  Row scales run from 1e-3 to 1e3, and every fourth
+        problem has a near-duplicate row of A (odd) or column of the
+        matrix (even), at a relative distance from 1e-12 to 1e-3."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            if i % 2:
+                n = int(rng.integers(1, 9))
+                k = int(rng.integers(1, n + 2))
+                rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+                if i % 4 == 3 and k >= 2:
+                    rows[1] = rows[0] * (1.0 + 10.0 ** rng.uniform(-12, -3)
+                                         * rng.standard_normal(n))
+                yield simplex_system(rows)
+            else:
+                r = int(rng.integers(1, 10))
+                k = int(rng.integers(1, r + 1))
+                matrix = rng.standard_normal((r, k)) * 10.0 ** rng.uniform(-3, 3, (r, 1))
+                if i % 4 == 2 and k >= 2:
+                    matrix[:, 1] = matrix[:, 0] * (1.0 + 10.0 ** rng.uniform(-12, -3)
+                                                   * rng.standard_normal(r))
+                yield matrix, rng.standard_normal(r)
+
+    def test_one_step_matches_the_cold_start(self):
+        # Without a start, a full-rank problem whose Gram solve is
+        # positive returns that solve, the last one of the method from
+        # zero whenever the method lets every column in: the same bits.
+        # A near-duplicate column may stay out of the cold solution (its
+        # gradient falls below the rounding threshold) while the one
+        # solve splits the weight between the pair; both then meet the
+        # KKT conditions up to rounding.
+        split = positive = 0
+        for matrix, target in self.tall_problems(2000, 300):
+            q = nnls(matrix, target)
+            cold = nnls(matrix, target, np.zeros(matrix.shape[1]))
+            positive += bool((q > 0.0).all())
+            if q.tobytes() == cold.tobytes():
+                continue
+            assert not (cold > 0.0).all()
+            assert (q > 0.0).all()
+            split += 1
+            size = np.linalg.norm(matrix)
+            tol = 100.0 * np.finfo(float).eps * max(matrix.shape) * size * (
+                size * np.linalg.norm(q) + np.linalg.norm(target))
+            w = matrix.T @ (target - matrix @ q)
+            assert float(np.max(np.abs(w))) <= tol
+        assert split <= 20
+        assert positive >= 200  # the one-solve path runs
+
+    def test_square_positive_problem_takes_one_solve(self, monkeypatch):
+        calls = []
+        passive_solution = nnls_module._passive_solution
+        monkeypatch.setattr(nnls_module, "_passive_solution",
+                            lambda *args: calls.append(args) or passive_solution(*args))
+        matrix = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+        target = matrix @ np.array([1.0, 2.0, 0.5])
+        q = nnls(matrix, target)
+        assert calls == []
+        assert q.tobytes() == np.linalg.solve(matrix.T @ matrix, matrix.T @ target).tobytes()
+        assert nnls(matrix, target, np.zeros(3)).tobytes() == q.tobytes()
+        assert len(calls) == 3
+
+    def test_negative_entry_runs_the_cold_method(self):
+        # The unconstrained solution is (1, -1, 0.5); nnls keeps column 1 out.
+        matrix = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+        target = matrix @ np.array([1.0, -1.0, 0.5])
+        q = nnls(matrix, target)
+        assert q[1] == 0.0 and (q[[0, 2]] > 0.0).all()
+        assert q.tobytes() == nnls(matrix, target, np.zeros(3)).tobytes()
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_start_settled_on_every_column(self, rows):
+        # The passive set covers every column once settled, so the
+        # result is the solve on the whole Gram matrix.
+        rng = np.random.default_rng(rows)
+        matrix = rng.standard_normal((rows, 3))
+        target = matrix @ np.array([1.0, 2.0, 0.5]) + 0.01 * rng.standard_normal(rows)
+        q = nnls(matrix, target, np.ones(3))
+        assert q.tobytes() == np.linalg.solve(matrix.T @ matrix, matrix.T @ target).tobytes()
+
     def test_warm_windows_match_cold_ones(self, monkeypatch):
         # Each wider certificate window starts from the last one's nnls
         # solution.  Run cold (every start dropped), decide gives the same
@@ -368,7 +452,8 @@ class TestFarkasKernel:
 
         warm = outcomes()
         kernel = lp.nnls
-        monkeypatch.setattr(lp, "nnls", lambda matrix, target, start=None: kernel(matrix, target))
+        monkeypatch.setattr(lp, "nnls", lambda matrix, target, start=None:
+                            kernel(matrix, target, np.zeros(matrix.shape[1])))
         assert outcomes() == warm
         assert {verdict for verdict, _ in warm} == {
             FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE_NON_STRICT}
