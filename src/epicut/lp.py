@@ -245,26 +245,25 @@ def _window_multipliers(system: LinearSystem, x: np.ndarray, window: float):
     every row; a widening that adds no row yields nothing new.
 
     The rows are sorted by their gap to f(x) once, so each window is a
-    prefix of that order, and its nnls problem is the last one's with
-    columns appended (one power-of-two scale, simplex_system's, for the
-    whole system).  Each solve is warm-started from the last window's
-    raw nnls solution padded with zeros: that solution is optimal on the
-    old columns, so only the new ones can enter.
+    prefix of that order, and its nnls problem is a column prefix of one
+    matrix (one power-of-two scale, simplex_system's, for the whole
+    system).  Each window is solved cold: a window with no more rows
+    than the dimension plus one is one Gram solve when its solution is
+    positive (see nnls).
     """
     values = system._values(x)
     gaps = float(np.max(values)) - values
     order = np.argsort(gaps, kind="stable")
     sorted_gaps = gaps[order]
     matrix, target = simplex_system(system.rows[order])
-    raw = np.zeros(0)
-    while raw.size < system.m:
+    solved = 0
+    while solved < system.m:
         count = int(np.searchsorted(sorted_gaps, window, side="right"))
         window *= 10.0
-        if count == raw.size:
+        if count == solved:
             continue
-        start = np.zeros(count)
-        start[: raw.size] = raw
-        raw = nnls(matrix[:, :count], target, start)
+        solved = count
+        raw = nnls(matrix[:, :count], target)
         q = np.zeros(system.m)
         q[order[:count]] = raw / float(raw.sum())
         yield q

@@ -6,7 +6,7 @@ layer's Farkas certificates and subgradient floors.
 
 The kernel is Lawson and Hanson's active-set method; each least-squares
 solve on the passive set is one np.linalg.solve on the matching block of
-the Gram matrix, built once per call.  A cold start with no more columns
+the Gram matrix, built once per call.  A problem with no more columns
 than rows first solves the whole Gram system, and returns its solution
 when every entry is positive: the method from zero would end there with
 the same solve, unless a near-duplicate column stays out (see nnls).
@@ -20,7 +20,7 @@ holds for any weights on the simplex.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -63,11 +63,38 @@ def min_norm_weights(rows: np.ndarray) -> np.ndarray:
     return q / float(q.sum())
 
 
-def nnls(
-    matrix: np.ndarray, target: np.ndarray, start: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """min ||matrix q - target|| over q >= 0, by Lawson and Hanson's
-    active-set method ("Solving Least Squares Problems", 1974, ch. 23).
+def nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """min ||matrix q - target|| over q >= 0.
+
+    With no more columns than rows, the whole Gram system is solved
+    first, and its solution z is returned when it is finite and
+    positive.  z then meets the KKT conditions with w = 0.  Whenever
+    the method from zero (_lawson_hanson) ends with every column
+    passive, its last solve is this same np.linalg.solve on the same
+    block: the same bits.  It leaves a column out only when the
+    column's gradient falls below the threshold first, as can happen to
+    a near-duplicate of a passive column; both answers then meet the KKT
+    conditions up to rounding.  Any other problem, or any other z (a
+    singular block, an entry <= 0), runs the method from zero as if z
+    had not been tried.
+    """
+    m, k = matrix.shape
+    # matmul for the products with matrix^T: lp passes strided column
+    # windows, where ndarray.dot copies the operand and rounds otherwise.
+    # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
+    gram = matrix.T @ matrix
+    rhs = matrix.T @ target
+    if k <= m:
+        z = _solve(gram, rhs)
+        if z is not None and (z > 0.0).all():
+            return z
+    return _lawson_hanson(matrix, target, gram, rhs)
+
+
+def _lawson_hanson(matrix, target, gram, rhs):
+    """nnls by Lawson and Hanson's active-set method from q = 0 ("Solving
+    Least Squares Problems", 1974, ch. 23); ``gram`` and ``rhs`` are
+    matrix^T matrix and matrix^T target.
 
     Each outer step moves the free column with the largest positive
     gradient entry w = matrix^T (target - matrix q) into the passive
@@ -77,44 +104,10 @@ def nnls(
     when no free entry of w exceeds a rounding threshold (the KKT
     conditions: w <= 0, and w = 0 where q > 0), or after 3k outer steps
     as a guard against rounding cycles.
-
-    ``start``, a q >= 0, warm-starts the method: its positive entries
-    form the first passive set, which is solved before the first outer
-    step.  The solution of a problem with fewer columns, padded with
-    zeros, is such a start; the outer steps then only add what the new
-    columns change.
-
-    Without a start, and with no more columns than rows, the whole Gram
-    system is solved first, and its solution z is returned when it is
-    finite and positive.  z then meets the KKT conditions with w = 0.
-    Whenever the method from zero ends with every column passive, its
-    last solve is this same np.linalg.solve on the same block: the same
-    bits.  It leaves a column out only when the column's gradient falls
-    below the threshold first, as can happen to a near-duplicate of a
-    passive column; both answers then meet the KKT conditions up to
-    rounding.  Any other z (a singular block, an entry <= 0) runs the
-    method from zero as if it had not been tried.
     """
     m, k = matrix.shape
-    # matmul for the products with matrix^T: lp passes strided column
-    # windows, where ndarray.dot copies the operand and rounds otherwise.
-    # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
-    gram = matrix.T @ matrix
-    rhs = matrix.T @ target
-    if start is None:
-        if k <= m:
-            z = _solve(gram, rhs)
-            if z is not None and (z > 0.0).all():
-                return z
-        q = np.zeros(k)
-        passive = np.zeros(k, dtype=bool)
-    else:
-        q = np.maximum(start, 0.0)
-        passive = q > 0.0
-        if passive.any():
-            passive = _settle(matrix, target, gram, rhs, q, passive)
-            if passive.all():
-                return q
+    q = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
     scale = float(np.abs(matrix).sum(axis=0).max())
     threshold = 10.0 * _EPS * scale * max(m, k)
     for _ in range(3 * k):

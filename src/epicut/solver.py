@@ -129,18 +129,20 @@ class MetastepConfig:
             raise ValueError("radius_growth must be >= 1")
 
     def check_radii(self) -> None:
-        """Raise ValueError unless every radius a run reaches, R g^k for
-        k < max_metasteps, has a square in [1e-300, largest float].
+        """Raise ValueError unless each radius R g^k for k < max_metasteps
+        has a square in [1e-300, largest float].
 
-        The run squares each of them: Ellipsoid.ball's pivot, ||x - x0||^2
+        A run squares its radii: Ellipsoid.ball's pivot, ||x - x0||^2
         and the ball cut's slack.  The smallest is R, tested as the ball
         tests it; the largest is tested in log space, where g^k cannot
-        overflow.
+        overflow.  A move on the model's word can grow a later radius
+        past R g^k; run_metasteps tests each radius it reaches and ends
+        the run at one out of range.
         """
         steps = self.max_metasteps - 1
         top = math.log(self.radius) + (steps * math.log(self.radius_growth) if steps else 0.0)
-        _check_squares(self.radius, top, "every radius a run reaches, radius * "
-                       "radius_growth**k for k < max_metasteps,")
+        _check_squares(self.radius, top, "each radius radius * radius_growth**k "
+                       "for k < max_metasteps")
 
     def iteration_budget(self, d: int) -> int:
         """Per-metastep iteration cap in R^d, 2(d+1)(d+2) log(R/eps)."""
@@ -206,7 +208,7 @@ def bisect_level(
     TraceRecord per cut, each with query 1 (join renumbers them);
     without it ``trace`` is empty.  Tracing changes nothing else.
     Raises ValueError unless the radius has a square in [1e-300, largest
-    float], the range MetastepConfig.check_radii asks of a whole run.
+    float], the range MetastepConfig.check_radii asks of each R g^k.
 
     ``hook``, when given, is called with the incumbent every 4(d+1)
     iterations while the proven lower bound is above 0, that is while

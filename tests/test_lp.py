@@ -326,22 +326,11 @@ class TestFarkasKernel:
         cert = min_norm_weights(np.array([[scale], [-2.0 * scale]]))
         npt.assert_allclose(cert, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_warm_start_reaches_the_cold_optimum(self, seed):
-        # The solution on a prefix of the columns, padded with zeros,
-        # starts the solve on all of them.
-        rng = np.random.default_rng(200 + seed)
-        m, n = int(rng.integers(4, 13)), int(rng.integers(1, 6))
-        rows = rng.uniform(-1, 1, (m, n)) if seed % 2 else planted_infeasible(rng, m, n).rows
-        matrix, target = self.stacked(rows)
-        cold = nnls(matrix, target)
-        k = int(rng.integers(1, m))
-        start = np.zeros(m)
-        start[:k] = nnls(matrix[:, :k], target)
-        warm = nnls(matrix, target, start)
-        assert float(np.min(warm)) >= 0.0
-        assert np.linalg.norm(matrix @ warm - target) == pytest.approx(
-            np.linalg.norm(matrix @ cold - target), abs=1e-12)
+    @staticmethod
+    def from_zero(matrix, target):
+        """Lawson and Hanson's method from q = 0, with no Gram solve first."""
+        return nnls_module._lawson_hanson(matrix, target, matrix.T @ matrix,
+                                          matrix.T @ target)
 
     @staticmethod
     def tall_problems(count, seed):
@@ -370,9 +359,9 @@ class TestFarkasKernel:
                 yield matrix, rng.standard_normal(r)
 
     def test_one_step_matches_the_cold_start(self):
-        # Without a start, a full-rank problem whose Gram solve is
-        # positive returns that solve, the last one of the method from
-        # zero whenever the method lets every column in: the same bits.
+        # A full-rank problem whose Gram solve is positive returns that
+        # solve, the last one of the method from zero whenever the
+        # method lets every column in: the same bits.
         # A near-duplicate column may stay out of the cold solution (its
         # gradient falls below the rounding threshold) while the one
         # solve splits the weight between the pair; both then meet the
@@ -380,7 +369,7 @@ class TestFarkasKernel:
         split = positive = 0
         for matrix, target in self.tall_problems(2000, 300):
             q = nnls(matrix, target)
-            cold = nnls(matrix, target, np.zeros(matrix.shape[1]))
+            cold = self.from_zero(matrix, target)
             positive += bool((q > 0.0).all())
             if q.tobytes() == cold.tobytes():
                 continue
@@ -405,7 +394,7 @@ class TestFarkasKernel:
         q = nnls(matrix, target)
         assert calls == []
         assert q.tobytes() == np.linalg.solve(matrix.T @ matrix, matrix.T @ target).tobytes()
-        assert nnls(matrix, target, np.zeros(3)).tobytes() == q.tobytes()
+        assert self.from_zero(matrix, target).tobytes() == q.tobytes()
         assert len(calls) == 3
 
     def test_negative_entry_runs_the_cold_method(self):
@@ -414,48 +403,30 @@ class TestFarkasKernel:
         target = matrix @ np.array([1.0, -1.0, 0.5])
         q = nnls(matrix, target)
         assert q[1] == 0.0 and (q[[0, 2]] > 0.0).all()
-        assert q.tobytes() == nnls(matrix, target, np.zeros(3)).tobytes()
+        assert q.tobytes() == self.from_zero(matrix, target).tobytes()
 
-    @pytest.mark.parametrize("rows", [3, 5])
-    def test_start_settled_on_every_column(self, rows):
-        # The passive set covers every column once settled, so the
-        # result is the solve on the whole Gram matrix.
-        rng = np.random.default_rng(rows)
-        matrix = rng.standard_normal((rows, 3))
-        target = matrix @ np.array([1.0, 2.0, 0.5]) + 0.01 * rng.standard_normal(rows)
-        q = nnls(matrix, target, np.ones(3))
-        assert q.tobytes() == np.linalg.solve(matrix.T @ matrix, matrix.T @ target).tobytes()
-
-    def test_warm_windows_match_cold_ones(self, monkeypatch):
-        # Each wider certificate window starts from the last one's nnls
-        # solution.  Run cold (every start dropped), decide gives the same
-        # verdicts, every certificate passes validate_certificate, and the
-        # first window that passes it at each incumbent is the same one.
-        # (Later windows may differ: a wide window has many q with
-        # A^T q = 0, and a warm start keeps the one it has.)
+    def test_cold_windows_certify_decide(self):
+        # Every certificate window is solved cold.  decide proves each
+        # planted system infeasible and gives both verdicts on random
+        # ones; every certificate passes validate_certificate, and some
+        # window at the incumbent passes it exactly when the verdict is
+        # infeasible.
         rng = np.random.default_rng(71)
-        systems = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)
+        planted = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)
                    for _ in range(3)]
-        systems += [normalize(system(rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, m)))
-                    for m in (4, 8, 12) for _ in range(4)]
-
-        def outcomes():
-            out = []
-            for sys_n in systems:
-                got = decide_feasibility(sys_n)
-                if got.certificate is not None:
-                    assert validate_certificate(sys_n, got.certificate)
-                windows = lp._window_multipliers(sys_n, got.report.best_point, 1e-8)
-                passing = [validate_certificate(sys_n, q) for q in windows]
-                out.append((got.verdict, passing.index(True) if True in passing else None))
-            return out
-
-        warm = outcomes()
-        kernel = lp.nnls
-        monkeypatch.setattr(lp, "nnls", lambda matrix, target, start=None:
-                            kernel(matrix, target, np.zeros(matrix.shape[1])))
-        assert outcomes() == warm
-        assert {verdict for verdict, _ in warm} == {
+        random = [normalize(system(rng.uniform(-1, 1, (m, 3)), rng.uniform(-1, 1, m)))
+                  for m in (4, 8, 12) for _ in range(4)]
+        verdicts = []
+        for sys_n in planted + random:
+            got = decide_feasibility(sys_n)
+            verdicts.append(got.verdict)
+            if got.certificate is not None:
+                assert validate_certificate(sys_n, got.certificate)
+            windows = lp._window_multipliers(sys_n, got.report.best_point, 1e-8)
+            assert any(validate_certificate(sys_n, q) for q in windows) == (
+                got.verdict is not FeasibilityVerdict.FEASIBLE)
+        assert set(verdicts[:len(planted)]) == {FeasibilityVerdict.INFEASIBLE_NON_STRICT}
+        assert set(verdicts) == {
             FeasibilityVerdict.FEASIBLE, FeasibilityVerdict.INFEASIBLE_NON_STRICT}
 
 

@@ -1,5 +1,5 @@
-"""The byte-identity gate of tools/report_digest.py, decided without
-running the workloads."""
+"""The byte-identity gate of tools/report_digest.py and its account of
+what differs, decided without running the workloads."""
 
 import importlib.util
 import json
@@ -7,6 +7,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
@@ -68,14 +69,69 @@ class TestMain:
         monkeypatch.setattr(digest, "DECLARATION", str(path))
         monkeypatch.setattr(digest, "_load", lambda src, name: types.SimpleNamespace(main=None))
         monkeypatch.setattr(digest, "_commit", lambda rev: PARENT)
-        monkeypatch.setattr(digest, "walk",
-                            lambda *args: (("0" * 64, 1, 1), False, 1.0))
+        monkeypatch.setattr(digest, "walk", lambda *args: (
+            ("0" * 64, 1, 1), {0: {"d_star", "certificate"}, 3: {"certificate"}}, 1.0))
         assert digest.main(["--against", str(tmp_path)]) == code
         lines = capsys.readouterr().out.splitlines()
-        assert sum("identical=NO" in line for line in lines) == 3
+        assert sum(line.endswith("identical=NO change/parent=1.000 "
+                                 "differs=certificate,d_star calls=2")
+                   for line in lines) == 3
         assert lines[-1].startswith("gate: ")
 
     def test_without_a_parent_there_is_no_gate(self, digest, monkeypatch, capsys):
-        monkeypatch.setattr(digest, "walk", lambda *args: (("0" * 64, 1, 1), True, None))
+        monkeypatch.setattr(digest, "walk", lambda *args: (("0" * 64, 1, 1), {}, None))
         assert digest.main([]) == 0
         assert "gate" not in capsys.readouterr().out
+
+
+def fake_main(certificate, stderr=""):
+    """A stand-in cli.main: a JSON report whose certificate is
+    ``certificate(argv)``, and a trace file when asked for one."""
+    def main(argv):
+        report = {"verdict": "infeasible", "certificate": certificate(argv),
+                  "ellipsoid_iters": 5}
+        print(json.dumps(report))
+        sys.stderr.write(stderr)
+        if "--trace" in argv:
+            with open(argv[argv.index("--trace") + 1], "w") as handle:
+                handle.write("{}\n")
+        return 1
+    return main
+
+
+def fake_workload(seed):
+    problem = types.SimpleNamespace(name=f"p{seed}", rows=np.eye(2), offsets=np.ones(2))
+    return types.SimpleNamespace(problems=[problem], ops=[
+        types.SimpleNamespace(command=command, problem=problem, flags=[], label=command)
+        for command in ("decide", "find-point")])
+
+
+class TestWalk:
+    def test_names_the_report_keys_that_differ(self, digest, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        change = fake_main(lambda argv: [0.5, 0.5])
+        parent = fake_main(lambda argv: [0.5, 0.5] if argv[0] == "decide" else [1.0, 0.0])
+        (sha, calls, iters), differences, ratio = digest.walk(
+            fake_workload, [0, 1], change, parent)
+        assert (calls, iters) == (4, 20)
+        # find-point is the second call of each seed's pass.
+        assert differences == {1: {"certificate"}, 3: {"certificate"}}
+        assert digest.describe(differences) == "differs=certificate calls=2"
+        assert ratio > 0.0
+        same = digest.walk(fake_workload, [0, 1], change, change)
+        assert same[0][0] == sha and same[1] == {}
+        alone = digest.walk(fake_workload, [0, 1], change)
+        assert alone[0][0] == sha and alone[1:] == ({}, None)
+
+    def test_names_exit_code_stderr_and_trace_file(self, digest):
+        report = json.dumps({"certificate": [1.0, -0.0]})
+        assert digest._differences((1, report, "", b"{}"), (0, report, "oops", b"")) == {
+            "exit_code", "stderr", "trace_file"}
+        # -0.0 and 0.0 differ in the report's text, not as numbers.
+        assert digest._differences(
+            (1, report, ""), (1, json.dumps({"certificate": [1.0, 0.0]}), "")) == {"certificate"}
+        # A report that gains a key, and a stdout that is no JSON object.
+        assert digest._differences((1, "{}", ""), (1, report, "")) == {"certificate"}
+        assert digest._differences((64, "", ""), (64, "usage", "")) == {"stdout"}
+        # The same values in another text: stdout as a whole differs.
+        assert digest._differences((1, report, ""), (1, report + "\n", "")) == {"stdout"}

@@ -22,6 +22,10 @@ an order that alternates from call to call, ``PASSES`` times over the
 workload.  After each workload's digest line it prints a second line:
 whether every output of the two was byte-identical and the change's
 share of the parent's time in ``cli.main``, summed over the calls.
+When outputs differ, the line also names what differs and in how many
+calls: the keys of the JSON report whose values differ, and
+``exit_code``, ``stderr`` or ``trace_file`` (``stdout`` when a side
+prints no JSON object), e.g. ``differs=certificate,d_star calls=8``.
 Timing both sides in the same moment cancels the drift in speed between
 separate processes.
 
@@ -83,9 +87,9 @@ def _write_problems(workload) -> None:
                        "b": problem.offsets.tolist()}, handle)
 
 
-def _traced_call(main, seed, op):
-    """(outputs, ellipsoid iterations) of one call with ``--trace``;
-    outputs are the bytes the digest covers."""
+def _traced_call(main, op):
+    """(exit code, stdout, stderr, trace file bytes) of one call with
+    ``--trace``."""
     trace = "trace.jsonl"
     argv = [op.command, op.problem.name + ".json"] + op.flags + ["--trace", trace]
     code, out, err, _ = _call(main, argv)
@@ -95,8 +99,41 @@ def _traced_call(main, seed, op):
         os.remove(trace)
     except OSError:
         traced = b""
-    parts = (f"{seed} {op.label} {code}\n{out}\n{err}\n".encode(), traced)
-    return parts, _report_iters(out)
+    return code, out, err, traced
+
+
+def _differences(change, parent):
+    """The names of the outputs that differ between two runs of one
+    call, each a tuple (exit code, stdout, stderr[, trace file bytes]):
+    ``exit_code``, ``stderr``, ``trace_file``, and for stdout the keys
+    whose values differ when both are JSON objects, else ``stdout``."""
+    names = set()
+    for name, ours, theirs in zip(("exit_code", "stdout", "stderr", "trace_file"),
+                                  change, parent):
+        if ours == theirs:
+            continue
+        if name == "stdout":
+            reports = [_report(out) for out in (ours, theirs)]
+            if None not in reports:
+                ours, theirs = reports
+                # Values as JSON text, where -0.0 and 0.0 differ as on stdout.
+                keys = {key for key in ours.keys() | theirs.keys()
+                        if key not in ours.keys() & theirs.keys()
+                        or json.dumps(ours[key]) != json.dumps(theirs[key])}
+                if keys:
+                    names |= keys
+                    continue
+        names.add(name)
+    return names
+
+
+def _report(out: str):
+    """The JSON object ``out`` holds, or None."""
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return None
+    return report if isinstance(report, dict) else None
 
 
 def _report_iters(out: str) -> int:
@@ -114,23 +151,27 @@ def _hash(sha, parts) -> None:
 
 
 def walk(workload_fn, seeds, change, parent=None):
-    """(digest, identical, change/parent time) of passes over all seeds;
-    runs in the current working directory.
+    """(digest, differences, change/parent time) of passes over all
+    seeds; runs in the current working directory.
 
     The digest is (sha256 hex, calls, total ellipsoid iterations) over
-    the change's calls with ``--trace``.  Without ``parent`` that is the
-    one pass, identical is True and the time None.  With it, ``PASSES``
-    passes run each call by both mains back to back, alternating which
-    goes first.  Each pass times calls without ``--trace``, as the
-    benchmark makes them, and compares their outputs; the first also
-    compares the traced calls' outputs, trace files included."""
+    the change's calls with ``--trace``.  differences maps each call
+    whose outputs differ, by its place in a pass, to the names
+    _differences gives over all passes; it is empty when every output is
+    byte-identical.  Without ``parent`` that is the one pass, with no
+    differences and the time None.  With it, ``PASSES`` passes run each
+    call by both mains back to back, alternating which goes first.  Each
+    pass times calls without ``--trace``, as the benchmark makes them,
+    and compares their outputs; the first also compares the traced
+    calls' outputs, trace files included."""
     mains = (change, parent)
     spent = [0.0, 0.0]
-    identical = True
+    differences = {}
     sha = hashlib.sha256()
     calls = iters = 0
     passes = 1 if parent is None else PASSES
     for rep in range(passes):
+        place = 0
         for seed in seeds:
             workload = workload_fn(seed)
             _write_problems(workload)
@@ -142,18 +183,28 @@ def walk(workload_fn, seeds, change, parent=None):
                     if parent is not None:
                         code, out, err, seconds = _call(mains[side], argv)
                         spent[side] += seconds
-                        outputs[side] += [code, out, err]
+                        outputs[side].append((code, out, err))
                     if rep == 0:
-                        outputs[side].append(_traced_call(mains[side], seed, op))
+                        outputs[side].append(_traced_call(mains[side], op))
                 if parent is not None:
-                    identical = identical and outputs[0] == outputs[1]
+                    for ours, theirs in zip(*outputs):
+                        names = _differences(ours, theirs)
+                        if names:
+                            differences.setdefault(place, set()).update(names)
                 if rep == 0:
-                    parts, op_iters = outputs[0][-1]
-                    _hash(sha, parts)
-                    iters += op_iters
+                    code, out, err, traced = outputs[0][-1]
+                    _hash(sha, (f"{seed} {op.label} {code}\n{out}\n{err}\n".encode(), traced))
+                    iters += _report_iters(out)
                 calls += 1
+                place += 1
     ratio = None if parent is None else spent[0] / spent[1]
-    return (sha.hexdigest(), calls // passes, iters), identical, ratio
+    return (sha.hexdigest(), calls // passes, iters), differences, ratio
+
+
+def describe(differences) -> str:
+    """The ``differs=... calls=...`` words for walk's differences."""
+    names = sorted(set().union(*differences.values()))
+    return f"differs={','.join(names)} calls={len(differences)}"
 
 
 def gate(differing, declared, parent):
@@ -228,17 +279,19 @@ def main(argv=None) -> int:
         os.chdir(work)
         try:
             for name in WORKLOAD_NAMES:
-                (sha, calls, iters), same, ratio = walk(
+                (sha, calls, iters), differences, ratio = walk(
                     WORKLOADS[name], args.seeds, epicut.cli.main,
                     None if parent_cli is None else parent_cli.main)
                 print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
                       f"sha256={sha}", flush=True)
                 if parent_cli is not None:
-                    print(f"{name} against parent: passes={PASSES} "
-                          f"identical={'yes' if same else 'NO'} "
-                          f"change/parent={ratio:.3f}", flush=True)
-                    if not same:
+                    line = (f"{name} against parent: passes={PASSES} "
+                            f"identical={'NO' if differences else 'yes'} "
+                            f"change/parent={ratio:.3f}")
+                    if differences:
+                        line += " " + describe(differences)
                         differing.append(name)
+                    print(line, flush=True)
         finally:
             os.chdir(home)
     if parent_cli is None:
