@@ -4,15 +4,15 @@ and feasible-point search.
 
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
-set.  The decision minimizes that f in R^n in metasteps of its own
-loop, passing the system itself to the solver, and the point search
-reads that run as a point; an infeasible verdict rests on multipliers
-of the rows active at the incumbent that pass validate_certificate.
-The two floors (subgradient_lower_bound_at and global_radius) are
+set.  The decision solves Farkas' alternative as one nnls, whose
+certificate decides an infeasible system without a run, and otherwise
+minimizes f from the feasible point nearest the origin in metasteps of
+its own loop; the point search reads that decision as a point.  The
+two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
-minimum-norm-point problem; the NNLS kernel that finds the certificates
-solves it, and each floor reports the weak-duality lower bound of that
-solution (see _hull_floor).
+minimum-norm-point problem; the NNLS kernel that finds the
+certificates solves it, and each floor reports the weak-duality lower
+bound of that solution (see _hull_floor).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class PointSearchOutcome(Enum):
 @dataclass
 class PointSearchResult:
     point: Optional[np.ndarray]
-    f_value: float
+    f_value: Optional[float]
     outcome: PointSearchOutcome
     metastep_report: Optional[MetastepResult]
     radius_used: Optional[float] = None
@@ -151,20 +151,19 @@ def decide_feasibility(
     """Feasibility decision for a normalized system by minimizing
     f(x) = max_k (A_k . x + b_k) in R^n.
 
-    Runs at most _PRIMAL_METASTEPS metasteps (solver.bisect_level) with
-    eps = min(tol/10, 1e-8), the first over the ball of radius
-    _PRIMAL_RADIUS around the origin.  A metastep stops at the first
-    evaluated x with f(x) < 0, a strictly feasible point: Feasible.
-    Once its proven lower bound is above 0, the system is infeasible,
-    and every 4(n+1) iterations its hook hands the incumbent to
-    _active_certificate; the metastep ends as soon as that q has
-    b.q > tol.  After a metastep that ends otherwise, _active_certificate
-    is tried at its incumbent once more; without a certificate the next
-    metastep runs around it in a ball _PRIMAL_GROWTH times larger.  A
-    q with b.q > tol gives InfeasibleNonStrict, one with |b.q| <= tol
-    InfeasibleStrictOnly, and neither f < 0 nor a q after the last
-    metastep Undecided.  The report joins the metasteps (solver.join);
-    ``trace`` records per-cut traces in it (see solver.bisect_level).
+    A certificate from _farkas_least_squares gives InfeasibleNonStrict
+    with no run (report None).  Otherwise at most _PRIMAL_METASTEPS
+    metasteps (solver.bisect_level) run with eps = min(tol/10, 1e-8),
+    the first over the ball of radius _PRIMAL_RADIUS around the feasible
+    point nearest the origin that it gives.  A metastep stops
+    at the first evaluated x with f(x) < 0, a strictly feasible point:
+    Feasible.  After a metastep that ends otherwise, _active_certificate
+    is tried at its incumbent; without a q the next metastep runs around
+    it in a ball _PRIMAL_GROWTH times larger.  A q with b.q > tol gives
+    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
+    neither f < 0 nor a q after the last metastep Undecided.  The report
+    joins the metasteps (solver.join); ``trace`` records per-cut traces
+    in it (see solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -177,31 +176,20 @@ def decide_feasibility(
         radius_growth=_PRIMAL_GROWTH,
         stop_when_high_below=0.0,
     )
-    proven: List[np.ndarray] = []
-
-    def try_certificate(point: np.ndarray) -> bool:
-        # Only a certificate that proves ends the metastep.
-        q = _active_certificate(system, point, eps, tol)
-        if q is not None and float(system.offsets @ q) > tol:
-            proven.append(q)
-            return True
-        return False
-
-    x = np.zeros(system.n)
+    cert, x = _farkas_least_squares(system, tol)
     report: Optional[MetastepResult] = None
     for _ in range(cfg.max_metasteps):
-        # An attribute lookup, so that benchmark/tracing.py sees the call.
-        step = solver.bisect_level(system, x, cfg, trace=trace, hook=try_certificate)
-        report = step if report is None else join(report, step)
-        # A hook proof comes with lb > 0, so f < 0 and a proof exclude each other.
-        if step.best_value < 0.0:
-            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
-        cert = proven[0] if proven else _active_certificate(system, step.best_point, eps, tol)
         if cert is not None:
             break
+        # An attribute lookup, so that benchmark/tracing.py sees the call.
+        step = solver.bisect_level(system, x, cfg, trace=trace)
+        report = step if report is None else join(report, step)
+        if step.best_value < 0.0:
+            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
+        cert = _active_certificate(system, step.best_point, eps, tol)
         x = step.best_point
         cfg = replace(cfg, radius=cfg.radius * cfg.radius_growth)
-    else:
+    if cert is None:
         return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
     verdict = (
         FeasibilityVerdict.INFEASIBLE_NON_STRICT
@@ -210,6 +198,42 @@ def decide_feasibility(
     )
     d_star = float(np.sum((system.rows.T @ cert) ** 2))
     return FeasibilityDecision(verdict, cert, d_star, report)
+
+
+def _farkas_least_squares(
+    system: LinearSystem, tol: float
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """A certificate, or else the decision run's start, from one nnls.
+
+    Farkas' alternative in least-squares form (A. Dax, "An elementary
+    proof of Farkas' lemma", SIAM Review 39, 1997): q >= 0 minimizing
+    ||M q - t|| for M = [A^T; b^T] and t = e_{n+1}.  The residual
+    r = t - M q is 0 exactly when A^T q = 0 and b.q = 1.  Otherwise the
+    KKT conditions give r_b = ||r||^2 > 0 and A r_x + b r_b <= 0: r is
+    the projection of t onto the cone {y : A y_x + b y_b <= 0}, so
+    r_x / r_b is the feasible point nearest the origin.
+
+    Returns (q / sum q, None) when that passes validate_certificate,
+    else (None, r_x / r_b), or (None, origin) for r_b <= 0.  The check
+    needs ||r_x|| = ||A^T q|| <= 2 tol sum q, so it is skipped at twice
+    that: skipping can only pass the decision on to the run.
+    """
+    n = system.n
+    matrix = np.empty((n + 1, system.m))
+    matrix[:n] = system.rows.T
+    matrix[n] = system.offsets
+    target = np.zeros(n + 1)
+    target[n] = 1.0
+    q = nnls(matrix, target)
+    residual = target - matrix.dot(q)
+    r_x, r_b = residual[:n], float(residual[n])
+    total = float(q.sum())
+    # Strict, so that q = 0 (r_x = 0) is never rescaled.
+    if math.sqrt(r_x.dot(r_x)) < 4.0 * tol * total:
+        cert = q / total
+        if validate_certificate(system, cert, tol):
+            return cert, None
+    return None, (r_x / r_b if r_b > 0.0 else np.zeros(n))
 
 
 def _active_certificate(
@@ -223,8 +247,7 @@ def _active_certificate(
     that passes validate_certificate on the whole system is returned.
     Failing that, the first q that passes its sign and residual checks
     with |b.q| <= tol is returned, and None when no window gives one.
-    So b.q > tol holds exactly when q passes validate_certificate: the
-    decision run's hook keeps only such a q, its last try either kind.
+    So b.q > tol holds exactly when q passes validate_certificate.
     """
     fallback = None
     for q in _window_multipliers(system, x, window):
@@ -359,11 +382,12 @@ def find_feasible_point(
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
     A feasible origin is returned at once, with radius_used 0.  Otherwise
-    this is decide_feasibility's run (with tol feas_tol) read as a point:
-    a best value at most feas_tol is a feasible point, an
-    InfeasibleNonStrict verdict proves infeasibility with its
-    certificate, and anything else is undecided.  radius_used is the
-    radius of the last metastep's ball.  ``trace`` records a per-cut
+    this is decide_feasibility's decision (with tol feas_tol) read as a
+    point: one without a run is InfeasibleProven with point, f_value and
+    radius_used None.  Of a run, a best value at most feas_tol is a
+    feasible point, an InfeasibleNonStrict verdict proves infeasibility
+    with its certificate, and anything else is undecided; radius_used is
+    the radius of the last metastep's ball.  ``trace`` records a per-cut
     trace in the metastep report.  Raises ValueError unless feas_tol > 0.
     """
     if not feas_tol > 0.0:
@@ -375,6 +399,9 @@ def find_feasible_point(
 
     decision = decide_feasibility(system, feas_tol, trace=trace)
     res, cert = decision.report, None
+    if res is None:
+        return PointSearchResult(None, None, PointSearchOutcome.INFEASIBLE_PROVEN, None,
+                                 None, decision.certificate)
     if res.best_value <= feas_tol:
         outcome = PointSearchOutcome.FEASIBLE_POINT_FOUND
     elif decision.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT:

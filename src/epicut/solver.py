@@ -19,10 +19,10 @@ allows for the rounding of f(c) and of the difference, which reads f(c)
 back once the width is below its last bit.  An empty intersection
 proves that nothing below U is left: lb becomes U.
 
-A max-affine f run without a hook also gets the model step (Kelley's
-cutting-plane model, J. SIAM 8, 1960): from time to time, simplex
-weights on the rows nearest the max at the incumbent give the ball
-bound L.b + (A^T L).x0 - R ||A^T L||, which holds for any weights and
+A max-affine f also gets the model step (Kelley's cutting-plane
+model, J. SIAM 8, 1960): from time to time, simplex weights on the
+rows nearest the max at the incumbent give the ball bound
+L.b + (A^T L).x0 - R ||A^T L||, which holds for any weights and
 wherever the ellipsoid is, and the vertex where those rows are equal is
 evaluated if it lies in the ball.  Once the rows active at an interior
 minimizer are known, the two close the bracket, long before the
@@ -39,10 +39,10 @@ cannot move, backs a reported verdict.  See bisect_level and
 _model_step.
 
 A metastep stops once U - lb <= eps, once U drops below
-``stop_when_high_below`` (default -inf: never), at such a vertex, when
-the caller's hook asks it to, once E has collapsed below the rounding
-of its center, or at ``iteration_budget(n)`` iterations; one block
-then decides how it ended (see bisect_level).  A closed bracket whose
+``stop_when_high_below`` (default -inf: never), at such a vertex, once
+E has collapsed below the rounding of its center, or at
+``iteration_budget(n)`` iterations; one block then decides how it ended
+(see bisect_level).  A closed bracket whose
 incumbent lies strictly inside the ball certifies the global minimum;
 one on the sphere, a proven witness or a move starts another metastep
 when budget remains.  Any other end proves only its bracket
@@ -50,7 +50,7 @@ when budget remains.  Any other end proves only its bracket
 of how far from the optimum the run stopped.
 
 run_metasteps chains metasteps this way; lp's decision chains them by
-its own rule, with a hook.  join makes one result of either chain.
+its own rule.  join makes one result of either chain.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -61,7 +61,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -80,10 +80,9 @@ from .geometry import (  # noqa: F401
 from .nnls import min_norm_weights
 from .oracles import ConvexOracle, MaxAffineFunction
 
-# The hook's slot comes every _MODEL_PERIOD (d+1) iterations.  The model
-# step that fills it without a hook comes first after as many, and a try
-# that does not halve the gap multiplies the wait before the next one by
-# _MODEL_BACKOFF (see bisect_level; README measures both).
+# The model step comes first after _MODEL_PERIOD (d+1) iterations, and a
+# try that does not halve the gap multiplies the wait before the next one
+# by _MODEL_BACKOFF (see bisect_level; README measures both).
 _MODEL_PERIOD = 4
 _MODEL_BACKOFF = 2
 
@@ -199,7 +198,6 @@ def bisect_level(
     cfg: MetastepConfig,
     *,
     trace: bool = False,
-    hook: Optional[Callable[[np.ndarray], bool]] = None,
     _witness: bool = False,
 ) -> MetastepResult:
     """One metastep: a single ellipsoid run over the ball around x0.
@@ -210,33 +208,25 @@ def bisect_level(
     Raises ValueError unless the radius has a square in [1e-300, largest
     float], the range MetastepConfig.check_radii asks of each R g^k.
 
-    ``hook``, when given, is called with the incumbent every 4(d+1)
-    iterations while the proven lower bound is above 0, that is while
-    the ball is proven to hold no point with f <= 0.
+    A MaxAffineFunction gets the model step (see _model_step), whatever
+    the sign of lb.  It raises lb to the model's ball bound and probes a
+    vertex of the model, which enters the incumbent only through f's
+    value there.  The first try comes after 4(d+1) iterations.  A try
+    that halves the gap U - lb is followed by the next 4(d+1) iterations
+    later; one that does not doubles the wait.  A try whose vertex lies
+    outside the ball (or that finds no bound) is the metastep's last:
+    the model then points past the sphere, and a skipped try only gives
+    up a bound.  Any other oracle has no model step.  With ``_witness``
+    (run_metasteps sets it on every metastep but the last its budget
+    allows), f is evaluated at that outside vertex, and where it is
+    finite the vertex is held and ends the metastep.
 
-    Without a hook, a MaxAffineFunction gets the model step in the
-    hook's slot instead (see _model_step), whatever the sign of lb.  It
-    raises lb to the model's ball bound and probes a vertex of the
-    model, which enters the incumbent only through f's value there.
-    The first try comes after 4(d+1) iterations.  A try that halves the
-    gap U - lb is followed by the next 4(d+1) iterations later; one that
-    does not doubles the wait.  A try whose vertex lies outside the ball
-    (or that finds no bound) is the metastep's last: the model then
-    points past the sphere, and a skipped try only gives up a bound.  A
-    hook takes the model step's place: the lp layer's hook runs its own
-    NNLS try.  Any other oracle runs as with a hook that always returns
-    False.  With ``_witness`` (run_metasteps sets it on every metastep
-    but the last its budget allows), f is evaluated at that outside
-    vertex, and where it is finite the vertex is held and ends the
-    metastep.
-
-    The loop leaves by one test after each cut, in this order: the
-    bracket closed (U - lb <= eps), U below cfg.stop_when_high_below
-    (-inf by default: never), a vertex held, and only then a True return
-    of the hook; the budget bounds the loop, and a cut kernel that finds
-    E collapsed (its factor underflowed, once eps is below the rounding
-    of f) ends it too.  One block after it decides how the metastep
-    ended, in this order:
+    The loop leaves by one test after each cut: the bracket closed
+    (U - lb <= eps), U below cfg.stop_when_high_below (-inf by default:
+    never), or a vertex held; the budget bounds the loop, and a cut
+    kernel that finds E collapsed (its factor underflowed, once eps is
+    below the rounding of f) ends it too.  One block after it decides
+    how the metastep ended, in this order:
 
     1. lb > U: a value below lb disproved the cut bound (rounding lost
        the minimizer), so lb becomes the model's ball bound alone (-inf
@@ -258,7 +248,7 @@ def bisect_level(
     high_below = cfg.stop_when_high_below
     budget = cfg.iteration_budget(x0.shape[0])
     period = _MODEL_PERIOD * (x0.shape[0] + 1)
-    model = f if hook is None and isinstance(f, MaxAffineFunction) else None
+    model = f if isinstance(f, MaxAffineFunction) else None
     wait = period
     # Without a model the first try never comes.
     next_try = period if model is not None else math.inf
@@ -340,9 +330,7 @@ def bisect_level(
             else:
                 wait = period if upper - lower <= gap / 2.0 else wait * _MODEL_BACKOFF
                 next_try = iters + wait
-        if (lower >= upper - eps or upper < high_below or witness is not None
-                or hook is not None and lower > 0.0 and iters % period == 0
-                and hook(best_point)):
+        if lower >= upper - eps or upper < high_below or witness is not None:
             break
 
     if lower > upper:

@@ -109,9 +109,11 @@ class TestDecideCommand:
     def test_undecided_keeps_its_run(self, tmp_path, monkeypatch, capsys):
         from epicut import cli, lp
 
-        # Two metasteps reach radius 1e3, far short of the flat row's points.
+        # x <= 0 and x >= 0 never reach f < 0; without certificate tries,
+        # two metasteps end Undecided.
         monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
-        path = write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
+        path = write_problem(tmp_path / "pair.json", {"A": [[1], [-1]], "b": [0, 0]})
         trace = tmp_path / "trace.jsonl"
         assert cli.main(["decide", path, "--trace", str(trace)]) == cli.EXIT_UNDECIDED == 3
         report = json.loads(capsys.readouterr().out)
@@ -145,11 +147,13 @@ class TestFindPointCommand:
         assert report["radius"] is not None
 
     def test_contradictory_proven(self, contradictory):
+        # Proven before any run: no point, value or radius.
         proc = invoke("find-point", contradictory)
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
         assert report["verdict"] == "InfeasibleProven"
-        assert report["value"] > 1e-7
+        assert report["point"] is None and report["value"] is None
+        assert report["radius"] is None and report["ellipsoid_iters"] == 0
 
     def test_proven_report_carries_certificate(self, contradictory):
         report = json.loads(invoke("find-point", contradictory).stdout)
@@ -204,13 +208,43 @@ class TestFindPointCommand:
     def test_report_carries_the_run_bracket(self, tmp_path, command, doc, infeasible):
         path = write_problem(tmp_path / "p.json", doc)
         report = json.loads(invoke(command, path).stdout)
-        lower, upper = report["bracket"]
-        assert lower is not None and lower <= upper
         assert report["depth"] is None
+        if infeasible:
+            # The pre-step's certificate proves it before any run.
+            assert report["certificate"] is not None
+            assert report["bracket"] is None
+            assert report["level_queries"] == report["ellipsoid_iters"] == 0
+            return
+        lower, upper = report["bracket"]
+        assert lower is not None and lower <= upper <= 0.0
         if command == "find-point":
             assert upper == report["value"]
-        # An infeasible verdict rests on a run whose lb is above 0.
-        assert (lower > 0.0) == infeasible
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_proven_before_any_run(self, tmp_path, command):
+        # A planted infeasible system (m = 16, n = 4): the least-squares
+        # pre-step proves it, so the report carries no run.
+        import numpy as np
+        from epicut.lp import LinearSystem, normalize, validate_certificate
+
+        rng = np.random.default_rng(16)
+        rows = rng.uniform(-1, 1, (16, 4))
+        q = rng.uniform(0.1, 1.0, 16)
+        rows -= np.outer(q, q @ rows) / (q @ q)
+        offsets = rng.uniform(-1, 1, 16)
+        offsets += q * (0.5 - offsets @ q) / (q @ q)
+        path = write_problem(tmp_path / "planted.json",
+                             {"A": rows.tolist(), "b": offsets.tolist()})
+        trace = tmp_path / "trace.jsonl"
+        proc = invoke(command, path, "--trace", str(trace))
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        norm = normalize(LinearSystem(rows, offsets))
+        assert validate_certificate(norm, np.array(report["certificate"]))
+        assert report["level_queries"] == report["ellipsoid_iters"] == 0
+        for key in ("bracket", "point", "value", "radius", "depth"):
+            assert report[key] is None
+        assert trace.read_text() == ""
 
     def test_all_vacuous_decide_has_no_bracket(self, tmp_path):
         path = write_problem(tmp_path / "vacuous.json", {"A": [[0, 0]], "b": [-1]})
@@ -477,7 +511,11 @@ class TestTraceFlag:
         expected["trace_file"] = str(trace)
         expected["config"]["trace"] = str(trace)
         assert json.loads(traced.stdout) == expected
-        assert trace.read_text().count("\n") > 0
+        # The contradictory pair is proven before any run: an empty trace.
+        runs = doc != {"A": [[1], [-1]], "b": [1, 1]}
+        assert (trace.read_text().count("\n") > 0) == runs
+        assert (expected["ellipsoid_iters"] > 0) == runs
+        assert (expected["bracket"] is not None) == runs
 
 
 # Files the JSON loader itself fails on, each a malformed problem.
@@ -586,12 +624,15 @@ class TestBenchCommand:
     def test_undecided_row_keeps_its_counts(self, tmp_path, monkeypatch, capsys):
         from epicut import cli, lp
 
+        # x <= 0 and x >= 0 never reach f < 0; without certificate tries,
+        # two metasteps end Undecided.
         monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
-        write_problem(tmp_path / "flat.json", {"A": [[-2.989e-07]], "b": [1]})
+        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
+        write_problem(tmp_path / "pair.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert cli.main(["bench", str(tmp_path)]) == 0
         rows = capsys.readouterr().out.splitlines()
         name, _, _, verdict, queries, iters, _ = rows[1].split(",")
-        assert (name, verdict, queries) == ("flat", "Undecided", "2")
+        assert (name, verdict, queries) == ("pair", "Undecided", "2")
         assert int(iters) > 0
 
     def test_missing_dir_rejected(self):

@@ -12,7 +12,6 @@ from epicut import (
     MaxAffineFunction,
     PointSearchOutcome,
     PreconditionViolated,
-    SolveStatus,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -35,6 +34,9 @@ CONTRADICTORY = system([[1.0], [-1.0]], [1.0, 1.0])  # x <= -1 and x >= 1
 # Feasible only at x >= 3.3e6: the normalized row varies by less than
 # the solvers' eps across a ball of modest radius.
 FLAT_ROW = system([[-2.989e-07]], [1.0])
+# x <= 0 and x >= 0: feasible only at 0, where f = 0, so no run finds
+# f < 0.
+POINT_PAIR = system([[1.0], [-1.0]], [0.0, 0.0])
 UNIT_BOX = system(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, -1.0, -1.0]
 )
@@ -188,8 +190,9 @@ class TestDecide:
         assert out.certificate is None
 
     def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
-        # Each metastep of the flat row's run ends certified near f = 1, so
-        # decide runs six metasteps and joins their reports.
+        # The flat row is Feasible in one metastep from its least-norm
+        # point.  x <= 0 and x >= 0 never reach f < 0: without certificate
+        # tries, decide runs all eight metasteps and joins their reports.
         original, calls = solver.bisect_level, []
 
         def counted(*args, **kwargs):
@@ -197,13 +200,16 @@ class TestDecide:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "bisect_level", counted)
-        report = decide_feasibility(normalize(FLAT_ROW), trace=True).report
-        assert len(calls) == 6
-        assert report.level_queries == 6
+        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
+        decision = decide_feasibility(normalize(POINT_PAIR), trace=True)
+        report = decision.report
+        assert decision.verdict is FeasibilityVerdict.UNDECIDED
+        assert len(calls) == 8
+        assert report.level_queries == 8
         assert report.iterations == sum(report.query_iterations)
         queries = [rec.query for rec in report.trace]
         assert queries == sorted(queries)
-        assert sorted(set(queries)) == list(range(1, 7))
+        assert sorted(set(queries)) == list(range(1, 9))
         for query, used in enumerate(report.query_iterations, 1):
             iterations = [rec.iteration for rec in report.trace if rec.query == query]
             assert iterations == list(range(1, len(iterations) + 1))
@@ -218,15 +224,13 @@ class TestDecide:
         assert np.linalg.norm(sys_n.rows.T @ q) <= tol * (1.0 + np.linalg.norm(q))
 
     def test_square_planted_infeasible(self):
-        # n = m = 12: the certificate is tried once the lower bound passes
-        # 0, so the run ends with its bracket still open.
+        # n = m = 12: the least-squares pre-step finds the certificate,
+        # so no metastep runs.
         sys_n = normalize(planted_infeasible(np.random.default_rng([0, 12]), 12, 12))
         out = decide_feasibility(sys_n)
         assert out.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
         assert validate_certificate(sys_n, out.certificate)
-        assert out.report.status is SolveStatus.BUDGET_EXHAUSTED
-        lower, upper = out.report.alpha_bracket
-        assert 0.0 < lower < upper
+        assert out.report is None
 
     def test_weakly_feasible_point_only(self):
         # x <= 0 and x >= 0: only x = 0; strict version infeasible
@@ -260,6 +264,81 @@ class TestDecide:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             decide_feasibility(normalize(UNIT_BOX), tol=0.0)
+
+
+class TestFarkasLeastSquares:
+    """decide's one nnls on [A^T; b^T] q ~ e_{n+1}, before any run."""
+
+    @staticmethod
+    def families(seed):
+        """(kind, normalized system): planted infeasible systems, strictly
+        feasible ones planted about 1e3 from the origin, and equality
+        pairs with slack rows through a point of their plane, in turn;
+        within the oracle's four dimensions and twelve rows."""
+        rng = np.random.default_rng(seed)
+        for i in range(60):
+            n = int(rng.integers(1, 5))
+            if i % 3 == 0:
+                yield "infeasible", normalize(
+                    planted_infeasible(rng, int(rng.integers(2, 13)), n))
+            elif i % 3 == 1:
+                m = int(rng.integers(1, 13))
+                rows = rng.uniform(-1, 1, (m, n))
+                x_star = 1e3 * rng.uniform(-1, 1, n)
+                offsets = -(rows @ x_star) - rng.uniform(0.1, 1.0, m)
+                yield "far", normalize(system(rows, offsets))
+            else:
+                pairs, slack = int(rng.integers(1, n + 1)), int(rng.integers(0, 4))
+                point = rng.uniform(-2, 2, n)
+                plane = rng.uniform(-1, 1, (pairs, n))
+                extra = rng.uniform(-1, 1, (slack, n))
+                rows = np.vstack([plane, -plane, extra])
+                offsets = np.concatenate([-(plane @ point), plane @ point,
+                                          -(extra @ point) - rng.uniform(0.1, 1.0, slack)])
+                yield "pairs", normalize(system(rows, offsets))
+
+    WANT = {
+        "infeasible": FeasibilityVerdict.INFEASIBLE_NON_STRICT,
+        "far": FeasibilityVerdict.FEASIBLE,
+        "pairs": FeasibilityVerdict.INFEASIBLE_STRICT_ONLY,
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_verdicts_match_the_oracle(self, seed):
+        for kind, sys_n in self.families(seed):
+            got = decide_feasibility(sys_n)
+            assert got.verdict is self.WANT[kind]
+            want = vertex_enumerate_feasible(sys_n)
+            assert want.feasible == (got.verdict is not FeasibilityVerdict.INFEASIBLE_NON_STRICT)
+            if got.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT:
+                # Proven by the pre-step alone.
+                assert validate_certificate(sys_n, got.certificate)
+                assert got.report is None
+            elif got.verdict is FeasibilityVerdict.FEASIBLE:
+                assert got.report.best_value < 0.0
+            else:
+                assert got.certificate is not None and got.report is not None
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_start_is_the_least_norm_feasible_point(self, seed):
+        # A nonzero residual r gives x = r_x / r_b with A x + b <= 0 up to
+        # rounding: the oracle's least-norm feasible point.
+        for kind, sys_n in self.families(seed):
+            cert, x = lp._farkas_least_squares(sys_n, 1e-7)
+            if kind == "infeasible":
+                assert validate_certificate(sys_n, cert) and x is None
+                continue
+            assert cert is None
+            scale = 1.0 + float(np.linalg.norm(x))
+            assert sys_n.violation(x) <= 1e-9 * scale
+            nearest = vertex_enumerate_feasible(sys_n).min_norm_point
+            assert float(np.linalg.norm(x - nearest)) <= 1e-6 * scale
+
+    def test_feasible_origin_starts_there(self):
+        # q = 0 leaves r = e_{n+1}: the origin.
+        cert, x = lp._farkas_least_squares(normalize(UNIT_BOX), 1e-7)
+        assert cert is None
+        npt.assert_array_equal(x, [0.0, 0.0])
 
 
 class TestValidateCertificate:
@@ -405,12 +484,16 @@ class TestFarkasKernel:
         assert q[1] == 0.0 and (q[[0, 2]] > 0.0).all()
         assert q.tobytes() == self.from_zero(matrix, target).tobytes()
 
-    def test_cold_windows_certify_decide(self):
-        # Every certificate window is solved cold.  decide proves each
+    def test_cold_windows_certify_decide(self, monkeypatch):
+        # Every certificate window is solved cold.  Without the pre-step's
+        # certificate, decide's run reaches _active_certificate, as for a
+        # system whose least-squares q fails its check: it proves each
         # planted system infeasible and gives both verdicts on random
         # ones; every certificate passes validate_certificate, and some
         # window at the incumbent passes it exactly when the verdict is
         # infeasible.
+        monkeypatch.setattr(lp, "_farkas_least_squares",
+                            lambda sys_n, tol: (None, np.zeros(sys_n.n)))
         rng = np.random.default_rng(71)
         planted = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)
                    for _ in range(3)]
@@ -559,11 +642,14 @@ class TestFindFeasiblePoint:
         assert 1.0 - 1e-6 <= float(res.point[0]) <= 2.0 + 1e-6
 
     def test_infeasible_proven(self):
+        # Proven by the pre-step's certificate, before any run: no point,
+        # value or radius.
         sys_n = normalize(CONTRADICTORY)
         res = find_feasible_point(sys_n)
         assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
-        assert res.f_value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
         assert validate_certificate(sys_n, res.certificate)
+        assert res.point is None and res.f_value is None
+        assert res.radius_used is None and res.metastep_report is None
 
     def test_flat_row_never_proven(self):
         sys_n = normalize(FLAT_ROW)
@@ -598,16 +684,21 @@ class TestFindFeasiblePoint:
         assert res.radius_used == decision.report.config.radius
 
     def test_metastep_cap_is_undecided(self, monkeypatch):
-        # Two metasteps reach radius 1e3, far short of the flat row's points.
+        # Without certificate tries, two metasteps end Undecided: the
+        # point pair never reaches f < 0 ...
         monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
-        sys_n = normalize(FLAT_ROW)
-        decision = decide_feasibility(sys_n)
+        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
+        decision = decide_feasibility(normalize(POINT_PAIR))
         assert decision.verdict is FeasibilityVerdict.UNDECIDED
         assert decision.certificate is None
         assert decision.d_star == math.inf
         assert decision.report.level_queries == 2
         assert decision.report.iterations > 0
-        res = find_feasible_point(sys_n)
+        # ... and, run from the origin without the pre-step's certificate,
+        # the contradictory pair keeps f > feas_tol: no point either.
+        monkeypatch.setattr(lp, "_farkas_least_squares",
+                            lambda sys_n, tol: (None, np.zeros(sys_n.n)))
+        res = find_feasible_point(normalize(CONTRADICTORY))
         assert res.outcome is PointSearchOutcome.UNDECIDED
         assert res.certificate is None
         assert res.metastep_report.level_queries == 2
@@ -626,11 +717,14 @@ class TestFindFeasiblePoint:
                 assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
                 assert sys_n.violation(res.point) <= 1e-7
             else:
-                # find-point reads decide's run: the same certificate and work.
+                # find-point reads decide's decision: the same certificate
+                # and work, and no run when the pre-step proved it.
                 assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
                 assert validate_certificate(sys_n, res.certificate, tol=1e-7)
                 npt.assert_array_equal(res.certificate, decision.certificate)
-                assert res.metastep_report.iterations == decision.report.iterations
+                assert (res.metastep_report is None) == (decision.report is None)
+                if decision.report is not None:
+                    assert res.metastep_report.iterations == decision.report.iterations
         assert len(outcomes) == 2
 
     @pytest.mark.parametrize("feas_tol", [0.0, -1e-3])

@@ -347,66 +347,6 @@ class TestTraceOnlyObserves:
         assert kinds == {"objective", "ball"}
 
 
-class TestHook:
-    """The hook is tried every 4(d+1) iterations while lb > 0."""
-
-    @staticmethod
-    def lifted_box(offset):
-        # max_i |x_i| + offset: minimum offset, at the origin.
-        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        return MaxAffineFunction(rows, np.full(4, float(offset)))
-
-    CFG = MetastepConfig(radius=3.0, level_tolerance=1e-9, max_metasteps=4)
-
-    @pytest.mark.parametrize("offset", [1.0, 0.0, -1.0])
-    def test_declining_hook_changes_nothing(self, offset):
-        # A hook takes the model step's place, so the plain run goes
-        # through an oracle with the same values and no rows to model.
-        f, x0 = self.lifted_box(offset), np.array([0.9, -0.7])
-        plain = bisect_level(RowlessOracle(f), x0, self.CFG, trace=True)
-        seen = []
-        hooked = bisect_level(f, x0, self.CFG, trace=True,
-                              hook=lambda point: seen.append(point) or False)
-        assert hooked.status is plain.status
-        assert hooked.alpha_bracket == plain.alpha_bracket
-        np.testing.assert_array_equal(hooked.best_point, plain.best_point)
-        assert hooked.iterations == plain.iterations
-        assert len(hooked.trace) == len(plain.trace)
-        for a, b in zip(hooked.trace, plain.trace):
-            np.testing.assert_array_equal(a.center, b.center)
-            assert (a.query, a.iteration, a.value, a.cut, a.depth, a.log_volume) == (
-                b.query, b.iteration, b.value, b.cut, b.depth, b.log_volume)
-        # Only a positive minimum lets the lower bound pass 0.
-        assert bool(seen) == (offset > 0.0)
-        assert len(seen) <= plain.iterations // 12
-
-    @pytest.mark.parametrize("offset", [0.0, -1.0])
-    def test_never_called_while_lower_bound_nonpositive(self, offset):
-        calls = []
-        res = bisect_level(self.lifted_box(offset), np.array([2.5, 1.0]), self.CFG,
-                           hook=lambda point: calls.append(point) or True)
-        assert calls == []
-        assert res.alpha_bracket[0] <= 0.0
-        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
-
-    def test_accepting_hook_ends_the_run_with_a_proven_bracket(self):
-        calls = []
-
-        def accept(point):
-            calls.append(point)
-            return True
-
-        res = bisect_level(self.lifted_box(1.0), np.array([0.9, -0.7]), self.CFG,
-                           hook=accept)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], res.best_point)
-        assert res.status is SolveStatus.BUDGET_EXHAUSTED
-        assert res.level_queries == 1
-        assert res.iterations % 12 == 0
-        lower, upper = res.alpha_bracket
-        assert 0.0 < lower <= 1.0 <= upper == res.best_value
-
-
 class RowlessOracle(ConvexOracle):
     """f's values and subgradients without f's rows: a run on it has no
     model step."""
@@ -569,7 +509,7 @@ class TestBracketSoundness:
 
 
 class TestModelStep:
-    """Without a hook, a max-affine run tries its model every 4(d+1)
+    """A max-affine run tries its model every 4(d+1)
     iterations: a ball bound from simplex weights on the rows nearest
     the max, and a probe of the vertex where those rows are equal."""
 
