@@ -6,9 +6,9 @@ A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
 set.  The decision solves Farkas' alternative as one nnls, whose
 certificate decides an infeasible system without a run, and otherwise
-minimizes f from the feasible point nearest the origin in metasteps of
-its own loop; the point search reads that decision as a point.  The
-two floors (subgradient_lower_bound_at and global_radius) are
+minimizes f from the feasible point nearest the origin by one
+run_metasteps run; the point search reads that decision as a point.
+The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
 certificates solves it, and each floor reports the weak-duality lower
@@ -18,7 +18,7 @@ bound of that solution (see _hull_floor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -27,11 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySystem, PreconditionViolated
 from .nnls import min_norm_weights, nnls, simplex_system
 from .oracles import MaxAffineFunction
-from . import solver
-from .solver import MetastepConfig, MetastepResult, join
-# run_metasteps is not called here; it stays importable as
-# lp.run_metasteps, a name benchmark/tracing.py wraps.
-from .solver import run_metasteps  # noqa: F401
+from .solver import MetastepConfig, MetastepResult, run_metasteps
 
 # Rows whose coefficient norm is below this once normalize has scaled
 # their largest entry into [1/2, 1) are treated as constant rows.
@@ -98,7 +94,7 @@ class FeasibilityVerdict(Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE_NON_STRICT = "InfeasibleNonStrict"
     INFEASIBLE_STRICT_ONLY = "InfeasibleStrictOnly"
-    # Neither f < 0 nor a certificate within the metastep cap.
+    # Neither f < 0 nor a certificate after the run.
     UNDECIDED = "Undecided"
 
 
@@ -152,18 +148,17 @@ def decide_feasibility(
     f(x) = max_k (A_k . x + b_k) in R^n.
 
     A certificate from _farkas_least_squares gives InfeasibleNonStrict
-    with no run (report None).  Otherwise at most _PRIMAL_METASTEPS
-    metasteps (solver.bisect_level) run with eps = min(tol/10, 1e-8),
-    the first over the ball of radius _PRIMAL_RADIUS around the feasible
-    point nearest the origin that it gives.  A metastep stops
-    at the first evaluated x with f(x) < 0, a strictly feasible point:
-    Feasible.  After a metastep that ends otherwise, _active_certificate
-    is tried at its incumbent; without a q the next metastep runs around
-    it in a ball _PRIMAL_GROWTH times larger.  A q with b.q > tol gives
+    with no run (report None).  Otherwise one run_metasteps run (the
+    report) minimizes f with eps = min(tol/10, 1e-8), at most
+    _PRIMAL_METASTEPS metasteps growing by _PRIMAL_GROWTH, the first
+    over the ball of radius _PRIMAL_RADIUS around the feasible point
+    nearest the origin that the pre-step gives.  Its stop value is 0:
+    the run ends at the first evaluated x with f(x) < 0, a strictly
+    feasible point: Feasible.  A run that ends otherwise gets one
+    _active_certificate try at its incumbent.  A q with b.q > tol gives
     InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
-    neither f < 0 nor a q after the last metastep Undecided.  The report
-    joins the metasteps (solver.join); ``trace`` records per-cut traces
-    in it (see solver.bisect_level).
+    no q Undecided.  ``trace`` records per-cut traces in the report (see
+    solver.bisect_level).
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -178,17 +173,11 @@ def decide_feasibility(
     )
     cert, x = _farkas_least_squares(system, tol)
     report: Optional[MetastepResult] = None
-    for _ in range(cfg.max_metasteps):
-        if cert is not None:
-            break
-        # An attribute lookup, so that benchmark/tracing.py sees the call.
-        step = solver.bisect_level(system, x, cfg, trace=trace)
-        report = step if report is None else join(report, step)
-        if step.best_value < 0.0:
+    if cert is None:
+        report = run_metasteps(system, x, cfg, trace=trace)
+        if report.best_value < 0.0:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
-        cert = _active_certificate(system, step.best_point, eps, tol)
-        x = step.best_point
-        cfg = replace(cfg, radius=cfg.radius * cfg.radius_growth)
+        cert = _active_certificate(system, report.best_point, eps, tol)
     if cert is None:
         return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
     verdict = (

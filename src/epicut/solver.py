@@ -49,8 +49,8 @@ when budget remains.  Any other end proves only its bracket
 (BudgetExhausted): lb still bounds the minimum over the ball, the proof
 of how far from the optimum the run stopped.
 
-run_metasteps chains metasteps this way; lp's decision chains them by
-its own rule.  join makes one result of either chain.
+run_metasteps chains metasteps this way, and join makes one result of
+the chain; lp's decision is one such run.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -464,15 +464,19 @@ def run_metasteps(
       witness outside it;
     - an unproven move (BudgetExhausted with ``outside``): at the
       in-ball incumbent, with radius max(R, 1.5 ||vertex - incumbent||),
-      so that the next ball holds the vertex.
+      so that the next ball holds the vertex;
+    - GlobalOptimumCertified with lb above a finite stop value: at the
+      incumbent.  Beyond its ball the status proves only a slope of
+      (U - lb) / depth, which a flat f can descend below the stop value.
 
     Each next radius is then multiplied by cfg.radius_growth.  Stops on
-    any other status, or when a recentred metastep fails to strictly
-    improve; the result joins the metasteps (see join), and a move is
-    never a proof.  A metastep that raises NonFiniteValue after one has
-    completed, or a next radius whose square leaves [1e-300, largest
-    float], ends the run with the completed metasteps' result: their
-    brackets are proven, and only the raising one is lost.  ``trace``
+    any other status, once the incumbent value is strictly below
+    cfg.stop_when_high_below, or when a recentred metastep fails to
+    strictly improve; the result joins the metasteps (see join), and a
+    move is never a proof.  A metastep that raises NonFiniteValue after
+    one has completed, or a next radius whose square leaves [1e-300,
+    largest float], ends the run with the completed metasteps' result:
+    their brackets are proven, and only the raising one is lost.  ``trace``
     is passed to each metastep (see bisect_level).  Raises ValueError
     before the first metastep unless cfg.check_radii() passes.
     """
@@ -490,7 +494,8 @@ def run_metasteps(
             break
         previous = result
         result = step if previous is None else join(previous, step)
-        if previous is not None and step.best_value >= previous.best_value:
+        if step.best_value < cfg.stop_when_high_below or (
+                previous is not None and step.best_value >= previous.best_value):
             break
         if step.status is SolveStatus.BOUNDARY_REACHED:
             centre = step.best_point if step.outside is None else step.outside
@@ -499,6 +504,9 @@ def run_metasteps(
             # the vertex.
             centre = step.best_point
             radius = max(radius, 1.5 * _distance(step.outside, centre))
+        elif step.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED and (
+                step.alpha_bracket[0] > cfg.stop_when_high_below > -math.inf):
+            centre = step.best_point
         else:
             break
         radius *= cfg.radius_growth

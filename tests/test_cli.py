@@ -109,9 +109,8 @@ class TestDecideCommand:
     def test_undecided_keeps_its_run(self, tmp_path, monkeypatch, capsys):
         from epicut import cli, lp
 
-        # x <= 0 and x >= 0 never reach f < 0; without certificate tries,
-        # two metasteps end Undecided.
-        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
+        # x <= 0 and x >= 0 never reach f < 0; without the certificate
+        # try, the one metastep (which certifies min f = 0) ends Undecided.
         monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
         path = write_problem(tmp_path / "pair.json", {"A": [[1], [-1]], "b": [0, 0]})
         trace = tmp_path / "trace.jsonl"
@@ -119,7 +118,7 @@ class TestDecideCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "Undecided"
         assert report["certificate"] is None
-        assert report["level_queries"] == 2
+        assert report["level_queries"] == 1
         assert report["ellipsoid_iters"] > 0
         assert trace.read_text().strip()
 
@@ -624,15 +623,14 @@ class TestBenchCommand:
     def test_undecided_row_keeps_its_counts(self, tmp_path, monkeypatch, capsys):
         from epicut import cli, lp
 
-        # x <= 0 and x >= 0 never reach f < 0; without certificate tries,
-        # two metasteps end Undecided.
-        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
+        # x <= 0 and x >= 0 never reach f < 0; without the certificate
+        # try, the one metastep (which certifies min f = 0) ends Undecided.
         monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
         write_problem(tmp_path / "pair.json", {"A": [[1], [-1]], "b": [0, 0]})
         assert cli.main(["bench", str(tmp_path)]) == 0
         rows = capsys.readouterr().out.splitlines()
         name, _, _, verdict, queries, iters, _ = rows[1].split(",")
-        assert (name, verdict, queries) == ("pair", "Undecided", "2")
+        assert (name, verdict, queries) == ("pair", "Undecided", "1")
         assert int(iters) > 0
 
     def test_missing_dir_rejected(self):

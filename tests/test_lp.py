@@ -34,6 +34,13 @@ CONTRADICTORY = system([[1.0], [-1.0]], [1.0, 1.0])  # x <= -1 and x >= 1
 # Feasible only at x >= 3.3e6: the normalized row varies by less than
 # the solvers' eps across a ball of modest radius.
 FLAT_ROW = system([[-2.989e-07]], [1.0])
+# The same row in two dimensions: decide's first metastep ends at a
+# model vertex outside its ball, and the second, centred there, reaches
+# f < 0.
+FLAT_ROW_2D = system([[-2.989e-07, 2.989e-07]], [1.0])
+# Feasible only far out, and so flat there that decide's first metastep
+# reads GlobalOptimumCertified with its bracket above 0.
+FLAT_PAIR = system([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
 # x <= 0 and x >= 0: feasible only at 0, where f = 0, so no run finds
 # f < 0.
 POINT_PAIR = system([[1.0], [-1.0]], [0.0, 0.0])
@@ -190,9 +197,8 @@ class TestDecide:
         assert out.certificate is None
 
     def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
-        # The flat row is Feasible in one metastep from its least-norm
-        # point.  x <= 0 and x >= 0 never reach f < 0: without certificate
-        # tries, decide runs all eight metasteps and joins their reports.
+        # The 2-D flat row decides Feasible in two metasteps; the report
+        # joins them and numbers their trace records.
         original, calls = solver.bisect_level, []
 
         def counted(*args, **kwargs):
@@ -200,20 +206,28 @@ class TestDecide:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "bisect_level", counted)
-        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
-        decision = decide_feasibility(normalize(POINT_PAIR), trace=True)
+        decision = decide_feasibility(normalize(FLAT_ROW_2D), trace=True)
         report = decision.report
-        assert decision.verdict is FeasibilityVerdict.UNDECIDED
-        assert len(calls) == 8
-        assert report.level_queries == 8
-        assert report.iterations == sum(report.query_iterations)
+        assert decision.verdict is FeasibilityVerdict.FEASIBLE
+        assert len(calls) == 2
+        assert report.level_queries == 2
+        assert report.iterations == sum(report.query_iterations) == 14
         queries = [rec.query for rec in report.trace]
         assert queries == sorted(queries)
-        assert sorted(set(queries)) == list(range(1, 9))
+        assert sorted(set(queries)) == [1, 2]
         for query, used in enumerate(report.query_iterations, 1):
             iterations = [rec.iteration for rec in report.trace if rec.query == query]
             assert iterations == list(range(1, len(iterations) + 1))
             assert len(iterations) <= used
+
+    def test_flat_pair_certified_in_its_ball_is_feasible(self):
+        # The first metastep's GlobalOptimumCertified proves its bracket
+        # only over its ball, so the run goes on from its incumbent and
+        # finds f < 0.
+        out = decide_feasibility(normalize(FLAT_PAIR))
+        assert out.verdict is FeasibilityVerdict.FEASIBLE
+        assert out.report.level_queries == 2
+        assert out.report.best_value < 0.0
 
     def test_homogeneous_strict_only(self):
         sys_n = normalize(HOMOGENEOUS_EIGHT)
@@ -684,25 +698,25 @@ class TestFindFeasiblePoint:
         assert res.radius_used == decision.report.config.radius
 
     def test_metastep_cap_is_undecided(self, monkeypatch):
-        # Without certificate tries, two metasteps end Undecided: the
-        # point pair never reaches f < 0 ...
-        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 2)
-        monkeypatch.setattr(lp, "_active_certificate", lambda *args: None)
-        decision = decide_feasibility(normalize(POINT_PAIR))
+        # Capped at one metastep, the 2-D flat row (two metasteps to
+        # f < 0) ends with f > 0 and no certificate: Undecided, with its
+        # run ...
+        monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 1)
+        sys_n = normalize(FLAT_ROW_2D)
+        decision = decide_feasibility(sys_n)
         assert decision.verdict is FeasibilityVerdict.UNDECIDED
         assert decision.certificate is None
         assert decision.d_star == math.inf
-        assert decision.report.level_queries == 2
+        assert decision.report.level_queries == 1
         assert decision.report.iterations > 0
-        # ... and, run from the origin without the pre-step's certificate,
-        # the contradictory pair keeps f > feas_tol: no point either.
-        monkeypatch.setattr(lp, "_farkas_least_squares",
-                            lambda sys_n, tol: (None, np.zeros(sys_n.n)))
-        res = find_feasible_point(normalize(CONTRADICTORY))
+        assert decision.report.best_value > 0.0
+        # ... and the point search reads that run as no point either.
+        res = find_feasible_point(sys_n)
         assert res.outcome is PointSearchOutcome.UNDECIDED
         assert res.certificate is None
-        assert res.metastep_report.level_queries == 2
-        assert res.radius_used == pytest.approx(1e3)
+        assert res.f_value > 1e-7
+        assert res.metastep_report.level_queries == 1
+        assert res.radius_used == 100.0
 
     def test_criterion_07_corpus_matches_decide(self):
         rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
@@ -908,3 +922,63 @@ class TestDecisionAgainstOracle:
                 system(raw.rows * scales[:, None], raw.offsets * scales))] += 1
         assert seen == {FeasibilityVerdict.FEASIBLE: 50,
                         FeasibilityVerdict.INFEASIBLE_NON_STRICT: 50}
+
+    @staticmethod
+    def check_far_system(raw):
+        """decide on a system whose feasible points lie far out, against
+        the vertex oracle; returns the verdict.
+
+        A Farkas vector q (sum q = 1) gives f(x) >= b.q - ||A^T q|| ||x||
+        at every x, so each certificate must hold at the oracle's
+        least-norm point.  Up to tol that allows a certificate for a
+        feasible system whose points all lie beyond b.q / ||A^T q||."""
+        sys_n = normalize(raw)
+        want = vertex_enumerate_feasible(sys_n)
+        got = decide_feasibility(sys_n)
+        verdict = got.verdict
+        assert verdict is not FeasibilityVerdict.UNDECIDED
+        if verdict is FeasibilityVerdict.FEASIBLE:
+            assert want.feasible
+            assert sys_n.violation(got.report.best_point) < 0.0
+            return verdict
+        q = got.certificate
+        proves = verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
+        assert validate_certificate(sys_n, q) == proves
+        assert proves or want.feasible
+        assert float(np.min(q)) >= -1e-7
+        pull = float(np.linalg.norm(sys_n.rows.T @ q))
+        assert pull <= 1e-7 * (1.0 + np.linalg.norm(q))
+        if want.feasible:
+            x = want.min_norm_point
+            bound = float(sys_n.offsets @ q) - pull * float(np.linalg.norm(x))
+            assert bound <= sys_n.violation(x) + 1e-12
+        return verdict
+
+    def test_thin_slabs_far_out(self):
+        # c <= a.x <= c + w with w in 1e-12 to 1e-5 and c in 1 to 1e4,
+        # inside the box |x_i| <= h, h in 1 to 1e4: feasible when the box
+        # reaches the slab, and then only by about w / c.
+        rng = np.random.default_rng(71)
+        seen = Counter()
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            a = rng.uniform(-1, 1, n)
+            c, w, h = 10.0 ** rng.uniform([0, -12, 0], [4, -5, 4])
+            rows = np.vstack([a, -a, np.eye(n), -np.eye(n)])
+            seen[self.check_far_system(system(
+                rows, np.concatenate([[-(c + w), c], np.full(2 * n, -h)])))] += 1
+        assert set(seen) == set(FeasibilityVerdict) - {FeasibilityVerdict.UNDECIDED}
+
+    def test_flat_rows(self):
+        # Up to four rows s_k u_k . x + 1 <= 0, u_k uniform in [-1, 1]^n
+        # and s_k in 1e-12 to 1e-3: feasible points, where there are any,
+        # lie at least 1 / min_k s_k ||u_k|| out.
+        rng = np.random.default_rng(73)
+        seen = Counter()
+        for _ in range(60):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            scales = 10.0 ** rng.uniform(-12, -3, m)
+            seen[self.check_far_system(system(
+                rng.uniform(-1, 1, (m, n)) * scales[:, None], np.ones(m)))] += 1
+        assert set(seen) == {FeasibilityVerdict.FEASIBLE,
+                             FeasibilityVerdict.INFEASIBLE_NON_STRICT}

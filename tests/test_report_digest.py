@@ -70,7 +70,7 @@ class TestMain:
         monkeypatch.setattr(digest, "_load", lambda src, name: types.SimpleNamespace(main=None))
         monkeypatch.setattr(digest, "_commit", lambda rev: PARENT)
         monkeypatch.setattr(digest, "walk", lambda *args: (
-            ("0" * 64, 1, 1), {0: {"d_star", "certificate"}, 3: {"certificate"}}, 1.0))
+            ("0" * 64, 1, 1, 1), {0: {"d_star", "certificate"}, 3: {"certificate"}}, 1.0))
         assert digest.main(["--against", str(tmp_path)]) == code
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.endswith("identical=NO change/parent=1.000 "
@@ -79,9 +79,16 @@ class TestMain:
         assert lines[-1].startswith("gate: ")
 
     def test_without_a_parent_there_is_no_gate(self, digest, monkeypatch, capsys):
-        monkeypatch.setattr(digest, "walk", lambda *args: (("0" * 64, 1, 1), {}, None))
+        monkeypatch.setattr(digest, "walk", lambda *args: (("0" * 64, 1, 1, 1), {}, None))
         assert digest.main([]) == 0
         assert "gate" not in capsys.readouterr().out
+
+    def test_digest_line_states_iterations_and_queries(self, digest, monkeypatch, capsys):
+        monkeypatch.setattr(digest, "walk", lambda *args: (("0" * 64, 3, 40, 7), {}, None))
+        assert digest.main(["--seeds", "0", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name} seeds=0,1 calls=3 ellipsoid_iters=40 level_queries=7 sha256={'0' * 64}"
+            for name in ("lp-corpus", "m-ladder", "planted-minima")]
 
 
 def fake_main(certificate, stderr=""):
@@ -89,7 +96,7 @@ def fake_main(certificate, stderr=""):
     ``certificate(argv)``, and a trace file when asked for one."""
     def main(argv):
         report = {"verdict": "infeasible", "certificate": certificate(argv),
-                  "ellipsoid_iters": 5}
+                  "ellipsoid_iters": 5, "level_queries": 2}
         print(json.dumps(report))
         sys.stderr.write(stderr)
         if "--trace" in argv:
@@ -111,9 +118,9 @@ class TestWalk:
         monkeypatch.chdir(tmp_path)
         change = fake_main(lambda argv: [0.5, 0.5])
         parent = fake_main(lambda argv: [0.5, 0.5] if argv[0] == "decide" else [1.0, 0.0])
-        (sha, calls, iters), differences, ratio = digest.walk(
+        (sha, calls, iters, queries), differences, ratio = digest.walk(
             fake_workload, [0, 1], change, parent)
-        assert (calls, iters) == (4, 20)
+        assert (calls, iters, queries) == (4, 20, 8)
         # find-point is the second call of each seed's pass.
         assert differences == {1: {"certificate"}, 3: {"certificate"}}
         assert digest.describe(differences) == "differs=certificate calls=2"

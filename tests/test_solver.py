@@ -304,6 +304,40 @@ class TestRunMetasteps:
         assert res.best_point.tolist() == [1e17]
         assert res.alpha_bracket == (-9.5367431640625e-07, 0.0)
 
+    def test_stop_value_ends_the_run(self):
+        # |x| - 1 without its rows (no model step) from x0 = 10 with R = 2:
+        # the first metastep closes its bracket on the sphere, near 7, where
+        # BoundaryReached would recentre.  A stop value just above that
+        # incumbent ends the whole run there.
+        f = RowlessOracle(abs_minus_one())
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4, max_metasteps=12)
+        first = bisect_level(f, [10.0], cfg, _witness=True)
+        assert first.status is SolveStatus.BOUNDARY_REACHED
+        stop = math.nextafter(first.best_value, math.inf)
+        res = run_metasteps(f, [10.0], MetastepConfig(
+            radius=2.0, level_tolerance=1e-4, max_metasteps=12, stop_when_high_below=stop))
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        assert res.level_queries == 1
+        assert res.best_value == first.best_value < stop
+        # Without the stop value the run slides on to the minimum -1.
+        assert run_metasteps(f, [10.0], cfg).best_value == pytest.approx(-1.0, abs=1e-3)
+
+    def test_certified_optimum_above_the_stop_value_recentres(self):
+        # max(1 - 3e-7 (x - y), 1 - 1e-3 x) has no minimum, but it falls
+        # so slowly that a point within eps of the ball's minimum lies well
+        # inside the sphere: the first metastep reads GlobalOptimumCertified
+        # near 1, a status that is global only down a slope of eps / depth.
+        f = MaxAffineFunction([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
+        cfg = dict(radius=100.0, level_tolerance=1e-8, radius_growth=10.0)
+        alone = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg))
+        assert alone.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        assert alone.level_queries == 1
+        assert alone.alpha_bracket[0] > 0.99
+        # A run that looks for a value below 0 goes on from there.
+        res = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg, stop_when_high_below=0.0))
+        assert res.level_queries == 6
+        assert res.best_value < 0.0
+
 
 class TestTraceOnlyObserves:
     """Tracing records the run; it must not change it."""

@@ -3,6 +3,7 @@ A deleted or renamed name breaks only the traced benchmark runs, so this
 installs the tracer on the package, runs one command and uninstalls it."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -40,3 +41,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path, capsys):
     assert report["ellipsoid_iters"] > 0
     assert tracer.counts["solver.level_queries"] == report["level_queries"]
     assert tracer.counts["solver.ellipsoid_iters"] == report["ellipsoid_iters"]
+    # decide's one run is lp's run_metasteps call, made inside decide.
+    metrics = tracer.layer_metrics(Counter())
+    assert metrics["lp.decide_feasibility.programs"][0] == 1
+    assert metrics["solver.run_metasteps.calls"][0] == 1

@@ -11,8 +11,10 @@ Problem files and traces are written under a temporary working
 directory and named relative to it, so the outputs do not depend on
 where the tool runs.  For each workload it prints one sha256 over every
 call's exit code, stdout, stderr and trace file, with the number of
-calls and their total ellipsoid iterations.  Two checkouts whose
-reports, exit codes and traces are byte-identical print the same lines.
+calls and their total ellipsoid iterations and level queries (a change
+in the metastep count shows there even when the iterations barely
+move).  Two checkouts whose reports, exit codes and traces are
+byte-identical print the same lines.
 The package run is this checkout's, under ``src``.
 
 ``--against SRC`` also compares this checkout's package (the change)
@@ -136,12 +138,11 @@ def _report(out: str):
     return report if isinstance(report, dict) else None
 
 
-def _report_iters(out: str) -> int:
-    """The ellipsoid iterations a report states; 0 for any other output."""
-    try:
-        return json.loads(out)["ellipsoid_iters"]
-    except (ValueError, KeyError, TypeError):
-        return 0
+def _report_counts(out: str):
+    """(ellipsoid iterations, level queries) a report states; 0 for a
+    count it does not state, and for any other output."""
+    report = _report(out) or {}
+    return report.get("ellipsoid_iters", 0), report.get("level_queries", 0)
 
 
 def _hash(sha, parts) -> None:
@@ -154,12 +155,12 @@ def walk(workload_fn, seeds, change, parent=None):
     """(digest, differences, change/parent time) of passes over all
     seeds; runs in the current working directory.
 
-    The digest is (sha256 hex, calls, total ellipsoid iterations) over
-    the change's calls with ``--trace``.  differences maps each call
-    whose outputs differ, by its place in a pass, to the names
-    _differences gives over all passes; it is empty when every output is
-    byte-identical.  Without ``parent`` that is the one pass, with no
-    differences and the time None.  With it, ``PASSES`` passes run each
+    The digest is (sha256 hex, calls, total ellipsoid iterations, total
+    level queries) over the change's calls with ``--trace``.
+    differences maps each call whose outputs differ, by its place in a
+    pass, to the names _differences gives over all passes; it is empty
+    when every output is byte-identical.  Without ``parent`` that is the
+    one pass, with no differences and the time None.  With it, ``PASSES`` passes run each
     call by both mains back to back, alternating which goes first.  Each
     pass times calls without ``--trace``, as the benchmark makes them,
     and compares their outputs; the first also compares the traced
@@ -168,7 +169,7 @@ def walk(workload_fn, seeds, change, parent=None):
     spent = [0.0, 0.0]
     differences = {}
     sha = hashlib.sha256()
-    calls = iters = 0
+    calls = iters = queries = 0
     passes = 1 if parent is None else PASSES
     for rep in range(passes):
         place = 0
@@ -194,11 +195,13 @@ def walk(workload_fn, seeds, change, parent=None):
                 if rep == 0:
                     code, out, err, traced = outputs[0][-1]
                     _hash(sha, (f"{seed} {op.label} {code}\n{out}\n{err}\n".encode(), traced))
-                    iters += _report_iters(out)
+                    call_iters, call_queries = _report_counts(out)
+                    iters += call_iters
+                    queries += call_queries
                 calls += 1
                 place += 1
     ratio = None if parent is None else spent[0] / spent[1]
-    return (sha.hexdigest(), calls // passes, iters), differences, ratio
+    return (sha.hexdigest(), calls // passes, iters, queries), differences, ratio
 
 
 def describe(differences) -> str:
@@ -279,11 +282,11 @@ def main(argv=None) -> int:
         os.chdir(work)
         try:
             for name in WORKLOAD_NAMES:
-                (sha, calls, iters), differences, ratio = walk(
+                (sha, calls, iters, queries), differences, ratio = walk(
                     WORKLOADS[name], args.seeds, epicut.cli.main,
                     None if parent_cli is None else parent_cli.main)
                 print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
-                      f"sha256={sha}", flush=True)
+                      f"level_queries={queries} sha256={sha}", flush=True)
                 if parent_cli is not None:
                     line = (f"{name} against parent: passes={PASSES} "
                             f"identical={'NO' if differences else 'yes'} "
