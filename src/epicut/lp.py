@@ -158,10 +158,10 @@ def decide_feasibility(
     _active_certificate try at its incumbent.  A q with b.q > tol gives
     InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
     no q Undecided.  ``trace`` records per-cut traces in the report (see
-    solver.bisect_level).
+    solver.bisect_level).  Raises ValueError unless 0 < tol < inf.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     eps = min(tol / 10.0, 1e-8)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
     cfg = MetastepConfig(
@@ -377,10 +377,11 @@ def find_feasible_point(
     feasible point, an InfeasibleNonStrict verdict proves infeasibility
     with its certificate, and anything else is undecided; radius_used is
     the radius of the last metastep's ball.  ``trace`` records a per-cut
-    trace in the metastep report.  Raises ValueError unless feas_tol > 0.
+    trace in the metastep report.  Raises ValueError unless
+    0 < feas_tol < inf.
     """
-    if not feas_tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < feas_tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     x0 = np.zeros(system.n)
     f0 = system.violation(x0)
     if f0 <= feas_tol:

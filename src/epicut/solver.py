@@ -49,8 +49,8 @@ when budget remains.  Any other end proves only its bracket
 (BudgetExhausted): lb still bounds the minimum over the ball, the proof
 of how far from the optimum the run stopped.
 
-run_metasteps chains metasteps this way, and join makes one result of
-the chain; lp's decision is one such run.
+run_metasteps chains metasteps this way and builds one result of the
+chain; lp's decision is one such run.
 
 Per-cut TraceRecords are built only when a trace is requested.
 """
@@ -203,7 +203,7 @@ def bisect_level(
     """One metastep: a single ellipsoid run over the ball around x0.
 
     Counts as one level query.  With ``trace`` the result carries one
-    TraceRecord per cut, each with query 1 (join renumbers them);
+    TraceRecord per cut, each with query 1 (run_metasteps renumbers them);
     without it ``trace`` is empty.  Tracing changes nothing else.
     Raises ValueError unless the radius has a square in [1e-300, largest
     float], the range MetastepConfig.check_radii asks of each R g^k.
@@ -434,19 +434,6 @@ def _model_step(
     return best, point + step[:n]
 
 
-def join(first: MetastepResult, later: MetastepResult) -> MetastepResult:
-    """One result for consecutive metasteps: later's outcome and config,
-    with the traces and iteration counts of both.  later's trace records
-    are renumbered in place to follow first's metasteps."""
-    for rec in later.trace:
-        rec.query += first.level_queries
-    return replace(
-        later,
-        trace=first.trace + later.trace,
-        query_iterations=first.query_iterations + later.query_iterations,
-    )
-
-
 # An overflowing distance to a vertex gives a grown radius of inf, which
 # the range test below rejects.
 @np.errstate(over="ignore")
@@ -472,45 +459,50 @@ def run_metasteps(
     Each next radius is then multiplied by cfg.radius_growth.  Stops on
     any other status, once the incumbent value is strictly below
     cfg.stop_when_high_below, or when a recentred metastep fails to
-    strictly improve; the result joins the metasteps (see join), and a
-    move is never a proof.  A metastep that raises NonFiniteValue after
-    one has completed, or a next radius whose square leaves [1e-300,
-    largest float], ends the run with the completed metasteps' result:
-    their brackets are proven, and only the raising one is lost.  ``trace``
+    strictly improve; a move is never a proof.  A metastep that raises
+    NonFiniteValue after one has completed, or a next radius whose
+    square leaves [1e-300, largest float], ends the run too: the
+    completed metasteps' brackets are proven, and only the raising one
+    is lost.  At every end the result is the last completed metastep's
+    outcome and config, with the iteration counts of every completed
+    metastep and their trace records, numbered by metastep.  ``trace``
     is passed to each metastep (see bisect_level).  Raises ValueError
     before the first metastep unless cfg.check_radii() passes.
     """
     cfg.check_radii()
-    x = np.array(x0, dtype=float, copy=True)
-    radius = cfg.radius
-    result: Optional[MetastepResult] = None
+    x, radius = x0, cfg.radius
+    last: Optional[MetastepResult] = None
+    records: List[TraceRecord] = []
+    iterations: List[int] = []
     for k in range(cfg.max_metasteps):
         step_cfg = cfg if radius == cfg.radius else replace(cfg, radius=radius)
         try:
             step = bisect_level(f, x, step_cfg, trace=trace, _witness=k < cfg.max_metasteps - 1)
         except NonFiniteValue:
-            if result is None:
+            if last is None:
                 raise
             break
-        previous = result
-        result = step if previous is None else join(previous, step)
+        for rec in step.trace:
+            rec.query = k + 1
+        records += step.trace
+        iterations += step.query_iterations
+        previous, last = last, step
         if step.best_value < cfg.stop_when_high_below or (
                 previous is not None and step.best_value >= previous.best_value):
             break
         if step.status is SolveStatus.BOUNDARY_REACHED:
-            centre = step.best_point if step.outside is None else step.outside
+            x = step.best_point if step.outside is None else step.outside
         elif step.outside is not None:
             # A move: the next ball, around the in-ball best point, holds
             # the vertex.
-            centre = step.best_point
-            radius = max(radius, 1.5 * _distance(step.outside, centre))
+            x = step.best_point
+            radius = max(radius, 1.5 * _distance(step.outside, x))
         elif step.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED and (
                 step.alpha_bracket[0] > cfg.stop_when_high_below > -math.inf):
-            centre = step.best_point
+            x = step.best_point
         else:
             break
         radius *= cfg.radius_growth
         if not _squares_fit(radius, math.log(radius)):
             break
-        x = np.array(centre, copy=True)
-    return result
+    return replace(last, trace=records, query_iterations=iterations)

@@ -198,7 +198,7 @@ class TestDecide:
 
     def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
         # The 2-D flat row decides Feasible in two metasteps; the report
-        # joins them and numbers their trace records.
+        # holds both, with their trace records numbered by metastep.
         original, calls = solver.bisect_level, []
 
         def counted(*args, **kwargs):
@@ -278,6 +278,16 @@ class TestDecide:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             decide_feasibility(normalize(UNIT_BOX), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_tol_that_is_not_finite(self, tol):
+        # An infinite tol would read x <= -1, x >= 1 as InfeasibleStrictOnly,
+        # and find the origin (f = 0.707) a feasible point.
+        s = normalize(CONTRADICTORY)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            decide_feasibility(s, tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            find_feasible_point(s, tol)
 
 
 class TestFarkasLeastSquares:

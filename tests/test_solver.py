@@ -282,6 +282,34 @@ class TestRunMetasteps:
         queries = [rec.query for rec in res.trace]
         assert queries == sorted(queries)
 
+    def test_metastep_raising_keeps_the_completed_ones(self, monkeypatch):
+        # 9e307 x over [-1, 1] reaches its minimum on the sphere at -1; the
+        # ball around -1 holds -2, where f overflows, so the second
+        # metastep raises NonFiniteValue.  The result is the first
+        # metastep's, with only its iterations and trace records.
+        f = MaxAffineFunction([[9e307]], [0.0])
+        cfg = MetastepConfig(radius=1.0)
+        first = bisect_level(f, [0.0], cfg, trace=True, _witness=True)
+        original, calls = solver.bisect_level, []
+
+        def watched(*args, **kwargs):
+            calls.append("raised")
+            step = original(*args, **kwargs)
+            calls[-1] = "completed"
+            return step
+
+        monkeypatch.setattr(solver, "bisect_level", watched)
+        res = run_metasteps(f, [0.0], cfg, trace=True)
+        assert calls == ["completed", "raised"]
+        assert res.status is first.status is SolveStatus.BOUNDARY_REACHED
+        assert res.alpha_bracket == first.alpha_bracket == (-9e307, -9e307)
+        assert res.best_point.tolist() == first.best_point.tolist() == [-1.0]
+        assert res.query_iterations == first.query_iterations
+        assert len(res.query_iterations) == 1
+        assert len(res.trace) == len(first.trace) == first.iterations
+        assert all(rec.query == 1 for rec in res.trace)
+        assert [rec.iteration for rec in res.trace] == [rec.iteration for rec in first.trace]
+
     def test_deep_cuts_reach_minimum(self):
         cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, max_metasteps=8)
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
