@@ -7,7 +7,10 @@ f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
 set.  The decision solves Farkas' alternative as one nnls, whose
 certificate decides an infeasible system without a run, and otherwise
 minimizes f from the feasible point nearest the origin by one
-run_metasteps run; the point search reads that decision as a point.
+run_metasteps run.  The point search solves the same nnls once and
+takes that nearest point when f <= tol there, on the boundary up to
+rounding and not necessarily below 0; any other start goes on to the
+decision's run, read as a point.
 The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
@@ -76,6 +79,12 @@ def normalize(system: LinearSystem) -> LinearSystem:
     # np.linalg.norm, which einsum and norm(axis=1) do not keep.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     constant = norms < _ZERO_ROW
+    if not constant.any():
+        # The masked path below with every row live: the same bits.
+        scale = np.sqrt(norms * norms + offsets * offsets)
+        rows /= scale[:, None]
+        offsets /= scale
+        return LinearSystem(rows, offsets)
     kept = ~constant | (offsets > 0.0)
     if not kept.any():
         raise EmptySystem("all rows vacuous; any point is feasible")
@@ -162,6 +171,20 @@ def decide_feasibility(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
+    cert, start = _farkas_least_squares(system, tol)
+    return _decide_from(system, tol, cert, start, trace)
+
+
+def _decide_from(
+    system: LinearSystem,
+    tol: float,
+    cert: Optional[np.ndarray],
+    start: Optional[np.ndarray],
+    trace: bool,
+) -> FeasibilityDecision:
+    """decide_feasibility after its pre-step, from the pre-step's
+    (certificate, start): no run with a certificate, else the run from
+    start and one certificate try."""
     eps = min(tol / 10.0, 1e-8)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
     cfg = MetastepConfig(
@@ -171,10 +194,9 @@ def decide_feasibility(
         radius_growth=_PRIMAL_GROWTH,
         stop_when_high_below=0.0,
     )
-    cert, x = _farkas_least_squares(system, tol)
     report: Optional[MetastepResult] = None
     if cert is None:
-        report = run_metasteps(system, x, cfg, trace=trace)
+        report = run_metasteps(system, start, cfg, trace=trace)
         if report.best_value < 0.0:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
         cert = _active_certificate(system, report.best_point, eps, tol)
@@ -371,14 +393,19 @@ def find_feasible_point(
     """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
 
     A feasible origin is returned at once, with radius_used 0.  Otherwise
-    this is decide_feasibility's decision (with tol feas_tol) read as a
-    point: one without a run is InfeasibleProven with point, f_value and
-    radius_used None.  Of a run, a best value at most feas_tol is a
-    feasible point, an InfeasibleNonStrict verdict proves infeasibility
-    with its certificate, and anything else is undecided; radius_used is
-    the radius of the last metastep's ball.  ``trace`` records a per-cut
-    trace in the metastep report.  Raises ValueError unless
-    0 < feas_tol < inf.
+    decide_feasibility's pre-step (_farkas_least_squares, with tol
+    feas_tol) is solved once.  Its certificate is InfeasibleProven with
+    point, f_value and radius_used None.  Without one, its start, the
+    feasible point nearest the origin up to rounding, is returned when
+    f <= feas_tol there: it may lie on the boundary, with f = 0 up to
+    rounding rather than f < 0, and there is no run (metastep_report and
+    radius_used None).  Any other start goes on to decide_feasibility's
+    run and certificate try, read as a point: a best value at most
+    feas_tol is a feasible point, an InfeasibleNonStrict verdict proves
+    infeasibility with its certificate, and anything else is undecided;
+    radius_used is the radius of the last metastep's ball.  ``trace``
+    records a per-cut trace in the metastep report.  Raises ValueError
+    unless 0 < feas_tol < inf.
     """
     if not 0.0 < feas_tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -387,7 +414,13 @@ def find_feasible_point(
     if f0 <= feas_tol:
         return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None, 0.0)
 
-    decision = decide_feasibility(system, feas_tol, trace=trace)
+    cert, start = _farkas_least_squares(system, feas_tol)
+    if cert is None:
+        f_start = system.violation(start)
+        if f_start <= feas_tol:
+            return PointSearchResult(start, f_start,
+                                     PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+    decision = _decide_from(system, feas_tol, cert, start, trace)
     res, cert = decision.report, None
     if res is None:
         return PointSearchResult(None, None, PointSearchOutcome.INFEASIBLE_PROVEN, None,

@@ -127,13 +127,13 @@ def _settle(matrix, target, gram, rhs, q, passive):
     and dropping it until the solution is positive.  Returns the new
     passive set."""
     while True:
-        cols = np.flatnonzero(passive)
+        cols = passive.nonzero()[0]
         z = _passive_solution(matrix, target, gram, rhs, cols)
         if (z > 0.0).all():
             q[cols] = z
             return passive
         current = q[cols]
-        low = np.flatnonzero(z <= 0.0)
+        low = (z <= 0.0).nonzero()[0]
         # Only the entering column can have current 0: no step at all.
         steps = np.divide(current[low], current[low] - z[low],
                           out=np.zeros(low.size), where=current[low] > 0.0)
@@ -152,7 +152,7 @@ def _passive_solution(matrix, target, gram, rhs, cols):
     if cols.size == rhs.size:
         z = _solve(gram, rhs)
     else:
-        z = _solve(gram[cols][:, cols], rhs[cols])
+        z = _solve(gram[cols[:, None], cols], rhs[cols])
     if z is not None:
         return z
     return np.linalg.lstsq(matrix[:, cols], target, rcond=None)[0]

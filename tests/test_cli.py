@@ -10,6 +10,15 @@ REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "run_report.sc
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+# Four flat rows in 4-D, feasible only about 4.6e6 out.  The least-squares
+# pre-step's start has f = 0.11 there, so find-point runs as decide does.
+FLAT_QUAD = {
+    "A": [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4], [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
+          [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7], [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
+    "b": [1, 1, 1, 1],
+}
+
+
 def invoke(*argv):
     return subprocess.run(
         RUN + list(argv), capture_output=True, text=True, timeout=120
@@ -200,8 +209,9 @@ class TestFindPointCommand:
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
     @pytest.mark.parametrize("doc, infeasible", [
-        # 1 <= x <= 2: the origin is infeasible, so both commands run.
-        ({"A": [[-1], [1]], "b": [1, -2]}, False),
+        # Four flat rows feasible only far out: the pre-step's start has
+        # f = 0.11, so both commands run.
+        (FLAT_QUAD, False),
         ({"A": [[1], [-1]], "b": [1, 1]}, True),
     ])
     def test_report_carries_the_run_bracket(self, tmp_path, command, doc, infeasible):
@@ -218,6 +228,21 @@ class TestFindPointCommand:
         assert lower is not None and lower <= upper <= 0.0
         if command == "find-point":
             assert upper == report["value"]
+
+    def test_pre_step_point_has_no_run(self, tmp_path):
+        # 1 <= x <= 3: the least-squares pre-step's start is x = 1, the
+        # nearest feasible point, so find-point reports it without a run.
+        path = write_problem(tmp_path / "p.json", {"A": [[-1], [1]], "b": [1, -3]})
+        trace = tmp_path / "trace.jsonl"
+        proc = invoke("find-point", path, "--trace", str(trace))
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "FeasiblePointFound"
+        assert report["point"][0] == pytest.approx(1.0, abs=1e-12)
+        assert report["value"] <= 1e-7
+        assert report["radius"] is None and report["bracket"] is None
+        assert report["level_queries"] == report["ellipsoid_iters"] == 0
+        assert trace.read_text() == ""
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
     def test_proven_before_any_run(self, tmp_path, command):
@@ -497,7 +522,7 @@ class TestTraceFlag:
     @pytest.mark.parametrize("command,doc,flags", [
         ("decide", {"A": [[1], [-1]], "b": [1, 1]}, []),
         ("decide", {"A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [-1, -1, -1, -1]}, []),
-        ("find-point", {"A": [[-1], [1]], "b": [1, -3]}, []),
+        ("find-point", FLAT_QUAD, []),
         ("minimize", {"A": [[1], [-1]], "b": [-1, -1]}, ["--radius", "2", "--x0", "5"]),
     ])
     def test_trace_changes_only_the_echo(self, tmp_path, command, doc, flags):

@@ -41,6 +41,15 @@ FLAT_ROW_2D = system([[-2.989e-07, 2.989e-07]], [1.0])
 # Feasible only far out, and so flat there that decide's first metastep
 # reads GlobalOptimumCertified with its bracket above 0.
 FLAT_PAIR = system([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
+# Four flat rows in 4-D (three-digit roundings of a seeded flat-row
+# system), feasible only about 4.6e6 out.  The pre-step's start lies
+# 2.6e5 from the nearest feasible point, with f = 0.11 there, so
+# find-point still runs.
+FLAT_QUAD = system(
+    [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4], [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
+     [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7], [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
+    np.ones(4),
+)
 # x <= 0 and x >= 0: feasible only at 0, where f = 0, so no run finds
 # f < 0.
 POINT_PAIR = system([[1.0], [-1.0]], [0.0, 0.0])
@@ -127,6 +136,23 @@ class TestNormalize:
             want_offsets.append(b / s)
         npt.assert_array_equal(out.rows, np.array(want_rows).reshape(-1, n))
         npt.assert_array_equal(out.offsets, want_offsets)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_constant_row_matches_the_masked_path(self, seed):
+        # A vacuous constant row appended forces the masked path; the
+        # system without it takes the unmasked one.  Same rows, same bits.
+        rng = np.random.default_rng(90 + seed)
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        # Rows of any scale, offsets within 1e6 of their row's scale: no
+        # row is constant.
+        scales = 10.0 ** rng.uniform(-200, 200, m)
+        rows = rng.normal(size=(m, n)) * scales[:, None]
+        offsets = rng.normal(size=m) * scales * 10.0 ** rng.uniform(-6, 6, m)
+        plain = normalize(system(rows, offsets))
+        masked = normalize(system(np.vstack([rows, np.zeros(n)]), np.append(offsets, -1.0)))
+        assert plain.m == masked.m == m
+        npt.assert_array_equal(plain.rows, masked.rows)
+        npt.assert_array_equal(plain.offsets, masked.offsets)
 
     @pytest.mark.parametrize("rows, offsets, verdict", [
         # x <= -1: tiny, but not a constant row.
@@ -699,13 +725,44 @@ class TestFindFeasiblePoint:
         assert res.certificate is None
         assert decide_feasibility(sys_n).verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
 
+    def test_takes_the_pre_step_point(self):
+        # 1 <= x <= 2: the pre-step's start is the nearest feasible point,
+        # x = 1, on the boundary, so there is no run.
+        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        npt.assert_array_equal(res.point, lp._farkas_least_squares(sys_n, 1e-7)[1])
+        assert float(res.point[0]) == pytest.approx(1.0, abs=1e-12)
+        assert res.f_value == sys_n.violation(res.point) <= 1e-7
+        assert res.metastep_report is None and res.radius_used is None
+        assert res.certificate is None
+
     def test_runs_the_decide_run(self):
-        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))  # 1 <= x <= 2
+        # The flat quad's start has f = 0.11: find-point runs decide's run
+        # from it.
+        sys_n = normalize(FLAT_QUAD)
+        assert sys_n.violation(lp._farkas_least_squares(sys_n, 1e-7)[1]) > 0.1
         res = find_feasible_point(sys_n)
         decision = decide_feasibility(sys_n)
-        assert res.metastep_report.iterations == decision.report.iterations
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert res.metastep_report.iterations == decision.report.iterations > 0
         npt.assert_array_equal(res.point, decision.report.best_point)
         assert res.radius_used == decision.report.config.radius
+
+    def test_pre_step_solved_once(self, monkeypatch):
+        # With a run, without one, and with a certificate.
+        calls = []
+        solve = lp._farkas_least_squares
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "_farkas_least_squares", counted)
+        for raw in (FLAT_QUAD, CONTRADICTORY, system([[-1.0], [1.0]], [1.0, -2.0])):
+            calls.clear()
+            find_feasible_point(normalize(raw))
+            assert len(calls) == 1
 
     def test_metastep_cap_is_undecided(self, monkeypatch):
         # Capped at one metastep, the 2-D flat row (two metasteps to
@@ -992,3 +1049,61 @@ class TestDecisionAgainstOracle:
                 rng.uniform(-1, 1, (m, n)) * scales[:, None], np.ones(m)))] += 1
         assert set(seen) == {FeasibilityVerdict.FEASIBLE,
                              FeasibilityVerdict.INFEASIBLE_NON_STRICT}
+
+    @staticmethod
+    def point_families():
+        """(family, system): criterion 07's 200 systems; 40 planted
+        feasible systems whose nearest feasible point lies about 1e3 out
+        (every row at least 0.1 below 0 at a point 1e3 from the origin,
+        m > n); and 60 flat-row systems as in test_flat_rows."""
+        rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
+        for _ in range(200):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            yield "criterion-07", system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n + 1, 9))
+            rows = rng.uniform(-1, 1, (m, n))
+            x = rng.normal(size=n)
+            x *= 1e3 / np.linalg.norm(x)
+            yield "planted-far", system(rows, -rows @ x - rng.uniform(0.1, 1.0, m))
+        rng = np.random.default_rng(83)
+        for _ in range(60):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            scales = 10.0 ** rng.uniform(-12, -3, m)
+            yield "flat", system(rng.uniform(-1, 1, (m, n)) * scales[:, None], np.ones(m))
+
+    def test_found_points(self):
+        # Every point found has f <= tol on a system the vertex oracle
+        # calls feasible.  A run-less answer (no report, no radius) is the
+        # pre-step's start, the nearest feasible point up to rounding:
+        # within 1e-6 (1 + ||x||) of the oracle's least-norm point x, plus
+        # the rounding of r_b = 1 - b.q in _farkas_least_squares.  Its
+        # absolute error of a few eps is a relative error of about
+        # eps (1 + ||x||^2), since r_b = 1 / (1 + ||x||^2); on the flat
+        # rows here it reaches 2.9e-5 of ||x|| at 7.9e5 out.
+        eps = float(np.finfo(float).eps)
+        runless = Counter()
+        for family, raw in self.point_families():
+            sys_n = normalize(raw)
+            res = find_feasible_point(sys_n)
+            if res.outcome is not PointSearchOutcome.FEASIBLE_POINT_FOUND:
+                continue
+            want = vertex_enumerate_feasible(sys_n)
+            assert want.feasible
+            assert res.f_value == sys_n.violation(res.point) <= 1e-7
+            if res.metastep_report is None and res.radius_used is None:
+                runless[family] += 1
+                x = want.min_norm_point
+                size = 1.0 + float(np.linalg.norm(x))
+                allowance = (1e-6 + 4.0 * eps * size * size) * size
+                assert float(np.linalg.norm(res.point - x)) <= allowance
+        assert set(runless) == {"criterion-07", "planted-far", "flat"}
+        # The flat quad's start has f = 0.11: it still reaches the run.
+        sys_n = normalize(FLAT_QUAD)
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert res.metastep_report is not None
+        assert vertex_enumerate_feasible(sys_n).feasible
+        assert sys_n.violation(res.point) <= 1e-7
