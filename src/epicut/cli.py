@@ -249,11 +249,12 @@ def _finish(report: dict, args: argparse.Namespace, started: float,
 
 def _decide(system: LinearSystem, tol: float, trace: bool = False) -> FeasibilityDecision:
     """normalize, then decide_feasibility.  A system whose rows are all
-    vacuous is Feasible without a run (report None)."""
+    vacuous is Feasible at the origin without a run (report None)."""
     try:
         norm_sys = normalize(system)
     except EmptySystem:
-        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf)
+        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
+                                   point=np.zeros(system.n))
     return decide_feasibility(norm_sys, tol=tol, trace=trace)
 
 
@@ -263,6 +264,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     decision = _decide(system, args.tol, bool(args.trace))
     report["verdict"] = decision.verdict.value
+    report["point"] = _vec(decision.point)
     report["certificate"] = _vec(decision.certificate)
     report["d_star"] = _num(decision.d_star)
     _finish(report, args, started, decision.report)

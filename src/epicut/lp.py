@@ -5,12 +5,15 @@ and feasible-point search.
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
 set.  The decision solves Farkas' alternative as one nnls, whose
-certificate decides an infeasible system without a run, and otherwise
-minimizes f from the feasible point nearest the origin by one
-run_metasteps run.  The point search solves the same nnls once and
+certificate decides an infeasible system without a run.  Otherwise it
+tries two points with no run: the feasible point nearest the origin
+that the same nnls gives, then Gordan's point from one minimum-norm
+solve (_strict_point); an evaluated, finite f < 0 at either is Feasible
+with that point.  Failing both, one run_metasteps run minimizes f from
+the nearest point.  The point search solves the same nnls once and
 takes that nearest point when f <= tol there, on the boundary up to
-rounding and not necessarily below 0; any other start goes on to the
-decision's run, read as a point.
+rounding and not necessarily below 0; any other start goes on to
+Gordan's point and then to the decision's run, read as a point.
 The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
@@ -35,6 +38,10 @@ from .solver import MetastepConfig, MetastepResult, run_metasteps
 # Rows whose coefficient norm is below this once normalize has scaled
 # their largest entry into [1/2, 1) are treated as constant rows.
 _ZERO_ROW = 1e-150
+
+# Gordan's point p_x / p_b is formed only when no entry exceeds this, so
+# that the quotient and the rows' values there stay finite.
+_MAX_ENTRY = 1e150
 
 
 class LinearSystem(MaxAffineFunction):
@@ -112,9 +119,12 @@ class FeasibilityDecision:
     verdict: FeasibilityVerdict
     certificate: Optional[np.ndarray]
     d_star: float  # ||A^T q||^2 of the certificate; +inf without one
-    report: Optional[MetastepResult] = None  # the primal run
+    report: Optional[MetastepResult] = None  # the primal run; None without one
     # Always None; kept because benchmark/run.py --check-fidelity reads it.
     phase_one: Optional[MetastepResult] = None
+    # The evaluated x with f(x) < 0 behind Feasible; None for any other
+    # verdict.
+    point: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -157,22 +167,67 @@ def decide_feasibility(
     f(x) = max_k (A_k . x + b_k) in R^n.
 
     A certificate from _farkas_least_squares gives InfeasibleNonStrict
-    with no run (report None).  Otherwise one run_metasteps run (the
+    with no run (report None).  Otherwise _strict_point tries, in order,
+    the pre-step's start (the feasible point nearest the origin) and
+    Gordan's point; an evaluated, finite f < 0 at either is Feasible with
+    that point and no run.  Failing both, one run_metasteps run (the
     report) minimizes f with eps = min(tol/10, 1e-8), at most
     _PRIMAL_METASTEPS metasteps growing by _PRIMAL_GROWTH, the first
-    over the ball of radius _PRIMAL_RADIUS around the feasible point
-    nearest the origin that the pre-step gives.  Its stop value is 0:
-    the run ends at the first evaluated x with f(x) < 0, a strictly
-    feasible point: Feasible.  A run that ends otherwise gets one
-    _active_certificate try at its incumbent.  A q with b.q > tol gives
-    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
-    no q Undecided.  ``trace`` records per-cut traces in the report (see
-    solver.bisect_level).  Raises ValueError unless 0 < tol < inf.
+    over the ball of radius _PRIMAL_RADIUS around the start.  Its stop
+    value is 0: the run ends at the first evaluated x with f(x) < 0, a
+    strictly feasible point: Feasible, with the run's best point.  So
+    Feasible always rests on an evaluated f < 0 at ``point``.  A run
+    that ends otherwise gets one _active_certificate try at its
+    incumbent.  A q with b.q > tol gives InfeasibleNonStrict, one with
+    |b.q| <= tol InfeasibleStrictOnly, and no q Undecided.  ``trace``
+    records per-cut traces in the report (see solver.bisect_level).
+    Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     cert, start = _farkas_least_squares(system, tol)
+    if cert is None:
+        found = _strict_point(system, start, system.violation(start))
+        if found is not None:
+            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
+                                       point=found[0])
     return _decide_from(system, tol, cert, start, trace)
+
+
+def _strict_point(
+    system: LinearSystem, start: np.ndarray, f_start: float
+) -> Optional[Tuple[np.ndarray, float]]:
+    """A point x with an evaluated, finite f(x) < 0, and f(x); or None.
+
+    The pre-step's start comes first, when f_start (f there) is below 0,
+    so no solve is spent where it already decides.  Otherwise Gordan's
+    alternative (P. Gordan, Math. Ann. 6, 1873), solved as Wolfe's
+    nearest point of a polytope (P. Wolfe, Math. Prog. 11, 1976): w =
+    min_norm_weights of the m + 1 points (A_k, b_k) and (0, -1) of
+    R^{n+1}, the rows of M, and p = M^T w.  Wolfe's optimality condition
+    M_k . p >= ||p||^2 gives p_{n+1} <= -||p||^2 < 0 for p != 0, and
+    then x = p_x / p_{n+1} has A x + b <= -||p||^2 / |p_{n+1}| < 0.
+    Rounding can break that, so x counts only on an evaluated f(x) < 0.
+    p = 0 makes w a Gordan vector, but it is not read as a verdict here:
+    one within tol exists whenever the system is within tol of losing
+    its interior, where the run still finds f < 0.
+    """
+    if -math.inf < f_start < 0.0:
+        return start, f_start
+    n = system.n
+    points = np.zeros((system.m + 1, n + 1))
+    points[:-1, :n] = system.rows
+    points[:-1, n] = system.offsets
+    points[-1, n] = -1.0
+    p = points.T @ min_norm_weights(points)
+    p_x, p_b = p[:n], float(p[n])
+    # On a normalized system every point has norm 1, so ||p|| <= 1 and
+    # the bound itself stays in range.
+    if not float(np.max(np.abs(p_x))) < -p_b * _MAX_ENTRY:
+        return None
+    x = p_x / p_b
+    f = system.violation(x)
+    return (x, f) if -math.inf < f < 0.0 else None
 
 
 def _decide_from(
@@ -182,9 +237,9 @@ def _decide_from(
     start: Optional[np.ndarray],
     trace: bool,
 ) -> FeasibilityDecision:
-    """decide_feasibility after its pre-step, from the pre-step's
-    (certificate, start): no run with a certificate, else the run from
-    start and one certificate try."""
+    """decide_feasibility's run path after its pre-step, from the
+    pre-step's (certificate, start): no run with a certificate, else the
+    run from start and one certificate try."""
     eps = min(tol / 10.0, 1e-8)
     # stop_when_high_below is strict: f(x) = 0 proves nothing.
     cfg = MetastepConfig(
@@ -198,7 +253,8 @@ def _decide_from(
     if cert is None:
         report = run_metasteps(system, start, cfg, trace=trace)
         if report.best_value < 0.0:
-            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report)
+            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report,
+                                       point=report.best_point)
         cert = _active_certificate(system, report.best_point, eps, tol)
     if cert is None:
         return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
@@ -398,10 +454,12 @@ def find_feasible_point(
     point, f_value and radius_used None.  Without one, its start, the
     feasible point nearest the origin up to rounding, is returned when
     f <= feas_tol there: it may lie on the boundary, with f = 0 up to
-    rounding rather than f < 0, and there is no run (metastep_report and
-    radius_used None).  Any other start goes on to decide_feasibility's
-    run and certificate try, read as a point: a best value at most
-    feas_tol is a feasible point, an InfeasibleNonStrict verdict proves
+    rounding rather than f < 0.  Any other start goes on to
+    decide_feasibility's Gordan point (_strict_point), returned when f < 0
+    is evaluated there.  Neither of those runs (metastep_report and
+    radius_used None).  Failing both, decide_feasibility's run and
+    certificate try are read as a point: a best value at most feas_tol
+    is a feasible point, an InfeasibleNonStrict verdict proves
     infeasibility with its certificate, and anything else is undecided;
     radius_used is the radius of the last metastep's ball.  ``trace``
     records a per-cut trace in the metastep report.  Raises ValueError
@@ -417,9 +475,10 @@ def find_feasible_point(
     cert, start = _farkas_least_squares(system, feas_tol)
     if cert is None:
         f_start = system.violation(start)
-        if f_start <= feas_tol:
-            return PointSearchResult(start, f_start,
-                                     PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+        found = ((start, f_start) if f_start <= feas_tol
+                 else _strict_point(system, start, f_start))
+        if found is not None:
+            return PointSearchResult(*found, PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
     decision = _decide_from(system, feas_tol, cert, start, trace)
     res, cert = decision.report, None
     if res is None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,18 +11,16 @@ REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "run_report.sc
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-# Four flat rows in 4-D, feasible only about 4.6e6 out.  The least-squares
-# pre-step's start has f = 0.11 there, so find-point runs as decide does.
-FLAT_QUAD = {
-    "A": [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4], [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
-          [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7], [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
-    "b": [1, 1, 1, 1],
-}
+# x >= 1 and x <= 1 - 3e-8: infeasible by less than tol, so there is no
+# certificate before the run, the least-squares pre-step's start is the
+# origin (f = 0.71), and no point has f < 0: both decide and find-point
+# run.
+NUDGED_PAIR = {"A": [[-1], [1]], "b": [1, -0.99999997]}
 
 
-def invoke(*argv):
+def invoke(*argv, env=None):
     return subprocess.run(
-        RUN + list(argv), capture_output=True, text=True, timeout=120
+        RUN + list(argv), capture_output=True, text=True, timeout=120, env=env
     )
 
 
@@ -64,6 +63,25 @@ class TestDecideCommand:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "Feasible"
         assert report["certificate"] is None
+        # Feasible rests on the point reported, where every row of the
+        # box is below 0.
+        assert max(abs(x) for x in report["point"]) < 1.0
+        assert report["value"] is None
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_flat_rows_raise_no_runtime_warning(self, tmp_path, command):
+        # Rows 1e-12 in scale, strictly feasible about 1e12 out.  Within
+        # the default tol a certificate proves them infeasible; at
+        # --tol 1e-13 none passes, so Gordan's point is computed, where
+        # rounding leaves p_{n+1} >= 0: no point, and the run ends
+        # Undecided.  No step may overflow or divide by zero on the way.
+        path = write_problem(tmp_path / "flat.json",
+                             {"A": [[1e-12, -2e-12], [-3e-12, 1e-12]], "b": [1, 1]})
+        env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+        for flags, code in (((), 1), (("--tol", "1e-13"), 3)):
+            proc = invoke(command, path, *flags, env=env)
+            assert proc.stderr == ""
+            assert proc.returncode == code
 
     def test_infeasible_exit_one_with_certificate(self, contradictory):
         proc = invoke("decide", contradictory)
@@ -74,6 +92,7 @@ class TestDecideCommand:
         assert cert is not None
         assert cert[0] == pytest.approx(cert[1], abs=1e-6)
         assert report["d_star"] <= 1e-7
+        assert report["point"] is None
 
     def test_strict_only_exit_two(self, tmp_path):
         path = write_problem(
@@ -208,24 +227,24 @@ class TestFindPointCommand:
         assert report["bracket"] is None and report["depth"] is None
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
-    @pytest.mark.parametrize("doc, infeasible", [
-        # Four flat rows feasible only far out: the pre-step's start has
-        # f = 0.11, so both commands run.
-        (FLAT_QUAD, False),
+    @pytest.mark.parametrize("doc, certified", [
+        # Both commands run on the nudged pair, and end within tol of
+        # feasible.
+        (NUDGED_PAIR, False),
         ({"A": [[1], [-1]], "b": [1, 1]}, True),
     ])
-    def test_report_carries_the_run_bracket(self, tmp_path, command, doc, infeasible):
+    def test_report_carries_the_run_bracket(self, tmp_path, command, doc, certified):
         path = write_problem(tmp_path / "p.json", doc)
         report = json.loads(invoke(command, path).stdout)
         assert report["depth"] is None
-        if infeasible:
+        if certified:
             # The pre-step's certificate proves it before any run.
             assert report["certificate"] is not None
             assert report["bracket"] is None
             assert report["level_queries"] == report["ellipsoid_iters"] == 0
             return
         lower, upper = report["bracket"]
-        assert lower is not None and lower <= upper <= 0.0
+        assert lower is not None and lower <= upper <= 1e-7
         if command == "find-point":
             assert upper == report["value"]
 
@@ -275,6 +294,7 @@ class TestFindPointCommand:
         report = json.loads(invoke("decide", path).stdout)
         assert report["verdict"] == "Feasible"
         assert report["bracket"] is None and report["depth"] is None
+        assert report["point"] == [0.0, 0.0]
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
     def test_all_vacuous_trace_file_is_empty(self, tmp_path, command):
@@ -521,8 +541,9 @@ class TestMinimizeCommand:
 class TestTraceFlag:
     @pytest.mark.parametrize("command,doc,flags", [
         ("decide", {"A": [[1], [-1]], "b": [1, 1]}, []),
-        ("decide", {"A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [-1, -1, -1, -1]}, []),
-        ("find-point", FLAT_QUAD, []),
+        # 1 <= x <= 1: not strictly feasible, so decide runs.
+        ("decide", {"A": [[-1], [1]], "b": [1, -1]}, []),
+        ("find-point", NUDGED_PAIR, []),
         ("minimize", {"A": [[1], [-1]], "b": [-1, -1]}, ["--radius", "2", "--x0", "5"]),
     ])
     def test_trace_changes_only_the_echo(self, tmp_path, command, doc, flags):

@@ -44,7 +44,7 @@ FLAT_PAIR = system([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
 # Four flat rows in 4-D (three-digit roundings of a seeded flat-row
 # system), feasible only about 4.6e6 out.  The pre-step's start lies
 # 2.6e5 from the nearest feasible point, with f = 0.11 there, so
-# find-point still runs.
+# find-point goes on to Gordan's point.
 FLAT_QUAD = system(
     [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4], [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
      [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7], [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
@@ -53,6 +53,10 @@ FLAT_QUAD = system(
 # x <= 0 and x >= 0: feasible only at 0, where f = 0, so no run finds
 # f < 0.
 POINT_PAIR = system([[1.0], [-1.0]], [0.0, 0.0])
+# x >= 1 and x <= 1 - 3e-8: infeasible by less than tol, so the pre-step
+# finds no certificate, its start is the origin (f = 0.71), there is no
+# point with f < 0, and both decide and find-point run (two metasteps).
+NUDGED_PAIR = system([[-1.0], [1.0]], [1.0, -0.99999997])
 UNIT_BOX = system(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, -1.0, -1.0]
 )
@@ -206,15 +210,17 @@ class TestDecide:
         assert out.d_star == math.inf
 
     def test_unit_box_feasible(self):
-        out = decide_feasibility(normalize(UNIT_BOX))
+        sys_n = normalize(UNIT_BOX)
+        out = decide_feasibility(sys_n)
         assert out.verdict is FeasibilityVerdict.FEASIBLE
-        assert out.report.best_value < 0.0
+        assert sys_n.violation(out.point) < 0.0
 
     def test_nonpositive_half_line_feasible(self):
-        # f(0) = 0 exactly: the run must go on to a point with f < 0.
-        out = decide_feasibility(normalize(system([[1.0]], [0.0])))
+        # f(0) = 0 exactly: the decision must go on to a point with f < 0.
+        sys_n = normalize(system([[1.0]], [0.0]))
+        out = decide_feasibility(sys_n)
         assert out.verdict is FeasibilityVerdict.FEASIBLE
-        assert out.report.best_value < 0.0
+        assert sys_n.violation(out.point) < 0.0
         assert out.d_star == math.inf
 
     def test_flat_row_never_certified(self):
@@ -223,8 +229,11 @@ class TestDecide:
         assert out.certificate is None
 
     def test_flat_row_trace_numbers_every_metastep(self, monkeypatch):
-        # The 2-D flat row decides Feasible in two metasteps; the report
-        # holds both, with their trace records numbered by metastep.
+        # Without a run-less point, as on a system that _strict_point
+        # cannot settle, the 2-D flat row decides Feasible in two
+        # metasteps; the report holds both, with their trace records
+        # numbered by metastep.
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         original, calls = solver.bisect_level, []
 
         def counted(*args, **kwargs):
@@ -246,19 +255,25 @@ class TestDecide:
             assert iterations == list(range(1, len(iterations) + 1))
             assert len(iterations) <= used
 
-    def test_flat_pair_certified_in_its_ball_is_feasible(self):
-        # The first metastep's GlobalOptimumCertified proves its bracket
-        # only over its ball, so the run goes on from its incumbent and
-        # finds f < 0.
+    def test_flat_pair_certified_in_its_ball_is_feasible(self, monkeypatch):
+        # Without a run-less point, as on a system that _strict_point
+        # cannot settle, decide runs.  The first metastep's
+        # GlobalOptimumCertified proves its bracket only over its ball, so
+        # the run goes on from its incumbent and finds f < 0: the point.
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         out = decide_feasibility(normalize(FLAT_PAIR))
         assert out.verdict is FeasibilityVerdict.FEASIBLE
         assert out.report.level_queries == 2
         assert out.report.best_value < 0.0
+        npt.assert_array_equal(out.point, out.report.best_point)
 
     def test_homogeneous_strict_only(self):
+        # Not strictly feasible: Gordan's p is 0 up to rounding, which is
+        # no verdict; the run and its certificate try decide.
         sys_n = normalize(HOMOGENEOUS_EIGHT)
         out = decide_feasibility(sys_n)
         assert out.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+        assert out.point is None and out.report is not None
         q, tol = out.certificate, 1e-7
         assert float(np.min(q)) >= -tol
         assert np.linalg.norm(sys_n.rows.T @ q) <= tol * (1.0 + np.linalg.norm(q))
@@ -365,7 +380,7 @@ class TestFarkasLeastSquares:
                 assert validate_certificate(sys_n, got.certificate)
                 assert got.report is None
             elif got.verdict is FeasibilityVerdict.FEASIBLE:
-                assert got.report.best_value < 0.0
+                assert sys_n.violation(got.point) < 0.0
             else:
                 assert got.certificate is not None and got.report is not None
 
@@ -389,6 +404,113 @@ class TestFarkasLeastSquares:
         cert, x = lp._farkas_least_squares(normalize(UNIT_BOX), 1e-7)
         assert cert is None
         npt.assert_array_equal(x, [0.0, 0.0])
+
+
+def families_corpus(seed, per_family):
+    """(family, raw system) for nine seeded families within the vertex
+    oracle's four dimensions and twelve rows: uniform, small integers,
+    homogeneous integers, planted feasible (a quarter about 1e3 out),
+    equality pairs with slack rows, thin slabs far out, flat rows,
+    planted infeasible, and thin planted (margins 1e-12 to 1e-6, a third
+    of them nudged infeasible by that much)."""
+    rng = np.random.default_rng(seed)
+    for i in range(per_family):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        yield "uniform", system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
+        rows = rng.integers(-2, 3, (m, n)).astype(float)
+        rows[-1] = rows[int(rng.integers(0, m))]
+        yield "integer", system(rows, rng.integers(-2, 3, m))
+        yield "homogeneous", system(rng.integers(-2, 3, (m, n)), np.zeros(m))
+        m = int(rng.integers(n + 1, 13))
+        rows, x = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, n)
+        if i % 4 == 0:
+            x *= 1e3 / np.linalg.norm(x)
+        yield "planted", system(rows, -rows @ x - rng.uniform(0.1, 1.0, m))
+        yield "planted-infeasible", planted_infeasible(rng, m, n)
+        rows, x = rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, n)
+        margin = 10.0 ** rng.uniform(-12, -6, m)
+        yield "thin-planted", system(rows, -rows @ x - (-margin if i % 3 == 0 else margin))
+        pairs, slack = int(rng.integers(1, n + 1)), int(rng.integers(0, 4))
+        point = rng.uniform(-2, 2, n)
+        plane, extra = rng.uniform(-1, 1, (pairs, n)), rng.uniform(-1, 1, (slack, n))
+        yield "equality", system(
+            np.vstack([plane, -plane, extra]),
+            np.concatenate([-(plane @ point), plane @ point,
+                            -(extra @ point) - rng.uniform(0.1, 1.0, slack)]))
+        a = rng.uniform(-1, 1, n)
+        c, w, h = 10.0 ** rng.uniform([0, -12, 0], [4, -5, 4])
+        yield "thin-slab", system(np.vstack([a, -a, np.eye(n), -np.eye(n)]),
+                                  np.concatenate([[-(c + w), c], np.full(2 * n, -h)]))
+        m = int(rng.integers(1, 5))
+        scales = 10.0 ** rng.uniform(-12, -3, m)
+        yield "flat", system(rng.uniform(-1, 1, (m, n)) * scales[:, None], np.ones(m))
+
+
+def criterion_07_systems():
+    rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
+    for _ in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        yield "criterion-07", system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
+
+
+class TestStrictPoint:
+    """_strict_point: decide's and find-point's run-less Feasible point,
+    the pre-step's start or Gordan's point."""
+
+    def test_feasible_rests_on_an_evaluated_point(self):
+        # Every Feasible decision carries a finite point with f < 0 on a
+        # system the vertex oracle calls feasible, and every verdict is
+        # the one the run path gives from the same pre-step.
+        paths = Counter()
+        for family, raw in [*criterion_07_systems(), *families_corpus(89, 12)]:
+            try:
+                sys_n = normalize(raw)
+            except EmptySystem:
+                continue
+            got = decide_feasibility(sys_n)
+            cert, start = lp._farkas_least_squares(sys_n, 1e-7)
+            assert lp._decide_from(sys_n, 1e-7, cert, start, False).verdict is got.verdict
+            if got.verdict is not FeasibilityVerdict.FEASIBLE:
+                assert got.point is None
+                continue
+            assert np.isfinite(got.point).all()
+            assert sys_n.violation(got.point) < 0.0
+            assert vertex_enumerate_feasible(sys_n).feasible
+            paths["run" if got.report is not None else
+                  "start" if np.array_equal(got.point, start) else "gordan"] += 1
+        assert paths["start"] and paths["gordan"] and paths["run"]
+
+    def test_start_below_zero_makes_no_gordan_solve(self, monkeypatch):
+        calls = []
+        solve = lp.min_norm_weights
+        monkeypatch.setattr(lp, "min_norm_weights",
+                            lambda points: calls.append(points) or solve(points))
+        # The unit box's start is the origin, where f < 0.
+        sys_n = normalize(UNIT_BOX)
+        out = decide_feasibility(sys_n)
+        assert out.verdict is FeasibilityVerdict.FEASIBLE and out.report is None
+        npt.assert_array_equal(out.point, [0.0, 0.0])
+        assert calls == []
+        # 1 <= x <= 2: the start x = 1 has f = 0, so one Gordan solve, of
+        # the two rows and (0, -1), gives the point.
+        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
+        out = decide_feasibility(sys_n)
+        assert out.verdict is FeasibilityVerdict.FEASIBLE and out.report is None
+        assert 1.0 < float(out.point[0]) < 2.0
+        assert len(calls) == 1 and calls[0].shape == (3, 2)
+
+    def test_find_point_takes_the_gordan_point(self):
+        # The flat quad's start has f = 0.11 > tol, and Gordan's point has
+        # f < 0: find-point returns it with no run, as decide does.
+        sys_n = normalize(FLAT_QUAD)
+        assert sys_n.violation(lp._farkas_least_squares(sys_n, 1e-7)[1]) > 0.1
+        res = find_feasible_point(sys_n)
+        decision = decide_feasibility(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert res.metastep_report is None and res.radius_used is None
+        assert res.f_value == sys_n.violation(res.point) < 0.0
+        assert decision.verdict is FeasibilityVerdict.FEASIBLE and decision.report is None
+        npt.assert_array_equal(res.point, decision.point)
 
 
 class TestValidateCertificate:
@@ -536,14 +658,15 @@ class TestFarkasKernel:
 
     def test_cold_windows_certify_decide(self, monkeypatch):
         # Every certificate window is solved cold.  Without the pre-step's
-        # certificate, decide's run reaches _active_certificate, as for a
-        # system whose least-squares q fails its check: it proves each
-        # planted system infeasible and gives both verdicts on random
-        # ones; every certificate passes validate_certificate, and some
-        # window at the incumbent passes it exactly when the verdict is
-        # infeasible.
+        # certificate or a run-less point, decide's run reaches
+        # _active_certificate, as for a system whose least-squares q fails
+        # its check: it proves each planted system infeasible and gives
+        # both verdicts on random ones; every certificate passes
+        # validate_certificate, and some window at the incumbent passes it
+        # exactly when the verdict is infeasible.
         monkeypatch.setattr(lp, "_farkas_least_squares",
                             lambda sys_n, tol: (None, np.zeros(sys_n.n)))
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         rng = np.random.default_rng(71)
         planted = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)
                    for _ in range(3)]
@@ -738,12 +861,15 @@ class TestFindFeasiblePoint:
         assert res.certificate is None
 
     def test_runs_the_decide_run(self):
-        # The flat quad's start has f = 0.11: find-point runs decide's run
-        # from it.
-        sys_n = normalize(FLAT_QUAD)
+        # The nudged pair's start has f = 0.71 and it has no point with
+        # f < 0: find-point runs decide's run from the start and reads its
+        # best point, with f <= tol, as a point.
+        sys_n = normalize(NUDGED_PAIR)
         assert sys_n.violation(lp._farkas_least_squares(sys_n, 1e-7)[1]) > 0.1
         res = find_feasible_point(sys_n)
         decision = decide_feasibility(sys_n)
+        assert decision.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+        assert decision.point is None
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         assert res.metastep_report.iterations == decision.report.iterations > 0
         npt.assert_array_equal(res.point, decision.report.best_point)
@@ -759,16 +885,18 @@ class TestFindFeasiblePoint:
             return solve(*args)
 
         monkeypatch.setattr(lp, "_farkas_least_squares", counted)
-        for raw in (FLAT_QUAD, CONTRADICTORY, system([[-1.0], [1.0]], [1.0, -2.0])):
+        for raw in (NUDGED_PAIR, CONTRADICTORY, system([[-1.0], [1.0]], [1.0, -2.0])):
             calls.clear()
             find_feasible_point(normalize(raw))
             assert len(calls) == 1
 
     def test_metastep_cap_is_undecided(self, monkeypatch):
-        # Capped at one metastep, the 2-D flat row (two metasteps to
-        # f < 0) ends with f > 0 and no certificate: Undecided, with its
-        # run ...
+        # Capped at one metastep and without a run-less point, as on a
+        # system that _strict_point cannot settle, the 2-D flat row (two
+        # metasteps to f < 0) ends with f > 0 and no certificate:
+        # Undecided, with its run and no point ...
         monkeypatch.setattr(lp, "_PRIMAL_METASTEPS", 1)
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         sys_n = normalize(FLAT_ROW_2D)
         decision = decide_feasibility(sys_n)
         assert decision.verdict is FeasibilityVerdict.UNDECIDED
@@ -777,6 +905,7 @@ class TestFindFeasiblePoint:
         assert decision.report.level_queries == 1
         assert decision.report.iterations > 0
         assert decision.report.best_value > 0.0
+        assert decision.point is None
         # ... and the point search reads that run as no point either.
         res = find_feasible_point(sys_n)
         assert res.outcome is PointSearchOutcome.UNDECIDED
@@ -922,7 +1051,7 @@ class TestDecisionAgainstOracle:
             assert got.certificate is None
         elif verdict is FeasibilityVerdict.FEASIBLE:
             assert strictly
-            assert sys_n.violation(got.report.best_point) < 0.0
+            assert sys_n.violation(got.point) < 0.0
             assert got.certificate is None
         else:
             assert not strictly
@@ -1006,7 +1135,7 @@ class TestDecisionAgainstOracle:
         assert verdict is not FeasibilityVerdict.UNDECIDED
         if verdict is FeasibilityVerdict.FEASIBLE:
             assert want.feasible
-            assert sys_n.violation(got.report.best_point) < 0.0
+            assert sys_n.violation(got.point) < 0.0
             return verdict
         q = got.certificate
         proves = verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
@@ -1056,10 +1185,7 @@ class TestDecisionAgainstOracle:
         feasible systems whose nearest feasible point lies about 1e3 out
         (every row at least 0.1 below 0 at a point 1e3 from the origin,
         m > n); and 60 flat-row systems as in test_flat_rows."""
-        rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
-        for _ in range(200):
-            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-            yield "criterion-07", system(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
+        yield from criterion_07_systems()
         rng = np.random.default_rng(79)
         for _ in range(40):
             n = int(rng.integers(1, 5))
@@ -1077,12 +1203,14 @@ class TestDecisionAgainstOracle:
     def test_found_points(self):
         # Every point found has f <= tol on a system the vertex oracle
         # calls feasible.  A run-less answer (no report, no radius) is the
-        # pre-step's start, the nearest feasible point up to rounding:
-        # within 1e-6 (1 + ||x||) of the oracle's least-norm point x, plus
-        # the rounding of r_b = 1 - b.q in _farkas_least_squares.  Its
-        # absolute error of a few eps is a relative error of about
-        # eps (1 + ||x||^2), since r_b = 1 / (1 + ||x||^2); on the flat
-        # rows here it reaches 2.9e-5 of ||x|| at 7.9e5 out.
+        # pre-step's start when f <= tol there, and else Gordan's point,
+        # which has f < 0.  The start is the nearest feasible point up to
+        # rounding: within 1e-6 (1 + ||x||) of the oracle's least-norm
+        # point x, plus the rounding of r_b = 1 - b.q in
+        # _farkas_least_squares.  Its absolute error of a few eps is a
+        # relative error of about eps (1 + ||x||^2), since
+        # r_b = 1 / (1 + ||x||^2); on the flat rows here it reaches
+        # 2.9e-5 of ||x|| at 7.9e5 out.
         eps = float(np.finfo(float).eps)
         runless = Counter()
         for family, raw in self.point_families():
@@ -1093,17 +1221,17 @@ class TestDecisionAgainstOracle:
             want = vertex_enumerate_feasible(sys_n)
             assert want.feasible
             assert res.f_value == sys_n.violation(res.point) <= 1e-7
-            if res.metastep_report is None and res.radius_used is None:
-                runless[family] += 1
-                x = want.min_norm_point
-                size = 1.0 + float(np.linalg.norm(x))
-                allowance = (1e-6 + 4.0 * eps * size * size) * size
-                assert float(np.linalg.norm(res.point - x)) <= allowance
-        assert set(runless) == {"criterion-07", "planted-far", "flat"}
-        # The flat quad's start has f = 0.11: it still reaches the run.
-        sys_n = normalize(FLAT_QUAD)
-        res = find_feasible_point(sys_n)
-        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
-        assert res.metastep_report is not None
-        assert vertex_enumerate_feasible(sys_n).feasible
-        assert sys_n.violation(res.point) <= 1e-7
+            if res.metastep_report is not None or res.radius_used is not None:
+                continue
+            start = lp._farkas_least_squares(sys_n, 1e-7)[1]
+            if not np.array_equal(res.point, start):
+                runless[family, "gordan"] += 1
+                assert res.f_value < 0.0 < sys_n.violation(start) - 1e-7
+                continue
+            runless[family, "start"] += 1
+            x = want.min_norm_point
+            size = 1.0 + float(np.linalg.norm(x))
+            allowance = (1e-6 + 4.0 * eps * size * size) * size
+            assert float(np.linalg.norm(res.point - x)) <= allowance
+        assert {family for family, _ in runless} == {"criterion-07", "planted-far", "flat"}
+        assert runless["flat", "gordan"] > 0

@@ -20,22 +20,22 @@ def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path, capsys):
     assert missing == []
     originals = [owner.__dict__[attr] for owner, attr, _ in targets]
 
-    # 1 <= x <= 2: decide runs from x = 1, the feasible point nearest
-    # the origin, where f = 0.
-    path = tmp_path / "segment.json"
-    path.write_text(json.dumps({"A": [[-1], [1]], "b": [1, -2]}))
+    # 1 <= x <= 1: not strictly feasible, so decide runs from x = 1, the
+    # feasible point nearest the origin, where f = 0.
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"A": [[-1], [1]], "b": [1, -1]}))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert all(owner.__dict__[attr] is not original
                    for (owner, attr, _), original in zip(targets, originals))
-        assert tracer.call(0, cli.main, ["decide", str(path)]) == cli.EXIT_OK
+        assert tracer.call(0, cli.main, ["decide", str(path)]) == cli.EXIT_STRICT_ONLY
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original
                for (owner, attr, _), original in zip(targets, originals))
     report = json.loads(capsys.readouterr().out)
-    assert report["verdict"] == "Feasible"
+    assert report["verdict"] == "InfeasibleStrictOnly"
     # The tracer counts the metasteps it sees as solver.bisect_level; one
     # that lp calls by another name would be missing here.
     assert report["ellipsoid_iters"] > 0
