@@ -29,6 +29,7 @@ from .lp import (  # noqa: F401
     FeasibilityVerdict,
     LinearSystem,
     PointSearchOutcome,
+    PointSearchResult,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -278,19 +279,18 @@ def cmd_find_point(args: argparse.Namespace) -> int:
     try:
         norm_sys = normalize(system)
     except EmptySystem:
-        report["verdict"] = PointSearchOutcome.FEASIBLE_POINT_FOUND.value
-        report["point"] = _vec(np.zeros(system.n))
-        report["value"] = 0.0
-        _finish(report, args, started, None)
-        return EXIT_OK
-
-    result = find_feasible_point(norm_sys, args.tol, trace=bool(args.trace))
+        result = PointSearchResult(np.zeros(system.n), 0.0,
+                                   PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+    else:
+        result = find_feasible_point(norm_sys, args.tol, trace=bool(args.trace))
+    run = result.metastep_report
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
     report["value"] = _num(result.f_value)
     report["certificate"] = _vec(result.certificate)
-    report["radius"] = _num(result.radius_used)
-    _finish(report, args, started, result.metastep_report)
+    # The last metastep's radius; null without a run.
+    report["radius"] = _num(run.config.radius) if run is not None else None
+    _finish(report, args, started, run)
     return _POINT_EXIT[result.outcome]
 
 

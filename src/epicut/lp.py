@@ -10,10 +10,10 @@ tries two points with no run: the feasible point nearest the origin
 that the same nnls gives, then Gordan's point from one minimum-norm
 solve (_strict_point); an evaluated, finite f < 0 at either is Feasible
 with that point.  Failing both, one run_metasteps run minimizes f from
-the nearest point.  The point search solves the same nnls once and
-takes that nearest point when f <= tol there, on the boundary up to
-rounding and not necessarily below 0; any other start goes on to
-Gordan's point and then to the decision's run, read as a point.
+the nearest point.  All of this after the nnls is _decide_from.  The
+point search solves the same nnls once and takes that nearest point
+when f <= tol there, on the boundary up to rounding and not necessarily
+below 0; any other start goes on to _decide_from, read as a point.
 The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
@@ -145,7 +145,6 @@ class PointSearchResult:
     f_value: Optional[float]
     outcome: PointSearchOutcome
     metastep_report: Optional[MetastepResult]
-    radius_used: Optional[float] = None
     # The Farkas certificate behind INFEASIBLE_PROVEN; None otherwise.
     certificate: Optional[np.ndarray] = None
 
@@ -164,34 +163,14 @@ def decide_feasibility(
     trace: bool = False,
 ) -> FeasibilityDecision:
     """Feasibility decision for a normalized system by minimizing
-    f(x) = max_k (A_k . x + b_k) in R^n.
-
-    A certificate from _farkas_least_squares gives InfeasibleNonStrict
-    with no run (report None).  Otherwise _strict_point tries, in order,
-    the pre-step's start (the feasible point nearest the origin) and
-    Gordan's point; an evaluated, finite f < 0 at either is Feasible with
-    that point and no run.  Failing both, one run_metasteps run (the
-    report) minimizes f with eps = min(tol/10, 1e-8), at most
-    _PRIMAL_METASTEPS metasteps growing by _PRIMAL_GROWTH, the first
-    over the ball of radius _PRIMAL_RADIUS around the start.  Its stop
-    value is 0: the run ends at the first evaluated x with f(x) < 0, a
-    strictly feasible point: Feasible, with the run's best point.  So
-    Feasible always rests on an evaluated f < 0 at ``point``.  A run
-    that ends otherwise gets one _active_certificate try at its
-    incumbent.  A q with b.q > tol gives InfeasibleNonStrict, one with
-    |b.q| <= tol InfeasibleStrictOnly, and no q Undecided.  ``trace``
-    records per-cut traces in the report (see solver.bisect_level).
-    Raises ValueError unless 0 < tol < inf.
+    f(x) = max_k (A_k . x + b_k) in R^n: the pre-step
+    _farkas_least_squares, then _decide_from on its certificate or start.
+    ``trace`` records per-cut traces in the report (see
+    solver.bisect_level).  Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    cert, start = _farkas_least_squares(system, tol)
-    if cert is None:
-        found = _strict_point(system, start, system.violation(start))
-        if found is not None:
-            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
-                                       point=found[0])
-    return _decide_from(system, tol, cert, start, trace)
+    return _decide_from(system, tol, *_farkas_least_squares(system, tol), trace)
 
 
 def _strict_point(
@@ -237,20 +216,37 @@ def _decide_from(
     start: Optional[np.ndarray],
     trace: bool,
 ) -> FeasibilityDecision:
-    """decide_feasibility's run path after its pre-step, from the
-    pre-step's (certificate, start): no run with a certificate, else the
-    run from start and one certificate try."""
-    eps = min(tol / 10.0, 1e-8)
-    # stop_when_high_below is strict: f(x) = 0 proves nothing.
-    cfg = MetastepConfig(
-        radius=_PRIMAL_RADIUS,
-        level_tolerance=eps,
-        max_metasteps=_PRIMAL_METASTEPS,
-        radius_growth=_PRIMAL_GROWTH,
-        stop_when_high_below=0.0,
-    )
+    """The decision after the pre-step, from its (certificate, start).
+
+    A certificate gives InfeasibleNonStrict with no run (report None).
+    Otherwise _strict_point tries, in order, the start (the feasible point
+    nearest the origin) and Gordan's point; an evaluated, finite f < 0 at
+    either is Feasible with that point and no run.  Failing both, one
+    run_metasteps run (the report) minimizes f with eps = min(tol/10,
+    1e-8), at most _PRIMAL_METASTEPS metasteps growing by _PRIMAL_GROWTH,
+    the first over the ball of radius _PRIMAL_RADIUS around the start.
+    Its stop value is 0: the run ends at the first evaluated x with
+    f(x) < 0, a strictly feasible point: Feasible, with the run's best
+    point.  So Feasible always rests on an evaluated f < 0 at ``point``.
+    A run that ends otherwise gets one _active_certificate try at its
+    incumbent.  A q with b.q > tol gives InfeasibleNonStrict, one with
+    |b.q| <= tol InfeasibleStrictOnly, and no q Undecided.
+    """
     report: Optional[MetastepResult] = None
     if cert is None:
+        found = _strict_point(system, start, system.violation(start))
+        if found is not None:
+            return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
+                                       point=found[0])
+        eps = min(tol / 10.0, 1e-8)
+        # stop_when_high_below is strict: f(x) = 0 proves nothing.
+        cfg = MetastepConfig(
+            radius=_PRIMAL_RADIUS,
+            level_tolerance=eps,
+            max_metasteps=_PRIMAL_METASTEPS,
+            radius_growth=_PRIMAL_GROWTH,
+            stop_when_high_below=0.0,
+        )
         report = run_metasteps(system, start, cfg, trace=trace)
         if report.best_value < 0.0:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report,
@@ -446,50 +442,44 @@ def find_feasible_point(
     *,
     trace: bool = False,
 ) -> PointSearchResult:
-    """Search for x with max_k (A_k . x + b_k) <= feas_tol from the origin.
+    """Search for x with max_k (A_k . x + b_k) <= feas_tol.
 
-    A feasible origin is returned at once, with radius_used 0.  Otherwise
     decide_feasibility's pre-step (_farkas_least_squares, with tol
-    feas_tol) is solved once.  Its certificate is InfeasibleProven with
-    point, f_value and radius_used None.  Without one, its start, the
-    feasible point nearest the origin up to rounding, is returned when
-    f <= feas_tol there: it may lie on the boundary, with f = 0 up to
-    rounding rather than f < 0.  Any other start goes on to
-    decide_feasibility's Gordan point (_strict_point), returned when f < 0
-    is evaluated there.  Neither of those runs (metastep_report and
-    radius_used None).  Failing both, decide_feasibility's run and
-    certificate try are read as a point: a best value at most feas_tol
-    is a feasible point, an InfeasibleNonStrict verdict proves
-    infeasibility with its certificate, and anything else is undecided;
-    radius_used is the radius of the last metastep's ball.  ``trace``
-    records a per-cut trace in the metastep report.  Raises ValueError
-    unless 0 < feas_tol < inf.
+    feas_tol) is solved once.  Without a certificate, its start, the
+    feasible point nearest the origin up to rounding (the origin itself
+    when that is feasible), is returned when f <= feas_tol there: it may
+    lie on the boundary, with f = 0 up to rounding rather than f < 0.
+    Otherwise decide_feasibility's decision after the pre-step
+    (_decide_from) is read as a point.  With no run (metastep_report
+    None), a Feasible point is found and a certificate is
+    InfeasibleProven with point and f_value None.  After its run, a best
+    value at most feas_tol is a feasible point, an InfeasibleNonStrict
+    verdict proves infeasibility with its certificate, and anything else
+    is undecided, each with the run's best point.  ``trace`` records a
+    per-cut trace in the metastep report.  Raises ValueError unless
+    0 < feas_tol < inf.
     """
     if not 0.0 < feas_tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    x0 = np.zeros(system.n)
-    f0 = system.violation(x0)
-    if f0 <= feas_tol:
-        return PointSearchResult(x0, f0, PointSearchOutcome.FEASIBLE_POINT_FOUND, None, 0.0)
-
     cert, start = _farkas_least_squares(system, feas_tol)
     if cert is None:
         f_start = system.violation(start)
-        found = ((start, f_start) if f_start <= feas_tol
-                 else _strict_point(system, start, f_start))
-        if found is not None:
-            return PointSearchResult(*found, PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+        if f_start <= feas_tol:
+            return PointSearchResult(start, f_start, PointSearchOutcome.FEASIBLE_POINT_FOUND,
+                                     None)
     decision = _decide_from(system, feas_tol, cert, start, trace)
-    res, cert = decision.report, None
+    res = decision.report
     if res is None:
+        if decision.verdict is FeasibilityVerdict.FEASIBLE:
+            return PointSearchResult(decision.point, system.violation(decision.point),
+                                     PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
         return PointSearchResult(None, None, PointSearchOutcome.INFEASIBLE_PROVEN, None,
-                                 None, decision.certificate)
+                                 decision.certificate)
+    cert = None
     if res.best_value <= feas_tol:
         outcome = PointSearchOutcome.FEASIBLE_POINT_FOUND
     elif decision.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT:
         outcome, cert = PointSearchOutcome.INFEASIBLE_PROVEN, decision.certificate
     else:
         outcome = PointSearchOutcome.UNDECIDED
-    return PointSearchResult(
-        res.best_point, res.best_value, outcome, res, res.config.radius, cert
-    )
+    return PointSearchResult(res.best_point, res.best_value, outcome, res, cert)

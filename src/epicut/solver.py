@@ -58,6 +58,7 @@ Per-cut TraceRecords are built only when a trace is requested.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -122,9 +123,11 @@ class MetastepConfig:
             raise ValueError("radius must be positive")
         if not 0.0 < self.level_tolerance < self.radius:
             raise ValueError("level_tolerance must lie in (0, radius)")
-        if self.max_metasteps < 1:
-            raise ValueError("max_metasteps must be >= 1")
-        if self.radius_growth < 1.0:
+        # Negated tests, so that NaN fails them; numbers.Integral takes
+        # numpy's integers and rejects every float.
+        if not (isinstance(self.max_metasteps, numbers.Integral) and self.max_metasteps >= 1):
+            raise ValueError("max_metasteps must be an integer >= 1")
+        if not self.radius_growth >= 1.0:
             raise ValueError("radius_growth must be >= 1")
 
     def check_radii(self) -> None:

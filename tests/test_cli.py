@@ -171,7 +171,8 @@ class TestFindPointCommand:
         report = json.loads(proc.stdout)
         assert report["verdict"] == "FeasiblePointFound"
         assert report["value"] <= 1e-7
-        assert report["radius"] is not None
+        # The origin is feasible: found with no run, so no radius.
+        assert report["radius"] is None
 
     def test_contradictory_proven(self, contradictory):
         # Proven before any run: no point, value or radius.
@@ -223,7 +224,7 @@ class TestFindPointCommand:
         report = json.loads(proc.stdout)
         assert report["point"] == [0.0]
         assert report["ellipsoid_iters"] == 0
-        assert report["radius"] == 0.0
+        assert report["radius"] is None
         assert report["bracket"] is None and report["depth"] is None
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
@@ -262,6 +263,38 @@ class TestFindPointCommand:
         assert report["radius"] is None and report["bracket"] is None
         assert report["level_queries"] == report["ellipsoid_iters"] == 0
         assert trace.read_text() == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"A": [[0, 0]], "b": [-1]},  # every row vacuous
+        {"A": [[1], [-1]], "b": [1, 1]},  # the pre-step's certificate
+        {"A": [[1]], "b": [0]},  # a feasible origin
+        {"A": [[-1], [1]], "b": [1, -3]},  # the pre-step's start, x = 1
+        # The flat quad of test_lp.py: its start has f = 0.11, and
+        # Gordan's point f < 0.
+        {"A": [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4],
+               [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
+               [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7],
+               [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
+         "b": [1, 1, 1, 1]},
+        NUDGED_PAIR,  # the run
+    ], ids=["vacuous", "certificate", "origin", "start", "gordan", "run"])
+    def test_radius_is_the_runs(self, tmp_path, capsys, doc):
+        # find-point's radius is the last metastep's with a run, and null
+        # for every answer without one.
+        import numpy as np
+
+        from epicut import LinearSystem, cli, find_feasible_point, normalize
+
+        path = write_problem(tmp_path / "p.json", doc)
+        assert cli.main(["find-point", path]) in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+        report = json.loads(capsys.readouterr().out)
+        if doc is not NUDGED_PAIR:
+            assert report["radius"] is None and report["ellipsoid_iters"] == 0
+            return
+        raw = LinearSystem(np.array(doc["A"], float), np.array(doc["b"], float))
+        run = find_feasible_point(normalize(raw)).metastep_report
+        assert run.level_queries == report["level_queries"] == 2
+        assert report["radius"] == run.config.radius == 1000.0
 
     @pytest.mark.parametrize("command", ["decide", "find-point"])
     def test_proven_before_any_run(self, tmp_path, command):

@@ -457,7 +457,7 @@ class TestStrictPoint:
     """_strict_point: decide's and find-point's run-less Feasible point,
     the pre-step's start or Gordan's point."""
 
-    def test_feasible_rests_on_an_evaluated_point(self):
+    def test_feasible_rests_on_an_evaluated_point(self, monkeypatch):
         # Every Feasible decision carries a finite point with f < 0 on a
         # system the vertex oracle calls feasible, and every verdict is
         # the one the run path gives from the same pre-step.
@@ -469,7 +469,10 @@ class TestStrictPoint:
                 continue
             got = decide_feasibility(sys_n)
             cert, start = lp._farkas_least_squares(sys_n, 1e-7)
-            assert lp._decide_from(sys_n, 1e-7, cert, start, False).verdict is got.verdict
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_strict_point", lambda *args: None)
+                run_path = lp._decide_from(sys_n, 1e-7, cert, start, False)
+            assert run_path.verdict is got.verdict
             if got.verdict is not FeasibilityVerdict.FEASIBLE:
                 assert got.point is None
                 continue
@@ -498,6 +501,18 @@ class TestStrictPoint:
         assert out.verdict is FeasibilityVerdict.FEASIBLE and out.report is None
         assert 1.0 < float(out.point[0]) < 2.0
         assert len(calls) == 1 and calls[0].shape == (3, 2)
+        # find-point takes a start with f <= tol, the box's origin and
+        # x = 1 above, with no Gordan solve ...
+        calls.clear()
+        for raw in (UNIT_BOX, system([[-1.0], [1.0]], [1.0, -2.0])):
+            res = find_feasible_point(normalize(raw))
+            assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert calls == []
+        # ... and past a start with f > tol makes exactly one.
+        res = find_feasible_point(normalize(FLAT_QUAD))
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert res.metastep_report is None
+        assert len(calls) == 1 and calls[0].shape == (5, 5)
 
     def test_find_point_takes_the_gordan_point(self):
         # The flat quad's start has f = 0.11 > tol, and Gordan's point has
@@ -507,7 +522,7 @@ class TestStrictPoint:
         res = find_feasible_point(sys_n)
         decision = decide_feasibility(sys_n)
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
-        assert res.metastep_report is None and res.radius_used is None
+        assert res.metastep_report is None
         assert res.f_value == sys_n.violation(res.point) < 0.0
         assert decision.verdict is FeasibilityVerdict.FEASIBLE and decision.report is None
         npt.assert_array_equal(res.point, decision.point)
@@ -805,6 +820,34 @@ class TestFindFeasiblePoint:
         res = find_feasible_point(normalize(UNIT_BOX))
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         npt.assert_allclose(res.point, [0.0, 0.0])
+        # With f(0) <= 0 the pre-step's start is the origin itself (q = 0,
+        # r = e_{n+1}): every bit of it, f(0) as the value, no run and no
+        # certificate, on a seeded family with homogeneous rows among them.
+        rng = np.random.default_rng(47)
+        for k in range(320):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+            offsets = rng.uniform(-1.0, 0.0, m)
+            if k % 4 == 0:
+                offsets[rng.uniform(size=m) < 0.5] = 0.0
+            sys_n = normalize(system(rng.uniform(-1, 1, (m, n)), offsets))
+            origin = np.zeros(n)
+            res = find_feasible_point(sys_n)
+            assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+            assert res.point.tobytes() == origin.tobytes()
+            assert res.f_value == sys_n.violation(origin) <= 0.0
+            assert res.metastep_report is None and res.certificate is None
+
+    def test_origin_within_tol_takes_the_start(self):
+        # x >= 1e-9: f(0) = 1e-9 lies in (0, tol], and the answer is the
+        # pre-step's start, the nearest feasible point, not the origin.
+        sys_n = normalize(system([[-1.0]], [1e-9]))
+        assert 0.0 < sys_n.violation(np.zeros(1)) <= 1e-7
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        npt.assert_array_equal(res.point, lp._farkas_least_squares(sys_n, 1e-7)[1])
+        assert float(res.point[0]) == pytest.approx(1e-9, rel=1e-12)
+        assert res.f_value == sys_n.violation(res.point) <= 0.0
+        assert res.metastep_report is None and res.certificate is None
 
     def test_search_away_from_origin(self):
         # 1 <= x <= 2: origin infeasible, must move right
@@ -822,7 +865,7 @@ class TestFindFeasiblePoint:
         assert res.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
         assert validate_certificate(sys_n, res.certificate)
         assert res.point is None and res.f_value is None
-        assert res.radius_used is None and res.metastep_report is None
+        assert res.metastep_report is None
 
     def test_flat_row_never_proven(self):
         sys_n = normalize(FLAT_ROW)
@@ -836,8 +879,8 @@ class TestFindFeasiblePoint:
         res = find_feasible_point(normalize(system([[1.0]], [0.0])))  # x <= 0
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         npt.assert_array_equal(res.point, [0.0])
-        assert res.metastep_report is None
-        assert res.radius_used == 0.0
+        assert res.f_value == 0.0
+        assert res.metastep_report is None and res.certificate is None
 
     def test_weakly_feasible_incumbent_is_a_point(self):
         # x = 1 is the only feasible point; decide calls it InfeasibleStrictOnly.
@@ -857,7 +900,7 @@ class TestFindFeasiblePoint:
         npt.assert_array_equal(res.point, lp._farkas_least_squares(sys_n, 1e-7)[1])
         assert float(res.point[0]) == pytest.approx(1.0, abs=1e-12)
         assert res.f_value == sys_n.violation(res.point) <= 1e-7
-        assert res.metastep_report is None and res.radius_used is None
+        assert res.metastep_report is None
         assert res.certificate is None
 
     def test_runs_the_decide_run(self):
@@ -873,7 +916,7 @@ class TestFindFeasiblePoint:
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         assert res.metastep_report.iterations == decision.report.iterations > 0
         npt.assert_array_equal(res.point, decision.report.best_point)
-        assert res.radius_used == decision.report.config.radius
+        assert res.metastep_report.config.radius == decision.report.config.radius
 
     def test_pre_step_solved_once(self, monkeypatch):
         # With a run, without one, and with a certificate.
@@ -912,7 +955,7 @@ class TestFindFeasiblePoint:
         assert res.certificate is None
         assert res.f_value > 1e-7
         assert res.metastep_report.level_queries == 1
-        assert res.radius_used == 100.0
+        assert res.metastep_report.config.radius == 100.0
 
     def test_criterion_07_corpus_matches_decide(self):
         rng = np.random.default_rng(20240816)  # drawn as criterion 07 draws them
@@ -1202,7 +1245,7 @@ class TestDecisionAgainstOracle:
 
     def test_found_points(self):
         # Every point found has f <= tol on a system the vertex oracle
-        # calls feasible.  A run-less answer (no report, no radius) is the
+        # calls feasible.  A run-less answer (no report) is the
         # pre-step's start when f <= tol there, and else Gordan's point,
         # which has f < 0.  The start is the nearest feasible point up to
         # rounding: within 1e-6 (1 + ||x||) of the oracle's least-norm
@@ -1221,7 +1264,7 @@ class TestDecisionAgainstOracle:
             want = vertex_enumerate_feasible(sys_n)
             assert want.feasible
             assert res.f_value == sys_n.violation(res.point) <= 1e-7
-            if res.metastep_report is not None or res.radius_used is not None:
+            if res.metastep_report is not None:
                 continue
             start = lp._farkas_least_squares(sys_n, 1e-7)[1]
             if not np.array_equal(res.point, start):

@@ -39,6 +39,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             MetastepConfig(radius=1.0, radius_growth=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("radius_growth", math.nan),
+        ("max_metasteps", math.nan),
+        ("max_metasteps", 2.5),
+        ("max_metasteps", 2.0),
+        ("max_metasteps", "3"),
+    ])
+    def test_nan_and_non_integer_rejected_up_front(self, field, value):
+        # Each once ran: NaN growth silently for one metastep and through
+        # check_radii's message about radii for more, and a fractional
+        # metastep count to a TypeError from range.
+        kwargs = {"max_metasteps": 3, field: value}
+        with pytest.raises(ValueError, match=field):
+            MetastepConfig(radius=1.0, **kwargs)
+
+    def test_integer_metastep_counts_accepted(self):
+        # numpy's integers count, as do infinite growth and a lone metastep.
+        assert MetastepConfig(radius=1.0, max_metasteps=np.int64(3)).max_metasteps == 3
+        MetastepConfig(radius=1.0, max_metasteps=1, radius_growth=math.inf)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-4, max_metasteps=np.int32(2),
+                             radius_growth=2.0)
+        assert run_metasteps(abs_minus_one(), np.array([0.5]), cfg).level_queries >= 1
+
     def test_every_radius_reached_has_a_normal_square(self):
         # R g^k for k < max_metasteps: R^2 at least the ball's pivot floor
         # 1e-300, (R g^(M-1))^2 at most the largest float.
