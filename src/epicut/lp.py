@@ -4,16 +4,19 @@ and feasible-point search.
 
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
-set.  The decision solves Farkas' alternative as one nnls, whose
-certificate decides an infeasible system without a run.  Otherwise it
-tries two points with no run: the feasible point nearest the origin
-that the same nnls gives, then Gordan's point from one minimum-norm
-solve (_strict_point); an evaluated, finite f < 0 at either is Feasible
-with that point.  Failing both, one run_metasteps run minimizes f from
-the nearest point.  All of this after the nnls is _decide_from.  The
-point search solves the same nnls once and takes that nearest point
-when f <= tol there, on the boundary up to rounding and not necessarily
-below 0; any other start goes on to _decide_from, read as a point.
+set.  normalize scales every row, constant ones included, by one
+division.  The decision and the point search share one front door,
+_farkas_least_squares: it checks the tolerance and solves Farkas'
+alternative as one nnls, whose certificate decides an infeasible system
+without a run; otherwise it gives the feasible point nearest the
+origin, the start, and f there, evaluated once.  The decision then
+tries two points with no run: the start, then Gordan's point from one
+minimum-norm solve (_strict_point); an evaluated, finite f < 0 at
+either is Feasible with that point.  Failing both, one run_metasteps
+run minimizes f from the start.  All of this after the nnls is
+_decide_from.  The point search takes the start when f <= tol there,
+on the boundary up to rounding and not necessarily below 0; any other
+start goes on to _decide_from, read as a point.
 The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
@@ -72,7 +75,8 @@ def normalize(system: LinearSystem) -> LinearSystem:
     the result does not depend on the row's scale.  Constant rows (a
     coefficient norm below _ZERO_ROW after that scaling) are vacuous
     when their offset is nonpositive and are dropped; a constant row
-    with positive offset is unsatisfiable and is kept as (0, 1).  No
+    with positive offset is unsatisfiable and is kept as (0, 1), with
+    norm 0, so that the one division below scales it by exactly 1.  No
     other normalized row reaches 1 at the origin, so the decision run's
     first center has a zero subgradient, and the row's unit multiplier
     is the certificate.  Raises EmptySystem when nothing is left (every
@@ -86,24 +90,16 @@ def normalize(system: LinearSystem) -> LinearSystem:
     # np.linalg.norm, which einsum and norm(axis=1) do not keep.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
     constant = norms < _ZERO_ROW
-    if not constant.any():
-        # The masked path below with every row live: the same bits.
-        scale = np.sqrt(norms * norms + offsets * offsets)
-        rows /= scale[:, None]
-        offsets /= scale
-        return LinearSystem(rows, offsets)
-    kept = ~constant | (offsets > 0.0)
-    if not kept.any():
-        raise EmptySystem("all rows vacuous; any point is feasible")
-    # Constant rows become (0, 1); only the others are divided (0/0 warns).
-    live = ~constant
-    na, b = norms[live], offsets[live]
-    scale = np.sqrt(na * na + b * b)
-    rows[constant] = 0.0
-    rows[live] /= scale[:, None]
-    offsets[constant] = 1.0
-    offsets[live] = b / scale
-    return LinearSystem(rows[kept], offsets[kept])
+    if constant.any():
+        kept = ~constant | (offsets > 0.0)
+        if not kept.any():
+            raise EmptySystem("all rows vacuous; any point is feasible")
+        rows[constant], offsets[constant], norms[constant] = 0.0, 1.0, 0.0
+        rows, offsets, norms = rows[kept], offsets[kept], norms[kept]
+    scale = np.sqrt(norms * norms + offsets * offsets)
+    rows /= scale[:, None]
+    offsets /= scale
+    return LinearSystem(rows, offsets)
 
 
 class FeasibilityVerdict(Enum):
@@ -164,35 +160,29 @@ def decide_feasibility(
 ) -> FeasibilityDecision:
     """Feasibility decision for a normalized system by minimizing
     f(x) = max_k (A_k . x + b_k) in R^n: the pre-step
-    _farkas_least_squares, then _decide_from on its certificate or start.
-    ``trace`` records per-cut traces in the report (see
-    solver.bisect_level).  Raises ValueError unless 0 < tol < inf.
+    _farkas_least_squares, then _decide_from on its certificate, or its
+    start and f there.  ``trace`` records per-cut traces in the report
+    (see solver.bisect_level).  Raises ValueError, from the pre-step,
+    unless 0 < tol < inf.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
     return _decide_from(system, tol, *_farkas_least_squares(system, tol), trace)
 
 
-def _strict_point(
-    system: LinearSystem, start: np.ndarray, f_start: float
-) -> Optional[Tuple[np.ndarray, float]]:
-    """A point x with an evaluated, finite f(x) < 0, and f(x); or None.
+def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
+    """Gordan's point: an x with an evaluated, finite f(x) < 0, or None.
 
-    The pre-step's start comes first, when f_start (f there) is below 0,
-    so no solve is spent where it already decides.  Otherwise Gordan's
-    alternative (P. Gordan, Math. Ann. 6, 1873), solved as Wolfe's
-    nearest point of a polytope (P. Wolfe, Math. Prog. 11, 1976): w =
-    min_norm_weights of the m + 1 points (A_k, b_k) and (0, -1) of
-    R^{n+1}, the rows of M, and p = M^T w.  Wolfe's optimality condition
-    M_k . p >= ||p||^2 gives p_{n+1} <= -||p||^2 < 0 for p != 0, and
-    then x = p_x / p_{n+1} has A x + b <= -||p||^2 / |p_{n+1}| < 0.
-    Rounding can break that, so x counts only on an evaluated f(x) < 0.
-    p = 0 makes w a Gordan vector, but it is not read as a verdict here:
-    one within tol exists whenever the system is within tol of losing
-    its interior, where the run still finds f < 0.
+    Gordan's alternative (P. Gordan, Math. Ann. 6, 1873), solved as
+    Wolfe's nearest point of a polytope (P. Wolfe, Math. Prog. 11,
+    1976): w = min_norm_weights of the m + 1 points (A_k, b_k) and
+    (0, -1) of R^{n+1}, the rows of M, and p = M^T w.  Wolfe's
+    optimality condition M_k . p >= ||p||^2 gives p_{n+1} <= -||p||^2 < 0
+    for p != 0, and then x = p_x / p_{n+1} has
+    A x + b <= -||p||^2 / |p_{n+1}| < 0.  Rounding can break that, so x
+    counts only on an evaluated f(x) < 0.  p = 0 makes w a Gordan
+    vector, but it is not read as a verdict here: one within tol exists
+    whenever the system is within tol of losing its interior, where the
+    run still finds f < 0.
     """
-    if -math.inf < f_start < 0.0:
-        return start, f_start
     n = system.n
     points = np.zeros((system.m + 1, n + 1))
     points[:-1, :n] = system.rows
@@ -205,8 +195,7 @@ def _strict_point(
     if not float(np.max(np.abs(p_x))) < -p_b * _MAX_ENTRY:
         return None
     x = p_x / p_b
-    f = system.violation(x)
-    return (x, f) if -math.inf < f < 0.0 else None
+    return x if -math.inf < system.violation(x) < 0.0 else None
 
 
 def _decide_from(
@@ -214,30 +203,34 @@ def _decide_from(
     tol: float,
     cert: Optional[np.ndarray],
     start: Optional[np.ndarray],
+    f_start: Optional[float],
     trace: bool,
 ) -> FeasibilityDecision:
-    """The decision after the pre-step, from its (certificate, start).
+    """The decision after the pre-step, from its (certificate, start,
+    f_start).
 
     A certificate gives InfeasibleNonStrict with no run (report None).
-    Otherwise _strict_point tries, in order, the start (the feasible point
-    nearest the origin) and Gordan's point; an evaluated, finite f < 0 at
-    either is Feasible with that point and no run.  Failing both, one
-    run_metasteps run (the report) minimizes f with eps = min(tol/10,
-    1e-8), at most _PRIMAL_METASTEPS metasteps growing by _PRIMAL_GROWTH,
-    the first over the ball of radius _PRIMAL_RADIUS around the start.
-    Its stop value is 0: the run ends at the first evaluated x with
-    f(x) < 0, a strictly feasible point: Feasible, with the run's best
-    point.  So Feasible always rests on an evaluated f < 0 at ``point``.
-    A run that ends otherwise gets one _active_certificate try at its
-    incumbent.  A q with b.q > tol gives InfeasibleNonStrict, one with
-    |b.q| <= tol InfeasibleStrictOnly, and no q Undecided.
+    Otherwise the start (the feasible point nearest the origin) is
+    Feasible with no run when its evaluated f_start is finite and below
+    0, and else Gordan's point (_strict_point) is, when it gives one;
+    no further solve is spent where the start already decides.  Failing
+    both, one run_metasteps run (the report) minimizes f with
+    eps = min(tol/10, 1e-8), at most _PRIMAL_METASTEPS metasteps growing
+    by _PRIMAL_GROWTH, the first over the ball of radius _PRIMAL_RADIUS
+    around the start.  Its stop value is 0: the run ends at the first
+    evaluated x with f(x) < 0, a strictly feasible point: Feasible, with
+    the run's best point.  So Feasible always rests on an evaluated
+    f < 0 at ``point``.  A run that ends otherwise gets one
+    _active_certificate try at its incumbent.  A q with b.q > tol gives
+    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
+    no q Undecided.
     """
     report: Optional[MetastepResult] = None
     if cert is None:
-        found = _strict_point(system, start, system.violation(start))
-        if found is not None:
+        point = start if -math.inf < f_start < 0.0 else _strict_point(system)
+        if point is not None:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
-                                       point=found[0])
+                                       point=point)
         eps = min(tol / 10.0, 1e-8)
         # stop_when_high_below is strict: f(x) = 0 proves nothing.
         cfg = MetastepConfig(
@@ -265,8 +258,10 @@ def _decide_from(
 
 def _farkas_least_squares(
     system: LinearSystem, tol: float
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """A certificate, or else the decision run's start, from one nnls.
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[float]]:
+    """A certificate, or else the decision run's start and f there, from
+    one nnls: the front door of decide_feasibility and
+    find_feasible_point, which raises ValueError unless 0 < tol < inf.
 
     Farkas' alternative in least-squares form (A. Dax, "An elementary
     proof of Farkas' lemma", SIAM Review 39, 1997): q >= 0 minimizing
@@ -276,11 +271,15 @@ def _farkas_least_squares(
     the projection of t onto the cone {y : A y_x + b y_b <= 0}, so
     r_x / r_b is the feasible point nearest the origin.
 
-    Returns (q / sum q, None) when that passes validate_certificate,
-    else (None, r_x / r_b), or (None, origin) for r_b <= 0.  The check
-    needs ||r_x|| = ||A^T q|| <= 2 tol sum q, so it is skipped at twice
-    that: skipping can only pass the decision on to the run.
+    Returns (q / sum q, None, None) when that passes
+    validate_certificate, else (None, start, f(start)) for the start
+    r_x / r_b, or the origin for r_b <= 0; f(start) is its one
+    evaluation.  The check needs ||r_x|| = ||A^T q|| <= 2 tol sum q, so
+    it is skipped at twice that: skipping can only pass the decision on
+    to the run.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     n = system.n
     matrix = np.empty((n + 1, system.m))
     matrix[:n] = system.rows.T
@@ -295,8 +294,9 @@ def _farkas_least_squares(
     if math.sqrt(r_x.dot(r_x)) < 4.0 * tol * total:
         cert = q / total
         if validate_certificate(system, cert, tol):
-            return cert, None
-    return None, (r_x / r_b if r_b > 0.0 else np.zeros(n))
+            return cert, None, None
+    start = r_x / r_b if r_b > 0.0 else np.zeros(n)
+    return None, start, system.violation(start)
 
 
 def _active_certificate(
@@ -447,27 +447,23 @@ def find_feasible_point(
     decide_feasibility's pre-step (_farkas_least_squares, with tol
     feas_tol) is solved once.  Without a certificate, its start, the
     feasible point nearest the origin up to rounding (the origin itself
-    when that is feasible), is returned when f <= feas_tol there: it may
-    lie on the boundary, with f = 0 up to rounding rather than f < 0.
-    Otherwise decide_feasibility's decision after the pre-step
-    (_decide_from) is read as a point.  With no run (metastep_report
-    None), a Feasible point is found and a certificate is
-    InfeasibleProven with point and f_value None.  After its run, a best
-    value at most feas_tol is a feasible point, an InfeasibleNonStrict
-    verdict proves infeasibility with its certificate, and anything else
-    is undecided, each with the run's best point.  ``trace`` records a
-    per-cut trace in the metastep report.  Raises ValueError unless
+    when that is feasible), is returned with the pre-step's f there
+    when that is at most feas_tol: it may lie on the boundary, with
+    f = 0 up to rounding rather than f < 0.  Otherwise
+    decide_feasibility's decision after the pre-step (_decide_from) is
+    read as a point.  With no run (metastep_report None), a Feasible
+    point is found and a certificate is InfeasibleProven with point and
+    f_value None.  After its run, a best value at most feas_tol is a
+    feasible point, an InfeasibleNonStrict verdict proves infeasibility
+    with its certificate, and anything else is undecided, each with the
+    run's best point.  ``trace`` records a per-cut trace in the metastep
+    report.  Raises ValueError, from the pre-step, unless
     0 < feas_tol < inf.
     """
-    if not 0.0 < feas_tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    cert, start = _farkas_least_squares(system, feas_tol)
-    if cert is None:
-        f_start = system.violation(start)
-        if f_start <= feas_tol:
-            return PointSearchResult(start, f_start, PointSearchOutcome.FEASIBLE_POINT_FOUND,
-                                     None)
-    decision = _decide_from(system, feas_tol, cert, start, trace)
+    cert, start, f_start = _farkas_least_squares(system, feas_tol)
+    if cert is None and f_start <= feas_tol:
+        return PointSearchResult(start, f_start, PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
+    decision = _decide_from(system, feas_tol, cert, start, f_start, trace)
     res = decision.report
     if res is None:
         if decision.verdict is FeasibilityVerdict.FEASIBLE:

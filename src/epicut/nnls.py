@@ -149,10 +149,7 @@ def _passive_solution(matrix, target, gram, rhs, cols):
     """Least squares on the columns ``cols``: the normal equations on
     their Gram block, or lstsq when that block is singular to working
     precision (no finite solution)."""
-    if cols.size == rhs.size:
-        z = _solve(gram, rhs)
-    else:
-        z = _solve(gram[cols[:, None], cols], rhs[cols])
+    z = _solve(gram[cols[:, None], cols], rhs[cols])
     if z is not None:
         return z
     return np.linalg.lstsq(matrix[:, cols], target, rcond=None)[0]

@@ -129,6 +129,9 @@ class MetastepConfig:
             raise ValueError("max_metasteps must be an integer >= 1")
         if not self.radius_growth >= 1.0:
             raise ValueError("radius_growth must be >= 1")
+        # NaN would compare false both ways and run as -inf.
+        if math.isnan(self.stop_when_high_below):
+            raise ValueError("stop_when_high_below must not be NaN")
 
     def check_radii(self) -> None:
         """Raise ValueError unless each radius R g^k for k < max_metasteps

@@ -389,21 +389,49 @@ class TestFarkasLeastSquares:
         # A nonzero residual r gives x = r_x / r_b with A x + b <= 0 up to
         # rounding: the oracle's least-norm feasible point.
         for kind, sys_n in self.families(seed):
-            cert, x = lp._farkas_least_squares(sys_n, 1e-7)
+            cert, x, f_x = lp._farkas_least_squares(sys_n, 1e-7)
             if kind == "infeasible":
-                assert validate_certificate(sys_n, cert) and x is None
+                assert validate_certificate(sys_n, cert) and x is None and f_x is None
                 continue
             assert cert is None
             scale = 1.0 + float(np.linalg.norm(x))
-            assert sys_n.violation(x) <= 1e-9 * scale
+            assert f_x == sys_n.violation(x) <= 1e-9 * scale
             nearest = vertex_enumerate_feasible(sys_n).min_norm_point
             assert float(np.linalg.norm(x - nearest)) <= 1e-6 * scale
 
     def test_feasible_origin_starts_there(self):
-        # q = 0 leaves r = e_{n+1}: the origin.
-        cert, x = lp._farkas_least_squares(normalize(UNIT_BOX), 1e-7)
+        # q = 0 leaves r = e_{n+1}: the origin, with f there.
+        sys_n = normalize(UNIT_BOX)
+        cert, x, f_x = lp._farkas_least_squares(sys_n, 1e-7)
         assert cert is None
         npt.assert_array_equal(x, [0.0, 0.0])
+        assert f_x == sys_n.violation(x) < 0.0
+
+    def test_start_is_evaluated_once(self, monkeypatch):
+        # The pre-step evaluates f at its start, and decide and find-point
+        # read that value: each makes one evaluation there, whether the
+        # start is find-point's answer (1 <= x <= 2), decide's (the unit
+        # box), or neither, before Gordan's point (the flat quad) or the
+        # run (the nudged pair).  A certificate leaves no start.
+        raws = (system([[-1.0], [1.0]], [1.0, -2.0]), UNIT_BOX, FLAT_QUAD, NUDGED_PAIR)
+        systems = [normalize(raw) for raw in raws]
+        starts = [lp._farkas_least_squares(sys_n, 1e-7)[1] for sys_n in systems]
+        seen = []
+        violation = lp.LinearSystem.violation
+
+        def counted(self, x):
+            seen.append(np.array(x, dtype=float))
+            return violation(self, x)
+
+        monkeypatch.setattr(lp.LinearSystem, "violation", counted)
+        for search in (decide_feasibility, find_feasible_point):
+            for sys_n, start in zip(systems, starts):
+                seen.clear()
+                search(sys_n)
+                assert sum(x.tobytes() == start.tobytes() for x in seen) == 1
+            seen.clear()
+            search(normalize(CONTRADICTORY))
+            assert seen == []
 
 
 def families_corpus(seed, per_family):
@@ -454,8 +482,8 @@ def criterion_07_systems():
 
 
 class TestStrictPoint:
-    """_strict_point: decide's and find-point's run-less Feasible point,
-    the pre-step's start or Gordan's point."""
+    """decide's and find-point's run-less Feasible point: the pre-step's
+    start, or Gordan's point (_strict_point)."""
 
     def test_feasible_rests_on_an_evaluated_point(self, monkeypatch):
         # Every Feasible decision carries a finite point with f < 0 on a
@@ -468,10 +496,12 @@ class TestStrictPoint:
             except EmptySystem:
                 continue
             got = decide_feasibility(sys_n)
-            cert, start = lp._farkas_least_squares(sys_n, 1e-7)
+            cert, start, _ = lp._farkas_least_squares(sys_n, 1e-7)
+            # With no Gordan point, and f read as +inf at the start so
+            # that the start is not taken either: the run path.
             with monkeypatch.context() as patch:
                 patch.setattr(lp, "_strict_point", lambda *args: None)
-                run_path = lp._decide_from(sys_n, 1e-7, cert, start, False)
+                run_path = lp._decide_from(sys_n, 1e-7, cert, start, math.inf, False)
             assert run_path.verdict is got.verdict
             if got.verdict is not FeasibilityVerdict.FEASIBLE:
                 assert got.point is None
@@ -679,8 +709,10 @@ class TestFarkasKernel:
         # both verdicts on random ones; every certificate passes
         # validate_certificate, and some window at the incumbent passes it
         # exactly when the verdict is infeasible.
+        # The origin as the start, with f read as +inf there so that it
+        # is not taken as a run-less point.
         monkeypatch.setattr(lp, "_farkas_least_squares",
-                            lambda sys_n, tol: (None, np.zeros(sys_n.n)))
+                            lambda sys_n, tol: (None, np.zeros(sys_n.n), math.inf))
         monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         rng = np.random.default_rng(71)
         planted = [normalize(planted_infeasible(rng, m, 4)) for m in (8, 16, 32, 48)

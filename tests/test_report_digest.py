@@ -75,7 +75,7 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert sum(line.endswith("identical=NO change/parent=1.000 "
                                  "differs=certificate,d_star calls=2")
-                   for line in lines) == 3
+                   for line in lines) == 4
         assert lines[-1].startswith("gate: ")
 
     def test_without_a_parent_there_is_no_gate(self, digest, monkeypatch, capsys):
@@ -88,7 +88,20 @@ class TestMain:
         assert digest.main(["--seeds", "0", "1"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"{name} seeds=0,1 calls=3 ellipsoid_iters=40 level_queries=7 sha256={'0' * 64}"
-            for name in ("lp-corpus", "m-ladder", "planted-minima")]
+            for name in ("lp-corpus", "m-ladder", "planted-minima", "families")]
+
+    def test_families_walk_runs_decide_then_find_point(self, digest, monkeypatch):
+        # Each system of the families corpus is one problem file with its
+        # two calls; main puts tests/ on the path for the corpus.
+        root = TOOL.parent.parent
+        monkeypatch.syspath_prepend(str(root / "benchmark"))
+        monkeypatch.syspath_prepend(str(root / "tests"))
+        workload = digest.families(0)
+        assert len(workload.problems) == 9 * digest.FAMILY_COUNT
+        assert [op.command for op in workload.ops] == (
+            ["decide", "find-point"] * len(workload.problems))
+        assert all(op.problem is workload.problems[k // 2] for k, op in enumerate(workload.ops))
+        assert len({problem.name for problem in workload.problems}) == len(workload.problems)
 
 
 def fake_main(certificate, stderr=""):

@@ -45,11 +45,13 @@ class TestConfig:
         ("max_metasteps", 2.5),
         ("max_metasteps", 2.0),
         ("max_metasteps", "3"),
+        ("stop_when_high_below", math.nan),
     ])
     def test_nan_and_non_integer_rejected_up_front(self, field, value):
         # Each once ran: NaN growth silently for one metastep and through
-        # check_radii's message about radii for more, and a fractional
-        # metastep count to a TypeError from range.
+        # check_radii's message about radii for more, a fractional
+        # metastep count to a TypeError from range, and a NaN stop value
+        # as if it were -inf (no comparison with NaN holds).
         kwargs = {"max_metasteps": 3, field: value}
         with pytest.raises(ValueError, match=field):
             MetastepConfig(radius=1.0, **kwargs)

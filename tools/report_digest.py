@@ -7,6 +7,11 @@
 Runs each call of the lp-corpus, m-ladder and planted-minima workloads
 (``benchmark/workloads.py``, read only) in-process through
 ``epicut.cli.main`` with ``--trace``, at every presentation seed given.
+A fourth walk, families, runs ``decide`` and ``find-point`` on
+``tests/test_lp.py``'s families_corpus(s, 20) at each seed s: its
+equality pairs, thin slabs and homogeneous systems still reach
+``decide``'s run and its certificate try, which no call of the three
+workloads does.
 Problem files and traces are written under a temporary working
 directory and named relative to it, so the outputs do not depend on
 where the tool runs.  For each workload it prints one sha256 over every
@@ -58,9 +63,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOAD_NAMES = ("lp-corpus", "m-ladder", "planted-minima")
+WORKLOAD_NAMES = ("lp-corpus", "m-ladder", "planted-minima", "families")
+# Systems per family in the families walk.
+FAMILY_COUNT = 20
 # Passes over each workload with --against.
 PASSES = 3
 DECLARATION = os.path.join(ROOT, "tools", "declared_change.json")
@@ -80,6 +88,21 @@ def _call(main, argv):
             code = f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
     return code, out.getvalue(), err.getvalue(), seconds
+
+
+def families(seed):
+    """The families walk's calls at ``seed``: decide, then find-point,
+    on each system of tests/test_lp.py's families_corpus(seed,
+    FAMILY_COUNT).  The seed draws the corpus itself."""
+    from test_lp import families_corpus
+    from workloads import Op, Problem
+
+    ops = []
+    for k, (family, raw) in enumerate(families_corpus(seed, FAMILY_COUNT)):
+        problem = Problem(f"{family}-{k:03d}", raw.rows, raw.offsets)
+        ops += [Op(f"{command} {problem.name}", "families", command, problem)
+                for command in ("decide", "find-point")]
+    return types.SimpleNamespace(problems=[op.problem for op in ops[::2]], ops=ops)
 
 
 def _write_problems(workload) -> None:
@@ -270,9 +293,11 @@ def main(argv=None) -> int:
                         help="the commit whose package --against names, matched "
                              "against the declaration (default HEAD~1)")
     args = parser.parse_args(argv)
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmark")]
+    sys.path[:0] = [os.path.join(ROOT, name) for name in ("src", "benchmark", "tests")]
     import epicut.cli
     from workloads import WORKLOADS
+
+    walks = {**WORKLOADS, "families": families}
 
     parent_cli = _load(args.against, "epicut_parent") if args.against else None
     seeds = ",".join(map(str, args.seeds))
@@ -283,7 +308,7 @@ def main(argv=None) -> int:
         try:
             for name in WORKLOAD_NAMES:
                 (sha, calls, iters, queries), differences, ratio = walk(
-                    WORKLOADS[name], args.seeds, epicut.cli.main,
+                    walks[name], args.seeds, epicut.cli.main,
                     None if parent_cli is None else parent_cli.main)
                 print(f"{name} seeds={seeds} calls={calls} ellipsoid_iters={iters} "
                       f"level_queries={queries} sha256={sha}", flush=True)
