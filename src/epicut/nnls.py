@@ -25,6 +25,9 @@ from typing import Tuple
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+# (z > 0.0).all() on z.tolist(), False at NaN too: faster on the few
+# entries these solves have.
+_POSITIVE = (0.0).__lt__
 
 
 def simplex_system(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -86,7 +89,7 @@ def nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     rhs = matrix.T @ target
     if k <= m:
         z = _solve(gram, rhs)
-        if z is not None and (z > 0.0).all():
+        if z is not None and all(map(_POSITIVE, z.tolist())):
             return z
     return _lawson_hanson(matrix, target, gram, rhs)
 
@@ -129,7 +132,7 @@ def _settle(matrix, target, gram, rhs, q, passive):
     while True:
         cols = passive.nonzero()[0]
         z = _passive_solution(matrix, target, gram, rhs, cols)
-        if (z > 0.0).all():
+        if all(map(_POSITIVE, z.tolist())):
             q[cols] = z
             return passive
         current = q[cols]
@@ -162,4 +165,4 @@ def _solve(gram, rhs):
         z = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return None
-    return z if np.isfinite(z).all() else None
+    return z if all(map(math.isfinite, z.tolist())) else None
