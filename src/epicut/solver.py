@@ -29,14 +29,18 @@ minimizer are known, the two close the bracket, long before the
 ellipsoid shrinks to eps around the minimizer.  A vertex outside the
 ball ends the tries of its metastep.  In a metastep that is not its
 run's last, it ends the metastep itself where f is finite: the run
-moves on the model's word.  If lb > f(vertex) by then, the ball holds
-no global minimizer (min over the ball >= lb > f(vertex)), a proven
-witness, and the next ball is centred at the vertex.  Otherwise the
-move is unproven: the bracket stays open, proven only over its ball,
-and the next ball, around the in-ball incumbent, grows to hold the
-vertex.  A move is never a proof; only the run's last metastep, which
-cannot move, backs a reported verdict.  See bisect_level and
-_model_step.
+moves on the model's word.  There a vertex in the ball gets a second
+candidate when p = A^T L is nonzero beyond rounding, since the model
+then falls without bound along -p: the slope vertex just past the
+sphere on that ray from the incumbent, which ends the metastep only
+where f is below U.  If lb > f(vertex) by then, the ball holds no
+global minimizer (min over the ball >= lb > f(vertex)), a proven
+witness.  Otherwise the move is unproven: the bracket stays open,
+proven only over its ball.  The next ball is centred at a vertex
+below U with the radius unchanged; after any other move it is centred
+at the in-ball incumbent and grows to hold the vertex.  A move is
+never a proof; only the run's last metastep, which cannot move, backs
+a reported verdict.  See bisect_level and _model_step.
 
 A metastep stops once U - lb <= eps, once U drops below
 ``stop_when_high_below`` (default -inf: never), at such a vertex, once
@@ -86,6 +90,10 @@ from .oracles import ConvexOracle, MaxAffineFunction
 # by _MODEL_BACKOFF (see bisect_level; README measures both).
 _MODEL_PERIOD = 4
 _MODEL_BACKOFF = 2
+# A slope vertex lies this factor past the distance at which the
+# model's descent ray from the incumbent leaves the ball (see
+# bisect_level).  Untuned.
+_SLOPE_REACH = 1.01
 
 _ROUNDING = float(np.finfo(float).eps)
 
@@ -225,7 +233,12 @@ def bisect_level(
     up a bound.  Any other oracle has no model step.  With ``_witness``
     (run_metasteps sets it on every metastep but the last its budget
     allows), f is evaluated at that outside vertex, and where it is
-    finite the vertex is held and ends the metastep.
+    finite the vertex is held and ends the metastep.  With ``_witness``,
+    a try whose vertex lies in the ball while its best prefix leaves p
+    nonzero beyond rounding also evaluates f once at the slope vertex,
+    _SLOPE_REACH t along -p from the incumbent, where t is the distance
+    at which that ray leaves the ball; the slope vertex is held, and
+    ends the metastep, only where f there is below U.
 
     The loop leaves by one test after each cut: the bracket closed
     (U - lb <= eps), U below cfg.stop_when_high_below (-inf by default:
@@ -242,7 +255,8 @@ def bisect_level(
     3. The status: BoundaryReached with lb > f at the vertex (a proven
        witness, in ``outside``, beside the in-ball incumbent and
        bracket); else BudgetExhausted with the bracket open, and proven,
-       with ``outside`` set if the vertex ended it (an unproven move);
+       with ``outside`` set if a vertex, of either kind, ended it (an
+       unproven move);
        else GlobalOptimumCertified when the incumbent lies more than
        ``inner`` (10 eps and the rounding of R and x0) inside the ball;
        else BoundaryReached.
@@ -318,13 +332,21 @@ def bisect_level(
             )
         if iters >= next_try and lower < upper - eps:
             gap = upper - lower
-            bound, vertex = _model_step(model, best_point, x0, radius)
+            bound, vertex, slope = _model_step(model, best_point, x0, radius)
             model_lower = max(model_lower, bound)
             inside = vertex is not None and _distance(vertex, x0) <= radius
             if inside:
                 probed = model.eval(vertex)
                 if math.isfinite(probed) and probed < upper:
                     upper, best_point = probed, vertex
+                if _witness and slope is not None:
+                    # The model falls without bound along -slope: the
+                    # point just past the sphere on that ray from the
+                    # incumbent, held only where f is below U.
+                    past = _past_the_sphere(best_point, slope, x0, radius)
+                    witness_value = model.eval(past)
+                    held = -math.inf < witness_value < upper and _distance(past, x0) > radius
+                    witness = past if held else None
             elif _witness and vertex is not None:
                 # A vertex outside the ball, held where f is finite.
                 witness_value = model.eval(vertex)
@@ -397,8 +419,10 @@ def _model_step(
     The point to probe is the vertex where the rows in the best L's
     support are equal (least squares when they do not meet in one
     point), wherever it lies; at the active rows of an interior
-    minimizer, that is the minimizer.  Returns (bound, vertex), with
-    None for the vertex when no prefix gave a bound.
+    minimizer, that is the minimizer.  Returns (bound, vertex, slope):
+    None for the vertex when no prefix gave a bound, and slope the best
+    prefix's p, along whose negative the model falls without bound, or
+    None when it is 0 up to rounding or no prefix gave a bound.
     """
     rows, offsets = f.rows, f.offsets
     m, n = rows.shape
@@ -424,11 +448,12 @@ def _model_step(
         if not bound > best:
             break
         best, support = bound, take[weights > 0.0]
-        if pull <= slack:
+        slope = p if pull > slack else None
+        if slope is None:
             # p is 0 up to rounding: more rows cannot shrink it.
             break
     if support is None:
-        return best, None
+        return best, None, None
     # A_S (point + dx) + b_S = s for (dx, s), divided by the largest entry
     # of A: the least-norm solution of an underdetermined system weighs dx
     # against s, and this weighting does not change with the scale of f.
@@ -437,7 +462,18 @@ def _model_step(
     np.divide(rows[support], top, out=system[:, :n])
     system[:, n] = -1.0
     step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
-    return best, point + step[:n]
+    return best, point + step[:n], slope
+
+
+def _past_the_sphere(point, slope, x0, radius):
+    """The point _SLOPE_REACH t along -slope from ``point`` in B(x0,
+    radius), where t is the distance at which that ray leaves the ball."""
+    # Unit direction by hypot, which neither overflows nor underflows.
+    u = slope / -math.hypot(*slope.tolist())
+    d = point - x0
+    du = float(u.dot(d))
+    t = -du + math.sqrt(max(0.0, du * du + radius * radius - float(d.dot(d))))
+    return point + (_SLOPE_REACH * t) * u
 
 
 # An overflowing distance to a vertex gives a grown radius of inf, which
@@ -453,11 +489,14 @@ def run_metasteps(
     """Repeat metasteps from where the last one points (see bisect_level;
     the last metastep the budget allows cannot end at a vertex):
 
-    - BoundaryReached: at the incumbent on the sphere, or at the proven
-      witness outside it;
-    - an unproven move (BudgetExhausted with ``outside``): at the
+    - a vertex in ``outside`` that is a proven witness, or where f lies
+      below the metastep's U (each slope vertex, and some model
+      vertices): at the vertex, with the radius unchanged.  f is
+      evaluated there once to tell;
+    - any other unproven move (BudgetExhausted with ``outside``): at the
       in-ball incumbent, with radius max(R, 1.5 ||vertex - incumbent||),
       so that the next ball holds the vertex;
+    - BoundaryReached with no vertex: at the incumbent on the sphere;
     - GlobalOptimumCertified with lb above a finite stop value: at the
       incumbent.  Beyond its ball the status proves only a slope of
       (U - lb) / depth, which a flat f can descend below the stop value.
@@ -496,15 +535,19 @@ def run_metasteps(
         if step.best_value < cfg.stop_when_high_below or (
                 previous is not None and step.best_value >= previous.best_value):
             break
-        if step.status is SolveStatus.BOUNDARY_REACHED:
-            x = step.best_point if step.outside is None else step.outside
+        if step.outside is not None and (step.status is SolveStatus.BOUNDARY_REACHED
+                                         or f.eval(step.outside) < step.best_value):
+            # A proven witness, or a vertex below U: the next ball is
+            # centred there.
+            x = step.outside
         elif step.outside is not None:
-            # A move: the next ball, around the in-ball best point, holds
-            # the vertex.
+            # Any other move: the next ball, around the in-ball best
+            # point, holds the vertex.
             x = step.best_point
             radius = max(radius, 1.5 * _distance(step.outside, x))
-        elif step.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED and (
-                step.alpha_bracket[0] > cfg.stop_when_high_below > -math.inf):
+        elif step.status is SolveStatus.BOUNDARY_REACHED or (
+                step.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+                and step.alpha_bracket[0] > cfg.stop_when_high_below > -math.inf):
             x = step.best_point
         else:
             break

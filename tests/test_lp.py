@@ -513,6 +513,21 @@ class TestStrictPoint:
                   "start" if np.array_equal(got.point, start) else "gordan"] += 1
         assert paths["start"] and paths["gordan"] and paths["run"]
 
+    def test_thin_planted_run_path_stays_feasible(self, monkeypatch):
+        # A thin planted system that a variant of the slope move, one
+        # recentring at the old best point instead of at a vertex below
+        # U, left Undecided.  The run path (no Gordan point, the start
+        # read as f = inf) must still find a point with f < 0.
+        family, raw = list(families_corpus(202, 22))[194]
+        assert family == "thin-planted"
+        sys_n = normalize(raw)
+        cert, start, _ = lp._farkas_least_squares(sys_n, 1e-7)
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
+        run_path = lp._decide_from(sys_n, 1e-7, cert, start, math.inf, False)
+        assert run_path.verdict is FeasibilityVerdict.FEASIBLE
+        assert run_path.report is not None
+        assert sys_n.violation(run_path.point) < 0.0
+
     def test_start_below_zero_makes_no_gordan_solve(self, monkeypatch):
         calls = []
         solve = lp.min_norm_weights

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from epicut import (
     solver,
     vertex_enumerate_feasible,
 )
+from epicut.nnls import min_norm_weights
 
 
 def abs_fn():
@@ -308,10 +310,12 @@ class TestRunMetasteps:
         assert queries == sorted(queries)
 
     def test_metastep_raising_keeps_the_completed_ones(self, monkeypatch):
-        # 9e307 x over [-1, 1] reaches its minimum on the sphere at -1; the
-        # ball around -1 holds -2, where f overflows, so the second
-        # metastep raises NonFiniteValue.  The result is the first
-        # metastep's, with only its iterations and trace records.
+        # 9e307 x over [-1, 1]: the first metastep ends at its first model
+        # try, at the slope vertex just past -1, where f lies below lb (a
+        # proven witness).  The ball around that vertex holds -2, where f
+        # overflows, so the second metastep raises NonFiniteValue.  The
+        # result is the first metastep's, with only its iterations and
+        # trace records.
         f = MaxAffineFunction([[9e307]], [0.0])
         cfg = MetastepConfig(radius=1.0)
         first = bisect_level(f, [0.0], cfg, trace=True, _witness=True)
@@ -327,9 +331,11 @@ class TestRunMetasteps:
         res = run_metasteps(f, [0.0], cfg, trace=True)
         assert calls == ["completed", "raised"]
         assert res.status is first.status is SolveStatus.BOUNDARY_REACHED
-        assert res.alpha_bracket == first.alpha_bracket == (-9e307, -9e307)
-        assert res.best_point.tolist() == first.best_point.tolist() == [-1.0]
-        assert res.query_iterations == first.query_iterations
+        assert res.alpha_bracket == first.alpha_bracket == (-9e307, -0.9921875 * 9e307)
+        assert res.best_point.tolist() == first.best_point.tolist() == [-0.9921875]
+        assert res.outside.tolist() == first.outside.tolist()
+        assert f.eval(first.outside) < -9e307
+        assert res.query_iterations == first.query_iterations == [8]
         assert len(res.query_iterations) == 1
         assert len(res.trace) == len(first.trace) == first.iterations
         assert all(rec.query == 1 for rec in res.trace)
@@ -378,14 +384,21 @@ class TestRunMetasteps:
     def test_certified_optimum_above_the_stop_value_recentres(self):
         # max(1 - 3e-7 (x - y), 1 - 1e-3 x) has no minimum, but it falls
         # so slowly that a point within eps of the ball's minimum lies well
-        # inside the sphere: the first metastep reads GlobalOptimumCertified
-        # near 1, a status that is global only down a slope of eps / depth.
+        # inside the sphere: a lone metastep, which cannot move, reads
+        # GlobalOptimumCertified near 1, a status that is global only down
+        # a slope of eps / depth.
         f = MaxAffineFunction([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
         cfg = dict(radius=100.0, level_tolerance=1e-8, radius_growth=10.0)
-        alone = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg))
+        alone = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg, max_metasteps=1))
         assert alone.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         assert alone.level_queries == 1
         assert alone.alpha_bracket[0] > 0.99
+        # With metasteps to spare, the run moves on past each sphere and
+        # ends uncertified.
+        walk = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg))
+        assert walk.status is SolveStatus.BUDGET_EXHAUSTED
+        assert walk.level_queries == 16
+        assert walk.best_value < 0.0
         # A run that looks for a value below 0 goes on from there.
         res = run_metasteps(f, [0.0, 0.0], MetastepConfig(**cfg, stop_when_high_below=0.0))
         assert res.level_queries == 6
@@ -527,6 +540,22 @@ def metasteps(monkeypatch):
     return log
 
 
+@pytest.fixture
+def slope_vertices(monkeypatch, metasteps):
+    """Record every slope vertex a metastep forms, with the index its
+    metastep gets in ``metasteps``."""
+    log = []
+    original = solver._past_the_sphere
+
+    def recording(point, slope, x0, radius):
+        past = original(point, slope, x0, radius)
+        log.append((len(metasteps), past))
+        return past
+
+    monkeypatch.setattr(solver, "_past_the_sphere", recording)
+    return log
+
+
 class TestBracketSoundness:
     """alpha_bracket = (lb, U): lb is proven below the minimum over the
     ball, U is the value of the reported point."""
@@ -645,18 +674,23 @@ class TestModelStep:
     def test_no_try_after_a_vertex_outside_the_ball(self, monkeypatch, n):
         # Far starts walk over boundary metasteps before the one that
         # holds the minimizer.  Within each metastep, a try whose vertex
-        # lies outside the ball (or that finds no bound) is the last one.
+        # lies outside the ball (or that finds no bound) is the last one,
+        # and so is a try whose slope vertex past the sphere is held.
         tries = []
         model_step, metastep = solver._model_step, solver.bisect_level
 
         def counting(f, point, x0, radius):
-            bound, vertex = model_step(f, point, x0, radius)
+            bound, vertex, slope = model_step(f, point, x0, radius)
             tries[-1].append(vertex is None or bool(np.linalg.norm(vertex - x0) > radius))
-            return bound, vertex
+            return bound, vertex, slope
 
         def opening(*args, **kwargs):
             tries.append([])
-            return metastep(*args, **kwargs)
+            step = metastep(*args, **kwargs)
+            if step.outside is not None and not tries[-1][-1]:
+                # The try's vertex lay inside: its slope vertex ended it.
+                tries[-1][-1] = True
+            return step
 
         monkeypatch.setattr(solver, "_model_step", counting)
         monkeypatch.setattr(solver, "bisect_level", opening)
@@ -722,11 +756,19 @@ class TestModelStep:
         rows = np.array([[1.0, 0.3], [-2.0, 0.5], [0.2, -1.0]])
         offsets = np.array([0.1, 0.2, 0.3])
         x0 = np.array([0.3, 0.2])
-        bound, vertex = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
+        bound, vertex, slope = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
         scaled = MaxAffineFunction(rows * scale, offsets * scale)
-        scaled_bound, scaled_vertex = solver._model_step(scaled, x0, x0, 1.0)
+        scaled_bound, scaled_vertex, scaled_slope = solver._model_step(scaled, x0, x0, 1.0)
         assert scaled_bound / scale == pytest.approx(bound, rel=1e-12)
         np.testing.assert_allclose(scaled_vertex, vertex, rtol=1e-12)
+        # The three rows' hull holds 0, so p = A^T L is 0 at both scales.
+        assert slope is None and scaled_slope is None
+        # The first two rows' hull does not: p scales with f.
+        _, _, slope = solver._model_step(MaxAffineFunction(rows[:2], offsets[:2]), x0, x0, 1.0)
+        scaled = MaxAffineFunction(rows[:2] * scale, offsets[:2] * scale)
+        _, _, scaled_slope = solver._model_step(scaled, x0, x0, 1.0)
+        assert np.linalg.norm(slope) > 0.1
+        np.testing.assert_allclose(scaled_slope / scale, slope, rtol=1e-12)
 
     @pytest.mark.parametrize("radius", [1e20, 1e150])
     def test_huge_radius_bracket_holds_the_minimum(self, radius):
@@ -756,38 +798,45 @@ class TestModelStep:
         assert res.iterations < cfg.iteration_budget(1)
 
     def test_later_metastep_error_keeps_the_proven_ones(self):
-        # f = 9e307 x: the first metastep proves BoundaryReached at -1, the
-        # second one's ball [-2, 0] holds values that overflow.
+        # f = 9e307 x: the first metastep proves BoundaryReached by a
+        # witness just past -1, below its lb; the second one's ball around
+        # that witness holds values that overflow.
         f = MaxAffineFunction(np.array([[9e307]]), np.zeros(1))
         res = run_metasteps(f, np.zeros(1), MetastepConfig(radius=1.0))
         assert res.status is SolveStatus.BOUNDARY_REACHED
-        assert res.best_value == -9e307
-        np.testing.assert_array_equal(res.best_point, [-1.0])
+        assert res.alpha_bracket == (-9e307, -0.9921875 * 9e307) == (-9e307, res.best_value)
+        np.testing.assert_array_equal(res.best_point, [-0.9921875])
         assert res.level_queries == 1 == len(res.query_iterations)
 
 
 class TestOutsideWitness:
     """A metastep that is not its run's last ends at the first model
-    vertex outside its ball where f is finite.  Once lb > f there, the
+    vertex outside its ball where f is finite, or at the first slope
+    vertex past its sphere where f is below U.  Once lb > f there, the
     ball holds no global minimizer: a proven witness, and the next ball
     is centred at it.  Otherwise the end is an unproven move
-    (BudgetExhausted with ``outside`` set): the next ball, around the
-    in-ball best point, grows to hold the vertex."""
+    (BudgetExhausted with ``outside`` set): the next ball is centred at
+    the vertex if f there is below U, and else, around the in-ball best
+    point, grows to hold the vertex."""
 
     # Iterations of each far start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 553, 1 640
-    # and 4 331 in all.  Closing every boundary metastep's bracket took
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 541, 920
+    # and 1 548 in all.  Closing every boundary metastep's bracket took
     # 1 845, 6 706 and 35 099; waiting in each until lb passed f at the
-    # vertex, 836, 2 108 and 14 707.
+    # vertex, 836, 2 108 and 14 707; moving on the model's word alone,
+    # without slope vertices, 553, 1 640 and 4 331.
     FAR_ITERATIONS = {
-        2: [24, 24, 24, 24, 47, 36, 74, 48, 24, 24, 24, 24, 36, 36, 36, 48],
-        4: [40, 40, 40, 40, 40, 40, 180, 60, 80, 308, 80, 432, 40, 80, 60, 80],
-        8: [72, 72, 72, 72, 108, 72, 108, 108, 108, 72, 108, 72, 1234, 72, 1801, 180],
+        2: [24, 24, 24, 24, 47, 36, 74, 36, 24, 24, 24, 24, 36, 36, 36, 48],
+        4: [40, 40, 40, 40, 40, 40, 180, 60, 60, 60, 60, 60, 40, 40, 60, 60],
+        8: [72, 72, 72, 72, 108, 72, 108, 108, 108, 72, 108, 72, 108, 72, 144, 180],
     }
+    # Unproven moves of those far starts: (around the best point, at a
+    # vertex below U).
+    FAR_MOVES = {2: (6, 2), 4: (0, 4), 8: (8, 10)}
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_far_family_ends_metasteps_at_witnesses(self, metasteps, n):
-        iterations, moves = [], 0
+        iterations, moves, downhill = [], 0, 0
         for active, close in [(0, 0), (0, 2), (1, 0), (1, 1)]:
             for eps in [2e-5, 1e-7]:
                 rng = np.random.default_rng([n, active, close])
@@ -814,14 +863,20 @@ class TestOutsideWitness:
                             assert np.linalg.norm(minimizer - x0) > step_cfg.radius
                             np.testing.assert_array_equal(centre, step.outside)
                             continue
-                        moves += 1
                         assert step.status is SolveStatus.BUDGET_EXHAUSTED
                         assert lb <= f.eval(step.outside) and ub - lb > eps
+                        if f.eval(step.outside) < ub:
+                            # Below U: the next ball is centred there.
+                            downhill += 1
+                            np.testing.assert_array_equal(centre, step.outside)
+                            assert next_cfg.radius == step_cfg.radius
+                            continue
+                        moves += 1
                         np.testing.assert_array_equal(centre, step.best_point)
                         gap = np.linalg.norm(step.outside - step.best_point)
                         assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
                     iterations.append(res.iterations)
-        assert moves > 0
+        assert (moves, downhill) == self.FAR_MOVES[n]
         assert iterations == self.FAR_ITERATIONS[n]
 
     def test_boundary_walk_certifies_the_minimum(self):
@@ -869,9 +924,11 @@ class TestOutsideWitness:
         model_step, calls = solver._model_step, []
 
         def astray(*args):
-            bound, vertex = model_step(*args)
+            bound, vertex, slope = model_step(*args)
             calls.append(vertex)
-            return (bound, np.array([10.0, 10.0])) if len(calls) == 1 else (bound, vertex)
+            if len(calls) == 1:
+                vertex = np.array([10.0, 10.0])
+            return bound, vertex, slope
 
         monkeypatch.setattr(solver, "_model_step", astray)
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
@@ -895,7 +952,8 @@ class TestOutsideWitness:
         model_step = solver._model_step
 
         def distant(*args):
-            return model_step(*args)[0], np.full(2, 1e200)
+            bound, _, slope = model_step(*args)
+            return bound, np.full(2, 1e200), slope
 
         monkeypatch.setattr(solver, "_model_step", distant)
         res = run_metasteps(f, np.zeros(2), MetastepConfig(radius=2.0, level_tolerance=1e-6))
@@ -944,3 +1002,97 @@ class TestOutsideWitness:
         # The second ball is centred at the witness, not at the first
         # incumbent, and reaches lower.
         assert hi < first.best_value
+
+
+class TestSlopeVertex:
+    """A model try whose vertex lies in the ball, in a metastep that may
+    move, while its best prefix leaves p = A^T L nonzero beyond rounding,
+    also evaluates f at the slope vertex: 1.01 t along -p from the
+    incumbent, where that ray leaves the ball at t.  The vertex is held,
+    and ends the metastep, only where f is below U: a proven witness if
+    f < lb there, else an unproven move.  Either way the next ball is
+    centred there with the radius unchanged."""
+
+    def test_linear_function_moves_past_the_sphere(self, metasteps, slope_vertices):
+        # f = x from 0 with R = 1: the first try, after 8 iterations at
+        # -0.9921875, has p = 1.  Its slope vertex, at t = 0.0078125, lies
+        # below lb = -1: a proven witness.  The run's last metastep forms
+        # none and closes its bracket on its own sphere.
+        f = MaxAffineFunction([[1.0]], [0.0])
+        cfg = MetastepConfig(radius=1.0, level_tolerance=1e-6, max_metasteps=2)
+        res = run_metasteps(f, [0.0], cfg)
+        (_, _, _, first), (_, centre, second_cfg, last) = metasteps
+        assert [i for i, _ in slope_vertices] == [0]
+        assert first.query_iterations == [8]
+        assert first.status is SolveStatus.BOUNDARY_REACHED
+        assert first.best_point.tolist() == [-0.9921875]
+        assert first.outside.tolist() == [-0.9921875 - 1.01 * 0.0078125]
+        assert f.eval(first.outside) < first.alpha_bracket[0] == -1.0
+        np.testing.assert_array_equal(centre, first.outside)
+        assert second_cfg.radius == cfg.radius
+        assert last.outside is None
+        assert res.status is SolveStatus.BOUNDARY_REACHED
+        lo, hi = res.alpha_bracket
+        assert lo <= first.outside[0] - cfg.radius <= hi <= lo + cfg.level_tolerance
+
+    def test_direct_call_closes_as_before(self, slope_vertices):
+        # The same f in a direct call: no slope vertex, and the bracket
+        # closes on the sphere after the 21 iterations it took before.
+        f = MaxAffineFunction([[1.0]], [0.0])
+        cfg = MetastepConfig(radius=1.0, level_tolerance=1e-6)
+        alone = bisect_level(f, [0.0], cfg)
+        assert slope_vertices == []
+        assert alone.outside is None and alone.iterations == 21
+        assert alone.status is SolveStatus.BOUNDARY_REACHED
+        assert alone.alpha_bracket == (-1.0, -0.9999990463256836)
+
+    def test_held_only_below_the_incumbent(self, metasteps, slope_vertices):
+        # The random functions of test_far_starts_certify_no_value_above_
+        # the_minimum.  A slope vertex is formed only in a metastep that
+        # may move, lies outside its ball, and is held exactly where f is
+        # below U; a held one ends its metastep with the status its lb
+        # gives, and the next ball is centred there.
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=16)
+        ends = Counter()
+        for s in range(40):
+            rng = np.random.default_rng([21, s])
+            m, n = int(rng.integers(5, 13)), int(rng.integers(2, 5))
+            f = MaxAffineFunction(rng.normal(size=(m, n)), rng.normal(size=m))
+            x0 = rng.normal(size=n) * (1.0, 10.0, 30.0)[s % 3]
+            del metasteps[:], slope_vertices[:]
+            run_metasteps(f, x0, cfg)
+            for k, (i, past) in enumerate(slope_vertices):
+                _, centre, step_cfg, step = metasteps[i]
+                assert i < cfg.max_metasteps - 1
+                assert np.linalg.norm(past - centre) > step_cfg.radius
+                value = f.eval(past)
+                held = step.outside is not None and np.array_equal(step.outside, past)
+                assert held == (value < step.best_value)
+                if not held:
+                    ends["not held"] += 1
+                    continue
+                assert k == len(slope_vertices) - 1 or slope_vertices[k + 1][0] > i
+                proven = value < step.alpha_bracket[0]
+                assert step.status is (SolveStatus.BOUNDARY_REACHED if proven
+                                       else SolveStatus.BUDGET_EXHAUSTED)
+                ends["proven" if proven else "unproven"] += 1
+                _, next_centre, next_cfg, _ = metasteps[i + 1]
+                np.testing.assert_array_equal(next_centre, past)
+                assert next_cfg.radius == step_cfg.radius
+        assert ends == {"proven": 121, "unproven": 60, "not held": 5}
+
+    def test_none_where_p_is_zero_up_to_rounding(self, slope_vertices):
+        # max(0.1 (x - 1), -0.3 (x - 1)): the simplex weights (3/4, 1/4)
+        # leave p = -8.0e-17, a rounding residue.  No slope vertex is
+        # formed, and the walk from 10 moves on the model's vertex 1.
+        rows = np.array([[0.1], [-0.3]])
+        f = MaxAffineFunction(rows, -rows[:, 0])
+        assert min_norm_weights(rows).dot(rows)[0] != 0.0
+        x0 = np.array([10.0])
+        assert solver._model_step(f, x0, x0, 2.0)[2] is None
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
+        res = run_metasteps(f, x0, cfg)
+        assert slope_vertices == []
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        lo, hi = res.alpha_bracket
+        assert lo <= 0.0 <= hi <= lo + cfg.level_tolerance
