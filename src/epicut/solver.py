@@ -36,11 +36,10 @@ sphere on that ray from the incumbent, which ends the metastep only
 where f is below U.  If lb > f(vertex) by then, the ball holds no
 global minimizer (min over the ball >= lb > f(vertex)), a proven
 witness.  Otherwise the move is unproven: the bracket stays open,
-proven only over its ball.  The next ball is centred at a vertex
-below U with the radius unchanged; after any other move it is centred
-at the in-ball incumbent and grows to hold the vertex.  A move is
-never a proof; only the run's last metastep, which cannot move, backs
-a reported verdict.  See bisect_level and _model_step.
+proven only over its ball.  Either way the next ball is centred at the
+vertex and grows to hold the in-ball incumbent.  A move is never a
+proof; only the run's last metastep, which cannot move, backs a
+reported verdict.  See bisect_level and _model_step.
 
 A metastep stops once U - lb <= eps, once U drops below
 ``stop_when_high_below`` (default -inf: never), at such a vertex, once
@@ -489,13 +488,10 @@ def run_metasteps(
     """Repeat metasteps from where the last one points (see bisect_level;
     the last metastep the budget allows cannot end at a vertex):
 
-    - a vertex in ``outside`` that is a proven witness, or where f lies
-      below the metastep's U (each slope vertex, and some model
-      vertices): at the vertex, with the radius unchanged.  f is
-      evaluated there once to tell;
-    - any other unproven move (BudgetExhausted with ``outside``): at the
-      in-ball incumbent, with radius max(R, 1.5 ||vertex - incumbent||),
-      so that the next ball holds the vertex;
+    - a vertex in ``outside``, a proven witness or an unproven move: at
+      the vertex, with radius max(R, 1.5 ||vertex - incumbent||), so
+      that the next ball holds the in-ball incumbent.  No oracle call
+      is made to choose it;
     - BoundaryReached with no vertex: at the incumbent on the sphere;
     - GlobalOptimumCertified with lb above a finite stop value: at the
       incumbent.  Beyond its ball the status proves only a slope of
@@ -535,16 +531,11 @@ def run_metasteps(
         if step.best_value < cfg.stop_when_high_below or (
                 previous is not None and step.best_value >= previous.best_value):
             break
-        if step.outside is not None and (step.status is SolveStatus.BOUNDARY_REACHED
-                                         or f.eval(step.outside) < step.best_value):
-            # A proven witness, or a vertex below U: the next ball is
-            # centred there.
+        if step.outside is not None:
+            # A held vertex centres the next ball, which holds the
+            # in-ball incumbent.
             x = step.outside
-        elif step.outside is not None:
-            # Any other move: the next ball, around the in-ball best
-            # point, holds the vertex.
-            x = step.best_point
-            radius = max(radius, 1.5 * _distance(step.outside, x))
+            radius = max(radius, 1.5 * _distance(x, step.best_point))
         elif step.status is SolveStatus.BOUNDARY_REACHED or (
                 step.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
                 and step.alpha_bracket[0] > cfg.stop_when_high_below > -math.inf):

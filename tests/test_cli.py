@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,15 +74,23 @@ class TestDecideCommand:
         # Rows 1e-12 in scale, strictly feasible about 1e12 out.  Within
         # the default tol a certificate proves them infeasible; at
         # --tol 1e-13 none passes, so Gordan's point is computed, where
-        # rounding leaves p_{n+1} >= 0: no point, and the run ends
-        # Undecided.  No step may overflow or divide by zero on the way.
-        path = write_problem(tmp_path / "flat.json",
-                             {"A": [[1e-12, -2e-12], [-3e-12, 1e-12]], "b": [1, 1]})
+        # rounding leaves p_{n+1} >= 0: no point.  The run's first
+        # metastep ends at a witness about 1e11 out, and the next ball,
+        # centred there and holding the first incumbent, finds f < 0 (it
+        # ended Undecided while a witness kept the radius, grown only
+        # tenfold a metastep).  No step may overflow or divide by zero on
+        # the way.
+        rows, offsets = [[1e-12, -2e-12], [-3e-12, 1e-12]], [1, 1]
+        path = write_problem(tmp_path / "flat.json", {"A": rows, "b": offsets})
         env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
-        for flags, code in (((), 1), (("--tol", "1e-13"), 3)):
+        for flags, code in (((), 1), (("--tol", "1e-13"), 0)):
             proc = invoke(command, path, *flags, env=env)
             assert proc.stderr == ""
             assert proc.returncode == code
+        # A x + b < 0 at the reported point, in exact arithmetic.
+        point = [Fraction(x) for x in json.loads(proc.stdout)["point"]]
+        assert max(sum(Fraction(a) * x for a, x in zip(row, point)) + b
+                   for row, b in zip(rows, offsets)) < 0
 
     def test_infeasible_exit_one_with_certificate(self, contradictory):
         proc = invoke("decide", contradictory)

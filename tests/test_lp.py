@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -266,6 +267,28 @@ class TestDecide:
         assert out.report.level_queries == 2
         assert out.report.best_value < 0.0
         npt.assert_array_equal(out.point, out.report.best_point)
+
+    def test_flat_rows_at_a_tight_tol_are_feasible(self):
+        # Two rows 1e-12 in scale, strictly feasible about 2e13 out.  At
+        # tol 1e-13 the pre-step finds no certificate and Gordan's point
+        # cancels away, so decide runs.  Its witnesses lie 2e9 to 1.4e10
+        # out.  While each witness kept the radius, grown only tenfold a
+        # metastep, the run ended short of f < 0, and the certificate try
+        # then read q = (0.82, 0.18) as InfeasibleNonStrict: a false
+        # verdict.  Balls that hold the incumbent reach a point where
+        # A x + b < 0 in exact arithmetic.
+        rows = [[-1.8618598753732328e-12, -1.8222634872910807e-12],
+                [7.834713001338858e-12, 8.859659139463597e-12]]
+        sys_n = normalize(system(rows, [1.0, 1.0]))
+        out = decide_feasibility(sys_n, 1e-13)
+        assert out.verdict is FeasibilityVerdict.FEASIBLE
+        assert out.report is not None and out.certificate is None
+        found = find_feasible_point(sys_n, 1e-13)
+        assert found.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        for point in (out.point, found.point):
+            x = [Fraction(v) for v in point.tolist()]
+            assert max(sum(Fraction(a) * v for a, v in zip(row, x)) + 1
+                       for row in rows) < 0
 
     def test_homogeneous_strict_only(self):
         # Not strictly feasible: Gordan's p is 0 up to rounding, which is

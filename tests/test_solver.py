@@ -595,8 +595,13 @@ class TestBracketSoundness:
         alone = bisect_level(f, np.zeros(1), cfg)
         assert alone.status is SolveStatus.BUDGET_EXHAUSTED
         assert Fraction(alone.alpha_bracket[0]) <= Fraction(c) - 2
+        # The run moves to the vertex c in a ball that holds the first
+        # incumbent, of radius about 1.5 c, and certifies 0 deep inside
+        # it.  With the radius kept at 2, the depth test's rounding term
+        # exceeded R at |x0| = c, and the run ended BoundaryReached there.
         res = run_metasteps(f, np.zeros(1), cfg)
-        assert res.status is SolveStatus.BOUNDARY_REACHED
+        assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
+        assert res.level_queries == 2 and res.config.radius > c
         lo, hi = res.alpha_bracket
         assert lo <= 0.0 == hi
 
@@ -813,30 +818,31 @@ class TestOutsideWitness:
     """A metastep that is not its run's last ends at the first model
     vertex outside its ball where f is finite, or at the first slope
     vertex past its sphere where f is below U.  Once lb > f there, the
-    ball holds no global minimizer: a proven witness, and the next ball
-    is centred at it.  Otherwise the end is an unproven move
-    (BudgetExhausted with ``outside`` set): the next ball is centred at
-    the vertex if f there is below U, and else, around the in-ball best
-    point, grows to hold the vertex."""
+    ball holds no global minimizer: a proven witness.  Otherwise the end
+    is an unproven move (BudgetExhausted with ``outside`` set).  Either
+    way the next ball is centred at the vertex, with radius
+    max(R, 1.5 ||vertex - best point||), so that it holds the in-ball
+    incumbent."""
 
     # Iterations of each far start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 541, 920
-    # and 1 548 in all.  Closing every boundary metastep's bracket took
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 541, 960
+    # and 1 260 in all.  Closing every boundary metastep's bracket took
     # 1 845, 6 706 and 35 099; waiting in each until lb passed f at the
     # vertex, 836, 2 108 and 14 707; moving on the model's word alone,
-    # without slope vertices, 553, 1 640 and 4 331.
+    # without slope vertices, 553, 1 640 and 4 331; with two move rules
+    # (the radius kept at a witness or a vertex below U, else a ball
+    # around the best point), 541, 920 and 1 548.
     FAR_ITERATIONS = {
         2: [24, 24, 24, 24, 47, 36, 74, 36, 24, 24, 24, 24, 36, 36, 36, 48],
-        4: [40, 40, 40, 40, 40, 40, 180, 60, 60, 60, 60, 60, 40, 40, 60, 60],
-        8: [72, 72, 72, 72, 108, 72, 108, 108, 108, 72, 108, 72, 108, 72, 144, 180],
+        4: [40, 40, 40, 40, 80, 40, 220, 60, 60, 40, 60, 40, 40, 40, 60, 60],
+        8: [72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 108, 72, 144, 72],
     }
-    # Unproven moves of those far starts: (around the best point, at a
-    # vertex below U).
-    FAR_MOVES = {2: (6, 2), 4: (0, 4), 8: (8, 10)}
+    # Moves of those far starts: (unproven, grown past R).
+    FAR_MOVES = {2: (8, 6), 4: (2, 8), 8: (14, 10)}
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_far_family_ends_metasteps_at_witnesses(self, metasteps, n):
-        iterations, moves, downhill = [], 0, 0
+        iterations, unproven, grown = [], 0, 0
         for active, close in [(0, 0), (0, 2), (1, 0), (1, 1)]:
             for eps in [2e-5, 1e-7]:
                 rng = np.random.default_rng([n, active, close])
@@ -861,22 +867,18 @@ class TestOutsideWitness:
                         if step.status is SolveStatus.BOUNDARY_REACHED:
                             assert f.eval(step.outside) < lb <= ub
                             assert np.linalg.norm(minimizer - x0) > step_cfg.radius
-                            np.testing.assert_array_equal(centre, step.outside)
-                            continue
-                        assert step.status is SolveStatus.BUDGET_EXHAUSTED
-                        assert lb <= f.eval(step.outside) and ub - lb > eps
-                        if f.eval(step.outside) < ub:
-                            # Below U: the next ball is centred there.
-                            downhill += 1
-                            np.testing.assert_array_equal(centre, step.outside)
-                            assert next_cfg.radius == step_cfg.radius
-                            continue
-                        moves += 1
-                        np.testing.assert_array_equal(centre, step.best_point)
+                        else:
+                            assert step.status is SolveStatus.BUDGET_EXHAUSTED
+                            assert lb <= f.eval(step.outside) and ub - lb > eps
+                            unproven += 1
+                        # Every held vertex centres the next ball, which
+                        # holds the in-ball incumbent.
+                        np.testing.assert_array_equal(centre, step.outside)
                         gap = np.linalg.norm(step.outside - step.best_point)
                         assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
+                        grown += next_cfg.radius > step_cfg.radius
                     iterations.append(res.iterations)
-        assert (moves, downhill) == self.FAR_MOVES[n]
+        assert (unproven, grown) == self.FAR_MOVES[n]
         assert iterations == self.FAR_ITERATIONS[n]
 
     def test_boundary_walk_certifies_the_minimum(self):
@@ -919,7 +921,8 @@ class TestOutsideWitness:
         # The first try's vertex lies far outside, with f above every lb
         # of the ball.  Waiting for lb to pass f there, the ellipsoid
         # closed the bracket 5e-5 inside the sphere; the metastep now ends
-        # at that try, an unproven move, and the next ball holds the vertex.
+        # at that try, an unproven move, and the next ball is centred at
+        # the vertex and holds the first incumbent.
         f = self.flat_valley()
         model_step, calls = solver._model_step, []
 
@@ -939,7 +942,7 @@ class TestOutsideWitness:
         np.testing.assert_array_equal(first.outside, [10.0, 10.0])
         lo, hi = first.alpha_bracket
         assert lo <= f.eval(first.outside) and hi - lo > cfg.level_tolerance
-        np.testing.assert_array_equal(centre, first.best_point)
+        np.testing.assert_array_equal(centre, first.outside)
         assert second_cfg.radius == 1.5 * np.linalg.norm(first.outside - first.best_point)
         assert res.status is SolveStatus.GLOBAL_OPTIMUM_CERTIFIED
         np.testing.assert_allclose(res.best_point, [2.05, 0.0], atol=1e-9)
@@ -981,6 +984,40 @@ class TestOutsideWitness:
             assert not vertex_enumerate_feasible(lower, tol=0.0).feasible
         assert certified >= 23
 
+    def test_a_move_makes_no_oracle_call_of_its_own(self, monkeypatch):
+        # The functions of test_far_starts_certify_no_value_above_the_
+        # minimum, whose runs make proven and unproven moves.  Every value
+        # a run reads comes from its metasteps: choosing the next ball
+        # evaluates f nowhere, not even at the vertex held.
+        inside, own_calls, moves = [False], [], Counter()
+        evaluate, metastep = MaxAffineFunction.eval, solver.bisect_level
+
+        def counted(self, x):
+            if not inside[0]:
+                own_calls.append(x)
+            return evaluate(self, x)
+
+        def within(*args, **kwargs):
+            inside[0] = True
+            try:
+                step = metastep(*args, **kwargs)
+            finally:
+                inside[0] = False
+            if step.outside is not None:
+                moves[step.status] += 1
+            return step
+
+        monkeypatch.setattr(MaxAffineFunction, "eval", counted)
+        monkeypatch.setattr(solver, "bisect_level", within)
+        cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=16)
+        for s in range(40):
+            rng = np.random.default_rng([21, s])
+            m, n = int(rng.integers(5, 13)), int(rng.integers(2, 5))
+            f = MaxAffineFunction(rng.normal(size=(m, n)), rng.normal(size=m))
+            run_metasteps(f, rng.normal(size=n) * (1.0, 10.0, 30.0)[s % 3], cfg)
+        assert moves[SolveStatus.BOUNDARY_REACHED] > 0 < moves[SolveStatus.BUDGET_EXHAUSTED]
+        assert own_calls == []
+
     def test_no_witness_in_a_direct_call_or_the_last_metastep(self, metasteps):
         # A direct call and a run's last metastep close their brackets, so
         # no witness ends them.
@@ -1011,7 +1048,7 @@ class TestSlopeVertex:
     incumbent, where that ray leaves the ball at t.  The vertex is held,
     and ends the metastep, only where f is below U: a proven witness if
     f < lb there, else an unproven move.  Either way the next ball is
-    centred there with the radius unchanged."""
+    centred there and holds the metastep's incumbent."""
 
     def test_linear_function_moves_past_the_sphere(self, metasteps, slope_vertices):
         # f = x from 0 with R = 1: the first try, after 8 iterations at
@@ -1051,7 +1088,8 @@ class TestSlopeVertex:
         # the_minimum.  A slope vertex is formed only in a metastep that
         # may move, lies outside its ball, and is held exactly where f is
         # below U; a held one ends its metastep with the status its lb
-        # gives, and the next ball is centred there.
+        # gives, and the next ball is centred there and holds the
+        # metastep's incumbent.
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=16)
         ends = Counter()
         for s in range(40):
@@ -1078,8 +1116,9 @@ class TestSlopeVertex:
                 ends["proven" if proven else "unproven"] += 1
                 _, next_centre, next_cfg, _ = metasteps[i + 1]
                 np.testing.assert_array_equal(next_centre, past)
-                assert next_cfg.radius == step_cfg.radius
-        assert ends == {"proven": 121, "unproven": 60, "not held": 5}
+                gap = np.linalg.norm(past - step.best_point)
+                assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
+        assert ends == {"proven": 122, "unproven": 64, "not held": 10}
 
     def test_none_where_p_is_zero_up_to_rounding(self, slope_vertices):
         # max(0.1 (x - 1), -0.3 (x - 1)): the simplex weights (3/4, 1/4)
