@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Absolute gap below the max that still counts as an active piece.
-ACTIVE_TOL = 1e-12
-
 
 class ConvexOracle(ABC):
     """Finite convex function on R^n with a subgradient everywhere."""
@@ -66,7 +63,7 @@ class MaxAffineFunction(ConvexOracle):
         return self.eval_with_index(x)[0]
 
     def eval_with_index(self, x) -> Tuple[float, int]:
-        """Value and the smallest index active within ACTIVE_TOL."""
+        """Value and the smallest index attaining it."""
         return _top(self._values(x))
 
     def subgradient(self, x) -> np.ndarray:
@@ -83,14 +80,16 @@ class MaxAffineFunction(ConvexOracle):
 
 
 def _top(vals: np.ndarray) -> Tuple[float, int]:
-    """The largest of ``vals`` and the smallest index within ACTIVE_TOL of it.
+    """The largest of ``vals`` and the smallest index attaining it.
 
-    The value is read at argmax, which skips ndarray.max's Python-level
-    wrapper; a NaN is its own argmax, so a NaN value stays NaN and, with
-    no entry active, the index is 0.
+    Only a row that attains the max is read: its row is a subgradient,
+    while a row merely near the max would let a cut bound
+    f(c) - ||J^T g|| overstate the lower bound by the gap.  The value is
+    read at argmax, which skips ndarray.max's Python-level wrapper; a
+    NaN is its own argmax, so a NaN value stays NaN.
     """
-    top = vals[vals.argmax()]
-    return float(top), int((vals >= top - ACTIVE_TOL).argmax())
+    idx = vals.argmax()
+    return float(vals[idx]), int(idx)
 
 
 # No code in the package builds a QuadraticForm or a LinearConstraintSet;

@@ -530,6 +530,20 @@ class TestMinimizeCommand:
         assert report["verdict"] == "GlobalOptimumCertified"
         assert report["value"] == 0.0
 
+    def test_subgradient_from_a_row_that_attains_the_max(self, tmp_path):
+        # max(0, x + 5e-13): at x = 0 the second row attains the max and
+        # the first lies 5e-13 below it.  A subgradient read from the
+        # first row, 0, made the cut bound f(c) - ||J^T g|| = 5e-13, and
+        # the run certified 5e-13 with bracket [5e-13, 5e-13], though the
+        # minimum is 0.
+        path = write_problem(tmp_path / "near.json", {"A": [[0.0], [1.0]], "b": [0.0, 5e-13]})
+        proc = invoke("minimize", path, "--radius", "1", "--eps", "1e-14")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "GlobalOptimumCertified"
+        assert report["value"] == 0.0
+        assert report["bracket"][0] <= 0.0
+
     @pytest.mark.parametrize("radius", ["1e140", "1e150", "1e153"])
     def test_no_certificate_within_the_rounding_of_the_radius(self, tmp_path, radius):
         # f(x) = x has no minimum.  The incumbent lies about 2 ulps of R

@@ -10,7 +10,6 @@ from epicut import (
     MaxAffineFunction,
     QuadraticForm,
 )
-from epicut.oracles import ACTIVE_TOL
 
 
 class TestMaxAffine:
@@ -96,8 +95,8 @@ class TestValueAndSubgradient:
     def test_max_affine_near_ties_and_nan(self):
         rng = np.random.default_rng(15)
         rows = rng.normal(size=(8, 3))
-        # Pairs of pieces equal up to less than ACTIVE_TOL, and pieces
-        # that tie exactly at the origin.
+        # Pairs of pieces within 1e-12 of each other, and pieces that tie
+        # exactly at the origin.
         offsets = np.array([0.0, 4e-13, -4e-13, 0.0, 2e-12, 0.0, -0.0, 1e-13])
         rows[1] = rows[0]
         rows[2] = rows[0]
@@ -114,8 +113,8 @@ class TestValueAndSubgradient:
                 npt.assert_array_equal(g, rows[0])
                 continue
             assert value == vals.max()
-            # The smallest index within ACTIVE_TOL of the max.
-            (active,) = np.nonzero(vals >= value - ACTIVE_TOL)
+            # The smallest index attaining the max, not one merely near it.
+            (active,) = np.nonzero(vals == value)
             npt.assert_array_equal(g, rows[active[0]])
 
     def test_max_affine_wrong_length_rejected(self):

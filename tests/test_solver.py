@@ -1118,7 +1118,7 @@ class TestSlopeVertex:
                 np.testing.assert_array_equal(next_centre, past)
                 gap = np.linalg.norm(past - step.best_point)
                 assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
-        assert ends == {"proven": 122, "unproven": 64, "not held": 10}
+        assert ends == {"proven": 122, "unproven": 63, "not held": 10}
 
     def test_none_where_p_is_zero_up_to_rounding(self, slope_vertices):
         # max(0.1 (x - 1), -0.3 (x - 1)): the simplex weights (3/4, 1/4)
