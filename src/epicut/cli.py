@@ -21,15 +21,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptySystem
 # global_radius is not called here; it stays importable as
 # cli.global_radius, a name benchmark/tracing.py wraps.
 from .lp import (  # noqa: F401
-    FeasibilityDecision,
     FeasibilityVerdict,
     LinearSystem,
     PointSearchOutcome,
-    PointSearchResult,
     decide_feasibility,
     find_feasible_point,
     global_radius,
@@ -248,22 +245,11 @@ def _finish(report: dict, args: argparse.Namespace, started: float,
     _emit(report)
 
 
-def _decide(system: LinearSystem, tol: float, trace: bool = False) -> FeasibilityDecision:
-    """normalize, then decide_feasibility.  A system whose rows are all
-    vacuous is Feasible at the origin without a run (report None)."""
-    try:
-        norm_sys = normalize(system)
-    except EmptySystem:
-        return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
-                                   point=np.zeros(system.n))
-    return decide_feasibility(norm_sys, tol=tol, trace=trace)
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
     report = _report_skeleton("decide", name, system.n, system.m, args)
     started = time.perf_counter()
-    decision = _decide(system, args.tol, bool(args.trace))
+    decision = decide_feasibility(normalize(system), args.tol, trace=bool(args.trace))
     report["verdict"] = decision.verdict.value
     report["point"] = _vec(decision.point)
     report["certificate"] = _vec(decision.certificate)
@@ -276,13 +262,7 @@ def cmd_find_point(args: argparse.Namespace) -> int:
     name, system = load_problem(args.path)
     report = _report_skeleton("find-point", name, system.n, system.m, args)
     started = time.perf_counter()
-    try:
-        norm_sys = normalize(system)
-    except EmptySystem:
-        result = PointSearchResult(np.zeros(system.n), 0.0,
-                                   PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
-    else:
-        result = find_feasible_point(norm_sys, args.tol, trace=bool(args.trace))
+    result = find_feasible_point(normalize(system), args.tol, trace=bool(args.trace))
     run = result.metastep_report
     report["verdict"] = result.outcome.value
     report["point"] = _vec(result.point)
@@ -334,7 +314,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         label = name or os.path.splitext(os.path.basename(path))[0]
         started = time.perf_counter()
-        decision = _decide(system, args.tol)
+        decision = decide_feasibility(normalize(system), args.tol)
         wall_ms = (time.perf_counter() - started) * 1000.0
         run = decision.report
         writer.writerow([

@@ -14,7 +14,11 @@ class PreconditionViolated(ValueError):
 
 
 class EmptySystem(ValueError):
-    """A constraint system has no rows left after normalization."""
+    """A constraint system has no rows left after normalization.
+
+    Nothing in the package raises it: normalize keeps every row.  It
+    stays importable because benchmark/workloads.py imports it.
+    """
 
 
 class NonFiniteValue(ArithmeticError):

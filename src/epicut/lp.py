@@ -4,7 +4,8 @@ and feasible-point search.
 
 A LinearSystem is also the max-affine function
 f(x) = max_k (A_k . x + b_k), which is <= 0 exactly on its feasible
-set.  normalize scales every row, constant ones included, by one
+set.  normalize keeps one row per input row, so certificates line up
+with the caller's rows, and scales each, constant ones included, by one
 division.  The decision and the point search share one front door,
 _farkas_least_squares: it checks the tolerance and solves Farkas'
 alternative as one nnls, whose certificate decides an infeasible system
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySystem, PreconditionViolated
+from .errors import DimensionMismatch, PreconditionViolated
 from .nnls import min_norm_weights, nnls, simplex_system
 from .oracles import MaxAffineFunction
 from .solver import MetastepConfig, MetastepResult, run_metasteps
@@ -68,19 +69,18 @@ class LinearSystem(MaxAffineFunction):
 
 
 def normalize(system: LinearSystem) -> LinearSystem:
-    """Scale each row so ||(A_k, b_k)|| = 1.
+    """Scale each row so ||(A_k, b_k)|| = 1, keeping one row per input row.
 
     Each row is first scaled by the power of two that brings its largest
     entry into [1/2, 1), which is exact and keeps its norm in range, so
-    the result does not depend on the row's scale.  Constant rows (a
-    coefficient norm below _ZERO_ROW after that scaling) are vacuous
-    when their offset is nonpositive and are dropped; a constant row
-    with positive offset is unsatisfiable and is kept as (0, 1), with
-    norm 0, so that the one division below scales it by exactly 1.  No
-    other normalized row reaches 1 at the origin, so the decision run's
-    first center has a zero subgradient, and the row's unit multiplier
-    is the certificate.  Raises EmptySystem when nothing is left (every
-    point satisfies the original system).
+    the result does not depend on the row's scale.  A constant row (a
+    coefficient norm below _ZERO_ROW after that scaling) becomes
+    (0, sign b_k), scaled by exactly 1: vacuous for b_k < 0, 0 <= 0 for
+    b_k = 0, which no point satisfies strictly, and unsatisfiable for
+    b_k > 0.  The decision needs no case of its own for them: a system
+    of vacuous rows has f = -1 at the pre-step's start, the origin; a
+    0 . x + 0 row leaves f >= 0 everywhere and is its own Gordan vector;
+    and a (0, 1) row is a Farkas certificate by itself.
     """
     top = np.maximum(np.abs(system.rows).max(axis=1), np.abs(system.offsets))
     shift = -np.frexp(top)[1]
@@ -89,14 +89,9 @@ def normalize(system: LinearSystem) -> LinearSystem:
     # Each row's norm from its own dot product: the bits of a per-row
     # np.linalg.norm, which einsum and norm(axis=1) do not keep.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-    constant = norms < _ZERO_ROW
-    if constant.any():
-        kept = ~constant | (offsets > 0.0)
-        if not kept.any():
-            raise EmptySystem("all rows vacuous; any point is feasible")
-        rows[constant], offsets[constant], norms[constant] = 0.0, 1.0, 0.0
-        rows, offsets, norms = rows[kept], offsets[kept], norms[kept]
     scale = np.sqrt(norms * norms + offsets * offsets)
+    constant = norms < _ZERO_ROW
+    rows[constant], offsets[constant], scale[constant] = 0.0, np.sign(offsets[constant]), 1.0
     rows /= scale[:, None]
     offsets /= scale
     return LinearSystem(rows, offsets)
@@ -181,7 +176,9 @@ def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
     counts only on an evaluated f(x) < 0.  p = 0 makes w a Gordan
     vector, but it is not read as a verdict here: one within tol exists
     whenever the system is within tol of losing its interior, where the
-    run still finds f < 0.
+    run still finds f < 0.  A normalized 0 . x + 0 <= 0 row is the point
+    0 itself, so p = 0 and there is no Gordan point: that row is never
+    strict.
     """
     n = system.n
     points = np.zeros((system.m + 1, n + 1))
@@ -190,8 +187,8 @@ def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
     points[-1, n] = -1.0
     p = points.T @ min_norm_weights(points)
     p_x, p_b = p[:n], float(p[n])
-    # On a normalized system every point has norm 1, so ||p|| <= 1 and
-    # the bound itself stays in range.
+    # On a normalized system every point has norm at most 1, so
+    # ||p|| <= 1 and the bound itself stays in range.
     if not float(np.max(np.abs(p_x))) < -p_b * _MAX_ENTRY:
         return None
     x = p_x / p_b

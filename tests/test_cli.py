@@ -345,6 +345,50 @@ class TestFindPointCommand:
         assert invoke(command, path, "--trace", str(trace)).returncode == 0
         assert trace.read_text() == ""
 
+    def test_all_vacuous_find_point_reports_f_at_the_origin(self, tmp_path):
+        # The normalized row (0, -1) has f = -1 at the origin.
+        path = write_problem(tmp_path / "vacuous.json", {"A": [[0, 0]], "b": [-1]})
+        proc = invoke("find-point", path)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "FeasiblePointFound"
+        assert report["point"] == [0.0, 0.0] and report["value"] == -1.0
+
+    @pytest.mark.parametrize("command", ["decide", "find-point"])
+    def test_certificate_has_one_entry_per_file_row(self, tmp_path, command):
+        # x <= -1 and x >= 1 behind a vacuous row 0 x - 1 <= 0: the
+        # certificate's entries line up with the file's three rows.
+        import numpy as np
+        from epicut.lp import LinearSystem, normalize, validate_certificate
+
+        doc = {"A": [[0], [1], [-1]], "b": [-1, 1, 1]}
+        proc = invoke(command, write_problem(tmp_path / "p.json", doc))
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        q = report["certificate"]
+        assert len(q) == report["m"] == 3 and q[0] == 0.0
+        raw = LinearSystem(np.array(doc["A"], float), np.array(doc["b"], float))
+        assert validate_certificate(normalize(raw), np.array(q))
+
+    @pytest.mark.parametrize("doc", [{"A": [[1.0], [0.0]], "b": [0.0, 0.0]},
+                                     {"A": [[0.0]], "b": [0.0]}], ids=["with-x", "alone"])
+    def test_zero_row_has_no_strict_point(self, tmp_path, doc):
+        # 0 x + 0 <= 0 holds everywhere but never strictly: decide finds
+        # its Gordan vector (A^T q = 0, b.q = 0), and find-point a point.
+        import numpy as np
+
+        path = write_problem(tmp_path / "zero.json", doc)
+        proc = invoke("decide", path)
+        assert proc.returncode == 2
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "InfeasibleStrictOnly"
+        q = np.array(report["certificate"])
+        assert q.shape == (len(doc["b"]),) and q.min() >= 0.0 and q.sum() > 0.0
+        assert np.all(np.array(doc["A"]).T @ q == 0.0) and np.array(doc["b"]) @ q == 0.0
+        proc = invoke("find-point", path)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "FeasiblePointFound"
+
     def test_no_radius_program(self, unit_box, contradictory, monkeypatch, capsys):
         from epicut import cli, lp
 

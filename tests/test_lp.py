@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from epicut import (
-    EmptySystem,
     FeasibilityVerdict,
     LinearSystem,
     MaxAffineFunction,
@@ -88,10 +87,12 @@ class TestNormalize:
         npt.assert_allclose(out.rows, [[0.6, 0.8]])
         npt.assert_allclose(out.offsets, [0.0])
 
-    def test_vacuous_row_dropped(self):
+    def test_vacuous_row_kept(self):
+        # One normalized row per input row, so that a certificate's
+        # entries line up with the problem's rows.
         out = normalize(system([[0.0, 0.0], [1.0, 0.0]], [-1.0, 0.0]))
-        assert out.m == 1
-        npt.assert_allclose(out.rows, [[1.0, 0.0]])
+        npt.assert_array_equal(out.rows, [[0.0, 0.0], [1.0, 0.0]])
+        npt.assert_array_equal(out.offsets, [-1.0, 0.0])
 
     def test_unsatisfiable_constant_row_kept(self):
         out = normalize(system([[0.0], [1.0]], [2.0, 0.0]))
@@ -99,9 +100,22 @@ class TestNormalize:
         npt.assert_allclose(out.rows[0], [0.0])
         assert out.offsets[0] == pytest.approx(1.0)
 
-    def test_all_vacuous_raises(self):
-        with pytest.raises(EmptySystem):
-            normalize(system([[0.0, 0.0]], [-1.0]))
+    def test_all_vacuous_feasible_at_the_origin(self):
+        # Every row kept as (0, -1): f = -1 everywhere, so the pre-step's
+        # start, the origin, is Feasible with no run, and find-point
+        # reports it with f = -1.
+        out = normalize(system([[0.0, 0.0], [0.0, 0.0]], [-1.0, -3e-200]))
+        npt.assert_array_equal(out.rows, np.zeros((2, 2)))
+        npt.assert_array_equal(out.offsets, [-1.0, -1.0])
+        decision = decide_feasibility(out)
+        assert decision.verdict is FeasibilityVerdict.FEASIBLE
+        assert decision.report is None
+        npt.assert_array_equal(decision.point, [0.0, 0.0])
+        found = find_feasible_point(out)
+        assert found.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert found.metastep_report is None
+        npt.assert_array_equal(found.point, [0.0, 0.0])
+        assert found.f_value == -1.0
 
     @pytest.mark.parametrize("k", [-500, 500])
     def test_power_of_two_scale_changes_no_bit(self, k):
@@ -125,6 +139,7 @@ class TestNormalize:
         offsets = rng.normal(size=m) * 10.0 ** rng.uniform(-300, 300, m)
         rows[rng.random(m) < 0.2] = 0.0
         rows[rng.random(m) < 0.2] *= 1e-160
+        offsets[rng.random(m) < 0.2] = 0.0
         out = normalize(system(rows, offsets))
         top = np.maximum(np.abs(rows).max(axis=1), np.abs(offsets))
         shift = -np.frexp(top)[1]
@@ -132,20 +147,19 @@ class TestNormalize:
         for a, b in zip(np.ldexp(rows, shift[:, None]), np.ldexp(offsets, shift)):
             na = float(np.linalg.norm(a))
             if na < lp._ZERO_ROW:
-                if b > 0.0:
-                    want_rows.append(np.zeros(n))
-                    want_offsets.append(1.0)
+                want_rows.append(np.zeros(n))
+                want_offsets.append(float(np.sign(b)))
                 continue
             s = math.sqrt(na * na + b * b)
             want_rows.append(a / s)
             want_offsets.append(b / s)
-        npt.assert_array_equal(out.rows, np.array(want_rows).reshape(-1, n))
+        npt.assert_array_equal(out.rows, np.array(want_rows))
         npt.assert_array_equal(out.offsets, want_offsets)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_no_constant_row_matches_the_masked_path(self, seed):
-        # A vacuous constant row appended forces the masked path; the
-        # system without it takes the unmasked one.  Same rows, same bits.
+        # A vacuous constant row appended changes no bit of the other
+        # rows, and is kept as (0, -1).
         rng = np.random.default_rng(90 + seed)
         m, n = int(rng.integers(1, 40)), int(rng.integers(1, 8))
         # Rows of any scale, offsets within 1e6 of their row's scale: no
@@ -154,10 +168,10 @@ class TestNormalize:
         rows = rng.normal(size=(m, n)) * scales[:, None]
         offsets = rng.normal(size=m) * scales * 10.0 ** rng.uniform(-6, 6, m)
         plain = normalize(system(rows, offsets))
-        masked = normalize(system(np.vstack([rows, np.zeros(n)]), np.append(offsets, -1.0)))
-        assert plain.m == masked.m == m
-        npt.assert_array_equal(plain.rows, masked.rows)
-        npt.assert_array_equal(plain.offsets, masked.offsets)
+        padded = normalize(system(np.vstack([rows, np.zeros(n)]), np.append(offsets, -1.0)))
+        assert plain.m == m and padded.m == m + 1
+        npt.assert_array_equal(padded.rows, np.vstack([plain.rows, np.zeros(n)]))
+        npt.assert_array_equal(padded.offsets, np.append(plain.offsets, -1.0))
 
     @pytest.mark.parametrize("rows, offsets, verdict", [
         # x <= -1: tiny, but not a constant row.
@@ -514,10 +528,7 @@ class TestStrictPoint:
         # the one the run path gives from the same pre-step.
         paths = Counter()
         for family, raw in [*criterion_07_systems(), *families_corpus(89, 12)]:
-            try:
-                sys_n = normalize(raw)
-            except EmptySystem:
-                continue
+            sys_n = normalize(raw)
             got = decide_feasibility(sys_n)
             cert, start, _ = lp._farkas_least_squares(sys_n, 1e-7)
             # With no Gordan point, and f read as +inf at the start so
@@ -1144,13 +1155,8 @@ class TestDecisionAgainstOracle:
     def check_against_oracle(raw):
         """decide and find-point on one system against the vertex oracle.
 
-        Returns decide's verdict, or "empty" when normalize dropped
-        every row."""
-        try:
-            sys_n = normalize(raw)
-        except EmptySystem:
-            assert vertex_enumerate_feasible(raw).feasible
-            return "empty"
+        Returns decide's verdict."""
+        sys_n = normalize(raw)
         feasible = vertex_enumerate_feasible(sys_n).feasible
         # Normalized integer rows that are strictly feasible at all are so
         # by far more than 1e-6.
