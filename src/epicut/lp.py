@@ -177,8 +177,8 @@ def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
     vector, but it is not read as a verdict here: one within tol exists
     whenever the system is within tol of losing its interior, where the
     run still finds f < 0.  A normalized 0 . x + 0 <= 0 row is the point
-    0 itself, so p = 0 and there is no Gordan point: that row is never
-    strict.
+    0 itself, so p = 0 up to rounding, and that row reads 0 at every x:
+    no Gordan point.
     """
     n = system.n
     points = np.zeros((system.m + 1, n + 1))

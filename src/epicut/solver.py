@@ -399,7 +399,7 @@ def _distance(x: np.ndarray, y: np.ndarray) -> float:
 
 def _model_step(
     f: MaxAffineFunction, point: np.ndarray, x0: np.ndarray, radius: float
-) -> Tuple[float, Optional[np.ndarray]]:
+) -> Tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """A lower bound on min f over B(x0, radius), and a point to probe,
     from the rows of f near the max at ``point``.
 
