@@ -5,6 +5,13 @@ emits CSV.  All numbers are printed through Python's float repr, which
 round-trips exactly.  No environment variables are consulted and the
 solver path is deterministic, so identical invocations produce identical
 reports (wall time is reported only when --timing is passed).
+
+A report is the text of ``json.dumps(report, indent=2, allow_nan=False)``,
+written by _json_text: json takes its pure-Python encoder whenever
+``indent`` is set, and _json_text is that encoder's recursion without its
+generators.  A problem file is checked whole first (_checked_arrays);
+only a file that fails that check is walked row by row, so that the
+error names the first fault in file order, as the walk always has.
 """
 
 from __future__ import annotations
@@ -12,12 +19,14 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,6 +99,49 @@ def _as_numbers(values: list, where: str) -> List[float]:
     return out
 
 
+# The types json.load gives a number; bool, a subclass of int, is not one.
+_NUMBER_TYPES = {int, float}
+
+
+def _checked_arrays(raw_rows: list,
+                    raw_offsets: list) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A and b as float arrays when the whole file passes at once: rows
+    that are non-empty lists of one width, every entry an int or a float,
+    each field one np.array (which raises OverflowError for an int past
+    the float range), and every value finite.  None when a test fails."""
+    if (set(map(type, raw_rows)) != {list} or len(set(map(len, raw_rows))) != 1
+            or not raw_rows[0]
+            or not set(map(type, itertools.chain(itertools.chain.from_iterable(raw_rows),
+                                                 raw_offsets))) <= _NUMBER_TYPES):
+        return None
+    try:
+        rows = np.array(raw_rows, dtype=float)
+        offsets = np.array(raw_offsets, dtype=float)
+    except OverflowError:
+        return None
+    if not (np.isfinite(rows).all() and np.isfinite(offsets).all()):
+        return None
+    return rows, offsets
+
+
+def _walked_arrays(path: str, raw_rows: list,
+                   raw_offsets: list) -> Tuple[np.ndarray, np.ndarray]:
+    """A and b entry by entry, rows first: raises the UsageError that
+    names the first fault in file order."""
+    rows: List[List[float]] = []
+    width: Optional[int] = None
+    for i, row in enumerate(raw_rows):
+        if not isinstance(row, list) or not row:
+            raise UsageError(f"{path}: row {i} of 'A' must be a non-empty array")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise UsageError(f"{path}: 'A' is not rectangular at row {i}")
+        rows.append(_as_numbers(row, f"A[{i}][{{}}]"))
+    offsets = _as_numbers(raw_offsets, "b[{}]")
+    return np.array(rows), np.array(offsets)
+
+
 def load_problem(path: str) -> Tuple[Optional[str], LinearSystem]:
     """Parse a problem file: {"A": [[...]], "b": [...], "name"?: str}."""
     try:
@@ -112,21 +164,12 @@ def load_problem(path: str) -> Tuple[Optional[str], LinearSystem]:
         raise UsageError(f"{path}: 'A' must be a non-empty array of rows")
     if not isinstance(raw_offsets, list) or len(raw_offsets) != len(raw_rows):
         raise UsageError(f"{path}: 'b' must list one number per row of 'A'")
-    rows: List[List[float]] = []
-    width: Optional[int] = None
-    for i, row in enumerate(raw_rows):
-        if not isinstance(row, list) or not row:
-            raise UsageError(f"{path}: row {i} of 'A' must be a non-empty array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise UsageError(f"{path}: 'A' is not rectangular at row {i}")
-        rows.append(_as_numbers(row, f"A[{i}][{{}}]"))
-    offsets = _as_numbers(raw_offsets, "b[{}]")
+    arrays = (_checked_arrays(raw_rows, raw_offsets)
+              or _walked_arrays(path, raw_rows, raw_offsets))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise UsageError(f"{path}: 'name' must be a string")
-    return name, LinearSystem(np.array(rows), np.array(offsets))
+    return name, LinearSystem(*arrays)
 
 
 def _num(value) -> Optional[float]:
@@ -139,7 +182,8 @@ def _num(value) -> Optional[float]:
 def _vec(arr) -> Optional[List[Optional[float]]]:
     if arr is None:
         return None
-    return [_num(v) for v in np.asarray(arr, dtype=float).ravel()]
+    return [v if math.isfinite(v) else None
+            for v in np.asarray(arr, dtype=float).ravel().tolist()]
 
 
 def _parse_x0(text: Optional[str], dim: int) -> np.ndarray:
@@ -201,8 +245,38 @@ def _write_trace(path: str, run: Optional[MetastepResult]) -> None:
         raise UsageError(f"cannot write trace {path}: {exc.strerror or exc}") from exc
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)``
+    writes it, at the nesting whose line break and leading spaces are
+    ``indent``.  The type tests are json's, in json's order; dict keys
+    are strings.  A non-finite float raises ValueError, as json does."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(report) + "\n")
 
 
 def _report_skeleton(command: str, name: Optional[str], n: int, m: int,
@@ -371,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="decide every problem in a directory; print CSV")
     p_bench.add_argument("dir", help="directory of problem files")
     p_bench.set_defaults(handler=cmd_bench)
+    _COMMANDS.clear()
+    _COMMANDS.update({"decide": p_decide, "find-point": p_point, "minimize": p_min,
+                      "bench": p_bench})
     return parser
 
 
@@ -378,13 +455,26 @@ def build_parser() -> argparse.ArgumentParser:
 # that importing the module stays cheap.  Set it to None to rebuild.
 _PARSER: Optional[argparse.ArgumentParser] = None
 
+# Each command's parser, by name, from the last build_parser call.
+_COMMANDS: Dict[str, argparse.ArgumentParser] = {}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; may be called repeatedly in one process."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # no argv, an unknown command, a top-level flag
+        args = _PARSER.parse_args(argv)
+    else:
+        # What the top-level parser does with a command, in one pass: the
+        # command's parser reads the rest, and its leftovers are the
+        # top-level parser's error.
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _check_flags(args)
         return args.handler(args)

@@ -13,11 +13,11 @@ without a run; otherwise it gives the feasible point nearest the
 origin, the start, and f there, evaluated once.  The decision then
 tries two points with no run: the start, then Gordan's point from one
 minimum-norm solve (_strict_point); an evaluated, finite f < 0 at
-either is Feasible with that point.  Failing both, one run_metasteps
-run minimizes f from the start.  All of this after the nnls is
-_decide_from.  The point search takes the start when f <= tol there,
-on the boundary up to rounding and not necessarily below 0; any other
-start goes on to _decide_from, read as a point.
+either is Feasible with that point and that f.  Failing both, one
+run_metasteps run minimizes f from the start.  All of this after the
+nnls is _decide_from.  The point search takes the start when f <= tol
+there, on the boundary up to rounding and not necessarily below 0; any
+other start goes on to _decide_from, read as a point.
 The two floors (subgradient_lower_bound_at and global_radius) are
 distances from 0 to a convex hull of row combinations, Wolfe's
 minimum-norm-point problem; the NNLS kernel that finds the
@@ -113,9 +113,10 @@ class FeasibilityDecision:
     report: Optional[MetastepResult] = None  # the primal run; None without one
     # Always None; kept because benchmark/run.py --check-fidelity reads it.
     phase_one: Optional[MetastepResult] = None
-    # The evaluated x with f(x) < 0 behind Feasible; None for any other
-    # verdict.
+    # The evaluated x with f(x) < 0 behind Feasible, and that f(x); None
+    # for any other verdict.
     point: Optional[np.ndarray] = None
+    value: Optional[float] = None
 
 
 @dataclass
@@ -163,8 +164,9 @@ def decide_feasibility(
     return _decide_from(system, tol, *_farkas_least_squares(system, tol), trace)
 
 
-def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
-    """Gordan's point: an x with an evaluated, finite f(x) < 0, or None.
+def _strict_point(system: LinearSystem) -> Optional[Tuple[np.ndarray, float]]:
+    """Gordan's point: an x with an evaluated, finite f(x) < 0, and that
+    f(x); or None.
 
     Gordan's alternative (P. Gordan, Math. Ann. 6, 1873), solved as
     Wolfe's nearest point of a polytope (P. Wolfe, Math. Prog. 11,
@@ -192,7 +194,8 @@ def _strict_point(system: LinearSystem) -> Optional[np.ndarray]:
     if not float(np.max(np.abs(p_x))) < -p_b * _MAX_ENTRY:
         return None
     x = p_x / p_b
-    return x if -math.inf < system.violation(x) < 0.0 else None
+    value = system.violation(x)
+    return (x, value) if -math.inf < value < 0.0 else None
 
 
 def _decide_from(
@@ -217,17 +220,17 @@ def _decide_from(
     around the start.  Its stop value is 0: the run ends at the first
     evaluated x with f(x) < 0, a strictly feasible point: Feasible, with
     the run's best point.  So Feasible always rests on an evaluated
-    f < 0 at ``point``.  A run that ends otherwise gets one
-    _active_certificate try at its incumbent.  A q with b.q > tol gives
-    InfeasibleNonStrict, one with |b.q| <= tol InfeasibleStrictOnly, and
-    no q Undecided.
+    f < 0 at ``point``, and ``value`` is that f.  A run that ends
+    otherwise gets one _active_certificate try at its incumbent.  A q
+    with b.q > tol gives InfeasibleNonStrict, one with |b.q| <= tol
+    InfeasibleStrictOnly, and no q Undecided.
     """
     report: Optional[MetastepResult] = None
     if cert is None:
-        point = start if -math.inf < f_start < 0.0 else _strict_point(system)
-        if point is not None:
+        found = (start, f_start) if -math.inf < f_start < 0.0 else _strict_point(system)
+        if found is not None:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
-                                       point=point)
+                                       point=found[0], value=found[1])
         eps = min(tol / 10.0, 1e-8)
         # stop_when_high_below is strict: f(x) = 0 proves nothing.
         cfg = MetastepConfig(
@@ -240,7 +243,7 @@ def _decide_from(
         report = run_metasteps(system, start, cfg, trace=trace)
         if report.best_value < 0.0:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf, report,
-                                       point=report.best_point)
+                                       point=report.best_point, value=report.best_value)
         cert = _active_certificate(system, report.best_point, eps, tol)
     if cert is None:
         return FeasibilityDecision(FeasibilityVerdict.UNDECIDED, None, math.inf, report)
@@ -449,11 +452,12 @@ def find_feasible_point(
     f = 0 up to rounding rather than f < 0.  Otherwise
     decide_feasibility's decision after the pre-step (_decide_from) is
     read as a point.  With no run (metastep_report None), a Feasible
-    point is found and a certificate is InfeasibleProven with point and
-    f_value None.  After its run, a best value at most feas_tol is a
-    feasible point, an InfeasibleNonStrict verdict proves infeasibility
-    with its certificate, and anything else is undecided, each with the
-    run's best point.  ``trace`` records a per-cut trace in the metastep
+    point is found, with the f the decision accepted it on, and a
+    certificate is InfeasibleProven with point and f_value None.  After
+    its run, a best value at most feas_tol is a feasible point, an
+    InfeasibleNonStrict verdict proves infeasibility with its
+    certificate, and anything else is undecided, each with the run's
+    best point.  ``trace`` records a per-cut trace in the metastep
     report.  Raises ValueError, from the pre-step, unless
     0 < feas_tol < inf.
     """
@@ -464,7 +468,7 @@ def find_feasible_point(
     res = decision.report
     if res is None:
         if decision.verdict is FeasibilityVerdict.FEASIBLE:
-            return PointSearchResult(decision.point, system.violation(decision.point),
+            return PointSearchResult(decision.point, decision.value,
                                      PointSearchOutcome.FEASIBLE_POINT_FOUND, None)
         return PointSearchResult(None, None, PointSearchOutcome.INFEASIBLE_PROVEN, None,
                                  decision.certificate)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "epicut"]
@@ -23,6 +27,19 @@ def invoke(*argv, env=None):
     return subprocess.run(
         RUN + list(argv), capture_output=True, text=True, timeout=120, env=env
     )
+
+
+def in_process(run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)`` in this process, each
+    stream a new one for this call alone; a normal return is code None
+    unless ``run`` returns one."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_problem(path, doc):
@@ -701,6 +718,47 @@ BAD_ENTRIES = {
                  "{path}: 'b' must list one number per row of 'A'"),
     "row-in-b": ('{"A": [[1, 2], [3, 4]], "b": [1, [2]]}',
                  "b[1] must be a number, got [2]"),
+    "null-in-A": ('{"A": [[null, 2], [3, 4]], "b": [1, 2]}',
+                  "A[0][0] must be a number, got None"),
+    "object-in-A": ('{"A": [[1, {"x": 1}], [3, 4]], "b": [1, 2]}',
+                    "A[0][1] must be a number, got {{'x': 1}}"),
+    "number-as-row": ('{"A": [[1, 2], 3], "b": [1, 2]}',
+                      "{path}: row 1 of 'A' must be a non-empty array"),
+    "string-as-row": ('{"A": [[1, 2], "ab"], "b": [1, 2]}',
+                      "{path}: row 1 of 'A' must be a non-empty array"),
+    "empty-row": ('{"A": [[1, 2], []], "b": [1, 2]}',
+                  "{path}: row 1 of 'A' must be a non-empty array"),
+    "every-row-empty": ('{"A": [[], []], "b": [1, 2]}',
+                        "{path}: row 0 of 'A' must be a non-empty array"),
+}
+
+# Files with two faults: the UsageError names the first in file order,
+# the rows of A (each row's shape, then its entries) before b.
+TWO_FAULTS = {
+    "bool-in-row-0-then-ragged-row-2": ('{"A": [[1, true], [3, 4], [5]], "b": [1, 2, 3]}',
+                                        "A[0][1] must be a number, got True"),
+    "bad-b-then-ragged-row": ('{"A": [[1, 2], [3]], "b": ["x", 2]}',
+                              "{path}: 'A' is not rectangular at row 1"),
+    "string-in-row-0-then-inf-in-row-1": ('{"A": [[1, "s"], [1e999, 4]], "b": [1, 2]}',
+                                          "A[0][1] must be a number, got 's'"),
+    "bool-in-row-1-then-big-int-in-row-2": (
+        '{"A": [[1, 2], [false, 4], [5, 1' + "0" * 400 + ']], "b": [1, 2, 3]}',
+        "A[1][0] must be a number, got False"),
+    "inf-in-b-then-bool-in-A": ('{"A": [[1, 2], [3, true]], "b": [1e999, 2]}',
+                                "A[1][1] must be a number, got True"),
+    "ragged-row-1-then-empty-row-2": ('{"A": [[1, 2], [3], []], "b": [1, 2, 3]}',
+                                      "{path}: 'A' is not rectangular at row 1"),
+    "big-int-then-string-in-b": ('{"A": [[1, 2], [3, 4]], "b": [-1' + "0" * 400 + ', "x"]}',
+                                 "b[0] must be finite, got an integer beyond the float range"),
+}
+
+# The last entry of a 48 x 4 file, each a fault: (JSON text, message).
+LAST_ENTRY_FAULTS = {
+    "bool": ("true", "must be a number, got True"),
+    "string": ('"7"', "must be a number, got '7'"),
+    "null": ("null", "must be a number, got None"),
+    "int-beyond-float": ("1" + "0" * 400, "must be finite, got an integer beyond the float range"),
+    "overflowing-float": ("1e999", "must be finite, got inf"),
 }
 
 
@@ -727,6 +785,51 @@ class TestMalformedFiles:
         with pytest.raises(cli.UsageError) as error:
             cli.load_problem(str(bad))
         assert str(error.value) == message.format(path=bad)
+
+    @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+    def test_first_of_two_faults_is_named(self, tmp_path, name):
+        from epicut import cli
+
+        text, message = TWO_FAULTS[name]
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text)
+        with pytest.raises(cli.UsageError) as error:
+            cli.load_problem(str(bad))
+        assert str(error.value) == message.format(path=bad)
+
+    @pytest.mark.parametrize("field", ["A", "b"])
+    @pytest.mark.parametrize("fault", sorted(LAST_ENTRY_FAULTS))
+    def test_fault_in_the_last_entry_is_named(self, tmp_path, field, fault):
+        from epicut import cli
+
+        entry, message = LAST_ENTRY_FAULTS[fault]
+        rows = [[str(4 * i + j + 1) for j in range(4)] for i in range(48)]
+        offsets = [str(-k - 1) for k in range(48)]
+        if field == "A":
+            rows[47][3], where = entry, "A[47][3]"
+        else:
+            offsets[47], where = entry, "b[47]"
+        bad = tmp_path / "ladder.json"
+        bad.write_text('{"A": [%s], "b": [%s]}' % (
+            ", ".join("[" + ", ".join(row) + "]" for row in rows), ", ".join(offsets)))
+        with pytest.raises(cli.UsageError) as error:
+            cli.load_problem(str(bad))
+        assert str(error.value) == f"{where} {message}"
+
+    def test_entries_read_as_float_does(self, tmp_path):
+        # Ints past 2**53, 2**63 and 2**64 round as float() rounds them,
+        # the largest that rounds below 2**1024 included; -0.0 and the
+        # smallest subnormal keep their bits.
+        from epicut import cli
+
+        entries = [2**53 + 1, 2**63 + 1, 2**64 + 3, -(2**64) - 1,
+                   2**1024 - 2**970 - 1, -0.0, 5e-324, -1.7976931348623157e308]
+        rows = [entries[:4], entries[4:]]
+        path = write_problem(tmp_path / "edges.json", {"A": rows, "b": [0, -0.0]})
+        _, system = cli.load_problem(path)
+        want = np.array([[float(v) for v in row] for row in rows])
+        assert system.rows.tobytes() == want.tobytes()
+        assert system.offsets.tobytes() == np.array([0.0, -0.0]).tobytes()
 
     def test_bench_skips_them(self, tmp_path):
         for name, data in MALFORMED.items():
@@ -903,9 +1006,6 @@ class TestInProcessCalls:
 
     def test_repeated_calls_give_the_same_reports(self, unit_box, tmp_path,
                                                   monkeypatch):
-        import contextlib
-        import io
-
         from epicut import cli, errors
 
         abs_path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]})
@@ -913,15 +1013,7 @@ class TestInProcessCalls:
                 ["minimize", abs_path, "--radius", "2", "--x0", "0.6"]]
 
         def call(argv):
-            """(exit code, stdout, stderr) of one in-process call, each
-            stream a new one for this call alone."""
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            return code, out.getvalue(), err.getvalue()
+            return in_process(cli.main, argv)
 
         first = [call(argv) for argv in runs]
         assert [code for code, _, _ in first] == [0, 0, 0]
@@ -939,6 +1031,118 @@ class TestInProcessCalls:
                 70, "", "epicut: internal error: DegenerateShape: synthetic failure\n")
 
         assert [call(argv) for argv in runs] == first
+
+
+# Command lines main() must answer as the top-level parser's parse_args
+# does: every one exits inside argparse.  {path} is the unit box.
+PARSER_EXITS = [
+    [], ["nosuch"], ["-h"], ["decide", "-h"], ["decide"], ["minimize", "{path}"],
+    ["decide", "{path}", "--eps", "0"],
+    ["bench"], ["--tol", "1", "decide", "{path}"], ["decide", "{path}", "--he"],
+    ["decide", "{path}", "--", "x"], ["find-point", "{path}", "--tol=1e-6", "a", "b"],
+    ["minimize", "{path}", "--radius", "x"], ["decide", "{path}", "-h", "--bogus"],
+]
+
+# Command lines that parse: main() must see the namespace parse_args gives.
+PARSER_NAMESPACES = [
+    ["decide", "{path}"], ["decide", "--", "{path}"], ["find-point", "{path}", "--to", "1e-6"],
+    ["minimize", "{path}", "--radius", "2", "--x0=-0.5,0.5", "--radius-g", "2"],
+    ["bench", "{dir}", "--tol=1e-6"],
+]
+
+
+class TestOneParserPass:
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_exits_as_the_top_level_parser(self, unit_box, argv):
+        from epicut import cli
+
+        argv = [a.format(path=unit_box) for a in argv]
+        want = in_process(lambda v: cli.build_parser().parse_args(v), argv)
+        assert want[0] in (0, cli.EXIT_USAGE)
+        assert in_process(cli.main, argv) == want
+
+    @pytest.mark.parametrize("argv", PARSER_NAMESPACES, ids=" ".join)
+    def test_namespace_of_the_top_level_parser(self, unit_box, monkeypatch, argv):
+        from epicut import cli
+
+        argv = [a.format(path=unit_box, dir=os.path.dirname(unit_box)) for a in argv]
+        seen = []
+        check = cli._check_flags
+        monkeypatch.setattr(cli, "_check_flags", lambda args: seen.append(vars(args)) or
+                            check(args))
+        code, _, err = in_process(cli.main, argv)
+        assert code == 0 and err == ""
+        want = vars(cli.build_parser().parse_args(argv))
+        assert want.pop("command") == argv[0]
+        assert seen == [want]
+
+
+# Names, --x0 and --trace strings a report must escape as json does.
+AWKWARD_STRINGS = ['say "hi"', "back\\slash", "tab\tline\ncr\rbell\x07del\x7f",
+                   "ünïcødé ☃ 𝄞 \u2028", ""]
+
+
+class TestReportWriter:
+    @staticmethod
+    def printed(monkeypatch, argv):
+        """main(argv)'s stdout and the report dict it printed."""
+        from epicut import cli
+
+        reports = []
+        emit = cli._emit
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit", lambda report: reports.append(report) or emit(report))
+            code, out, err = in_process(cli.main, argv)
+        assert code in (0, 1) and err == ""
+        (report,) = reports
+        return out, report
+
+    @pytest.mark.parametrize("flags", [[], ["--trace", "--timing"]], ids=["plain", "traced"])
+    @pytest.mark.parametrize("command", ["decide", "find-point", "minimize"])
+    @pytest.mark.parametrize("problem", ["unit_box", "contradictory"])
+    def test_every_command_prints_json_dumps_text(self, request, tmp_path, monkeypatch,
+                                                  problem, command, flags):
+        argv = [command, request.getfixturevalue(problem)]
+        if command == "minimize":
+            argv += ["--radius", "2", "--x0=-0.0,0.5" if problem == "unit_box" else "--x0=-0.0"]
+        if flags:
+            argv += ["--trace", str(tmp_path / "trace.jsonl"), "--timing"]
+        out, report = self.printed(monkeypatch, argv)
+        assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("text", AWKWARD_STRINGS)
+    def test_strings_escape_as_json_does(self, tmp_path, monkeypatch, text):
+        path = write_problem(tmp_path / "pair.json",
+                             {"name": text, "A": [[1], [-1]], "b": [-1, -1]})
+        trace = str(tmp_path / text) if text else ""
+        # float() reads surrounding whitespace and non-ASCII digits.
+        x0 = "\t\u0660.\u0665\n" if text else ""
+        for argv in (["decide", path, "--trace", trace],
+                     ["minimize", path, "--radius", "2", "--x0", x0 or "0.5", "--trace", trace]):
+            out, report = self.printed(monkeypatch, argv)
+            assert report["name"] == text and report["trace_file"] == trace
+            assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16,
+        0, -7, 2**64, True, False, None, [], {}, "", [[]], [{}], {"a": {}}, (1, 2.5),
+        {"a": [1, [2.5, None], {"b": [], "c": "\ud800"}], "d": {"e": -0.0}},
+        ["\u2028", "é", "\x00"],
+    ], ids=repr)
+    def test_values_write_as_json_dumps(self, value):
+        from epicut import cli
+
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.inf],
+                                       {"a": {"b": math.nan}}], ids=repr)
+    def test_non_finite_float_raises_value_error(self, value):
+        from epicut import cli
+
+        with pytest.raises(ValueError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            cli._json_text(value)
 
 
 class TestInternalErrors:

@@ -606,6 +606,42 @@ class TestStrictPoint:
         assert decision.verdict is FeasibilityVerdict.FEASIBLE and decision.report is None
         npt.assert_array_equal(res.point, decision.point)
 
+    def test_feasible_decision_carries_its_value(self, monkeypatch):
+        # The start (the unit box), Gordan's point (the flat quad) and the
+        # run (the flat pair, without Gordan's point) each give Feasible
+        # with the f evaluated at its point.
+        for raw in (UNIT_BOX, FLAT_QUAD):
+            sys_n = normalize(raw)
+            decision = decide_feasibility(sys_n)
+            assert decision.value == sys_n.violation(decision.point) < 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_strict_point", lambda *args: None)
+            sys_n = normalize(FLAT_PAIR)
+            decision = decide_feasibility(sys_n)
+        assert decision.report is not None
+        assert decision.value == decision.report.best_value == sys_n.violation(decision.point)
+        assert decide_feasibility(normalize(CONTRADICTORY)).value is None
+
+    def test_find_point_evaluates_gordans_point_once(self, monkeypatch):
+        # find-point reads f at Gordan's point from the decision: one
+        # evaluation at its start and one at the point, the value it
+        # reports.
+        sys_n = normalize(FLAT_QUAD)
+        seen = []
+        violation = lp.LinearSystem.violation
+
+        def counted(self, x):
+            seen.append(np.array(x, dtype=float))
+            return violation(self, x)
+
+        monkeypatch.setattr(lp.LinearSystem, "violation", counted)
+        res = find_feasible_point(sys_n)
+        assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
+        assert res.metastep_report is None
+        assert len(seen) == 2
+        assert seen[1].tobytes() == res.point.tobytes()
+        assert res.f_value == violation(sys_n, res.point) < 0.0
+
 
 class TestValidateCertificate:
     def test_hand_certificate(self):
