@@ -11,9 +11,11 @@ _farkas_least_squares: it checks the tolerance and solves Farkas'
 alternative as one nnls, whose certificate decides an infeasible system
 without a run; otherwise it gives the feasible point nearest the
 origin, the start, and f there, evaluated once.  The decision then
-tries two points with no run: the start, then Gordan's point from one
-minimum-norm solve (_strict_point); an evaluated, finite f < 0 at
-either is Feasible with that point and that f.  Failing both, one
+tries two points with no run: the start, then Gordan's point of the
+system shifted to the start, from a minimum-norm solve on the rows
+tight there and, only when that gives none, on every row
+(_strict_point); an evaluated, finite f < 0 at either is Feasible
+with that point and that f.  Failing both, one
 run_metasteps run minimizes f from the start.  All of this after the
 nnls is _decide_from.  The point search takes the start when f <= tol
 there, on the boundary up to rounding and not necessarily below 0; any
@@ -46,6 +48,12 @@ _ZERO_ROW = 1e-150
 # Gordan's point p_x / p_b is formed only when no entry exceeds this, so
 # that the quotient and the rows' values there stay finite.
 _MAX_ENTRY = 1e150
+
+# A row is tight at the pre-step's start when its value there is at
+# least -_TIGHT eps (1 + max|start_i|), within the rounding of its
+# evaluation (see _strict_point).
+_TIGHT = 16.0
+_EPS = float(np.finfo(float).eps)
 
 
 class LinearSystem(MaxAffineFunction):
@@ -164,36 +172,76 @@ def decide_feasibility(
     return _decide_from(system, tol, *_farkas_least_squares(system, tol), trace)
 
 
-def _strict_point(system: LinearSystem) -> Optional[Tuple[np.ndarray, float]]:
-    """Gordan's point: an x with an evaluated, finite f(x) < 0, and that
-    f(x); or None.
+def _strict_point(
+    system: LinearSystem, start: np.ndarray
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Gordan's point of the system shifted to the pre-step's start: an
+    x with an evaluated, finite f(x) < 0, and that f(x); or None.
 
-    Gordan's alternative (P. Gordan, Math. Ann. 6, 1873), solved as
-    Wolfe's nearest point of a polytope (P. Wolfe, Math. Prog. 11,
-    1976): w = min_norm_weights of the m + 1 points (A_k, b_k) and
-    (0, -1) of R^{n+1}, the rows of M, and p = M^T w.  Wolfe's
-    optimality condition M_k . p >= ||p||^2 gives p_{n+1} <= -||p||^2 < 0
-    for p != 0, and then x = p_x / p_{n+1} has
-    A x + b <= -||p||^2 / |p_{n+1}| < 0.  Rounding can break that, so x
-    counts only on an evaluated f(x) < 0.  p = 0 makes w a Gordan
-    vector, but it is not read as a verdict here: one within tol exists
-    whenever the system is within tol of losing its interior, where the
-    run still finds f < 0.  A normalized 0 . x + 0 <= 0 row is the point
-    0 itself, so p = 0 up to rounding, and that row reads 0 at every x:
-    no Gordan point.
+    With v = A start + b, the rows' values at the start, x = start + y
+    is strictly feasible exactly when A y + v < 0.  Gordan's alternative
+    (P. Gordan, Math. Ann. 6, 1873) for that system is solved as Wolfe's
+    nearest point of a polytope (P. Wolfe, Math. Prog. 11, 1976), first
+    on the rows tight at the start (_gordan_step), at most about n of
+    them at the feasible point nearest the origin, and on every row
+    only when that gives no point.  The tight rows are those with
+    v_k >= -_TIGHT eps (1 + max|start_i|), within the rounding of
+    their evaluation; the others hold f < 0 along a short enough step.
+    Every x counts only on an evaluated f(x) < 0.  A normalized
+    0 . x + 0 <= 0 row is tight everywhere and reads 0 at every x: no
+    Gordan point.  The pre-step hands on f(start) alone, so v is formed
+    here, one product with A, only where the start does not decide.
+    """
+    values = system._values(start)
+    tight = values >= -_TIGHT * _EPS * (1.0 + float(abs(start).max()))
+    if not tight.all():
+        found = _gordan_step(system, start, values, tight)
+        if found is not None:
+            return found
+    return _gordan_step(system, start, values, None)
+
+
+def _gordan_step(
+    system: LinearSystem, start: np.ndarray, values: np.ndarray, tight: Optional[np.ndarray]
+) -> Optional[Tuple[np.ndarray, float]]:
+    """x = start + s y from Gordan's point y of the ``tight`` rows (a
+    mask; None for every row) of A y + v <= 0, v = ``values``, the rows'
+    values at ``start``, with its evaluated f(x) when that is finite and
+    below 0; or None.
+
+    w = min_norm_weights of the points (A_k, v_k), k tight, and (0, -1)
+    of R^{n+1}, the rows of M, and p = M^T w.  Wolfe's optimality
+    condition M_k . p >= ||p||^2 gives p_{n+1} <= -||p||^2 < 0 for
+    p != 0, and then y = p_x / p_{n+1} has A_k y + v_k <= -||p||^2 /
+    |p_{n+1}| < 0 on the tight rows, and so along all of (start,
+    start + y] for those with v_k <= 0.  p = 0 makes w a Gordan vector
+    of the tight rows, but it is not read as a verdict: one within tol
+    exists whenever the system is within tol of losing its interior,
+    where the run still finds f < 0.  Each other row k has v_k < 0, and
+    when start + y would lift it to 0 or above, s is cut to half the
+    step that reaches 0 there: s = min(1, min_k -v_k / (2 A_k . y)).
+    Rounding can break any of this, so x counts only on an evaluated
+    f(x) < 0.
     """
     n = system.n
-    points = np.zeros((system.m + 1, n + 1))
-    points[:-1, :n] = system.rows
-    points[:-1, n] = system.offsets
+    rows, offsets = (system.rows, values) if tight is None else (system.rows[tight], values[tight])
+    points = np.zeros((rows.shape[0] + 1, n + 1))
+    points[:-1, :n] = rows
+    points[:-1, n] = offsets
     points[-1, n] = -1.0
     p = points.T @ min_norm_weights(points)
     p_x, p_b = p[:n], float(p[n])
-    # On a normalized system every point has norm at most 1, so
-    # ||p|| <= 1 and the bound itself stays in range.
-    if not float(np.max(np.abs(p_x))) < -p_b * _MAX_ENTRY:
+    if not float(abs(p_x).max()) < -p_b * _MAX_ENTRY:
         return None
-    x = p_x / p_b
+    y = p_x / p_b
+    step = 1.0
+    if tight is not None:
+        rise = system.rows.dot(y)
+        lifted = values + rise >= 0.0
+        lifted &= ~tight
+        if lifted.any():
+            step = 0.5 * float((-values[lifted] / rise[lifted]).min())
+    x = start + step * y
     value = system.violation(x)
     return (x, value) if -math.inf < value < 0.0 else None
 
@@ -227,7 +275,7 @@ def _decide_from(
     """
     report: Optional[MetastepResult] = None
     if cert is None:
-        found = (start, f_start) if -math.inf < f_start < 0.0 else _strict_point(system)
+        found = (start, f_start) if -math.inf < f_start < 0.0 else _strict_point(system, start)
         if found is not None:
             return FeasibilityDecision(FeasibilityVerdict.FEASIBLE, None, math.inf,
                                        point=found[0], value=found[1])

@@ -640,6 +640,18 @@ class TestMinimizeCommand:
         assert invoke("minimize", path, "--radius", "2", "--x0", "1,2").returncode == 64
         assert invoke("minimize", path, "--radius", "2", "--x0", "zzz").returncode == 64
 
+    def test_negative_first_coordinate_needs_the_equals_form(self, unit_box):
+        # argparse reads a separate value that starts with '-' and is not
+        # one plain negative number as a flag, so a start whose first
+        # coordinate is negative is written --x0=-0.5,0.5 (README, CLI).
+        proc = invoke("minimize", unit_box, "--radius", "2", "--x0=-0.5,0.5")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["config"]["x0"] == "-0.5,0.5"
+        proc = invoke("minimize", unit_box, "--radius", "2", "--x0", "-0.5,0.5")
+        assert proc.returncode == 64 and proc.stdout == ""
+        assert proc.stderr == "epicut minimize: error: argument --x0: expected one argument\n"
+        assert "`--x0=-0.5,0.5`" in README.read_text()
+
     def test_trace_file_written(self, tmp_path):
         path = write_problem(tmp_path / "abs.json", {"A": [[1], [-1]], "b": [-1, -1]})
         trace = tmp_path / "trace.jsonl"

@@ -70,6 +70,14 @@ HOMOGENEOUS_EIGHT = system(
 )
 
 
+def below_zero_exactly(rows, offsets, point):
+    """rows . point + offsets < 0 on every row, in exact arithmetic on
+    the floats as given."""
+    x = [Fraction(v) for v in point.tolist()]
+    return all(sum(Fraction(a) * v for a, v in zip(row, x)) + Fraction(b) < 0
+               for row, b in zip(rows.tolist(), offsets.tolist()))
+
+
 def planted_infeasible(rng, m, n):
     """Uniform rows projected so that A^T q = 0 for a planted q > 0, with
     b shifted so that b.q > 0 (the benchmark's m-ladder construction)."""
@@ -524,8 +532,11 @@ class TestStrictPoint:
 
     def test_feasible_rests_on_an_evaluated_point(self, monkeypatch):
         # Every Feasible decision carries a finite point with f < 0 on a
-        # system the vertex oracle calls feasible, and every verdict is
-        # the one the run path gives from the same pre-step.
+        # system the vertex oracle calls feasible.  Every verdict is the
+        # one the run path gives from the same pre-step, except that a
+        # run-less Feasible may stand where the run reads
+        # InfeasibleStrictOnly, on an interior thinner than tol, when its
+        # point is strictly feasible in exact arithmetic.
         paths = Counter()
         for family, raw in [*criterion_07_systems(), *families_corpus(89, 12)]:
             sys_n = normalize(raw)
@@ -536,16 +547,25 @@ class TestStrictPoint:
             with monkeypatch.context() as patch:
                 patch.setattr(lp, "_strict_point", lambda *args: None)
                 run_path = lp._decide_from(sys_n, 1e-7, cert, start, math.inf, False)
-            assert run_path.verdict is got.verdict
-            if got.verdict is not FeasibilityVerdict.FEASIBLE:
-                assert got.point is None
-                continue
-            assert np.isfinite(got.point).all()
-            assert sys_n.violation(got.point) < 0.0
-            assert vertex_enumerate_feasible(sys_n).feasible
-            paths["run" if got.report is not None else
-                  "start" if np.array_equal(got.point, start) else "gordan"] += 1
-        assert paths["start"] and paths["gordan"] and paths["run"]
+            if run_path.verdict is not got.verdict:
+                assert run_path.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
+                assert got.verdict is FeasibilityVerdict.FEASIBLE and got.report is None
+                assert below_zero_exactly(sys_n.rows, sys_n.offsets, got.point)
+                paths["moved"] += 1
+            # The run path's Feasible points are held to the same rule;
+            # decide itself needs no run for any Feasible verdict here.
+            for decision in (got, run_path):
+                if decision.verdict is not FeasibilityVerdict.FEASIBLE:
+                    assert decision.point is None
+                    continue
+                assert np.isfinite(decision.point).all()
+                assert sys_n.violation(decision.point) < 0.0
+                assert vertex_enumerate_feasible(sys_n).feasible
+            if got.verdict is FeasibilityVerdict.FEASIBLE:
+                paths["run" if got.report is not None else
+                      "start" if np.array_equal(got.point, start) else "gordan"] += 1
+            paths["run path"] += run_path.verdict is FeasibilityVerdict.FEASIBLE
+        assert paths["start"] and paths["gordan"] and paths["run path"] and paths["moved"]
 
     def test_thin_planted_run_path_stays_feasible(self, monkeypatch):
         # A thin planted system that a variant of the slope move, one
@@ -574,12 +594,12 @@ class TestStrictPoint:
         npt.assert_array_equal(out.point, [0.0, 0.0])
         assert calls == []
         # 1 <= x <= 2: the start x = 1 has f = 0, so one Gordan solve, of
-        # the two rows and (0, -1), gives the point.
+        # the row tight there and (0, -1), gives the point.
         sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
         out = decide_feasibility(sys_n)
         assert out.verdict is FeasibilityVerdict.FEASIBLE and out.report is None
         assert 1.0 < float(out.point[0]) < 2.0
-        assert len(calls) == 1 and calls[0].shape == (3, 2)
+        assert len(calls) == 1 and calls[0].shape == (2, 2)
         # find-point takes a start with f <= tol, the box's origin and
         # x = 1 above, with no Gordan solve ...
         calls.clear()
@@ -587,11 +607,82 @@ class TestStrictPoint:
             res = find_feasible_point(normalize(raw))
             assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         assert calls == []
-        # ... and past a start with f > tol makes exactly one.
+        # ... and past a start with f > tol makes exactly one, on the one
+        # row tight at the flat quad's start.
         res = find_feasible_point(normalize(FLAT_QUAD))
         assert res.outcome is PointSearchOutcome.FEASIBLE_POINT_FOUND
         assert res.metastep_report is None
-        assert len(calls) == 1 and calls[0].shape == (5, 5)
+        assert len(calls) == 1 and calls[0].shape == (2, 5)
+
+    def test_gordan_points_are_strictly_feasible_in_exact_arithmetic(self):
+        # Every point _strict_point gives, whether or not the start
+        # already decides, has A x + b < 0 in exact arithmetic on the
+        # normalized rows.
+        points = 0
+        for family, raw in [*criterion_07_systems(), *families_corpus(89, 12)]:
+            sys_n = normalize(raw)
+            cert, start, _ = lp._farkas_least_squares(sys_n, 1e-7)
+            found = None if cert is not None else lp._strict_point(sys_n, start)
+            if found is not None:
+                x, value = found
+                assert value == sys_n.violation(x) < 0.0
+                assert below_zero_exactly(sys_n.rows, sys_n.offsets, x)
+                points += 1
+        assert points > 150
+
+    def test_tight_rows_make_the_solve(self, monkeypatch):
+        # 1 <= x <= 2 from its start x = 1, where the first row reads 0
+        # and the second -1/sqrt(5): the solve takes the tight row and
+        # (0, -1) alone.  Its step y = sqrt(2) would lift the loose row
+        # to (sqrt(2) - 1)/sqrt(5) > 0, so x steps half the way to that
+        # row's 0: 1.5.
+        calls = []
+        solve = lp.min_norm_weights
+        monkeypatch.setattr(lp, "min_norm_weights",
+                            lambda points: calls.append(points.shape) or solve(points))
+        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
+        x, value = lp._strict_point(sys_n, np.array([1.0]))
+        assert calls == [(2, 2)]
+        assert float(x[0]) == pytest.approx(1.5, rel=1e-12)
+        assert value == sys_n.violation(x) < 0.0
+
+    def test_every_row_when_the_tight_rows_give_no_point(self, monkeypatch):
+        # When the tight rows' step gives no f < 0, the same solve on
+        # every row follows: m + 1 points, with the whole step y.
+        calls = []
+        solve = lp.min_norm_weights
+        monkeypatch.setattr(lp, "min_norm_weights",
+                            lambda points: calls.append(points.shape) or solve(points))
+        step = lp._gordan_step
+        monkeypatch.setattr(lp, "_gordan_step", lambda system, start, values, tight:
+                            None if tight is not None else step(system, start, values, tight))
+        sys_n = normalize(system([[-1.0], [1.0]], [1.0, -2.0]))
+        x, value = lp._strict_point(sys_n, np.array([1.0]))
+        assert calls == [(3, 2)]
+        assert 1.0 < float(x[0]) < 2.0 and value == sys_n.violation(x) < 0.0
+
+    def test_thin_slab_reads_feasible_with_no_run(self, monkeypatch):
+        # A slab 5.3e-8 wide, 172 from the origin.  The pre-step's start
+        # lies on one face (3.0e-12 above it), where the other face reads
+        # -3.1e-10 once normalized: thinner than tol, but far past the
+        # rounding of the evaluation, so only the first face is tight.
+        # Gordan's point of that row steps half the way to the other
+        # face, a point strictly inside in exact arithmetic, on the
+        # normalized rows and on the rows as drawn.  The run path reads
+        # InfeasibleStrictOnly there.
+        family, raw = list(families_corpus(202, 9))[79]
+        assert family == "thin-slab"
+        sys_n = normalize(raw)
+        got = decide_feasibility(sys_n)
+        assert got.verdict is FeasibilityVerdict.FEASIBLE and got.report is None
+        assert got.value == sys_n.violation(got.point) < 0.0
+        assert below_zero_exactly(sys_n.rows, sys_n.offsets, got.point)
+        assert below_zero_exactly(raw.rows, raw.offsets, got.point)
+        cert, start, f_start = lp._farkas_least_squares(sys_n, 1e-7)
+        assert cert is None and f_start > 0.0
+        monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
+        run_path = lp._decide_from(sys_n, 1e-7, cert, start, f_start, False)
+        assert run_path.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
 
     def test_find_point_takes_the_gordan_point(self):
         # The flat quad's start has f = 0.11 > tol, and Gordan's point has
