@@ -6,12 +6,16 @@ layer's Farkas certificates and subgradient floors.
 
 The kernel is Lawson and Hanson's active-set method; each least-squares
 solve on the passive set is one np.linalg.solve on the matching block of
-the Gram matrix, built once per call.  A problem with no more columns
-than rows first solves the whole Gram system, and returns its solution
-when every entry is positive: the method from zero would end there with
-the same solve, unless a near-duplicate column stays out (see nnls).
-That covers the solver's first model prefix, n + 1 rows for n + 1
-unknowns, in one solve instead of one per column.  Its accuracy affects
+the Gram matrix, built once per call (the Gram-block form of Bro and De
+Jong, J. Chemometrics 11, 1997).  A problem with no more columns than
+rows first solves the whole Gram system, and returns its solution when
+every entry is positive: the method from zero would end there with the
+same solve, unless a near-duplicate column stays out (see nnls).  That
+covers the solver's first model prefix, n + 1 rows for n + 1 unknowns,
+in one solve instead of one per column.  When that solution is not
+positive, the solve on its positive entries seeds the method.  The
+solver's later model prefixes resume from the last prefix's solution;
+the lp layer's certificate windows start cold.  Its accuracy affects
 only speed: every certificate is checked by lp.validate_certificate,
 and every bound built on the weights is a weak-duality bound, which
 holds for any weights on the simplex.
@@ -20,7 +24,7 @@ holds for any weights on the simplex.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,17 +34,24 @@ _EPS = float(np.finfo(float).eps)
 _POSITIVE = (0.0).__lt__
 
 
-def simplex_system(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def simplex_system(rows: np.ndarray, top: Optional[float] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The nnls problem [A^T s; 1^T] q ~ [0; 1] for ``rows`` A, whose
     solutions rescaled to sum 1 are the simplex weights of least ||A^T q||.
 
-    s is the power of two that brings the largest entry of A into
-    [1/2, 1), so the row of ones and the rows weigh alike whatever the
-    scale of A; a power of two scales exactly, and the weights do not
-    depend on s.  s is 1 for rows that are all 0 or not finite.
+    s is the power of two that brings ``top``, by default the largest
+    |entry| of A, into [1/2, 1), so the row of ones and the rows weigh
+    alike whatever the scale of A; a power of two scales exactly, and
+    the weights do not depend on s.  s is 1 when ``top`` is 0 or not
+    finite.  The solver's model step passes the largest |entry| of its
+    first prefix of rows: that prefix, a column slice of the system,
+    then weighs as it would alone, whatever the scale of the rows after
+    it, and the later prefixes resume from its solution.
     """
     k, n = rows.shape
-    exponent = math.frexp(float(np.max(np.abs(rows))))[1]
+    if top is None:
+        top = float(np.max(np.abs(rows)))
+    exponent = math.frexp(top)[1]
     matrix = np.empty((n + 1, k))
     matrix[:n] = np.ldexp(rows.T, -exponent)
     matrix[n] = 1.0
@@ -66,7 +77,8 @@ def min_norm_weights(rows: np.ndarray) -> np.ndarray:
     return q / float(q.sum())
 
 
-def nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+def nnls(matrix: np.ndarray, target: np.ndarray, *,
+         _start: Optional[np.ndarray] = None) -> np.ndarray:
     """min ||matrix q - target|| over q >= 0.
 
     With no more columns than rows, the whole Gram system is solved
@@ -77,9 +89,20 @@ def nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     block: the same bits.  It leaves a column out only when the
     column's gradient falls below the threshold first, as can happen to
     a near-duplicate of a passive column; both answers then meet the KKT
-    conditions up to rounding.  Any other problem, or any other z (a
-    singular block, an entry <= 0), runs the method from zero as if z
-    had not been tried.
+    conditions up to rounding.  A finite z with an entry <= 0 seeds the
+    method instead: the Gram block of z's positive entries is solved,
+    and when that solution is positive too, the method resumes from it.
+    A singular whole block, or a seed that is not positive, runs the
+    method from zero.
+
+    ``_start``, a q >= 0 whose positive entries solve their passive Gram
+    block, is where the method resumes, with no Gram solve first: the
+    solution of a problem with fewer columns, padded with zeros, is one
+    (the solver's model prefixes).  A run from the seed has the same
+    bits as the run from zero whenever both end with the same passive
+    set: each then ends with the solve on that set's block.  A resumed
+    run that ends at the 3k-step guard is thrown away, and the run from
+    zero takes its place (see _lawson_hanson).
     """
     m, k = matrix.shape
     # matmul for the products with matrix^T: lp passes strided column
@@ -87,16 +110,23 @@ def nnls(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
     gram = matrix.T @ matrix
     rhs = matrix.T @ target
-    if k <= m:
+    if _start is None and k <= m:
         z = _solve(gram, rhs)
-        if z is not None and all(map(_POSITIVE, z.tolist())):
-            return z
-    return _lawson_hanson(matrix, target, gram, rhs)
+        if z is not None:
+            if all(map(_POSITIVE, z.tolist())):
+                return z
+            cols = (z > 0.0).nonzero()[0]
+            seed = _solve(gram[cols[:, None], cols], rhs[cols]) if cols.size else None
+            if seed is not None and all(map(_POSITIVE, seed.tolist())):
+                _start = np.zeros(k)
+                _start[cols] = seed
+    return _lawson_hanson(matrix, target, gram, rhs, _start)
 
 
-def _lawson_hanson(matrix, target, gram, rhs):
-    """nnls by Lawson and Hanson's active-set method from q = 0 ("Solving
-    Least Squares Problems", 1974, ch. 23); ``gram`` and ``rhs`` are
+def _lawson_hanson(matrix, target, gram, rhs, start=None):
+    """nnls by Lawson and Hanson's active-set method ("Solving Least
+    Squares Problems", 1974, ch. 23), from q = 0 or from ``start`` (see
+    nnls, which it may change in place); ``gram`` and ``rhs`` are
     matrix^T matrix and matrix^T target.
 
     Each outer step moves the free column with the largest positive
@@ -106,11 +136,14 @@ def _lawson_hanson(matrix, target, gram, rhs):
     passive entry reaching zero, which leaves the set.  The loop ends
     when no free entry of w exceeds a rounding threshold (the KKT
     conditions: w <= 0, and w = 0 where q > 0), or after 3k outer steps
-    as a guard against rounding cycles.
+    as a guard against rounding cycles.  A run from ``start`` that
+    reaches the guard is run again from zero: a start can hold the wrong
+    twin of a near-duplicate pair of columns, from which the method
+    cycles.
     """
     m, k = matrix.shape
-    q = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
+    q = np.zeros(k) if start is None else start
+    passive = q > 0.0
     scale = float(np.abs(matrix).sum(axis=0).max())
     threshold = 10.0 * _EPS * scale * max(m, k)
     for _ in range(3 * k):
@@ -118,10 +151,12 @@ def _lawson_hanson(matrix, target, gram, rhs):
         w[passive] = -np.inf
         entering = int(w.argmax())
         if not w[entering] > threshold:
-            break
+            return q
         passive[entering] = True
         passive = _settle(matrix, target, gram, rhs, q, passive)
-    return q
+    if start is None:
+        return q
+    return _lawson_hanson(matrix, target, gram, rhs)
 
 
 def _settle(matrix, target, gram, rhs, q, passive):

@@ -81,13 +81,12 @@ from .geometry import (  # noqa: F401
     deep_cut,
     intersects_halfspace,
 )
-from .nnls import min_norm_weights
+from .nnls import nnls, simplex_system
 from .oracles import ConvexOracle, MaxAffineFunction
 
-# The model step comes first after _MODEL_PERIOD (d+1) iterations, and a
-# try that does not halve the gap multiplies the wait before the next one
-# by _MODEL_BACKOFF (see bisect_level; README measures both).
-_MODEL_PERIOD = 4
+# The model step comes first after d+1 iterations, and a try that does
+# not halve the gap multiplies the wait before the next one by
+# _MODEL_BACKOFF (see bisect_level; README measures it).
 _MODEL_BACKOFF = 2
 # A slope vertex lies this factor past the distance at which the
 # model's descent ray from the incumbent leaves the ball (see
@@ -224,9 +223,9 @@ def bisect_level(
     A MaxAffineFunction gets the model step (see _model_step), whatever
     the sign of lb.  It raises lb to the model's ball bound and probes a
     vertex of the model, which enters the incumbent only through f's
-    value there.  The first try comes after 4(d+1) iterations.  A try
-    that halves the gap U - lb is followed by the next 4(d+1) iterations
-    later; one that does not doubles the wait.  A try whose vertex lies
+    value there.  The first try comes after d+1 iterations.  A try that
+    halves the gap U - lb is followed by the next d+1 iterations later;
+    one that does not doubles the wait.  A try whose vertex lies
     outside the ball (or that finds no bound) is the metastep's last:
     the model then points past the sphere, and a skipped try only gives
     up a bound.  Any other oracle has no model step.  With ``_witness``
@@ -266,7 +265,7 @@ def bisect_level(
     eps = cfg.level_tolerance
     high_below = cfg.stop_when_high_below
     budget = cfg.iteration_budget(x0.shape[0])
-    period = _MODEL_PERIOD * (x0.shape[0] + 1)
+    period = x0.shape[0] + 1
     model = f if isinstance(f, MaxAffineFunction) else None
     wait = period
     # Without a model the first try never comes.
@@ -408,12 +407,16 @@ def _model_step(
     the ball bound, which holds for every L and no matter where the
     ellipsoid is.  It is tight when L are the multipliers of the rows
     active at an interior minimizer (p = 0, L.b = min f), and those are
-    the weights min_norm_weights finds once the rows it gets contain the
-    active ones.  So the rows are sorted by their gap to the max at
-    ``point``, and prefixes of n + 1 rows and up are tried until p is 0
-    up to rounding or a prefix gives a bound no higher than the one
-    before.  Each bound is lowered by an allowance for the rounding of
-    its sums and of p.
+    the weights of least ||A^T L|| (nnls.min_norm_weights) once the rows
+    contain the active ones.  So the rows are sorted by their gap to the
+    max at ``point``, and prefixes of n + 1 rows and up are tried until p
+    is 0 up to rounding or a prefix gives a bound no higher than the one
+    before.  Each prefix is a column slice of one nnls.simplex_system of
+    the sorted rows; the first is solved from scratch, and each later
+    one resumes from the last one's raw solution padded with zeros,
+    which meets the KKT conditions on the old columns, so that the new
+    column enters first.  Each bound is lowered by an allowance for the
+    rounding of its sums and of p.
 
     The point to probe is the vertex where the rows in the best L's
     support are equal (least squares when they do not meet in one
@@ -426,27 +429,34 @@ def _model_step(
     rows, offsets = f.rows, f.offsets
     m, n = rows.shape
     # ndarray.dot throughout gives matmul's bits: on matrix-vector products
-    # of any layout, and on chosen, a C-contiguous fancy-indexed copy.
+    # of any layout, and on chosen, rows of a C-contiguous fancy-indexed
+    # copy.
     values = f._values(point)
     order = np.argsort(float(values.max()) - values, kind="stable")
+    sorted_rows, sorted_offsets = rows[order], offsets[order]
+    first = min(m, n + 1)
+    matrix, target = simplex_system(sorted_rows, float(np.max(np.abs(sorted_rows[:first]))))
+    raw = None
     best, support = -math.inf, None
-    for k in range(min(m, n + 1), m + 1):
-        take = order[:k]
-        chosen = rows[take]
-        weights = min_norm_weights(chosen)
+    for k in range(first, m + 1):
+        # A column slice of one simplex_system, resumed from the last
+        # prefix's raw solution padded with a zero (see nnls).
+        raw = nnls(matrix[:, :k], target, _start=None if raw is None else np.append(raw, 0.0))
+        weights = raw / float(raw.sum())
+        chosen = sorted_rows[:k]
         p = weights.dot(chosen)
         size = weights.dot(np.abs(chosen))
         # hypot does not overflow where the sum of squares would; it
         # unpacks a list of floats faster than an array's scalars.
         pull = radius * math.hypot(*p.tolist())
-        bound = float(weights.dot(offsets[take])) + float(p.dot(x0)) - pull
-        scale = (float(weights.dot(np.abs(offsets[take])))
+        bound = float(weights.dot(sorted_offsets[:k])) + float(p.dot(x0)) - pull
+        scale = (float(weights.dot(np.abs(sorted_offsets[:k])))
                  + float(size.dot(np.abs(x0))) + radius * math.hypot(*size.tolist()))
         slack = 4.0 * (k + n + 2) * _ROUNDING * scale
         bound -= slack
         if not bound > best:
             break
-        best, support = bound, take[weights > 0.0]
+        best, support = bound, order[:k][weights > 0.0]
         slope = p if pull > slack else None
         if slope is None:
             # p is 0 up to rounding: more rows cannot shrink it.

@@ -531,16 +531,16 @@ class TestMinimizeCommand:
 
     def test_later_metastep_error_keeps_the_proven_metasteps(self, tmp_path):
         # The first metastep proves BoundaryReached by a witness just past
-        # -1, below its lb, after 8 iterations at -0.9921875; the second
-        # one's ball around the witness holds values below -1.8e308 and
-        # raises.  The report is the first one's, not an internal error.
+        # -1, below its lb, after 2 iterations at -0.5; the second one's
+        # ball around the witness holds values below -1.8e308 and raises.
+        # The report is the first one's, not an internal error.
         path = write_problem(tmp_path / "f.json", {"A": [[9e307]], "b": [0]})
         proc = invoke("minimize", path, "--radius", "1")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["verdict"] == "BoundaryReached"
-        assert report["point"] == [-0.9921875] and report["value"] == -0.9921875 * 9e307
-        assert (report["level_queries"], report["ellipsoid_iters"]) == (1, 8)
+        assert report["point"] == [-0.5] and report["value"] == -0.5 * 9e307
+        assert (report["level_queries"], report["ellipsoid_iters"]) == (1, 2)
         assert report["bracket"] == [-9e307, report["value"]]
 
     def test_radius_required(self, tmp_path):

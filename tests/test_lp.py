@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -42,12 +43,18 @@ FLAT_ROW_2D = system([[-2.989e-07, 2.989e-07]], [1.0])
 # reads GlobalOptimumCertified with its bracket above 0.
 FLAT_PAIR = system([[-3e-7, 3e-7], [-1e-3, 0.0]], [1.0, 1.0])
 # Four flat rows in 4-D (three-digit roundings of a seeded flat-row
-# system), feasible only about 4.6e6 out.  The pre-step's start lies
-# 2.6e5 from the nearest feasible point, with f = 0.11 there, so
-# find-point goes on to Gordan's point.
+# system), feasible only about 4.6e6 out.  The pre-step's start has
+# f = 6.1e-5 > tol there, so find-point goes on to Gordan's point.
 FLAT_QUAD = system(
     [[-3.33e-4, -1.12e-4, -2.95e-4, 1.17e-4], [1.44e-7, -3.16e-7, -2.49e-7, 2.37e-7],
      [9.63e-8, -1.35e-7, -8.68e-8, -1.58e-7], [-3.65e-5, 5.25e-6, -1.80e-5, 1.30e-5]],
+    np.ones(4),
+)
+# Four flat rows in 3-D, drawn the same way, feasible only millions out:
+# the pre-step's start lies 3.1e6 out, with f = 0.21 there.
+FLAT_QUAD_3D = system(
+    [[2.94e-7, -9.12e-7, -3.05e-7], [2.99e-7, 8.27e-8, 1.99e-7],
+     [-1.67e-7, 1.48e-5, 1.03e-5], [1.59e-4, 6.58e-4, -5.32e-4]],
     np.ones(4),
 )
 # x <= 0 and x >= 0: feasible only at 0, where f = 0, so no run finds
@@ -269,7 +276,7 @@ class TestDecide:
         assert decision.verdict is FeasibilityVerdict.FEASIBLE
         assert len(calls) == 2
         assert report.level_queries == 2
-        assert report.iterations == sum(report.query_iterations) == 14
+        assert report.iterations == sum(report.query_iterations) == 5
         queries = [rec.query for rec in report.trace]
         assert queries == sorted(queries)
         assert sorted(set(queries)) == [1, 2]
@@ -280,13 +287,14 @@ class TestDecide:
 
     def test_flat_pair_certified_in_its_ball_is_feasible(self, monkeypatch):
         # Without a run-less point, as on a system that _strict_point
-        # cannot settle, decide runs.  The first metastep's
-        # GlobalOptimumCertified proves its bracket only over its ball, so
-        # the run goes on from its incumbent and finds f < 0: the point.
+        # cannot settle, decide runs.  A bracket above 0 proves nothing
+        # beyond its ball, so the run goes on past the first two
+        # metasteps, each ended at a model vertex past its sphere, and
+        # finds f < 0 in the third: the point.
         monkeypatch.setattr(lp, "_strict_point", lambda *args: None)
         out = decide_feasibility(normalize(FLAT_PAIR))
         assert out.verdict is FeasibilityVerdict.FEASIBLE
-        assert out.report.level_queries == 2
+        assert out.report.level_queries == 3
         assert out.report.best_value < 0.0
         npt.assert_array_equal(out.point, out.report.best_point)
 
@@ -685,9 +693,9 @@ class TestStrictPoint:
         assert run_path.verdict is FeasibilityVerdict.INFEASIBLE_STRICT_ONLY
 
     def test_find_point_takes_the_gordan_point(self):
-        # The flat quad's start has f = 0.11 > tol, and Gordan's point has
-        # f < 0: find-point returns it with no run, as decide does.
-        sys_n = normalize(FLAT_QUAD)
+        # The 3-D flat quad's start has f = 0.21 > tol, and Gordan's point
+        # has f < 0: find-point returns it with no run, as decide does.
+        sys_n = normalize(FLAT_QUAD_3D)
         assert sys_n.violation(lp._farkas_least_squares(sys_n, 1e-7)[1]) > 0.1
         res = find_feasible_point(sys_n)
         decision = decide_feasibility(sys_n)
@@ -830,31 +838,142 @@ class TestFarkasKernel:
                                                    * rng.standard_normal(r))
                 yield matrix, rng.standard_normal(r)
 
-    def test_one_step_matches_the_cold_start(self):
+    @staticmethod
+    def recorded_starts(monkeypatch):
+        """Record the start of every _lawson_hanson run: None from zero."""
+        starts = []
+        method = nnls_module._lawson_hanson
+
+        def recording(matrix, target, gram, rhs, start=None):
+            starts.append(None if start is None else start.copy())
+            return method(matrix, target, gram, rhs, start)
+
+        monkeypatch.setattr(nnls_module, "_lawson_hanson", recording)
+        return starts
+
+    @staticmethod
+    def kkt_gap(matrix, target, q):
+        """The largest free gradient entry over _lawson_hanson's own
+        threshold (at most 1 where its loop ends by the KKT test), and
+        the largest passive |w| over a rounding tolerance."""
+        m, k = matrix.shape
+        w = matrix.T @ (target - matrix.dot(q))
+        scale = float(np.abs(matrix).sum(axis=0).max())
+        threshold = 10.0 * np.finfo(float).eps * scale * max(m, k)
+        size = np.linalg.norm(matrix)
+        tol = 100.0 * np.finfo(float).eps * max(m, k) * size * (
+            size * np.linalg.norm(q) + np.linalg.norm(target))
+        free = w[q == 0.0]
+        return (float(free.max()) / threshold if free.size else -math.inf,
+                float(np.abs(w[q > 0.0]).max(initial=0.0)) / tol)
+
+    def test_one_step_matches_the_cold_start(self, monkeypatch):
         # A full-rank problem whose Gram solve is positive returns that
-        # solve, the last one of the method from zero whenever the
-        # method lets every column in: the same bits.
+        # solve, with no run of the method: the last solve of the method
+        # from zero whenever the method lets every column in, the same
+        # bits.
         # A near-duplicate column may stay out of the cold solution (its
         # gradient falls below the rounding threshold) while the one
         # solve splits the weight between the pair; both then meet the
         # KKT conditions up to rounding.
+        starts = self.recorded_starts(monkeypatch)
         split = positive = 0
         for matrix, target in self.tall_problems(2000, 300):
+            del starts[:]
             q = nnls(matrix, target)
+            if starts:
+                continue  # not one solve: the seeded or the cold method
+            positive += 1
+            assert (q > 0.0).all()
             cold = self.from_zero(matrix, target)
-            positive += bool((q > 0.0).all())
             if q.tobytes() == cold.tobytes():
                 continue
             assert not (cold > 0.0).all()
-            assert (q > 0.0).all()
             split += 1
-            size = np.linalg.norm(matrix)
-            tol = 100.0 * np.finfo(float).eps * max(matrix.shape) * size * (
-                size * np.linalg.norm(q) + np.linalg.norm(target))
-            w = matrix.T @ (target - matrix @ q)
-            assert float(np.max(np.abs(w))) <= tol
+            assert self.kkt_gap(matrix, target, q)[1] <= 1.0
         assert split <= 20
         assert positive >= 200  # the one-solve path runs
+
+    def test_gram_seeded_results_meet_the_kkt_conditions(self, monkeypatch):
+        # A finite Gram solve with an entry <= 0 seeds the method with the
+        # solve on its positive entries, when that one is positive.  Each
+        # seeded run ends by the KKT test of the method from zero, or
+        # reaches the guard and gives way to that method: its bits.
+        starts = self.recorded_starts(monkeypatch)
+        seeded = resumed = 0
+        for matrix, target in self.tall_problems(2000, 300):
+            del starts[:]
+            q = nnls(matrix, target)
+            if not starts or starts[0] is None:
+                continue
+            seeded += 1
+            start = starts[0]
+            cols = (start > 0.0).nonzero()[0]
+            gram = matrix.T @ matrix
+            assert start[cols].tobytes() == np.linalg.solve(
+                gram[cols[:, None], cols], (matrix.T @ target)[cols]).tobytes()
+            if len(starts) == 2:
+                assert starts[1] is None
+                assert q.tobytes() == self.from_zero(matrix, target).tobytes()
+                continue
+            resumed += 1
+            free, passive = self.kkt_gap(matrix, target, q)
+            assert free <= 1.0 and passive <= 1.0
+        assert resumed >= 400 and seeded - resumed >= 20
+
+    def test_resumed_prefixes_meet_the_kkt_conditions(self, monkeypatch):
+        # The model step's prefixes k = n + 1 ... n + 3 of one
+        # simplex_system, each resumed from the last one's raw solution
+        # padded with zeros: every result meets the KKT conditions, or
+        # its run reaches the guard and gives way to the cold method.
+        starts = self.recorded_starts(monkeypatch)
+        resumed = guarded = 0
+        rng = np.random.default_rng(301)
+        for i in range(600):
+            n = int(rng.integers(1, 9))
+            rows = rng.standard_normal((n + 3, n)) * 10.0 ** rng.uniform(-3, 3, (n + 3, 1))
+            if i % 4 == 3:
+                pair = rng.choice(n + 3, 2, replace=False)
+                rows[pair[1]] = rows[pair[0]] * (1.0 + 10.0 ** rng.uniform(-12, -3)
+                                                 * rng.standard_normal(n))
+            # Scaled by the first prefix's largest entry, as the model
+            # step scales them.
+            matrix, target = simplex_system(rows, float(np.abs(rows[:n + 1]).max()))
+            raw = nnls(matrix[:, :n + 1], target)
+            for k in (n + 2, n + 3):
+                start = np.zeros(k)
+                start[:-1] = raw
+                del starts[:]
+                raw = nnls(matrix[:, :k], target, _start=start)
+                if len(starts) == 2:
+                    assert raw.tobytes() == self.from_zero(matrix[:, :k], target).tobytes()
+                    guarded += 1
+                    continue
+                resumed += 1
+                free, passive = self.kkt_gap(matrix[:, :k], target, raw)
+                assert free <= 1.0 and passive <= 1.0
+        assert resumed >= 1000 and guarded >= 10
+
+    def test_a_start_that_reaches_the_guard_gives_the_cold_bits(self, monkeypatch):
+        # Problem 479 of tall_problems(2000, 300): the Gram seed holds
+        # the wrong twin of a near-duplicate pair, and the method from it
+        # cycles to the guard (6 settles, where the cold method makes 1)
+        # with a free gradient 1.2e6 times the threshold.  That run is
+        # thrown away, and nnls returns the cold method's bits.
+        matrix, target = next(itertools.islice(self.tall_problems(2000, 300), 479, None))
+        starts = self.recorded_starts(monkeypatch)
+        q = nnls(matrix, target)
+        assert len(starts) == 2 and starts[0] is not None and starts[1] is None
+        assert q.tobytes() == self.from_zero(matrix, target).tobytes()
+        assert self.kkt_gap(matrix, target, q)[0] <= 1.0
+        settles = []
+        settle = nnls_module._settle
+        monkeypatch.setattr(nnls_module, "_settle",
+                            lambda *args: settles.append(None) or settle(*args))
+        guarded = nnls_module._lawson_hanson(matrix, target, matrix.T @ matrix,
+                                             matrix.T @ target, starts[0].copy())
+        assert guarded.tobytes() == q.tobytes()
+        assert len(settles) == 6 + 1
 
     def test_square_positive_problem_takes_one_solve(self, monkeypatch):
         calls = []

@@ -17,6 +17,7 @@ from epicut import (
     solver,
     vertex_enumerate_feasible,
 )
+from epicut import nnls as nnls_module
 from epicut.nnls import min_norm_weights
 
 
@@ -107,7 +108,9 @@ class TestLevelSetFeasible:
     lies below lb."""
 
     def test_witness_validity(self):
-        f = abs_minus_one()
+        # Without f's rows, so that the stop value, not a model try's
+        # vertex at the minimizer, ends the metastep.
+        f = RowlessOracle(abs_minus_one())
         x0 = np.array([0.6])
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, stop_when_high_below=-0.8)
         res = bisect_level(f, x0, cfg)
@@ -117,7 +120,8 @@ class TestLevelSetFeasible:
 
     def test_bottom_of_bracket_infeasible(self):
         # Stopped early, lb is far under the incumbent, yet f stays above
-        # it on the whole ball, not only at the minimizer.
+        # it on the whole ball, not only at the minimizer.  The cut bound
+        # alone: without f's rows no model try closes the bracket first.
         class FewIterations(MetastepConfig):
             def iteration_budget(self, dim):
                 return 3 * dim
@@ -127,7 +131,7 @@ class TestLevelSetFeasible:
         for _ in range(5):
             f, minimizer, _ = planted_minimum(rng, 2)
             x0 = minimizer + rng.uniform(0.1, 3.0) * unit(rng, 2)
-            res = bisect_level(f, x0, cfg)
+            res = bisect_level(RowlessOracle(f), x0, cfg)
             lo, hi = res.alpha_bracket
             assert -math.inf < lo < hi - cfg.level_tolerance
             directions = rng.normal(size=(2000, 2))
@@ -187,7 +191,9 @@ class TestBisectLevel:
         assert lo <= -1.0 <= hi <= lo + cfg.level_tolerance
 
     def test_early_stop_value(self):
-        f = abs_minus_one()
+        # Without f's rows: a model try would close the bracket at the
+        # minimizer before the stop value ends the metastep.
+        f = RowlessOracle(abs_minus_one())
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, stop_when_high_below=-0.5)
         res = bisect_level(f, np.array([0.6]), cfg)
         assert f.eval(res.best_point) == res.best_value < -0.5
@@ -311,11 +317,11 @@ class TestRunMetasteps:
 
     def test_metastep_raising_keeps_the_completed_ones(self, monkeypatch):
         # 9e307 x over [-1, 1]: the first metastep ends at its first model
-        # try, at the slope vertex just past -1, where f lies below lb (a
-        # proven witness).  The ball around that vertex holds -2, where f
-        # overflows, so the second metastep raises NonFiniteValue.  The
-        # result is the first metastep's, with only its iterations and
-        # trace records.
+        # try, after 2 iterations at -0.5, at the slope vertex just past
+        # -1, where f lies below lb (a proven witness).  The ball around
+        # that vertex holds -2, where f overflows, so the second metastep
+        # raises NonFiniteValue.  The result is the first metastep's, with
+        # only its iterations and trace records.
         f = MaxAffineFunction([[9e307]], [0.0])
         cfg = MetastepConfig(radius=1.0)
         first = bisect_level(f, [0.0], cfg, trace=True, _witness=True)
@@ -331,11 +337,11 @@ class TestRunMetasteps:
         res = run_metasteps(f, [0.0], cfg, trace=True)
         assert calls == ["completed", "raised"]
         assert res.status is first.status is SolveStatus.BOUNDARY_REACHED
-        assert res.alpha_bracket == first.alpha_bracket == (-9e307, -0.9921875 * 9e307)
-        assert res.best_point.tolist() == first.best_point.tolist() == [-0.9921875]
+        assert res.alpha_bracket == first.alpha_bracket == (-9e307, -0.5 * 9e307)
+        assert res.best_point.tolist() == first.best_point.tolist() == [-0.5]
         assert res.outside.tolist() == first.outside.tolist()
         assert f.eval(first.outside) < -9e307
-        assert res.query_iterations == first.query_iterations == [8]
+        assert res.query_iterations == first.query_iterations == [2]
         assert len(res.query_iterations) == 1
         assert len(res.trace) == len(first.trace) == first.iterations
         assert all(rec.query == 1 for rec in res.trace)
@@ -415,6 +421,9 @@ class TestTraceOnlyObserves:
         cfg = MetastepConfig(radius=3.0, level_tolerance=1e-5, max_metasteps=8)
         yield box, np.array([0.9, -0.7]), cfg
         yield box, np.array([6.0, 5.0]), cfg
+        # Without the rows no model try ends a metastep early, and the
+        # walk from the far start makes ball cuts too.
+        yield RowlessOracle(box), np.array([6.0, 5.0]), cfg
 
     def test_same_result_with_and_without_trace(self, monkeypatch):
         updates = []
@@ -610,11 +619,11 @@ class TestBracketSoundness:
         # Stopped after a few iterations, the run proves nothing about the
         # incumbent but its lb still lies under the minimum: the minimizer
         # is within 1 of x0, inside the ball.
-        # 4 dim iterations end the run before its first model step, at
-        # 4 (dim + 1).
+        # dim iterations end the run before its first model step, at
+        # dim + 1.
         class FewIterations(MetastepConfig):
             def iteration_budget(self, dim):
-                return 4 * dim
+                return dim
 
         rng = np.random.default_rng(8)
         cfg = FewIterations(radius=2.0, level_tolerance=2e-5)
@@ -623,16 +632,17 @@ class TestBracketSoundness:
             x0 = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
             res = bisect_level(f, x0, cfg)
             assert res.status is SolveStatus.BUDGET_EXHAUSTED
-            assert res.iterations == 4 * n
+            assert res.iterations == n
             lo, hi = res.alpha_bracket
             assert -math.inf < lo <= true_min <= res.best_value == hi
             assert hi - lo > cfg.level_tolerance
 
 
 class TestModelStep:
-    """A max-affine run tries its model every 4(d+1)
-    iterations: a ball bound from simplex weights on the rows nearest
-    the max, and a probe of the vertex where those rows are equal."""
+    """A max-affine run tries its model first after d + 1 iterations,
+    backing off while the tries do not halve the gap: a ball bound from
+    simplex weights on the rows nearest the max, and a probe of the
+    vertex where those rows are equal."""
 
     @pytest.mark.parametrize("eps", [2e-5, 1e-7])
     @pytest.mark.parametrize("active, close", [(0, 0), (0, 2), (1, 0), (1, 1)])
@@ -654,11 +664,16 @@ class TestModelStep:
         TestBracketSoundness.check_every_metastep(metasteps)
 
     # Iterations of each near start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner: 1 or 2 model tries each.
+    # (active, close) outer and eps inner: most close at the first model
+    # try, after d + 1 iterations.  With the first try after 4 (d + 1)
+    # and every prefix solved cold they took 240, 380 and 648 in all.
+    # The n = 8 start with 576 keeps a prefix solution whose A^T L is 0
+    # but whose L.b lies 7.2e-8 below the minimum (a close row in its
+    # support) through six tries; its cold prefixes took 18.
     NEAR_ITERATIONS = {
-        2: [12, 12, 12, 12, 12, 12, 24, 24, 12, 12, 12, 12, 12, 12, 24, 24],
-        4: [20, 20, 20, 20, 20, 20, 40, 20, 20, 20, 20, 20, 20, 20, 40, 40],
-        8: [36, 36, 36, 36, 36, 36, 36, 72, 36, 36, 36, 36, 36, 36, 36, 72],
+        2: [3, 3, 3, 3, 3, 3, 6, 3, 3, 9, 3, 9, 3, 3, 6, 3],
+        4: [5, 5, 5, 5, 5, 5, 10, 15, 5, 5, 5, 5, 5, 10, 5, 10],
+        8: [9, 9, 9, 9, 9, 9, 9, 576, 9, 9, 9, 9, 9, 9, 9, 18],
     }
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -712,11 +727,11 @@ class TestModelStep:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_first_model_step_keeps_a_valid_lower_bound(self, n):
-        # The run ends right after its first model step, at 4 (n + 1)
+        # The run ends right after its first model step, at n + 1
         # iterations; the model only raises lb, and never above the minimum.
         class FirstTry(MetastepConfig):
             def iteration_budget(self, dim):
-                return 4 * (dim + 1)
+                return dim + 1
 
         rng = np.random.default_rng(10 + n)
         cfg = FirstTry(radius=2.0, level_tolerance=1e-9)
@@ -726,7 +741,7 @@ class TestModelStep:
             x0 = minimizer + rng.uniform(0.1, 1.0) * 0.99 * unit(rng, n)
             res = bisect_level(f, x0, cfg)
             plain = bisect_level(RowlessOracle(f), x0, cfg)
-            assert plain.iterations == 4 * (n + 1) >= res.iterations
+            assert plain.iterations == n + 1 >= res.iterations
             lo, hi = res.alpha_bracket
             assert plain.alpha_bracket[0] <= lo <= true_min <= hi
             raised += lo > plain.alpha_bracket[0]
@@ -735,8 +750,10 @@ class TestModelStep:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_tries_back_off_on_boundary_metasteps(self, monkeypatch, n):
         # The minimum lies outside the ball, so no try halves the gap: the
-        # waits double, and the tries come after (2^j - 1) 4 (n + 1)
-        # iterations, j = 1, 2, ...
+        # waits double, and the tries come after (2^j - 1) (n + 1)
+        # iterations, j = 1, 2, ...  A try whose vertex lies outside is
+        # the last, so these stay within even the count that a first try
+        # after 4 (n + 1) iterations would allow.
         tries = []
         original = solver._model_step
 
@@ -753,6 +770,25 @@ class TestModelStep:
             res = bisect_level(f, minimizer + 5.0 * unit(rng, n), cfg)
             assert res.status is SolveStatus.BOUNDARY_REACHED
             assert 1 <= len(tries) <= math.log2(res.iterations / (4 * (n + 1)) + 1)
+
+    def test_resumed_prefixes_save_solves(self, monkeypatch):
+        # 16 model tries on a fixed n = 8 family with one more row active
+        # and one close at the minimizer, from points 0.5 to 1e-4 away:
+        # each prefix after the first resumes from the last one's
+        # solution, and the first from its Gram seed when its whole Gram
+        # solve is not positive, so the tries make 93 Gram solves.  Every
+        # prefix started from zero made 423.
+        solves = []
+        solve = nnls_module._solve
+        monkeypatch.setattr(nnls_module, "_solve",
+                            lambda *args: solves.append(None) or solve(*args))
+        rng = np.random.default_rng([8, 39])
+        for _ in range(4):
+            f, minimizer, _ = planted_minimum(rng, 8, active=1, close=1)
+            for distance in (0.5, 0.1, 1e-2, 1e-4):
+                point = minimizer + distance * unit(rng, 8)
+                solver._model_step(f, point, point, 2.0)
+        assert len(solves) == 93 < 423
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_model_step_does_not_depend_on_the_scale(self, scale):
@@ -774,6 +810,21 @@ class TestModelStep:
         _, _, scaled_slope = solver._model_step(scaled, x0, x0, 1.0)
         assert np.linalg.norm(slope) > 0.1
         np.testing.assert_allclose(scaled_slope / scale, slope, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e12])
+    def test_rows_past_the_first_prefix_do_not_scale_it(self, scale):
+        # The first prefix is scaled by its own largest entry: a row far
+        # below the max, `scale` times larger, changes neither its bound
+        # nor its zero p.  Scaled by that row, the first prefix weighed its
+        # own rows about 1/scale^2 against the row of ones and lost its
+        # zero p.
+        rows = np.array([[1.0, 0.3], [-2.0, 0.5], [0.2, -1.0]])
+        offsets = np.array([0.1, 0.2, 0.3])
+        x0 = np.array([0.3, 0.2])
+        bound, _, slope = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
+        far = MaxAffineFunction(np.vstack([rows, [scale, -scale]]), np.append(offsets, -scale))
+        far_bound, _, far_slope = solver._model_step(far, x0, x0, 1.0)
+        assert far_bound == bound and slope is None and far_slope is None
 
     @pytest.mark.parametrize("radius", [1e20, 1e150])
     def test_huge_radius_bracket_holds_the_minimum(self, radius):
@@ -804,13 +855,14 @@ class TestModelStep:
 
     def test_later_metastep_error_keeps_the_proven_ones(self):
         # f = 9e307 x: the first metastep proves BoundaryReached by a
-        # witness just past -1, below its lb; the second one's ball around
-        # that witness holds values that overflow.
+        # witness just past -1, below its lb, at its first try (after 2
+        # iterations at -0.5); the second one's ball around that witness
+        # holds values that overflow.
         f = MaxAffineFunction(np.array([[9e307]]), np.zeros(1))
         res = run_metasteps(f, np.zeros(1), MetastepConfig(radius=1.0))
         assert res.status is SolveStatus.BOUNDARY_REACHED
-        assert res.alpha_bracket == (-9e307, -0.9921875 * 9e307) == (-9e307, res.best_value)
-        np.testing.assert_array_equal(res.best_point, [-0.9921875])
+        assert res.alpha_bracket == (-9e307, -0.5 * 9e307) == (-9e307, res.best_value)
+        np.testing.assert_array_equal(res.best_point, [-0.5])
         assert res.level_queries == 1 == len(res.query_iterations)
 
 
@@ -825,20 +877,23 @@ class TestOutsideWitness:
     incumbent."""
 
     # Iterations of each far start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 541, 960
-    # and 1 260 in all.  Closing every boundary metastep's bracket took
-    # 1 845, 6 706 and 35 099; waiting in each until lb passed f at the
-    # vertex, 836, 2 108 and 14 707; moving on the model's word alone,
-    # without slope vertices, 553, 1 640 and 4 331; with two move rules
-    # (the radius kept at a witness or a vertex below U, else a ball
-    # around the best point), 541, 920 and 1 548.
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 384, 255
+    # and 999 in all.  With the first model try after 4 (d + 1)
+    # iterations and cold prefixes they took 541, 960 and 1 260, with
+    # (8, 6), (2, 8) and (14, 10) moves.  Before that, closing every
+    # boundary metastep's bracket took 1 845, 6 706 and 35 099; waiting
+    # in each until lb passed f at the vertex, 836, 2 108 and 14 707;
+    # moving on the model's word alone, without slope vertices, 553,
+    # 1 640 and 4 331; with two move rules (the radius kept at a witness
+    # or a vertex below U, else a ball around the best point), 541, 920
+    # and 1 548.
     FAR_ITERATIONS = {
-        2: [24, 24, 24, 24, 47, 36, 74, 36, 24, 24, 24, 24, 36, 36, 36, 48],
-        4: [40, 40, 40, 40, 80, 40, 220, 60, 60, 40, 60, 40, 40, 40, 60, 60],
-        8: [72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 72, 108, 72, 144, 72],
+        2: [6, 70, 6, 92, 9, 9, 54, 9, 15, 6, 15, 6, 12, 9, 57, 9],
+        4: [10, 15, 10, 15, 10, 15, 10, 45, 15, 15, 15, 15, 15, 10, 15, 25],
+        8: [18, 18, 18, 18, 45, 27, 54, 36, 18, 27, 18, 27, 36, 18, 603, 18],
     }
     # Moves of those far starts: (unproven, grown past R).
-    FAR_MOVES = {2: (8, 6), 4: (2, 8), 8: (14, 10)}
+    FAR_MOVES = {2: (22, 10), 4: (16, 12), 8: (14, 18)}
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_far_family_ends_metasteps_at_witnesses(self, metasteps, n):
@@ -937,7 +992,7 @@ class TestOutsideWitness:
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6)
         res = run_metasteps(f, np.zeros(2), cfg)
         (_, _, _, first), (_, centre, second_cfg, _) = metasteps[:2]
-        assert first.iterations == 4 * 3  # the first try, after 4 (d + 1)
+        assert first.iterations == 3  # the first try, after d + 1
         assert first.status is SolveStatus.BUDGET_EXHAUSTED
         np.testing.assert_array_equal(first.outside, [10.0, 10.0])
         lo, hi = first.alpha_bracket
@@ -968,7 +1023,10 @@ class TestOutsideWitness:
         # Random max-affine functions, some unbounded below, from starts up
         # to about 30 away.  Every certified lb must lie below the minimum
         # that vertex enumeration finds: f <= lb - 1e-9 has no solution.
-        # The run that waited for lb to pass f at each witness certified 23.
+        # The oracle's tol 1e-12 admits candidates whose tight rows read a
+        # rounding residue above 0; at tol 0 it missed the false
+        # certificates of seeds 15 and 33.  The run that waited for lb to
+        # pass f at each witness certified 23.
         cfg = MetastepConfig(radius=2.0, level_tolerance=1e-6, max_metasteps=16)
         certified = 0
         for s in range(40):
@@ -981,7 +1039,7 @@ class TestOutsideWitness:
                 continue
             certified += 1
             lower = LinearSystem(rows, offsets - (res.alpha_bracket[0] - 1e-9))
-            assert not vertex_enumerate_feasible(lower, tol=0.0).feasible
+            assert not vertex_enumerate_feasible(lower, tol=1e-12).feasible, s
         assert certified >= 23
 
     def test_a_move_makes_no_oracle_call_of_its_own(self, monkeypatch):
@@ -1051,19 +1109,19 @@ class TestSlopeVertex:
     centred there and holds the metastep's incumbent."""
 
     def test_linear_function_moves_past_the_sphere(self, metasteps, slope_vertices):
-        # f = x from 0 with R = 1: the first try, after 8 iterations at
-        # -0.9921875, has p = 1.  Its slope vertex, at t = 0.0078125, lies
-        # below lb = -1: a proven witness.  The run's last metastep forms
+        # f = x from 0 with R = 1: the first try, after 2 iterations at
+        # -0.5, has p = 1.  Its slope vertex, at t = 0.5, lies below
+        # lb = -1: a proven witness.  The run's last metastep forms
         # none and closes its bracket on its own sphere.
         f = MaxAffineFunction([[1.0]], [0.0])
         cfg = MetastepConfig(radius=1.0, level_tolerance=1e-6, max_metasteps=2)
         res = run_metasteps(f, [0.0], cfg)
         (_, _, _, first), (_, centre, second_cfg, last) = metasteps
         assert [i for i, _ in slope_vertices] == [0]
-        assert first.query_iterations == [8]
+        assert first.query_iterations == [2]
         assert first.status is SolveStatus.BOUNDARY_REACHED
-        assert first.best_point.tolist() == [-0.9921875]
-        assert first.outside.tolist() == [-0.9921875 - 1.01 * 0.0078125]
+        assert first.best_point.tolist() == [-0.5]
+        assert first.outside.tolist() == [-0.5 - 1.01 * 0.5]
         assert f.eval(first.outside) < first.alpha_bracket[0] == -1.0
         np.testing.assert_array_equal(centre, first.outside)
         assert second_cfg.radius == cfg.radius
@@ -1118,7 +1176,7 @@ class TestSlopeVertex:
                 np.testing.assert_array_equal(next_centre, past)
                 gap = np.linalg.norm(past - step.best_point)
                 assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
-        assert ends == {"proven": 122, "unproven": 63, "not held": 10}
+        assert ends == {"proven": 142, "unproven": 79, "not held": 23}
 
     def test_none_where_p_is_zero_up_to_rounding(self, slope_vertices):
         # max(0.1 (x - 1), -0.3 (x - 1)): the simplex weights (3/4, 1/4)
