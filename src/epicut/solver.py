@@ -16,8 +16,12 @@ Each objective cut therefore raises lb to
 max(lb, min(U, f(c) - ||J^T g|| - 4 eps_mach |f(c)|)), where ||J^T g||
 is the width the cut kernel returns for E before the cut; the last term
 allows for the rounding of f(c) and of the difference, which reads f(c)
-back once the width is below its last bit.  An empty intersection
-proves that nothing below U is left: lb becomes U.
+back once the width is below its last bit.  An empty intersection of a
+ball cut proves that nothing below U is left: lb becomes U.  A deep
+objective cut that finds E empty would leave E as it is, and the next
+center would repeat it; the central cut g.(x - c) <= 0 follows instead,
+which keeps every x with f(x) <= f(c), the minimizer too, however
+f(c) - U rounds.
 
 A max-affine f also gets the model step (Kelley's cutting-plane
 model, J. SIAM 8, 1960): from time to time, simplex weights on the
@@ -68,6 +72,7 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, lstsq, solve
 
 from .errors import DegenerateShape, NonFiniteValue
 # deep_cut and intersects_halfspace are not called here; they stay
@@ -238,6 +243,11 @@ def bisect_level(
     at which that ray leaves the ball; the slope vertex is held, and
     ends the metastep, only where f there is below U.
 
+    A deep objective cut that finds E empty (f(c) - U rounded to at
+    least the width) is followed by the central cut at the same center,
+    traced with depth 0; the cut bound still comes from the width before
+    it.
+
     The loop leaves by one test after each cut: the bracket closed
     (U - lb <= eps), U below cfg.stop_when_high_below (-inf by default:
     never), or a vertex held; the budget bounds the loop, and a cut
@@ -306,6 +316,12 @@ def bisect_level(
 
         try:
             outcome, _, width = cut_in_place(e, normal, slack)
+            if outcome is CutKind.EMPTY_INTERSECTION and value is not None:
+                # E is left as it is, and the next center would repeat
+                # this cut: cut through the center instead (see the
+                # module docstring).
+                slack = 0.0
+                outcome = cut_in_place(e, normal, slack)[0]
         except DegenerateShape:
             # E's factor has underflowed: once eps is below the rounding
             # of f, the cuts shrink E about a center they can no longer
@@ -419,9 +435,12 @@ def _model_step(
     rounding of its sums and of p.
 
     The point to probe is the vertex where the rows in the best L's
-    support are equal (least squares when they do not meet in one
-    point), wherever it lies; at the active rows of an interior
-    minimizer, that is the minimizer.  Returns (bound, vertex, slope):
+    support are equal, wherever it lies; at the active rows of an
+    interior minimizer, that is the minimizer.  A support of n + 1 rows
+    gives a square system, solved by one np.linalg.solve; any other
+    support, or a square solve that raises LinAlgError or returns a
+    non-finite entry, takes least squares (the least-norm solution where
+    the rows do not fix one point).  Returns (bound, vertex, slope):
     None for the vertex when no prefix gave a bound, and slope the best
     prefix's p, along whose negative the model falls without bound, or
     None when it is 0 up to rounding or no prefix gave a bound.
@@ -434,24 +453,28 @@ def _model_step(
     values = f._values(point)
     order = np.argsort(float(values.max()) - values, kind="stable")
     sorted_rows, sorted_offsets = rows[order], offsets[order]
+    abs_rows, abs_offsets, abs_x0 = np.abs(sorted_rows), np.abs(sorted_offsets), np.abs(x0)
     first = min(m, n + 1)
-    matrix, target = simplex_system(sorted_rows, float(np.max(np.abs(sorted_rows[:first]))))
+    matrix, target = simplex_system(sorted_rows, float(abs_rows[:first].max()))
+    # Each prefix, a column slice of one simplex_system, after the first
+    # resumes from the last one's raw solution padded with zeros (see
+    # nnls), which nnls may change in place.
+    start = np.zeros(m)
     raw = None
     best, support = -math.inf, None
     for k in range(first, m + 1):
-        # A column slice of one simplex_system, resumed from the last
-        # prefix's raw solution padded with a zero (see nnls).
-        raw = nnls(matrix[:, :k], target, _start=None if raw is None else np.append(raw, 0.0))
+        if raw is not None:
+            start[:k - 1] = raw
+        raw = nnls(matrix[:, :k], target, _start=None if raw is None else start[:k])
         weights = raw / float(raw.sum())
-        chosen = sorted_rows[:k]
-        p = weights.dot(chosen)
-        size = weights.dot(np.abs(chosen))
+        p = weights.dot(sorted_rows[:k])
+        size = weights.dot(abs_rows[:k])
         # hypot does not overflow where the sum of squares would; it
         # unpacks a list of floats faster than an array's scalars.
         pull = radius * math.hypot(*p.tolist())
         bound = float(weights.dot(sorted_offsets[:k])) + float(p.dot(x0)) - pull
-        scale = (float(weights.dot(np.abs(sorted_offsets[:k])))
-                 + float(size.dot(np.abs(x0))) + radius * math.hypot(*size.tolist()))
+        scale = (float(weights.dot(abs_offsets[:k]))
+                 + float(size.dot(abs_x0)) + radius * math.hypot(*size.tolist()))
         slack = 4.0 * (k + n + 2) * _ROUNDING * scale
         bound -= slack
         if not bound > best:
@@ -466,11 +489,22 @@ def _model_step(
     # A_S (point + dx) + b_S = s for (dx, s), divided by the largest entry
     # of A: the least-norm solution of an underdetermined system weighs dx
     # against s, and this weighting does not change with the scale of f.
-    top = float(np.abs(rows).max()) or 1.0
+    top = float(abs_rows.max()) or 1.0
     system = np.empty((support.size, n + 1))
     np.divide(rows[support], top, out=system[:, :n])
     system[:, n] = -1.0
-    step = np.linalg.lstsq(system, -values[support] / top, rcond=None)[0]
+    rhs = -values[support] / top
+    step = None
+    if support.size == n + 1:
+        # Square: one LU solve, unless it finds no finite solution.
+        try:
+            step = solve(system, rhs)
+        except LinAlgError:
+            pass
+        if step is not None and not all(map(math.isfinite, step.tolist())):
+            step = None
+    if step is None:
+        step = lstsq(system, rhs, rcond=None)[0]
     return best, point + step[:n], slope
 
 

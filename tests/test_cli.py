@@ -504,6 +504,20 @@ class TestMinimizeCommand:
             lower, upper = report["bracket"]
             assert lower <= -1.0 <= upper == report["value"]
 
+    def test_empty_objective_cut_is_followed_by_a_central_cut(self, tmp_path):
+        # |x - 1e15| from its minimizer: f(c) - U rounds to at least the
+        # width, so the deep objective cut finds the ellipsoid empty.  The
+        # same cut came back at the same center until the budget ran out
+        # (586 iterations, BudgetExhausted with bracket [-0.666, 0]); the
+        # central cut there shrinks the ellipsoid instead.
+        path = write_problem(tmp_path / "f.json", {"A": [[1.0], [-1.0]], "b": [-1e15, 1e15]})
+        proc = invoke("minimize", path, "--x0=1e15", "--radius", "1.5e15", "--eps", "1e-6",
+                      "--metasteps", "1")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "GlobalOptimumCertified"
+        assert report["bracket"] == [0.0, 0.0] and report["ellipsoid_iters"] == 19
+
     @pytest.mark.parametrize("doc, flags", [
         # f(0.9999) is about -0.9999; an overflowing f(c) read as a cut
         # with infinite slack closed the bracket at f(0) = 0 (exit 0).

@@ -666,14 +666,15 @@ class TestModelStep:
     # Iterations of each near start of test_planted_family_is_certified,
     # (active, close) outer and eps inner: most close at the first model
     # try, after d + 1 iterations.  With the first try after 4 (d + 1)
-    # and every prefix solved cold they took 240, 380 and 648 in all.
-    # The n = 8 start with 576 keeps a prefix solution whose A^T L is 0
-    # but whose L.b lies 7.2e-8 below the minimum (a close row in its
-    # support) through six tries; its cold prefixes took 18.
+    # and every prefix solved cold they took 240, 380 and 648 in all;
+    # with the vertex by least squares on square supports too, 66, 105
+    # and 720.  There the n = 8 start now at 18 took 576: it kept a
+    # prefix solution whose A^T L is 0 but whose L.b lies 7.2e-8 below
+    # the minimum (a close row in its support) through six tries.
     NEAR_ITERATIONS = {
         2: [3, 3, 3, 3, 3, 3, 6, 3, 3, 9, 3, 9, 3, 3, 6, 3],
-        4: [5, 5, 5, 5, 5, 5, 10, 15, 5, 5, 5, 5, 5, 10, 5, 10],
-        8: [9, 9, 9, 9, 9, 9, 9, 576, 9, 9, 9, 9, 9, 9, 9, 18],
+        4: [5, 5, 5, 5, 5, 5, 10, 25, 5, 5, 5, 5, 5, 10, 5, 10],
+        8: [9, 9, 9, 9, 9, 9, 9, 18, 9, 9, 9, 9, 9, 9, 9, 18],
     }
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -782,6 +783,13 @@ class TestModelStep:
         solve = nnls_module._solve
         monkeypatch.setattr(nnls_module, "_solve",
                             lambda *args: solves.append(None) or solve(*args))
+        # The vertex of a support of n + 1 rows is one square solve: only
+        # one try, whose support has 8 rows, takes least squares, against
+        # all 16 when every vertex took it.
+        squares = []
+        lstsq = solver.lstsq
+        monkeypatch.setattr(solver, "lstsq",
+                            lambda *args, **kw: squares.append(None) or lstsq(*args, **kw))
         rng = np.random.default_rng([8, 39])
         for _ in range(4):
             f, minimizer, _ = planted_minimum(rng, 8, active=1, close=1)
@@ -789,6 +797,51 @@ class TestModelStep:
                 point = minimizer + distance * unit(rng, 8)
                 solver._model_step(f, point, point, 2.0)
         assert len(solves) == 93 < 423
+        assert len(squares) == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_square_vertex_agrees_with_least_squares(self, monkeypatch, n):
+        # On a planted family's square supports the LU solve and lstsq,
+        # which the vertex took before, give the same vertex up to
+        # rounding.
+        vertex_systems = []
+        square = solver.solve
+        monkeypatch.setattr(solver, "solve", lambda system, rhs: vertex_systems.append(
+            (system.copy(), rhs.copy())) or square(system, rhs))
+        rng = np.random.default_rng([n, 40])
+        for _ in range(4):
+            f, minimizer, _ = planted_minimum(rng, n, active=1, close=1)
+            for distance in (0.5, 0.1, 1e-2, 1e-4):
+                point = minimizer + distance * unit(rng, n)
+                del vertex_systems[:]
+                _, vertex, _ = solver._model_step(f, point, point, 2.0)
+                if not vertex_systems:
+                    continue
+                ((system, rhs),) = vertex_systems
+                least = np.linalg.lstsq(system, rhs, rcond=None)[0]
+                np.testing.assert_allclose(vertex, point + least[:n], rtol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["singular", "nan"])
+    def test_square_solve_failure_takes_least_squares(self, monkeypatch, failure):
+        # A square solve that raises LinAlgError or returns a non-finite
+        # entry leaves the vertex to lstsq, bit for bit.
+        systems = []
+
+        def failing(system, rhs):
+            systems.append((system.copy(), rhs.copy()))
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(rhs.shape, np.nan)
+
+        monkeypatch.setattr(solver, "solve", failing)
+        rows = np.array([[1.0, 0.3], [-2.0, 0.5], [0.2, -1.0]])
+        f = MaxAffineFunction(rows, np.array([0.1, 0.2, 0.3]))
+        point = np.array([0.3, 0.2])
+        _, vertex, _ = solver._model_step(f, point, point, 1.0)
+        ((system, rhs),) = systems
+        assert system.shape == (3, 3)
+        least = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        np.testing.assert_array_equal(vertex, point + least[:2])
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_model_step_does_not_depend_on_the_scale(self, scale):
@@ -821,10 +874,14 @@ class TestModelStep:
         rows = np.array([[1.0, 0.3], [-2.0, 0.5], [0.2, -1.0]])
         offsets = np.array([0.1, 0.2, 0.3])
         x0 = np.array([0.3, 0.2])
-        bound, _, slope = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
+        bound, vertex, slope = solver._model_step(MaxAffineFunction(rows, offsets), x0, x0, 1.0)
         far = MaxAffineFunction(np.vstack([rows, [scale, -scale]]), np.append(offsets, -scale))
-        far_bound, _, far_slope = solver._model_step(far, x0, x0, 1.0)
+        far_bound, far_vertex, far_slope = solver._model_step(far, x0, x0, 1.0)
         assert far_bound == bound and slope is None and far_slope is None
+        # The vertex of the three rows is one square solve, which the far
+        # row's share of the scale does not cost digits.  By least
+        # squares it moved by 4.0e-13, 1.7e-9 and 3.3e-5 relative.
+        np.testing.assert_allclose(far_vertex, vertex, rtol=1e-12)
 
     @pytest.mark.parametrize("radius", [1e20, 1e150])
     def test_huge_radius_bracket_holds_the_minimum(self, radius):
@@ -835,6 +892,27 @@ class TestModelStep:
         res = run_metasteps(f, np.zeros(1), MetastepConfig(radius=radius))
         lo, hi = res.alpha_bracket
         assert -math.inf < lo <= -1.0 <= hi == res.best_value == f.eval(res.best_point)
+
+    @pytest.mark.parametrize("radius", [1e20, 1e150])
+    def test_huge_radius_without_rows_holds_the_minimum(self, radius):
+        # The same f with no model step.  Where f(c) - U rounds to at
+        # least the width, the deep objective cut finds E empty; a central
+        # cut at that center, traced with depth 0, keeps the minimizer.
+        # Repeating the empty cut until the budget ran out left the run
+        # at x = 0 with U = 4 (lb -44 409 at R = 1e20).
+        f = MaxAffineFunction(np.array([[1.0], [-1.0]]), np.array([-6.0, 4.0]))
+        res = run_metasteps(RowlessOracle(f), np.zeros(1), MetastepConfig(radius=radius),
+                            trace=True)
+        lo, hi = res.alpha_bracket
+        assert lo <= -1.0 <= hi == res.best_value == f.eval(res.best_point)
+        # A cut traced at depth 0 at a value above the lowest traced one
+        # came after an empty deep cut.
+        lowest, central = math.inf, 0
+        for rec in res.trace:
+            if rec.cut == "objective":
+                lowest = min(lowest, rec.value)
+                central += rec.depth == 0.0 and rec.value > lowest
+        assert central > 0
 
     def test_value_below_lb_without_a_model_ends_with_no_bound(self, monkeypatch):
         # A kernel that halves every width overstates the cut bound, and a
@@ -877,10 +955,15 @@ class TestOutsideWitness:
     incumbent."""
 
     # Iterations of each far start of test_planted_family_is_certified,
-    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 384, 255
-    # and 999 in all.  With the first model try after 4 (d + 1)
-    # iterations and cold prefixes they took 541, 960 and 1 260, with
-    # (8, 6), (2, 8) and (14, 10) moves.  Before that, closing every
+    # (active, close) outer and eps inner, as NEAR_ITERATIONS: 321, 255
+    # and 1 557 in all.  With the vertex by least squares on square
+    # supports too they took 384, 255 and 999, with the same moves; the
+    # n = 8 start now at 594 (36 there) keeps, through six tries, a
+    # prefix solution whose bound lies 6.0e-8 below the minimum, as the
+    # near start of the same function did with 576.  With the first
+    # model try after 4 (d + 1) iterations and cold prefixes they took
+    # 541, 960 and 1 260, with (8, 6), (2, 8) and (14, 10) moves.
+    # Before that, closing every
     # boundary metastep's bracket took 1 845, 6 706 and 35 099; waiting
     # in each until lb passed f at the vertex, 836, 2 108 and 14 707;
     # moving on the model's word alone, without slope vertices, 553,
@@ -888,9 +971,9 @@ class TestOutsideWitness:
     # or a vertex below U, else a ball around the best point), 541, 920
     # and 1 548.
     FAR_ITERATIONS = {
-        2: [6, 70, 6, 92, 9, 9, 54, 9, 15, 6, 15, 6, 12, 9, 57, 9],
-        4: [10, 15, 10, 15, 10, 15, 10, 45, 15, 15, 15, 15, 15, 10, 15, 25],
-        8: [18, 18, 18, 18, 45, 27, 54, 36, 18, 27, 18, 27, 36, 18, 603, 18],
+        2: [6, 70, 6, 92, 9, 9, 9, 9, 6, 6, 6, 6, 12, 9, 57, 9],
+        4: [10, 15, 10, 15, 10, 15, 10, 25, 15, 15, 15, 15, 15, 10, 15, 45],
+        8: [18, 18, 18, 18, 45, 27, 54, 594, 18, 27, 18, 27, 36, 18, 603, 18],
     }
     # Moves of those far starts: (unproven, grown past R).
     FAR_MOVES = {2: (22, 10), 4: (16, 12), 8: (14, 18)}
@@ -1176,7 +1259,8 @@ class TestSlopeVertex:
                 np.testing.assert_array_equal(next_centre, past)
                 gap = np.linalg.norm(past - step.best_point)
                 assert next_cfg.radius == max(step_cfg.radius, 1.5 * gap)
-        assert ends == {"proven": 142, "unproven": 79, "not held": 23}
+        # With the vertex by least squares on square supports: 23 not held.
+        assert ends == {"proven": 142, "unproven": 79, "not held": 22}
 
     def test_none_where_p_is_zero_up_to_rounding(self, slope_vertices):
         # max(0.1 (x - 1), -0.3 (x - 1)): the simplex weights (3/4, 1/4)
