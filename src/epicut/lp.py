@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .nnls import min_norm_weights, nnls, simplex_system
+from .nnls import NearestRows, min_norm_weights, nnls
 from .oracles import MaxAffineFunction
 from .solver import MetastepConfig, MetastepResult, run_metasteps
 
@@ -354,14 +354,24 @@ def _active_certificate(
 
     By LP duality, min_x f(x) = max{b.q : q >= 0, sum q = 1, A^T q = 0},
     and the maximizing q lives on the rows active at a minimizer, where
-    every such q has b.q = min f.  The first q of _window_multipliers
-    that passes validate_certificate on the whole system is returned.
-    Failing that, the first q that passes its sign and residual checks
-    with |b.q| <= tol is returned, and None when no window gives one.
+    every such q has b.q = min f.  Each window, the rows within
+    ``window`` of f(x) widened tenfold until it holds every row, gives q
+    as a prefix of nnls.NearestRows at x.  The first q that passes
+    validate_certificate is returned; failing that, the first that passes
+    its sign and residual checks with |b.q| <= tol, and None when no
+    window gives one.
     So b.q > tol holds exactly when q passes validate_certificate.
     """
-    fallback = None
-    for q in _window_multipliers(system, x, window):
+    search = NearestRows(system.rows, system._values(x))
+    fallback, solved = None, 0
+    while solved < system.m:
+        count = int(np.searchsorted(search.gaps, window, side="right"))
+        window *= 10.0
+        if count == solved:
+            continue
+        solved = count
+        q = np.zeros(system.m)
+        q[search.order[:count]] = search.weights(count)
         # validate_certificate's two checks, each made once.
         if not _farkas_residual_ok(system, q, tol):
             continue
@@ -371,36 +381,6 @@ def _active_certificate(
         if fallback is None and bq >= -tol:
             fallback = q
     return fallback
-
-
-def _window_multipliers(system: LinearSystem, x: np.ndarray, window: float):
-    """Yield simplex multipliers of least ||A^T q|| on the rows within
-    ``window`` of f(x), for windows widening tenfold until they hold
-    every row; a widening that adds no row yields nothing new.
-
-    The rows are sorted by their gap to f(x) once, so each window is a
-    prefix of that order, and its nnls problem is a column prefix of one
-    matrix (one power-of-two scale, simplex_system's, for the whole
-    system).  Each window is solved cold: a window with no more rows
-    than the dimension plus one is one Gram solve when its solution is
-    positive (see nnls).
-    """
-    values = system._values(x)
-    gaps = float(np.max(values)) - values
-    order = np.argsort(gaps, kind="stable")
-    sorted_gaps = gaps[order]
-    matrix, target = simplex_system(system.rows[order])
-    solved = 0
-    while solved < system.m:
-        count = int(np.searchsorted(sorted_gaps, window, side="right"))
-        window *= 10.0
-        if count == solved:
-            continue
-        solved = count
-        raw = nnls(matrix[:, :count], target)
-        q = np.zeros(system.m)
-        q[order[:count]] = raw / float(raw.sum())
-        yield q
 
 
 def _farkas_residual_ok(system: LinearSystem, q: np.ndarray, tol: float) -> bool:

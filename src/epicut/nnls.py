@@ -1,8 +1,8 @@
 """Nonnegative least squares and the minimum-norm point of a hull of rows.
 
-One kernel serves two layers: the solver's max-affine model step (its
-simplex weights give a weak-duality bound on the minimum) and the lp
-layer's Farkas certificates and subgradient floors.
+One kernel serves two layers: NearestRows, simplex weights on the rows
+nearest the max at a point, gives the solver's model step its
+weak-duality bound and the lp layer its Farkas certificates.
 
 The kernel is Lawson and Hanson's active-set method; each least-squares
 solve on the passive set is one np.linalg.solve on the matching block of
@@ -10,15 +10,12 @@ the Gram matrix, built once per call (the Gram-block form of Bro and De
 Jong, J. Chemometrics 11, 1997).  A problem with no more columns than
 rows first solves the whole Gram system, and returns its solution when
 every entry is positive: the method from zero would end there with the
-same solve, unless a near-duplicate column stays out (see nnls).  That
-covers the solver's first model prefix, n + 1 rows for n + 1 unknowns,
-in one solve instead of one per column.  When that solution is not
-positive, the solve on its positive entries seeds the method.  The
-solver's later model prefixes resume from the last prefix's solution;
-the lp layer's certificate windows start cold.  Its accuracy affects
-only speed: every certificate is checked by lp.validate_certificate,
-and every bound built on the weights is a weak-duality bound, which
-holds for any weights on the simplex.
+same solve, unless a near-duplicate column stays out (see nnls).  When
+that solution is not positive, the solve on its positive entries seeds
+the method; a later prefix of NearestRows resumes from the last one.
+Its accuracy affects only speed: every certificate is checked by
+lp.validate_certificate, and every bound built on the weights is a
+weak-duality bound, which holds for any weights on the simplex.
 """
 
 from __future__ import annotations
@@ -43,10 +40,7 @@ def simplex_system(rows: np.ndarray, top: Optional[float] = None
     |entry| of A, into [1/2, 1), so the row of ones and the rows weigh
     alike whatever the scale of A; a power of two scales exactly, and
     the weights do not depend on s.  s is 1 when ``top`` is 0 or not
-    finite.  The solver's model step passes the largest |entry| of its
-    first prefix of rows: that prefix, a column slice of the system,
-    then weighs as it would alone, whatever the scale of the rows after
-    it, and the later prefixes resume from its solution.
+    finite.  NearestRows passes its first prefix's largest |entry|.
     """
     k, n = rows.shape
     if top is None:
@@ -77,6 +71,43 @@ def min_norm_weights(rows: np.ndarray) -> np.ndarray:
     return q / float(q.sum())
 
 
+class NearestRows:
+    """Simplex weights on growing prefixes of the rows sorted by their
+    gap to the max at a point: the one prefix search of the model step
+    and of lp's certificate windows.
+
+    ``values`` are the ``rows``' values at the point.  ``order`` is the
+    stable argsort of the gaps, and ``gaps``, ``rows`` and ``abs_rows``
+    follow it.  weights(k) gives min_norm_weights of the first k rows
+    from one simplex_system scaled by the first min(m, n + 1) rows, which
+    then weigh as they would alone.  The first prefix starts cold; each
+    later one resumes from the last one's raw solution padded with zeros
+    (nnls' _start), which meets the KKT conditions on the old columns.
+    """
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray):
+        m, n = rows.shape
+        gaps = float(values.max()) - values
+        self.order = np.argsort(gaps, kind="stable")
+        self.gaps = gaps[self.order]
+        self.rows = rows[self.order]
+        self.abs_rows = np.abs(self.rows)
+        self._matrix, self._target = simplex_system(
+            self.rows, float(self.abs_rows[:min(m, n + 1)].max()))
+        # nnls may change it in place; entries past the last prefix stay 0.
+        self._start = np.zeros(m)
+        self._raw: Optional[np.ndarray] = None
+
+    def weights(self, k: int) -> np.ndarray:
+        """min_norm_weights of the first k rows; k grows call by call."""
+        start = None
+        if self._raw is not None:
+            self._start[:self._raw.size] = self._raw
+            start = self._start[:k]
+        raw = self._raw = nnls(self._matrix[:, :k], self._target, _start=start)
+        return raw / float(raw.sum())
+
+
 def nnls(matrix: np.ndarray, target: np.ndarray, *,
          _start: Optional[np.ndarray] = None) -> np.ndarray:
     """min ||matrix q - target|| over q >= 0.
@@ -98,15 +129,16 @@ def nnls(matrix: np.ndarray, target: np.ndarray, *,
     ``_start``, a q >= 0 whose positive entries solve their passive Gram
     block, is where the method resumes, with no Gram solve first: the
     solution of a problem with fewer columns, padded with zeros, is one
-    (the solver's model prefixes).  A run from the seed has the same
-    bits as the run from zero whenever both end with the same passive
-    set: each then ends with the solve on that set's block.  A resumed
-    run that ends at the 3k-step guard is thrown away, and the run from
-    zero takes its place (see _lawson_hanson).
+    (NearestRows' prefixes).  A run from the seed has the same bits as
+    the run from zero whenever both end with the same passive set: each
+    then ends with the solve on that set's block.  A resumed run that
+    ends at the 3k-step guard is thrown away, and the run from zero
+    takes its place (see _lawson_hanson).
     """
     m, k = matrix.shape
-    # matmul for the products with matrix^T: lp passes strided column
-    # windows, where ndarray.dot copies the operand and rounds otherwise.
+    # matmul for the products with matrix^T: NearestRows passes strided
+    # column prefixes, where ndarray.dot copies the operand and rounds
+    # otherwise.
     # matrix.dot(q), a matrix-vector product, rounds alike on any layout.
     gram = matrix.T @ matrix
     rhs = matrix.T @ target

@@ -86,7 +86,7 @@ from .geometry import (  # noqa: F401
     deep_cut,
     intersects_halfspace,
 )
-from .nnls import nnls, simplex_system
+from .nnls import NearestRows
 from .oracles import ConvexOracle, MaxAffineFunction
 
 # The model step comes first after d+1 iterations, and a try that does
@@ -424,15 +424,11 @@ def _model_step(
     ellipsoid is.  It is tight when L are the multipliers of the rows
     active at an interior minimizer (p = 0, L.b = min f), and those are
     the weights of least ||A^T L|| (nnls.min_norm_weights) once the rows
-    contain the active ones.  So the rows are sorted by their gap to the
-    max at ``point``, and prefixes of n + 1 rows and up are tried until p
-    is 0 up to rounding or a prefix gives a bound no higher than the one
-    before.  Each prefix is a column slice of one nnls.simplex_system of
-    the sorted rows; the first is solved from scratch, and each later
-    one resumes from the last one's raw solution padded with zeros,
-    which meets the KKT conditions on the old columns, so that the new
-    column enters first.  Each bound is lowered by an allowance for the
-    rounding of its sums and of p.
+    contain the active ones.  So nnls.NearestRows sorts the rows by their
+    gap to the max at ``point``, and its prefixes of n + 1 rows and up,
+    each resumed from the last, are tried until p is 0 up to rounding or
+    a prefix gives a bound no higher than the one before.  Each bound is
+    lowered by an allowance for the rounding of its sums and of p.
 
     The point to probe is the vertex where the rows in the best L's
     support are equal, wherever it lies; at the active rows of an
@@ -451,22 +447,13 @@ def _model_step(
     # of any layout, and on chosen, rows of a C-contiguous fancy-indexed
     # copy.
     values = f._values(point)
-    order = np.argsort(float(values.max()) - values, kind="stable")
-    sorted_rows, sorted_offsets = rows[order], offsets[order]
-    abs_rows, abs_offsets, abs_x0 = np.abs(sorted_rows), np.abs(sorted_offsets), np.abs(x0)
-    first = min(m, n + 1)
-    matrix, target = simplex_system(sorted_rows, float(abs_rows[:first].max()))
-    # Each prefix, a column slice of one simplex_system, after the first
-    # resumes from the last one's raw solution padded with zeros (see
-    # nnls), which nnls may change in place.
-    start = np.zeros(m)
-    raw = None
+    search = NearestRows(rows, values)
+    order, sorted_rows, abs_rows = search.order, search.rows, search.abs_rows
+    sorted_offsets = offsets[order]
+    abs_offsets, abs_x0 = np.abs(sorted_offsets), np.abs(x0)
     best, support = -math.inf, None
-    for k in range(first, m + 1):
-        if raw is not None:
-            start[:k - 1] = raw
-        raw = nnls(matrix[:, :k], target, _start=None if raw is None else start[:k])
-        weights = raw / float(raw.sum())
+    for k in range(min(m, n + 1), m + 1):
+        weights = search.weights(k)
         p = weights.dot(sorted_rows[:k])
         size = weights.dot(abs_rows[:k])
         # hypot does not overflow where the sum of squares would; it

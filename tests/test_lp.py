@@ -24,7 +24,7 @@ from epicut import (
 )
 from epicut import lp, solver
 from epicut import nnls as nnls_module
-from epicut.nnls import min_norm_weights, nnls, simplex_system
+from epicut.nnls import NearestRows, min_norm_weights, nnls, simplex_system
 
 
 def system(rows, offsets):
@@ -319,6 +319,23 @@ class TestDecide:
             x = [Fraction(v) for v in point.tolist()]
             assert max(sum(Fraction(a) * v for a, v in zip(row, x)) + 1
                        for row in rows) < 0
+
+    def test_flat_rows_at_a_tight_tol_are_certified(self):
+        # families(303)#1781: three rows, two of them about 1e-11 in
+        # scale and tight at the run's point x = 0.  Scaled by the third
+        # row's 6.1e-4, as when every row set the scale, the two-row
+        # window gave ||A^T q|| = 7.1e-13, above tol (1 + ||q||), and
+        # decide ended Undecided.  Scaled by its first n + 1 rows, the
+        # window's q proves the system infeasible.
+        rows = [[-6.0323757264860677e-12], [3.1218953439108925e-11],
+                [-6.1242517455466206e-04]]
+        sys_n = normalize(system(rows, [1.0, 1.0, 1.0]))
+        out = decide_feasibility(sys_n, 1e-13)
+        assert out.verdict is FeasibilityVerdict.INFEASIBLE_NON_STRICT
+        assert validate_certificate(sys_n, out.certificate, 1e-13)
+        found = find_feasible_point(sys_n, 1e-13)
+        assert found.outcome is PointSearchOutcome.INFEASIBLE_PROVEN
+        assert vertex_enumerate_feasible(sys_n).feasible is False
 
     def test_homogeneous_strict_only(self):
         # Not strictly feasible: Gordan's p is 0 up to rounding, which is
@@ -954,6 +971,48 @@ class TestFarkasKernel:
                 assert free <= 1.0 and passive <= 1.0
         assert resumed >= 1000 and guarded >= 10
 
+    def test_prefixes_resumed_across_several_columns_meet_the_kkt_conditions(
+            self, monkeypatch):
+        # NearestRows' prefixes grown by 2 to 5 columns at once, as
+        # certificate windows grow: every resumed result meets the KKT
+        # test a cold solve of its prefix ends by, or its run reaches the
+        # guard and gives way to the cold method.
+        starts = self.recorded_starts(monkeypatch)
+        results = []
+        solve = nnls_module.nnls
+        monkeypatch.setattr(nnls_module, "nnls", lambda *args, **kwargs: (
+            results.append(solve(*args, **kwargs)) or results[-1]))
+        resumed = guarded = 0
+        rng = np.random.default_rng(302)
+        for i in range(300):
+            n = int(rng.integers(1, 9))
+            m = n + int(rng.integers(5, 14))
+            rows = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+            if i % 4 == 3:
+                pair = rng.choice(m, 2, replace=False)
+                rows[pair[1]] = rows[pair[0]] * (1.0 + 10.0 ** rng.uniform(-12, -3)
+                                                 * rng.standard_normal(n))
+            search = NearestRows(rows, rng.standard_normal(m))
+            matrix, target = simplex_system(search.rows,
+                                            float(search.abs_rows[:n + 1].max()))
+            k = int(rng.integers(1, n + 2))
+            search.weights(k)
+            while k < m:
+                k = min(m, k + int(rng.integers(2, 6)))
+                del starts[:]
+                weights = search.weights(k)
+                raw = results[-1]
+                assert starts[0] is not None
+                assert weights.tobytes() == (raw / float(raw.sum())).tobytes()
+                if len(starts) == 2:
+                    assert raw.tobytes() == self.from_zero(matrix[:, :k], target).tobytes()
+                    guarded += 1
+                    continue
+                resumed += 1
+                free, passive = self.kkt_gap(matrix[:, :k], target, raw)
+                assert free <= 1.0 and passive <= 1.0
+        assert resumed >= 900 and guarded >= 20
+
     def test_a_start_that_reaches_the_guard_gives_the_cold_bits(self, monkeypatch):
         # Problem 479 of tall_problems(2000, 300): the Gram seed holds
         # the wrong twin of a near-duplicate pair, and the method from it
@@ -996,9 +1055,10 @@ class TestFarkasKernel:
         assert q[1] == 0.0 and (q[[0, 2]] > 0.0).all()
         assert q.tobytes() == self.from_zero(matrix, target).tobytes()
 
-    def test_cold_windows_certify_decide(self, monkeypatch):
-        # Every certificate window is solved cold.  Without the pre-step's
-        # certificate or a run-less point, decide's run reaches
+    def test_resumed_windows_certify_decide(self, monkeypatch):
+        # Each certificate window resumes from the last one, and all are
+        # prefixes of one NearestRows at the incumbent.  Without the
+        # pre-step's certificate or a run-less point, decide's run reaches
         # _active_certificate, as for a system whose least-squares q fails
         # its check: it proves each planted system infeasible and gives
         # both verdicts on random ones; every certificate passes
@@ -1020,8 +1080,9 @@ class TestFarkasKernel:
             verdicts.append(got.verdict)
             if got.certificate is not None:
                 assert validate_certificate(sys_n, got.certificate)
-            windows = lp._window_multipliers(sys_n, got.report.best_point, 1e-8)
-            assert any(validate_certificate(sys_n, q) for q in windows) == (
+            # The first window at the incumbent that passes, if any does.
+            q = lp._active_certificate(sys_n, got.report.best_point, 1e-8, 1e-7)
+            assert (q is not None and validate_certificate(sys_n, q)) == (
                 got.verdict is not FeasibilityVerdict.FEASIBLE)
         assert set(verdicts[:len(planted)]) == {FeasibilityVerdict.INFEASIBLE_NON_STRICT}
         assert set(verdicts) == {

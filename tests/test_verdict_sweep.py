@@ -64,6 +64,26 @@ def test_moves_name_the_system_and_the_path(sweep):
             "normalized": True, "raw": False}
     theirs = {"decide": "InfeasibleStrictOnly", "find-point": "FeasiblePointFound",
               "path": None}
-    assert sweep.moves(systems, [ours], [theirs]) == [
+    assert sweep.moves(systems, [ours], [theirs], 1e-7) == [
         "  decide families(101)#0007 thin-slab: InfeasibleStrictOnly -> Feasible "
         "path=strict exact normalized=yes raw=NO"]
+
+
+@pytest.mark.parametrize("rows, offsets, word", [
+    ([[1.0], [-1.0]], [1.0, 1.0], "infeasible"),
+    ([[1.0], [-1.0]], [-1.0, -1.0], "feasible"),
+    ([[1.0] * 5, [-1.0] * 5], [1.0, 1.0], "too-large"),
+])
+def test_moves_into_a_certificate_ask_the_oracle(sweep, rows, offsets, word):
+    # A decide move into InfeasibleNonStrict carries the brute-force
+    # oracle's word on the normalized rows; 5 dimensions are past its cap.
+    from epicut import lp
+
+    sys_n = lp.normalize(lp.LinearSystem(np.array(rows), np.array(offsets)))
+    systems = [("families(303)#1781", "flat", None, None)]
+    ours = {"system": sys_n, "decide": "InfeasibleNonStrict",
+            "find-point": "InfeasibleProven", "path": None}
+    theirs = {"decide": "Undecided", "find-point": "Undecided", "path": None}
+    assert sweep.moves(systems, [ours], [theirs], 1e-13) == [
+        f"  decide families(303)#1781 flat: Undecided -> InfeasibleNonStrict oracle={word}",
+        "  find-point families(303)#1781 flat: Undecided -> InfeasibleProven"]

@@ -20,7 +20,11 @@ path that gave the point: the pre-step's start, Gordan's point
 imported under a distinct name as ``tools/report_digest.py`` imports
 it, prints the same lines for it, and lists every system whose
 ``decide`` or ``find-point`` verdict differs between the two, with the
-change's path and exact check for a Feasible point.  A system is named
+change's path and exact check for a Feasible point.  A ``decide`` move
+into InfeasibleNonStrict is checked too, by the brute-force oracle
+``vertex_enumerate_feasible`` on the normalized rows at ``--tol``:
+``oracle=infeasible``, ``oracle=feasible``, or ``oracle=too-large``
+past its caps of 4 dimensions and 12 rows.  A system is named
 by its corpus and its place there: ``families(101)#0045`` is
 ``list(families_corpus(101, 200))[45]``.  The tool reports; it exits 0
 whatever it finds.
@@ -70,15 +74,15 @@ def strictly_feasible(rows, offsets, point) -> bool:
 
 def outcome(lp, rows, offsets, tol):
     """One system's answers from the package whose lp module is ``lp``:
-    a dict with the decide verdict, the find-point outcome, the decision's
-    run (None without one) and, for Feasible, the path that gave its
-    point and that point's exact check on the normalized and the raw
-    rows."""
+    a dict with the normalized system, the decide verdict, the find-point
+    outcome, the decision's run (None without one) and, for Feasible,
+    the path that gave its point and that point's exact check on the
+    normalized and the raw rows."""
     sys_n = lp.normalize(lp.LinearSystem(rows, offsets))
     decision = lp.decide_feasibility(sys_n, tol)
     found = lp.find_feasible_point(sys_n, tol)
-    result = {"decide": decision.verdict.value, "find-point": found.outcome.value,
-              "report": decision.report, "path": None}
+    result = {"system": sys_n, "decide": decision.verdict.value,
+              "find-point": found.outcome.value, "report": decision.report, "path": None}
     if decision.verdict is lp.FeasibilityVerdict.FEASIBLE:
         point = decision.point
         if decision.report is not None:
@@ -116,7 +120,20 @@ def summary(systems, results, tol):
     return lines
 
 
-def moves(systems, change, parent):
+def oracle(sys_n, tol) -> str:
+    """vertex_enumerate_feasible's word on ``sys_n`` at ``tol``:
+    infeasible, feasible, or too-large past its caps."""
+    from epicut.bruteforce import vertex_enumerate_feasible
+    from epicut.errors import SizeLimitExceeded
+
+    try:
+        feasible = vertex_enumerate_feasible(sys_n, tol).feasible
+    except SizeLimitExceeded:
+        return "too-large"
+    return "feasible" if feasible else "infeasible"
+
+
+def moves(systems, change, parent, tol):
     """One line per system and command whose verdict differs."""
     lines = []
     for (name, family, _, _), ours, theirs in zip(systems, change, parent):
@@ -127,6 +144,8 @@ def moves(systems, change, parent):
             if command == "decide" and ours["path"] is not None:
                 line += (f" path={ours['path']} exact normalized={_yes(ours['normalized'])}"
                          f" raw={_yes(ours['raw'])}")
+            if command == "decide" and ours[command] == "InfeasibleNonStrict":
+                line += f" oracle={oracle(ours['system'], tol)}"
             lines.append(line)
     return lines
 
@@ -156,7 +175,7 @@ def main(argv=None) -> int:
                           for _, _, rows, offsets in systems]
         print(label, *summary(systems, results[label], args.tol), sep="\n", flush=True)
     if args.against:
-        moved = moves(systems, results["change"], results["parent"])
+        moved = moves(systems, results["change"], results["parent"], args.tol)
         counts = Counter(line.split()[0] for line in moved)
         print(f"verdict moves: decide={counts['decide']} find-point={counts['find-point']}",
               *moved, sep="\n", flush=True)
